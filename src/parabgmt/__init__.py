@@ -8,8 +8,7 @@ Modules:
     cli        command line front end
 """
 
-__version__ = "0.1.0"
-
+from ._version import __version__
 from .geometry import (
     Cone,
     ConeViolationError,

@@ -19,19 +19,18 @@ are rounded to 12 significant digits; config values stay lossless.
 
 Exit codes: 0 success, 1 usage or config errors (diagnostics on
 stderr), 2 verify failures (violation list inside the report).
-
-Thread count comes from the PARABGMT_THREADS environment variable
-(default 1); results do not depend on it.
 """
 
 import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._report import jsonable
 from ._version import __version__
 from .generators import (
     GENERATOR_KINDS,
@@ -151,18 +150,16 @@ _PARSERS = {
 }
 
 
+@dataclass
 class Opt:
     """One named option: a flag, a config-file key, and a report key."""
 
-    __slots__ = ("name", "kind", "default", "help", "choices", "required")
-
-    def __init__(self, name, kind, default=None, help="", choices=None, required=False):
-        self.name = name
-        self.kind = kind
-        self.default = default
-        self.help = help
-        self.choices = choices
-        self.required = required
+    name: str
+    kind: str
+    default: object = None
+    help: str = ""
+    choices: tuple | None = None
+    required: bool = False
 
     @property
     def flag(self):
@@ -367,8 +364,6 @@ def _merge_options(command, args):
                 values[key] = by_name[key].parse(raw)
             except CliError as exc:
                 raise CliError(f"{args.config}:{lineno}: {exc}") from None
-        # second pass keeps line numbers in errors above; record keys now
-        for _, key, _ in _read_config_file(args.config):
             provided.add(key)
     for opt in opts:
         raw = getattr(args, opt.name)
@@ -384,56 +379,23 @@ def _merge_options(command, args):
     return values, provided
 
 
-def _env_workers():
-    raw = os.environ.get("PARABGMT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw, 10)
-    except ValueError:
-        raise CliError(f"PARABGMT_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise CliError("PARABGMT_THREADS must be >= 1")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # Report emission
-
-
-def _round12(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
 
 
 def _json_text(payload):
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
-def _report(command, config, result):
-    return {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "result": _round12(result),
-    }
-
-
 def _emit(command, config, result, out):
     """Full report to stdout, or to a file with a config echo on stdout."""
-    text = _json_text(_report(command, config, result))
+    echo = {"command": command, "version": __version__, "config": config}
+    text = _json_text({**echo, "result": jsonable(result, digits=12)})
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-        sys.stdout.write(_json_text({"command": command, "version": __version__, "config": config}))
+        sys.stdout.write(_json_text(echo))
 
 
 def _sidecar_path(out):
@@ -444,11 +406,11 @@ def _sidecar_path(out):
     return side
 
 
-def _emit_cloud(command, config, result, out):
-    """Cloud commands: report to the sidecar, config echo on stdout."""
-    side = _sidecar_path(out)
-    side.write_text(_json_text(_report(command, config, result)), encoding="utf-8")
-    sys.stdout.write(_json_text({"command": command, "version": __version__, "config": config}))
+def _save_cloud(mu, out):
+    """Write mu to the CSV out; returns the report entry describing it."""
+    save_cloud_csv(mu, out)
+    return {"csv": str(out), "n": mu.n, "natoms": mu.natoms,
+            "total_mass": mu.total_mass, "resolution_hint": mu.resolution_hint}
 
 
 def _load_cloud(path):
@@ -523,18 +485,8 @@ def _cmd_generate(values, provided):
     params = {{"l_seq": "L_seq"}.get(k, k): v for k, v in params.items() if v is not None}
 
     mu, info = generate(GeneratorSpec(kind=kind, params=params, seed=values["seed"]))
-    save_cloud_csv(mu, out)
-    result = {
-        "cloud": {
-            "csv": str(out),
-            "n": mu.n,
-            "natoms": mu.natoms,
-            "total_mass": mu.total_mass,
-            "resolution_hint": mu.resolution_hint,
-        },
-        "info": sidecar_payload(info),
-    }
-    _emit_cloud("generate", config, result, out)
+    result = {"cloud": _save_cloud(mu, out), "info": sidecar_payload(info)}
+    _emit("generate", config, result, _sidecar_path(out))
     return 0
 
 
@@ -574,7 +526,6 @@ def _cmd_tangent(values, provided):
         sample_size=values["sample_size"],
         seed=values["seed"],
         refine_rounds=values["refine_rounds"],
-        workers=_env_workers(),
     )
     rep = classify_points(mu, cfg)
     if values["curves_csv"] is not None:
@@ -587,9 +538,6 @@ def _cmd_tangent(values, provided):
         )
     }
     result = rep.to_dict()
-    # thread count must not leak into reports: replays with a different
-    # PARABGMT_THREADS are byte-identical
-    result["config"].pop("workers", None)
     result["natoms"] = mu.natoms
     _emit("tangent", config, result, values["output"])
     return 0
@@ -601,21 +549,11 @@ def _cmd_blowup(values, provided):
     out = values["output"]
     _sidecar_path(out)
     nu = blowup_measure(mu, a, values["r"], normalization=values["normalization"], m=values["m"])
-    save_cloud_csv(nu, out)
     config = {
         k: values[k] for k in ("input", "point", "r", "normalization", "m", "output")
     }
-    result = {
-        "cloud": {
-            "csv": str(out),
-            "n": nu.n,
-            "natoms": nu.natoms,
-            "total_mass": nu.total_mass,
-            "resolution_hint": nu.resolution_hint,
-        },
-        "source_natoms": mu.natoms,
-    }
-    _emit_cloud("blowup", config, result, out)
+    result = {"cloud": _save_cloud(nu, out), "source_natoms": mu.natoms}
+    _emit("blowup", config, result, _sidecar_path(out))
     return 0
 
 
@@ -668,12 +606,12 @@ def _cmd_defeater_bmo(values, provided):
     }
     result = {
         "natoms": mu.natoms,
-        "L_seq": [float(v) for v in L_seq],
-        "c": float(info["c"]),
-        "threshold": float(threshold),
-        "points": [float(v) for v in mids],
-        "totals": [float(v) for v in totals],
-        "min_total": float(min(totals)),
+        "L_seq": L_seq,
+        "c": info["c"],
+        "threshold": threshold,
+        "points": mids,
+        "totals": totals,
+        "min_total": min(totals),
         "all_exceed": bool(min(totals) > threshold),
     }
     _emit("defeater-bmo", config, result, values["output"])

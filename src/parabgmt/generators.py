@@ -8,13 +8,16 @@ truth label.  Identical inputs produce bit-identical clouds.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+import operator
 from collections import deque
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
+from ._report import Record, jsonable
 from .geometry import HomPlane, complement_plane
 from .measure import DiscreteMeasure
 from .rectify import ConstructionError
@@ -37,7 +40,7 @@ class PairNotFoundError(RuntimeError):
 
 
 @dataclasses.dataclass
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """Serializable recipe: construction kind, kind-specific params, seed."""
 
     kind: str
@@ -60,34 +63,15 @@ class GeneratorSpec:
             if seq is not None and any(v <= 0 for v in seq):
                 raise ValueError(f"{key} entries must be positive")
 
-    def to_dict(self):
-        return {"kind": self.kind, "params": _jsonable(self.params), "seed": self.seed}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
 
 def sidecar_payload(info):
     """JSON-safe subset of a generator info dict (objects and big arrays dropped)."""
     out = {}
     for key, value in info.items():
-        if key in ("tree", "structure"):
-            continue
         if isinstance(value, np.ndarray) and value.size > 1000:
             continue
         try:
-            out[key] = _jsonable(value)
+            out[key] = jsonable(value)
         except TypeError:
             continue
     return out
@@ -456,7 +440,7 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
 
 
 @dataclasses.dataclass
-class BmoEnergy:
+class BmoEnergy(Record):
     """Dyadic-annulus quadrature of |f(t0)-f(u)|^2 / |t0-u|^2 around t0."""
 
     point: float
@@ -465,16 +449,6 @@ class BmoEnergy:
     cumulative: np.ndarray
     total: float
     excluded: float
-
-    def to_dict(self):
-        return {
-            "point": self.point,
-            "annuli": self.annuli.tolist(),
-            "sums": self.sums.tolist(),
-            "cumulative": self.cumulative.tolist(),
-            "total": self.total,
-            "excluded": self.excluded,
-        }
 
 
 def bmo_energy(ts, fs, t0, weights=None, min_sep=None):
@@ -697,10 +671,6 @@ class QuarticStructure:
     dom_starts: np.ndarray
     img_starts: np.ndarray
     level_ratios: list
-
-    def level_of_pairs(self, xs):
-        """Deepest level whose single interval contains all of xs (vectorized helper)."""
-        return None
 
 
 def gen_quartic_cantor(gap_seq=None, depth=8, kappa=12.0, kappa_growth=0.25):
@@ -937,16 +907,66 @@ def _plane_from_params(value):
     raise ValueError(f"cannot interpret plane spec {value!r}")
 
 
+# what a user graph expression may contain besides number literals and
+# the names x1..xk, t: these operators and calls np.<name>(...) of these ufuncs
+_EXPR_BINOPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+}
+_EXPR_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_EXPR_UFUNCS = (
+    "abs", "absolute", "arccos", "arcsin", "arctan", "arctan2", "cbrt", "ceil", "cos",
+    "cosh", "exp", "expm1", "floor", "hypot", "log", "log10", "log1p", "log2", "maximum",
+    "minimum", "sign", "sin", "sinh", "sqrt", "square", "tan", "tanh",
+)
+
+
+def _expr_compile(node, names, text):
+    """The function of a name table that evaluates the parsed expression
+    node; every node outside the whitelist raises ValueError here, before
+    anything is evaluated."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return lambda ns, value=node.value: value
+    if isinstance(node, ast.Name) and node.id in names:
+        return lambda ns, name=node.id: ns[name]
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+        op = _EXPR_BINOPS[type(node.op)]
+        left = _expr_compile(node.left, names, text)
+        right = _expr_compile(node.right, names, text)
+        return lambda ns: op(left(ns), right(ns))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARY:
+        op = _EXPR_UNARY[type(node.op)]
+        operand = _expr_compile(node.operand, names, text)
+        return lambda ns: op(operand(ns))
+    f = getattr(node, "func", None)
+    if (isinstance(node, ast.Call) and not node.keywords and isinstance(f, ast.Attribute)
+            and isinstance(f.value, ast.Name) and f.value.id == "np"
+            and f.attr in _EXPR_UFUNCS):
+        ufunc = getattr(np, f.attr)
+        args = [_expr_compile(a, names, text) for a in node.args]
+        return lambda ns: ufunc(*(a(ns) for a in args))
+    raise ValueError(f"expression {text!r}: {ast.unparse(node)} is not allowed (use numbers, "
+                     "x1..xk, t, + - * / // % ** and np.<ufunc>(...))")
+
+
 def _expr_graph(exprs, dims_in):
     if isinstance(exprs, str):
         exprs = [exprs]
+    names = {"t"} | {f"x{i + 1}" for i in range(dims_in)}
+    funcs = []
+    for text in exprs:
+        try:
+            tree = ast.parse(text.strip(), mode="eval")
+        except SyntaxError as exc:
+            raise ValueError(f"expression {text!r}: {exc.msg}") from None
+        funcs.append(_expr_compile(tree.body, names, text))
 
     def g(C):
-        ns = {"np": np, "t": C[:, -1]}
+        ns = {"t": C[:, -1]}
         for i in range(dims_in):
             ns[f"x{i + 1}"] = C[:, i]
-        cols = [np.broadcast_to(np.asarray(eval(e, {"__builtins__": {}}, ns), dtype=float),
-                                (C.shape[0],)) for e in exprs]
+        cols = [np.broadcast_to(np.asarray(f(ns), dtype=float), (C.shape[0],)) for f in funcs]
         return np.column_stack(cols)
 
     return g

@@ -9,6 +9,7 @@ the measure and rectify modules.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
@@ -516,18 +517,15 @@ class GraphSamples:
         """Time coordinate of the values, or None when V is vertical."""
         return None if self.plane.includes_t_axis else self.values[:, -1]
 
-    def as_dict(self):
-        return {tuple(b): v.copy() for b, v in zip(self.base, self.values)}
 
-
+@dataclass(eq=False)
 class ExtractResult:
     """Output of graph_extract: the finite graph map plus the certified
     Lipschitz bound s / sqrt(1 - s^2) and the measured pairwise ratio."""
 
-    def __init__(self, graph, lipschitz_bound, empirical_ratio):
-        self.graph = graph
-        self.lipschitz_bound = lipschitz_bound
-        self.empirical_ratio = empirical_ratio
+    graph: GraphSamples
+    lipschitz_bound: float
+    empirical_ratio: float
 
 
 def graph_extract(points, V, s):
@@ -595,12 +593,12 @@ class EuclideanPlane:
         return bool(np.all(np.abs(self.basis[:, -1]) < ORTHO_TOL))
 
 
+@dataclass(eq=False)
 class EuclidConeResult:
-    def __init__(self, ok, radius, witness, checked):
-        self.ok = ok
-        self.radius = radius
-        self.witness = witness
-        self.checked = checked
+    ok: bool
+    radius: float | None
+    witness: np.ndarray | None
+    checked: int
 
 
 def verticalize(V):

@@ -10,10 +10,12 @@ Lipschitz maps into P^n.
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._index import GridIndex
+from ._report import Record
 from ._version import __version__
 from .geometry import ParaPoint, as_coord_array, dist_rows
 
@@ -270,26 +272,21 @@ def greedy_cover(points, r, metric="parabolic"):
     return pts[np.asarray(centers, dtype=int)]
 
 
-class CoveringReport:
-    def __init__(self, metric, scales, counts, sums, fitted_dim, fit_residual):
-        self.metric = metric
-        self.scales = [float(r) for r in scales]
-        self.counts = [int(c) for c in counts]
-        self.sums = {str(k): [float(v) for v in vals] for k, vals in (sums or {}).items()}
-        self.fitted_dim = float(fitted_dim)
-        self.fit_residual = float(fit_residual)
+class _Estimate(Record):
+    """Record whose dict also carries the package version and a seed."""
 
     def to_dict(self, seed=None):
-        return {
-            "metric": self.metric,
-            "scales": self.scales,
-            "counts": self.counts,
-            "sums": self.sums,
-            "fitted_dim": self.fitted_dim,
-            "fit_residual": self.fit_residual,
-            "version": __version__,
-            "seed": seed,
-        }
+        return {**super().to_dict(), "version": __version__, "seed": seed}
+
+
+@dataclass(eq=False)
+class CoveringReport(_Estimate):
+    metric: str
+    scales: list
+    counts: list
+    sums: dict
+    fitted_dim: float
+    fit_residual: float
 
 
 def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
@@ -301,7 +298,7 @@ def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
     if len(scales) < 2:
         raise ValueError("need at least two scales")
     counts = [greedy_cover(pts, r, metric).shape[0] for r in scales]
-    sums = {s: [c * (2.0 * r) ** s for c, r in zip(counts, scales)] for s in sum_exponents}
+    sums = {str(s): [c * (2.0 * r) ** s for c, r in zip(counts, scales)] for s in sum_exponents}
     logs = np.log(np.asarray(counts, dtype=float))
     if np.all(np.asarray(counts) == counts[0]):
         return CoveringReport(metric, scales, counts, sums, 0.0, math.inf)
@@ -324,26 +321,14 @@ def hausdorff_sum(points, s, scales, metric="parabolic"):
     return out
 
 
-class DensityEstimate:
-    def __init__(self, point, s, scales, values, upper, lower):
-        self.point = point
-        self.s = float(s)
-        self.scales = [float(r) for r in scales]
-        self.values = [float(v) for v in values]
-        self.upper = float(upper)
-        self.lower = float(lower)
-
-    def to_dict(self, seed=None):
-        return {
-            "point": [float(v) for v in self.point.coords()],
-            "s": self.s,
-            "scales": self.scales,
-            "values": self.values,
-            "upper": self.upper,
-            "lower": self.lower,
-            "version": __version__,
-            "seed": seed,
-        }
+@dataclass(eq=False)
+class DensityEstimate(_Estimate):
+    point: ParaPoint
+    s: float
+    scales: list
+    values: list
+    upper: float
+    lower: float
 
 
 def density_profile(mu, a, s, scales):
@@ -359,7 +344,7 @@ def density_profile(mu, a, s, scales):
     fine = values[-k:]
     return DensityEstimate(
         a if isinstance(a, ParaPoint) else ParaPoint(np.asarray(a)[:-1], np.asarray(a)[-1]),
-        s,
+        float(s),
         scales,
         values,
         max(fine),
@@ -367,30 +352,16 @@ def density_profile(mu, a, s, scales):
     )
 
 
-class FlatConstantEstimate:
-    def __init__(self, family, m, value, raw, lower, upper, scales, scale_values):
-        self.family = family
-        self.m = int(m)
-        self.value = float(value)
-        self.raw = float(raw)
-        self.lower = float(lower)
-        self.upper = float(upper)
-        self.scales = [float(r) for r in scales]
-        self.scale_values = [float(v) for v in scale_values]
-
-    def to_dict(self, seed=None):
-        return {
-            "family": self.family,
-            "m": self.m,
-            "value": self.value,
-            "raw": self.raw,
-            "lower": self.lower,
-            "upper": self.upper,
-            "scales": self.scales,
-            "scale_values": self.scale_values,
-            "version": __version__,
-            "seed": seed,
-        }
+@dataclass(eq=False)
+class FlatConstantEstimate(_Estimate):
+    family: str
+    m: int
+    value: float
+    raw: float
+    lower: float
+    upper: float
+    scales: list
+    scale_values: list
 
 
 def _flat_plane_cloud(n, m, family):
@@ -505,10 +476,8 @@ def flat_constant_estimate(n, m, family, scales=None):
     coef, _, _, _ = np.linalg.lstsq(design, vs, rcond=None)
     raw = float(coef[1])
     value = float(np.clip(raw, 1.0, 2.0**m))
-    band = [raw] + list(vs)
-    return FlatConstantEstimate(
-        family, m, value, raw, min(band), max(band), scales, values
-    )
+    band = [raw] + vs.tolist()
+    return FlatConstantEstimate(family, int(m), value, raw, min(band), max(band), scales, values)
 
 
 class GridMap:
@@ -571,32 +540,17 @@ class GridMap:
         return cls(out.reshape(tuple([m_points] * d) + (d,)), domain)
 
 
-class LipCoverSum:
-    def __init__(self, value, N, delta, columns, balls, lhat, lhat_fine, lhat_coarse, flagged):
-        self.value = float(value)
-        self.N = int(N)
-        self.delta = float(delta)
-        self.columns = int(columns)
-        self.balls = int(balls)
-        self.lhat = float(lhat)
-        self.lhat_fine = float(lhat_fine)
-        self.lhat_coarse = float(lhat_coarse)
-        self.flagged = bool(flagged)
-
-    def to_dict(self, seed=None):
-        return {
-            "value": self.value,
-            "N": self.N,
-            "delta": self.delta,
-            "columns": self.columns,
-            "balls": self.balls,
-            "lhat": self.lhat,
-            "lhat_fine": self.lhat_fine,
-            "lhat_coarse": self.lhat_coarse,
-            "flagged": self.flagged,
-            "version": __version__,
-            "seed": seed,
-        }
+@dataclass(eq=False)
+class LipCoverSum(_Estimate):
+    value: float
+    N: int
+    delta: float
+    columns: int
+    balls: int
+    lhat: float
+    lhat_fine: float
+    lhat_coarse: float
+    flagged: bool
 
 
 def _pairwise_ratio_max(dom, img, min_sep):

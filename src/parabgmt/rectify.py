@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._index import GridIndex
+from ._report import Record, jsonable
 from ._version import __version__
 from .geometry import (
     DimensionMismatchError,
@@ -59,7 +59,7 @@ def _as_point(a, n):
 
 
 @dataclass
-class TangentConfig:
+class TangentConfig(Record):
     """Search configuration for approximate tangent planes.
 
     The defining limit is replaced by a max over the finite (s, r) grid
@@ -76,7 +76,6 @@ class TangentConfig:
     sample_size: int = 100
     seed: int = 0
     refine_rounds: int = 2
-    workers: int = 1
 
     def resolved_r_list(self, mu):
         if self.r_list is not None:
@@ -85,19 +84,6 @@ class TangentConfig:
         if not r0 or r0 <= 0.0:
             raise ValueError("cloud resolution unavailable; pass r_list explicitly")
         return (8.0 * r0, 4.0 * r0, 2.0 * r0)
-
-    def to_dict(self):
-        return {
-            "m": int(self.m),
-            "s_list": [float(s) for s in self.s_list],
-            "r_list": None if self.r_list is None else [float(r) for r in self.r_list],
-            "plane_budget": int(self.plane_budget),
-            "threshold": float(self.threshold),
-            "sample_size": int(self.sample_size),
-            "seed": int(self.seed),
-            "refine_rounds": int(self.refine_rounds),
-            "workers": int(self.workers),
-        }
 
 
 def cone_defect(mu, a, V, s, r, m):
@@ -208,6 +194,7 @@ def _plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix):
     return worst, curve
 
 
+@dataclass(eq=False)
 class PointTangent:
     """Tangent-detection outcome at one point.
 
@@ -216,14 +203,11 @@ class PointTangent:
     records the minimizer behind the reported curve.
     """
 
-    __slots__ = ("best_plane", "defect_curve", "classification", "min_defect", "argmin_plane")
-
-    def __init__(self, best_plane, defect_curve, classification, min_defect, argmin_plane):
-        self.best_plane = best_plane
-        self.defect_curve = defect_curve
-        self.classification = classification
-        self.min_defect = min_defect
-        self.argmin_plane = argmin_plane
+    best_plane: HomPlane | None
+    defect_curve: list
+    classification: str
+    min_defect: float
+    argmin_plane: HomPlane | None
 
     def __iter__(self):
         yield self.best_plane
@@ -273,14 +257,14 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
     return PointTangent(best_plane, best_curve, best_plane.family, best_worst, best_plane)
 
 
+@dataclass(eq=False)
 class TangentReport:
     """Per-point tangent classification over a seeded atom subsample."""
 
-    def __init__(self, config, points, results, fractions):
-        self.config = config
-        self.points = points
-        self.results = results
-        self.fractions = fractions
+    config: dict
+    points: list
+    results: list
+    fractions: dict
 
     def __len__(self):
         return len(self.results)
@@ -290,24 +274,17 @@ class TangentReport:
         return f"TangentReport({len(self)} points, {parts})"
 
     def to_dict(self):
-        per_point = []
-        for p, res in zip(self.points, self.results):
-            per_point.append(
-                {
-                    "a": [float(v) for v in p.coords()],
-                    "class": res.classification,
-                    "best_plane": None if res.best_plane is None else res.best_plane.to_dict(),
-                    "defect_curve": [
-                        [float(r), float(s), float(x)] for r, s, x in res.defect_curve
-                    ],
-                }
-            )
-        return {
+        per_point = [
+            {"a": p, "class": res.classification, "best_plane": res.best_plane,
+             "defect_curve": res.defect_curve}
+            for p, res in zip(self.points, self.results)
+        ]
+        return jsonable({
             "version": __version__,
-            "config": dict(self.config),
-            "fractions": {k: float(v) for k, v in self.fractions.items()},
+            "config": self.config,
+            "fractions": self.fractions,
             "per_point": per_point,
-        }
+        })
 
     def defect_curves_csv(self, path):
         """Flat r,s,defect rows (plus the point index) for plotting."""
@@ -320,12 +297,7 @@ class TangentReport:
 
 def classify_points(mu, cfg):
     """Run detect_tangent on a seeded subsample of atoms and tally the
-    horizontal / vertical / none fractions (they sum to 1).
-
-    Per-point work is independent; with cfg.workers > 1 it runs on a
-    thread pool whose ordered map keeps results bit-identical to the
-    serial pass.
-    """
+    horizontal / vertical / none fractions (they sum to 1)."""
     if mu.natoms == 0:
         raise ValueError("measure has no atoms")
     rng = np.random.default_rng(cfg.seed)
@@ -335,16 +307,7 @@ def classify_points(mu, cfg):
     r_list = cfg.resolved_r_list(mu)
     index = GridIndex(mu.points, max(r_list)) if mu.natoms > 4096 else None
     points = [ParaPoint.from_coords(mu.points[i]) for i in sel]
-
-    def task(p):
-        return detect_tangent(mu, p, cfg, planes=planes, index=index)
-
-    workers = max(1, int(cfg.workers))
-    if workers == 1:
-        results = [task(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(task, points))
+    results = [detect_tangent(mu, p, cfg, planes=planes, index=index) for p in points]
     counts = {"horizontal": 0, "vertical": 0, "none": 0}
     for res in results:
         counts[res.classification] += 1
@@ -458,31 +421,24 @@ def flatness_defect(nu, m, plane_budget=32, tube_width=0.05, grid_cells=6, seed=
     return best
 
 
-class UniquenessScan:
+@dataclass(eq=False)
+class UniquenessScan(Record):
     """Cross-scale flatness scan at one point: best plane and defect per
     scale, the max pairwise plane distance (spread), and the max defect."""
 
-    def __init__(self, point, scales, planes, defects, spread, max_defect):
-        self.point = point
-        self.scales = scales
-        self.planes = planes
-        self.defects = defects
-        self.spread = spread
-        self.max_defect = max_defect
+    point: ParaPoint
+    scales: tuple
+    planes: list
+    defects: list
+    spread: float
+    max_defect: float
 
     def __repr__(self):
         return f"UniquenessScan(spread={self.spread:.4g}, max_defect={self.max_defect:.4g})"
 
     def to_dict(self):
-        return {
-            "version": __version__,
-            "a": [float(v) for v in self.point.coords()],
-            "scales": [float(r) for r in self.scales],
-            "planes": [V.to_dict() for V in self.planes],
-            "defects": [float(x) for x in self.defects],
-            "spread": float(self.spread),
-            "max_defect": float(self.max_defect),
-        }
+        d = super().to_dict()
+        return {"version": __version__, "a": d.pop("point"), **d}
 
 
 def tangent_uniqueness_scan(
@@ -521,18 +477,16 @@ def tangent_uniqueness_scan(
 
 
 @dataclass
-class FitConfig:
+class FitConfig(Record):
     """Scales (coarse to fine) and the verdict threshold for
     differentiability fitting."""
 
     scales: tuple
     threshold: float = 0.05
 
-    def to_dict(self):
-        return {"scales": [float(r) for r in self.scales], "threshold": float(self.threshold)}
 
-
-class DifferentialFit:
+@dataclass(eq=False)
+class DifferentialFit(Record):
     """Weighted least-squares differential of a sampled graph at one
     base point.
 
@@ -543,26 +497,15 @@ class DifferentialFit:
     to fine.
     """
 
-    def __init__(self, point_index, base, lam, residual_curve, verdict, flagged):
-        self.point_index = point_index
-        self.base = base
-        self.lam = lam
-        self.residual_curve = residual_curve
-        self.verdict = verdict
-        self.flagged = flagged
+    point_index: int
+    base: np.ndarray
+    lam: np.ndarray
+    residual_curve: list
+    verdict: str | None
+    flagged: bool
 
     def __repr__(self):
         return f"DifferentialFit(p={self.point_index}, verdict={self.verdict!r})"
-
-    def to_dict(self):
-        return {
-            "point_index": int(self.point_index),
-            "base": [float(v) for v in self.base],
-            "lam": [[float(v) for v in row] for row in self.lam],
-            "residual_curve": [[float(r), float(x)] for r, x in self.residual_curve],
-            "verdict": self.verdict,
-            "flagged": bool(self.flagged),
-        }
 
 
 def fit_differential(graph, p_index, cfg):

@@ -4,7 +4,6 @@ status column)."""
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -336,22 +335,23 @@ def test_09_defeater_is_graph_like_per_level_yet_energy_diverges(defeater6):
 
 
 def test_10_cli_reports_replay_bit_identically(tmp_path):
-    env = {**os.environ, "PARABGMT_THREADS": "1"}
     cli = [sys.executable, "-m", "parabgmt.cli"]
     cloud = tmp_path / "cloud.csv"
     r = subprocess.run(cli + ["generate", "--kind", "cantor_segments", "--depth", "2",
                               "--n-seq", "2,3", "--points-per-segment", "32",
                               "-o", str(cloud)],
-                       env=env, capture_output=True, text=True)
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     report1 = tmp_path / "tan.json"
     r = subprocess.run(cli + ["tangent", "-i", str(cloud), "--m", "1",
                               "--sample-size", "20", "-o", str(report1)],
-                       env=env, capture_output=True, text=True)
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     bytes1 = report1.read_bytes()
+    # the replay writes to the same path; a replay that writes nothing must fail
+    report1.unlink()
 
-    # replay both commands purely from their embedded configs, on 8 workers
+    # replay both commands purely from their embedded configs
     config = json.loads(bytes1)["config"]
     cfg = tmp_path / "replay.cfg"
     lines = []
@@ -375,15 +375,13 @@ def test_10_cli_reports_replay_bit_identically(tmp_path):
         if val is not None and not isinstance(val, bool)) + "\n")
     cloud2 = tmp_path / "cloud2.csv"
 
-    env8 = {**os.environ, "PARABGMT_THREADS": "8"}
     r = subprocess.run(cli + ["generate", "--config", str(gcfg), "-o", str(cloud2)],
-                       env=env8, capture_output=True, text=True)
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     r = subprocess.run(cli + ["tangent", "--config", str(cfg)],
-                       env=env8, capture_output=True, text=True)
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     bytes2 = report1.read_bytes()
 
     ok = bytes1 == bytes2 and cloud.read_bytes() == cloud2.read_bytes()
-    _line(10, ok, "generate and tangent replays from embedded configs are "
-                  "byte-identical across 1 and 8 worker threads")
+    _line(10, ok, "generate and tangent replays from embedded configs are byte-identical")

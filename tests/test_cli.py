@@ -83,6 +83,34 @@ class TestGenerate:
         assert rc == 1 and "is required" in err
 
 
+class TestGenerateExpr:
+    PAYLOAD = ("x1*0 + [c for c in ().__class__.__mro__[1].__subclasses__() "
+               "if c.__name__ == 'BuiltinImporter'][0].load_module('posix').getpid()")
+
+    @pytest.mark.parametrize("expr", [
+        PAYLOAD,
+        "x1.__class__.__mro__",
+        "np.linalg.norm(x1)",
+        "x1[0]",
+        "(lambda: x1)()",
+        "[v for v in x1]",
+        "np.load('cloud.npy')",
+        "open('cloud.csv')",
+        "np.sin(x1, out=x1)",
+        "x1 if x1 else t",
+        "x2",
+        "'x1'",
+        "x1 +",
+    ])
+    def test_rejected_with_one_line_error(self, tmp_path, capsys, expr):
+        out = tmp_path / "g.csv"
+        rc, stdout, err = run(capsys, "generate", "--kind", "user_graph", "--n", "1",
+                              "--axes", "0", "--expr", expr, "-o", str(out))
+        assert rc == 1 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestDim:
     def test_integer_scale_count_uses_schedule(self, line_csv, tmp_path, capsys):
         out = tmp_path / "dim.json"
@@ -132,24 +160,6 @@ class TestTangent:
         assert "workers" not in report["config"]
         assert report["result"]["fractions"]["horizontal"] == 1.0
         assert curves.read_text().splitlines()[0] == "point_index,r,s,defect"
-
-    def test_worker_count_never_changes_bytes(self, line_csv, tmp_path, capsys, monkeypatch):
-        # same output path both times so the embedded config matches too
-        out = tmp_path / "tan.json"
-        outs = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("PARABGMT_THREADS", threads)
-            rc, _, _ = run(capsys, "tangent", "-i", str(line_csv), "--m", "1",
-                           "--sample-size", "6", "-o", str(out))
-            assert rc == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_bad_thread_env(self, line_csv, capsys, monkeypatch):
-        monkeypatch.setenv("PARABGMT_THREADS", "zero")
-        rc, _, err = run(capsys, "tangent", "-i", str(line_csv), "--m", "1",
-                         "--sample-size", "2")
-        assert rc == 1 and "PARABGMT_THREADS" in err
 
 
 class TestBlowup:

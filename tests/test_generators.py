@@ -386,6 +386,29 @@ class TestDispatcher:
         _, info = generate(GeneratorSpec("user_graph", QUICK_SPECS[1][1]))
         assert info["expr"] == ["0.1*x1", "0*x1"]
 
+    @pytest.mark.parametrize("expr,f", [
+        ("0.1*x1", lambda x1: 0.1 * x1),
+        ("0", lambda x1: 0),
+        ("0*x1", lambda x1: 0 * x1),
+    ])
+    def test_user_graph_expressions_are_bit_identical(self, expr, f):
+        plane = {"n": 1, "axes": [0], "t": False}
+        mu, _ = generate(GeneratorSpec("user_graph", {"plane": plane, "expr": [expr],
+                                                      "resolution": 0.01}))
+        ref, _ = gen_graph(lambda C: np.asarray(f(C[:, 0]), dtype=float) + np.zeros(len(C)),
+                           HomPlane.horizontal_axes(1, (0,)), resolution=0.01)
+        assert np.array_equal(mu.points, ref.points)
+        assert np.array_equal(mu.weights, ref.weights)
+
+    def test_user_graph_ufunc_table(self):
+        plane = {"n": 2, "axes": [0], "t": False}
+        mu, _ = generate(GeneratorSpec("user_graph", {
+            "plane": plane, "expr": ["-np.sin(x1) ** 2", "np.maximum(x1, 0) / 4"],
+            "resolution": 0.05}))
+        x1 = mu.points[:, 0]
+        assert np.array_equal(mu.points[:, 1], -np.sin(x1) ** 2)
+        assert np.array_equal(mu.points[:, 2], np.maximum(x1, 0) / 4)
+
     def test_sidecar_drops_large_arrays(self):
         payload = sidecar_payload({"ok": 1.5, "big": np.zeros(5000), "arr": np.arange(3)})
         assert "big" not in payload

@@ -1,0 +1,214 @@
+"""Golden outputs: the bytes of CLI reports, sidecars and CSVs, and the
+to_dict() of every result record, compared with the files in tests/golden/.
+
+The commands run in-process through cli.main inside a fresh directory,
+so every path embedded in a report is relative.  The goldens hold the
+numbers of one machine; after an intended output change, rewrite them
+with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+and name the changed outputs in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from parabgmt import cli
+from parabgmt.generators import GeneratorSpec, bmo_energy, gen_flat
+from parabgmt.geometry import (
+    EuclideanPlane,
+    GraphSamples,
+    HomPlane,
+    euclid_cone_radius,
+    graph_extract,
+)
+from parabgmt.measure import (
+    GridMap,
+    density_profile,
+    dimension_fit,
+    flat_constant_estimate,
+    lip_image_cover_sum,
+)
+from parabgmt.rectify import (
+    FitConfig,
+    TangentConfig,
+    classify_points,
+    fit_differential,
+    tangent_uniqueness_scan,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (step name, argv); each step also records its stdout and exit code
+COMMANDS = [
+    ("gen_cantor", ["generate", "--kind", "cantor_segments", "--depth", "2",
+                    "--n-seq", "2,3", "--points-per-segment", "16", "-o", "cantor.csv"]),
+    ("gen_tilted", ["generate", "--kind", "user_graph", "--n", "2", "--axes", "0",
+                    "--expr", "0.1*x1;0", "--resolution", "0.01", "-o", "tilted.csv"]),
+    ("gen_line", ["generate", "--kind", "user_graph", "--n", "1", "--axes", "0",
+                  "--expr", "0.1*x1", "--resolution", "0.01", "-o", "line.csv"]),
+    ("gen_zero", ["generate", "--kind", "user_graph", "--n", "1", "--axes", "0",
+                  "--expr", "0", "--resolution", "0.01", "-o", "zero.csv"]),
+    ("gen_zero_x1", ["generate", "--kind", "user_graph", "--n", "1", "--axes", "0",
+                     "--expr", "0*x1", "--resolution", "0.01", "-o", "zero_x1.csv"]),
+    ("gen_curved", ["generate", "--kind", "user_graph", "--n", "2", "--axes", "0",
+                    "--expr", "0.3*x1**2 - 1/8; 0.05*np.sin(3*x1) + np.abs(-x1)/4",
+                    "--resolution", "0.02", "--noise", "0.001", "--seed", "5",
+                    "-o", "curved.csv"]),
+    ("gen_vertical", ["generate", "--kind", "user_graph", "--n", "2", "--t-axis", "true",
+                      "--expr", "0.1*t; np.cos(t) ** 2", "--resolution", "0.05",
+                      "-o", "vertical.csv"]),
+    ("dim", ["dim", "-i", "cantor.csv", "--scales", "4", "--sum-exponents", "1,2",
+             "-o", "dim.json"]),
+    ("density", ["density", "-i", "tilted.csv", "--point", "0,0,0", "--s", "1",
+                 "--scales", "0.4,0.2,0.1"]),
+    ("tangent", ["tangent", "-i", "cantor.csv", "--m", "1", "--sample-size", "10",
+                 "--curves-csv", "curves.csv", "-o", "tangent.json"]),
+    ("blowup", ["blowup", "-i", "tilted.csv", "--point", "0,0,0", "--r", "0.5",
+                "-o", "blown.csv"]),
+    ("vconst", ["vconst", "--n", "1", "--m", "1", "--scales", "0.2,0.15,0.1",
+                "-o", "vconst.json"]),
+    ("verify", ["verify", "--suite", "all", "--cases", "50", "-o", "verify.json"]),
+    ("defeater_bmo", ["defeater-bmo", "--depth", "2", "--annuli-csv", "annuli.csv",
+                      "-o", "bmo.json"]),
+]
+
+
+def run_commands(workdir):
+    """Run COMMANDS in workdir; returns {golden file name: bytes}."""
+    out = {}
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, argv in COMMANDS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main(list(argv))
+            out[f"{name}.stdout"] = f"exit {rc}\n{stderr.getvalue()}{stdout.getvalue()}".encode()
+        for path in sorted(Path(".").iterdir()):
+            out[path.name] = path.read_bytes()
+    finally:
+        os.chdir(old)
+    return out
+
+
+def _line(resolution=5e-3):
+    return gen_flat(HomPlane.horizontal_axes(1, (0,)), extent=1.0, resolution=resolution)[0]
+
+
+def _drop_workers(d):
+    # the one key that left the report layer: TangentConfig.workers
+    d.pop("workers", None)
+    return d
+
+
+def records():
+    """{name: JSON text} for the to_dict() of each record on small fixtures."""
+    line = _line()
+    line_pts = np.column_stack([np.linspace(0.0, 1.0, 51), np.zeros(51)])
+    ax = np.linspace(0.0, 1.0, 9)
+    identity = GridMap(np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1), (0.0, 1.0))
+    V = HomPlane.horizontal_axes(2, (0,))
+    g = np.linspace(-1.0, 1.0, 401)
+    graph = GraphSamples.from_points(np.column_stack([g, 0.5 * g, np.zeros_like(g)]), V)
+    tangent = classify_points(line, TangentConfig(m=1, sample_size=4)).to_dict()
+    _drop_workers(tangent["config"])
+    ex = graph_extract(np.column_stack([g, 0.1 * g, np.zeros_like(g)]), V, 0.2)
+    cone = euclid_cone_radius(EuclideanPlane([[0.0, 1.0]]), 0.5, tol=0.05)
+    grid = np.linspace(-1.0, 1.0, 1025)
+    out = {
+        "CoveringReport": dimension_fit(line_pts, [0.2, 0.1], sum_exponents=(1.0, 2)).to_dict(
+            seed=4),
+        "CoveringReport_flat": dimension_fit(np.zeros((3, 2)), [0.2, 0.1]).to_dict(),
+        "DensityEstimate": density_profile(line, np.zeros(2), 1, [0.3, 0.2, 0.1]).to_dict(),
+        "FlatConstantEstimate": flat_constant_estimate(1, 1, "horizontal",
+                                                       scales=[0.2, 0.1]).to_dict(seed=2),
+        "LipCoverSum": lip_image_cover_sum(identity, 4).to_dict(seed=1),
+        "LipCoverSum_constant": lip_image_cover_sum(GridMap(np.zeros((9, 9, 2))), 4).to_dict(),
+        "TangentReport": tangent,
+        "TangentConfig": _drop_workers(TangentConfig(m=2).to_dict()),
+        "TangentConfig_r_list": _drop_workers(
+            TangentConfig(m=1, r_list=(0.1, 0.05), seed=3).to_dict()),
+        "UniquenessScan": tangent_uniqueness_scan(line, np.zeros(2), (0.4, 0.2, 0.1),
+                                                  1).to_dict(),
+        "DifferentialFit": fit_differential(graph, 200, FitConfig(scales=(0.5, 0.1))).to_dict(),
+        "DifferentialFit_flagged": fit_differential(graph, 0,
+                                                    FitConfig(scales=(1e-4,))).to_dict(),
+        "FitConfig": FitConfig(scales=(0.5, 0.1)).to_dict(),
+        "BmoEnergy": bmo_energy(grid, grid ** 2, 0.0).to_dict(),
+        "BmoEnergy_empty": bmo_energy(np.array([0.0, 1.0]), np.zeros(2), 0.0,
+                                      min_sep=2.0).to_dict(),
+        "GeneratorSpec": GeneratorSpec("cantor_segments",
+                                       {"n_seq": (2, np.int64(3)), "w": np.arange(2.0)},
+                                       seed=7).to_dict(),
+        "HomPlane": HomPlane.vertical_axes(3, (1,)).to_dict(),
+        "ExtractResult": {"lipschitz_bound": ex.lipschitz_bound,
+                          "empirical_ratio": ex.empirical_ratio, "rows": len(ex.graph)},
+        "EuclidConeResult": {"ok": cone.ok, "radius": cone.radius,
+                             "witness": None if cone.witness is None else cone.witness.tolist(),
+                             "checked": cone.checked},
+    }
+    return {name: json.dumps(d, sort_keys=True, indent=1) + "\n" for name, d in out.items()}
+
+
+def _golden_records():
+    path = GOLDEN / "records.json"
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+
+
+CLI_FILES = sorted(p.name for p in (GOLDEN / "cli").glob("*"))
+RECORDS = _golden_records()
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    return run_commands(tmp_path_factory.mktemp("golden_cli"))
+
+
+@pytest.fixture(scope="module")
+def record_texts():
+    return records()
+
+
+def test_cli_writes_exactly_the_golden_files(cli_outputs):
+    assert sorted(cli_outputs) == CLI_FILES
+
+
+@pytest.mark.parametrize("name", CLI_FILES)
+def test_cli_bytes(cli_outputs, name):
+    assert cli_outputs.get(name) == (GOLDEN / "cli" / name).read_bytes()
+
+
+def test_record_names(record_texts):
+    assert sorted(record_texts) == sorted(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_to_dict(record_texts, name):
+    assert record_texts[name] == RECORDS[name]
+
+
+def main():
+    import tempfile
+
+    (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
+    for old in (GOLDEN / "cli").iterdir():
+        old.unlink()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in run_commands(tmp).items():
+            (GOLDEN / "cli" / name).write_bytes(data)
+    text = json.dumps(records(), sort_keys=True, indent=1) + "\n"
+    (GOLDEN / "records.json").write_text(text, encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ from parabgmt.geometry import (
     GraphSamples,
     HomPlane,
     ParaPoint,
+    graph_cone_check,
     plane_distance,
 )
 from parabgmt.measure import DiscreteMeasure
@@ -23,6 +24,7 @@ from parabgmt.rectify import (
     detect_tangent,
     fit_differential,
     flatness_defect,
+    split_lipschitz,
     tangent_uniqueness_scan,
 )
 
@@ -84,7 +86,7 @@ class TestTangentConfig:
         d = TangentConfig(m=2).to_dict()
         assert set(d) == {
             "m", "s_list", "r_list", "plane_budget", "threshold",
-            "sample_size", "seed", "refine_rounds", "workers",
+            "sample_size", "seed", "refine_rounds",
         }
 
 
@@ -127,15 +129,6 @@ class TestClassifyPoints:
         assert sum(rep.fractions.values()) == pytest.approx(1.0)
         assert rep.fractions["horizontal"] >= 0.95
         assert len(rep.results) == 30
-
-    def test_workers_do_not_change_results(self):
-        mu = line_cloud(4e-3)
-        rep1 = classify_points(mu, TangentConfig(m=1, sample_size=16, workers=1))
-        rep4 = classify_points(mu, TangentConfig(m=1, sample_size=16, workers=4))
-        d1, d4 = rep1.to_dict(), rep4.to_dict()
-        d1["config"].pop("workers")
-        d4["config"].pop("workers")
-        assert d1 == d4
 
     def test_report_dict_and_csv(self, tmp_path):
         mu = line_cloud(4e-3)
@@ -292,3 +285,47 @@ class TestFitDifferential:
         assert isinstance(fit, DifferentialFit)
         assert d["verdict"] == "differentiable"
         assert len(d["residual_curve"]) == 2
+
+
+class TestSplitLipschitz:
+    L = 0.5
+
+    @staticmethod
+    def _fitted(f, scales, resolution=0.01):
+        # graph x2 = f(x1), t = 0 over the x1 axis of P^2, one fit per row
+        V = HomPlane.horizontal_axes(2, (0,))
+        mu, _ = gen_graph(lambda C: np.column_stack([f(C[:, 0]), np.zeros(len(C))]), V,
+                          resolution=resolution)
+        graph = GraphSamples.from_points(mu.points, V)
+        return graph, [fit_differential(graph, i, FitConfig(scales=scales))
+                       for i in range(len(graph))]
+
+    @pytest.mark.parametrize("f", [lambda x: 0.1 * x, lambda x: 0.3 * x ** 2],
+                             ids=["tilted", "curved"])
+    @pytest.mark.parametrize("scales", [(0.5, 0.25, 0.125), (0.4, 0.2, 0.1)])
+    def test_pieces_partition_and_certify(self, f, scales):
+        graph, fits = self._fitted(f, scales)
+        assert not any(fit.flagged for fit in fits)
+        pieces = split_lipschitz(graph, fits, self.L)
+        idx = np.concatenate([piece.indices for piece in pieces])
+        assert np.array_equal(np.sort(idx), np.arange(len(graph)))
+        assert len(pieces) < len(graph)
+        lp = self.L / math.sqrt(1.0 - self.L ** 2)
+        s_cert = lp / math.sqrt(1.0 + lp * lp)
+        pts = graph.reassemble()
+        for piece in pieces:
+            assert graph_cone_check(pts[piece.indices], piece.plane, s_cert) == []
+
+    def test_tilted_graph_piece_count(self):
+        graph, fits = self._fitted(lambda x: 0.1 * x, (0.5, 0.25, 0.125))
+        assert len(split_lipschitz(graph, fits, self.L)) == 17
+
+    def test_validation(self):
+        graph, fits = self._fitted(lambda x: 0.1 * x, (0.5, 0.25), resolution=0.1)
+        with pytest.raises(ValueError):
+            split_lipschitz(graph, fits, 1.0)
+        with pytest.raises(ValueError):
+            split_lipschitz(graph, fits[1:], self.L)
+        flagged = fit_differential(graph, 0, FitConfig(scales=(1e-6,)))
+        with pytest.raises(ValueError):
+            split_lipschitz(graph, [flagged] + fits[1:], self.L)
