@@ -1,12 +1,50 @@
-"""Anisotropic bucket grid for ball queries on point clouds.
+"""Sparse hashed bucket grid for ball queries on point clouds.
 
 A parabolic ball of radius r has x-extent r and t-extent r^2, so the
 grid uses cells of size r along spatial axes and r^2 along time; a
 query then only has to look at a small block of neighboring cells.
 With metric='euclidean' all axes use cell size r.
+
+Only occupied cells are stored, after Teschner et al., "Optimized
+Spatial Hashing for Collision Detection of Deformable Objects" (VMV
+2003): the integer cell coordinates are hashed by a linear map modulo
+2^64 (uint64 multiply-add with fixed odd multipliers, wrap-around
+intended), so the code of a cell never depends on how far apart the
+occupied cells lie.  One table holds the sorted distinct codes with the
+start offset and the length of their run of points in `order`.
+
+The map is linear, so the codes of a query's block of cells are the
+code of its corner plus the distinct codes of the block's cell offsets
+(outer sums of per-axis terms, cached per block shape).  A query looks
+them all up with one searchsorted, gathers the ragged point ranges at
+once and keeps the points within the radius: a fixed number of numpy
+calls, however many cells the block has.  A hash collision can only
+add candidates from a far cell, and the exact distance filter drops
+them, so the answer is the set of points in the ball, in ascending
+index order.
 """
 
+import math
+from functools import reduce
+
 import numpy as np
+
+# float cell coordinates are clipped here before the int64 cast, so an
+# infinite or huge quotient lands in an edge cell instead of overflowing
+_CELL_LIMIT = float(2**61)
+
+
+def _multipliers(d):
+    """d fixed odd 64-bit multipliers (splitmix64 of 1..d)."""
+    out = []
+    z = 0
+    for _ in range(d):
+        z = (z + 0x9E3779B97F4A7C15) % 2**64
+        x = z
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) % 2**64
+        out.append((x ^ (x >> 31)) | 1)
+    return out
 
 
 class GridIndex:
@@ -23,39 +61,67 @@ class GridIndex:
         cell = np.full(d, self.r)
         if metric == "parabolic":
             cell[-1] = self.r * self.r
-        self.cell = cell
-        ci = np.floor(pts / cell).astype(np.int64)
-        self.origin = ci.min(axis=0)
-        ci -= self.origin
-        self.dims = ci.max(axis=0) + 1
-        self._codes = np.ravel_multi_index(ci.T, self.dims)
-        self.order = np.argsort(self._codes, kind="stable")
-        self._sorted = self._codes[self.order]
+        ci = pts / cell
+        np.floor(ci, out=ci)
+        np.clip(ci, -_CELL_LIMIT, _CELL_LIMIT, out=ci)
+        ci = ci.astype(np.int64)
+        self._cell = cell.tolist()
+        # occupied cell range per axis
+        self._first = ci.min(axis=0).tolist()
+        self._last = ci.max(axis=0).tolist()
+        self._mult = _multipliers(d)
+        # the int64 -> uint64 view is two's complement, so this is the
+        # linear map of the signed cell coordinates modulo 2^64
+        codes = ci.view(np.uint64) @ np.array(self._mult, dtype=np.uint64)
+        # a query sorts its candidates, so the order within a run is free
+        self.order = np.argsort(codes)
+        ordered = codes[self.order]
+        start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        self._keys = ordered[start]
+        # (start, length) of each key's run in order
+        self._ranges = np.column_stack((start, np.diff(np.append(start, ordered.size))))
+        self._blocks = {}
 
-    def _cell_indices(self, code):
-        lo = np.searchsorted(self._sorted, code, side="left")
-        hi = np.searchsorted(self._sorted, code, side="right")
-        return self.order[lo:hi]
+    def _block(self, shape):
+        """Distinct codes of the cells 0 <= c < shape (one per axis),
+        cached per block shape; the code of the block at corner a is
+        this plus the code of a."""
+        offsets = self._blocks.get(shape)
+        if offsets is None:
+            terms = [np.arange(s, dtype=np.uint64) * np.uint64(m)
+                     for s, m in zip(shape, self._mult)]
+            offsets = self._blocks[shape] = np.unique(reduce(np.add.outer, terms))
+        return offsets
 
     def query(self, center, radius=None):
         """Indices of points within `radius` of center (default: the
         build scale r), in ascending index order."""
         center = np.asarray(center, dtype=float).ravel()
+        if center.size != len(self._cell):
+            raise ValueError(f"center has {center.size} coordinates, the index {len(self._cell)}")
         radius = self.r if radius is None else float(radius)
-        reach = np.full(center.size, radius)
-        if self.metric == "parabolic":
-            reach[-1] = radius * radius
-        lo = np.floor((center - reach) / self.cell).astype(np.int64) - self.origin
-        hi = np.floor((center + reach) / self.cell).astype(np.int64) - self.origin
-        lo = np.clip(lo, 0, self.dims - 1)
-        hi = np.clip(hi, 0, self.dims - 1)
-        ranges = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-        mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, center.size)
-        codes = np.ravel_multi_index(mesh.T, self.dims)
-        parts = [self._cell_indices(c) for c in codes]
-        cand = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        if cand.size == 0:
-            return cand
+        reach = [radius] * (center.size - 1)
+        reach.append(radius * radius if self.metric == "parabolic" else radius)
+        # the block of cells that can hold a point of the ball, clamped
+        # to the occupied range; a few scalars, so plain Python floats
+        lo, hi = [], []
+        axes = zip(center.tolist(), reach, self._cell, self._first, self._last)
+        for c, e, w, first, last in axes:
+            a = min(max((c - e) / w, first), last)
+            b = min(max((c + e) / w, first), last)
+            if not a <= b:
+                return np.empty(0, dtype=np.intp)
+            lo.append(math.floor(a))
+            hi.append(math.floor(b))
+        corner = sum(a * m for a, m in zip(lo, self._mult)) % 2**64
+        codes = self._block(tuple(b - a + 1 for a, b in zip(lo, hi))) + np.uint64(corner)
+        pos = self._keys.searchsorted(codes)
+        start, size = self._ranges[pos[self._keys.take(pos, mode="clip") == codes]].T
+        if size.size == 0:
+            return np.empty(0, dtype=np.intp)
+        # ragged gather: item j of range i sits at order[start[i] + j]
+        end = size.cumsum()
+        cand = self.order[np.arange(end[-1]) + (start + size - end).repeat(size)]
         cand.sort()
         diff = self.pts[cand] - center
         d2 = np.einsum("ij,ij->i", diff[:, :-1], diff[:, :-1])

@@ -245,7 +245,7 @@ _GEN_PARAM_OPTS = [
     Opt("axes", "ints", help="horizontal coordinate axes of the plane"),
     Opt("t_axis", "bool", help="include the t axis in the plane"),
     Opt("extent", "float", help="ball radius of the flat patch"),
-    Opt("expr", "str", help="semicolon-separated graph expressions in x1..xk, t"),
+    Opt("expr", "str", help="semicolon-separated graph expressions in x1..xk (t too with --t-axis)"),
     Opt("domain", "float", help="half-width of the coefficient box"),
     Opt("noise", "float", help="gaussian noise level on graph values"),
 ]

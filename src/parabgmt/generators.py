@@ -15,7 +15,6 @@ import operator
 from collections import deque
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from ._report import Record, jsonable
 from .geometry import HomPlane, complement_plane
@@ -137,6 +136,8 @@ def holder_lower(ts, fs, min_steps=10):
     n = len(fs)
     if n < min_steps + 1:
         raise ValueError("sample too short for the requested window size")
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
     step = (ts[-1] - ts[0]) / (n - 1)
     best = float(fs.max() - fs.min()) / math.sqrt(ts[-1] - ts[0])
     w = int(min_steps)
@@ -908,7 +909,8 @@ def _plane_from_params(value):
 
 
 # what a user graph expression may contain besides number literals and
-# the names x1..xk, t: these operators and calls np.<name>(...) of these ufuncs
+# the names x1..xk (and t over a vertical plane): these operators and
+# calls np.<name>(...) of these ufuncs
 _EXPR_BINOPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
     ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
@@ -947,13 +949,15 @@ def _expr_compile(node, names, text):
         args = [_expr_compile(a, names, text) for a in node.args]
         return lambda ns: ufunc(*(a(ns) for a in args))
     raise ValueError(f"expression {text!r}: {ast.unparse(node)} is not allowed (use numbers, "
-                     "x1..xk, t, + - * / // % ** and np.<ufunc>(...))")
+                     "x1..xk, t over a vertical plane, + - * / // % ** and np.<ufunc>(...))")
 
 
-def _expr_graph(exprs, dims_in):
+def _expr_graph(exprs, dims_in, has_t):
+    """The graph map of the expressions over base coordinates x1..xk,
+    plus t when the base plane contains the time axis (its last column)."""
     if isinstance(exprs, str):
         exprs = [exprs]
-    names = {"t"} | {f"x{i + 1}" for i in range(dims_in)}
+    names = {f"x{i + 1}" for i in range(dims_in)} | ({"t"} if has_t else set())
     funcs = []
     for text in exprs:
         try:
@@ -963,7 +967,7 @@ def _expr_graph(exprs, dims_in):
         funcs.append(_expr_compile(tree.body, names, text))
 
     def g(C):
-        ns = {"t": C[:, -1]}
+        ns = {"t": C[:, -1]} if has_t else {}
         for i in range(dims_in):
             ns[f"x{i + 1}"] = C[:, i]
         cols = [np.broadcast_to(np.asarray(f(ns), dtype=float), (C.shape[0],)) for f in funcs]
@@ -988,7 +992,7 @@ def generate(spec):
     elif kind == "user_graph":
         V = _plane_from_params(p.pop("plane"))
         expr = p.pop("expr")
-        g = _expr_graph(expr, V.k)
+        g = _expr_graph(expr, V.k, V.includes_t_axis)
         mu, info = gen_graph(g, V, seed=spec.seed, **p)
         info["expr"] = expr
     elif kind == "weierstrass_graph":

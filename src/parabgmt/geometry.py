@@ -12,9 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.stats import norm as _norm_dist
-from scipy.stats import qmc
 
 ORTHO_TOL = 1e-10
 CONE_BAND = 1e-9
@@ -314,6 +311,8 @@ def complement_plane(V):
     elif V.k == n:
         co_basis = np.zeros((0, n))
     else:
+        from scipy.linalg import null_space
+
         co_basis = null_space(V.horiz_basis).T
     return HomPlane(n, co_basis, not V.includes_t_axis)
 
@@ -323,11 +322,15 @@ def _halton_frames(n, k, count, seed):
     scrambled Halton sequence pushed through normal scores and QR."""
     if k == 0:
         return [np.zeros((0, n)) for _ in range(count)]
+    # scipy.stats is imported here, not at module level: it is most of
+    # the package's import time and only plane sampling needs it
+    from scipy.stats import norm, qmc
+
     sampler = qmc.Halton(d=n * k, seed=seed, scramble=True)
     frames = []
     while len(frames) < count:
         u = sampler.random(1)[0]
-        z = _norm_dist.ppf(u).reshape(n, k)
+        z = norm.ppf(u).reshape(n, k)
         q, r = np.linalg.qr(z)
         diag = np.diag(r)
         if np.min(np.abs(diag)) < 1e-12:
@@ -611,6 +614,8 @@ def verticalize(V):
     if V.dim == 1:
         horiz = np.zeros((0, n))
     else:
+        from scipy.linalg import null_space
+
         mix = null_space(tcol).T @ V.basis
         q, r = np.linalg.qr(mix[:, :-1].T)
         horiz = (q * np.sign(np.diag(r))).T

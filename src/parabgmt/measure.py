@@ -620,9 +620,8 @@ def lip_image_cover_sum(gm, N):
     far = _pairwise_ratio_max(dom_s, img_s, 0.75 * dmax_dom)
     lhat = far if far > 0 else (lhat_coarse if lhat_coarse > 0 else lhat_fine)
     cols_idx = np.floor(xs / delta).astype(np.int64)
-    cols_idx -= cols_idx.min(axis=0)
-    dims = cols_idx.max(axis=0) + 1
-    codes = np.ravel_multi_index(cols_idx.T, dims)
+    # exact column ids (lexicographic rank), whatever the spread of the image
+    codes = np.unique(cols_idx, axis=0, return_inverse=True)[1].ravel()
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
     sorted_ts = ts[order]

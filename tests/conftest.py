@@ -3,6 +3,13 @@
 import numpy as np
 import pytest
 
+# The package imports these scipy modules inside the functions that need
+# them.  Import them once here so that their one-time import cost does
+# not land inside the first timed example of a hypothesis test.
+import scipy.linalg  # noqa: F401
+import scipy.ndimage  # noqa: F401
+import scipy.stats  # noqa: F401
+
 from parabgmt.generators import (
     gen_cantor_segments,
     gen_quartic_cantor,

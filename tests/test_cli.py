@@ -1,6 +1,10 @@
 """End-to-end command line coverage: reports, replays, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +103,7 @@ class TestGenerateExpr:
         "np.sin(x1, out=x1)",
         "x1 if x1 else t",
         "x2",
+        "t",  # the base plane of --axes 0 has no time axis
         "'x1'",
         "x1 +",
     ])
@@ -109,6 +114,27 @@ class TestGenerateExpr:
         assert rc == 1 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_t_is_the_time_coordinate_over_vertical_plane(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        rc, _, _ = run(capsys, "generate", "--kind", "user_graph", "--n", "1",
+                       "--t-axis", "true", "--expr", "0.5*t", "--resolution", "0.25",
+                       "-o", str(out))
+        assert rc == 0
+        pts = load_cloud_csv(out).points
+        assert len(pts) > 1 and np.ptp(pts[:, 1]) > 0
+        np.testing.assert_array_equal(pts[:, 0], 0.5 * pts[:, 1])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time and only plane sampling needs it
+    code = "import sys, parabgmt.cli; print('scipy.stats' in sys.modules)"
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestDim:
