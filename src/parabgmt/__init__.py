@@ -5,6 +5,7 @@ Modules:
     measure    discrete measures and covering-based estimators
     rectify    tangent detection, blow-ups, differentiability fits
     generators deterministic fractal example sets
+    checks     the invariant check table that `verify` and the tests run
     cli        command line front end
 """
 

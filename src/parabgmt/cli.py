@@ -7,7 +7,7 @@ Subcommands
     tangent       approximate-tangent classification over an atom subsample
     blowup        zoom a cloud at a point and write the rescaled cloud
     vconst        flat-measure constant of a canonical plane
-    verify        run the library's invariant checks as named test batteries
+    verify        run the invariant check table of parabgmt.checks
     defeater-bmo  singular-energy sums along the regular defeater construction
 
 Options merge with precedence: command-line flags beat a flat key=value
@@ -23,7 +23,6 @@ stderr), 2 verify failures (violation list inside the report).
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,54 +31,24 @@ import numpy as np
 
 from ._report import jsonable
 from ._version import __version__
+from .checks import SUITES
 from .generators import (
     GENERATOR_KINDS,
     GeneratorSpec,
     bmo_energy,
-    gen_cantor_segments,
-    gen_flat,
-    gen_quartic_cantor,
     gen_regular_defeater,
-    gen_vertical_cantor,
-    gen_weierstrass_graph,
     generate,
-    holder_lower,
-    holder_upper,
     sidecar_payload,
-    weierstrass_eval,
-)
-from .geometry import (
-    Cone,
-    HomPlane,
-    ParaPoint,
-    blowup_rows,
-    complement_plane,
-    cone_gap_rows,
-    cone_membership,
-    dist_rows,
-    dist_to_plane_rows,
-    para_norm_rows,
-    plane_distance,
-    project_rows,
-    sample_planes,
 )
 from .measure import (
-    DiscreteMeasure,
     default_scales,
     density_profile,
     dimension_fit,
     flat_constant_estimate,
-    greedy_cover,
     load_cloud_csv,
     save_cloud_csv,
 )
-from .rectify import (
-    TangentConfig,
-    blowup_measure,
-    classify_points,
-    cone_defect,
-    flatness_defect,
-)
+from .rectify import TangentConfig, blowup_measure, classify_points
 
 
 class CliError(Exception):
@@ -297,8 +266,7 @@ _COMMAND_OPTS = {
         Opt("output", "str", help="report path (stdout when omitted)"),
     ],
     "verify": [
-        Opt("suite", "str", default="all",
-            choices=("geometry", "measure", "rectify", "generators", "all")),
+        Opt("suite", "str", default="all", choices=(*SUITES, "all")),
         Opt("cases", "int", default=1000, help="sample count for randomized checks"),
         Opt("seed", "int", default=0, help="sampling seed"),
         Opt("output", "str", help="report path (stdout when omitted)"),
@@ -355,7 +323,6 @@ def _merge_options(command, args):
     opts = _COMMAND_OPTS[command]
     by_name = {o.name: o for o in opts}
     values = {o.name: o.default for o in opts}
-    provided = set()
     if args.config is not None:
         for lineno, key, raw in _read_config_file(args.config):
             if key not in by_name:
@@ -364,7 +331,6 @@ def _merge_options(command, args):
                 values[key] = by_name[key].parse(raw)
             except CliError as exc:
                 raise CliError(f"{args.config}:{lineno}: {exc}") from None
-            provided.add(key)
     for opt in opts:
         raw = getattr(args, opt.name)
         if raw is not None:
@@ -372,11 +338,10 @@ def _merge_options(command, args):
                 values[opt.name] = opt.parse(raw)
             except CliError as exc:
                 raise CliError(f"{opt.flag}: {exc}") from None
-            provided.add(opt.name)
     for opt in opts:
         if opt.required and values[opt.name] is None:
             raise CliError(f"{command}: {opt.flag} is required")
-    return values, provided
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +411,18 @@ def _check_point(values, n):
 # Command handlers
 
 
-def _cmd_generate(values, provided):
+def _cmd_generate(values):
     kind = values["kind"]
     spec_params = _KIND_PARAMS[kind]
     names = {name for name, _ in spec_params}
-    for key in provided:
-        if key in ("kind", "seed", "output") or key in names:
-            continue
-        flag = "--" + key.replace("_", "-")
-        raise CliError(f"{flag} does not apply to kind {kind!r}")
+    # every kind parameter defaults to None and no parser returns None,
+    # so a value that is not None was given by a flag or the config file
+    for opt in _GEN_PARAM_OPTS:
+        if values[opt.name] is not None and opt.name not in names:
+            raise CliError(f"{opt.flag} does not apply to kind {kind!r}")
     merged = {}
     for name, default in spec_params:
-        if name in provided:
+        if values[name] is not None:
             merged[name] = values[name]
         elif default is _REQ:
             raise CliError(f"kind {kind!r} requires --{name.replace('_', '-')}")
@@ -490,32 +455,30 @@ def _cmd_generate(values, provided):
     return 0
 
 
-def _cmd_dim(values, provided):
+def _cmd_dim(values):
     mu = _load_cloud(values["input"])
     scales = _resolve_scales(values["scales"], mu)
     rep = dimension_fit(
         mu, scales, metric=values["metric"], sum_exponents=tuple(values["sum_exponents"])
     )
-    config = {k: values[k] for k in ("input", "metric", "scales", "sum_exponents", "output")}
     result = rep.to_dict()
     result["natoms"] = mu.natoms
-    _emit("dim", config, result, values["output"])
+    _emit("dim", values, result, values["output"])
     return 0
 
 
-def _cmd_density(values, provided):
+def _cmd_density(values):
     mu = _load_cloud(values["input"])
     a = _check_point(values, mu.n)
     scales = _resolve_scales(values["scales"], mu)
     est = density_profile(mu, a, values["s"], scales)
-    config = {k: values[k] for k in ("input", "point", "s", "scales", "output")}
     result = est.to_dict()
     result["natoms"] = mu.natoms
-    _emit("density", config, result, values["output"])
+    _emit("density", values, result, values["output"])
     return 0
 
 
-def _cmd_tangent(values, provided):
+def _cmd_tangent(values):
     mu = _load_cloud(values["input"])
     cfg = TangentConfig(
         m=values["m"],
@@ -530,46 +493,35 @@ def _cmd_tangent(values, provided):
     rep = classify_points(mu, cfg)
     if values["curves_csv"] is not None:
         rep.defect_curves_csv(values["curves_csv"])
-    config = {
-        k: values[k]
-        for k in (
-            "input", "m", "s_list", "r_list", "plane_budget", "threshold",
-            "sample_size", "seed", "refine_rounds", "curves_csv", "output",
-        )
-    }
     result = rep.to_dict()
     result["natoms"] = mu.natoms
-    _emit("tangent", config, result, values["output"])
+    _emit("tangent", values, result, values["output"])
     return 0
 
 
-def _cmd_blowup(values, provided):
+def _cmd_blowup(values):
     mu = _load_cloud(values["input"])
     a = _check_point(values, mu.n)
     out = values["output"]
     _sidecar_path(out)
     nu = blowup_measure(mu, a, values["r"], normalization=values["normalization"], m=values["m"])
-    config = {
-        k: values[k] for k in ("input", "point", "r", "normalization", "m", "output")
-    }
     result = {"cloud": _save_cloud(nu, out), "source_natoms": mu.natoms}
-    _emit("blowup", config, result, _sidecar_path(out))
+    _emit("blowup", values, result, _sidecar_path(out))
     return 0
 
 
-def _cmd_vconst(values, provided):
+def _cmd_vconst(values):
     est = flat_constant_estimate(
         values["n"],
         values["m"],
         values["family"],
         scales=None if values["scales"] is None else list(values["scales"]),
     )
-    config = {k: values[k] for k in ("n", "m", "family", "scales", "output")}
-    _emit("vconst", config, est.to_dict(), values["output"])
+    _emit("vconst", values, est.to_dict(), values["output"])
     return 0
 
 
-def _cmd_defeater_bmo(values, provided):
+def _cmd_defeater_bmo(values):
     mu, info = gen_regular_defeater(
         depth=values["depth"],
         resolution=values["resolution"],
@@ -597,13 +549,6 @@ def _cmd_defeater_bmo(values, provided):
             for i, e in enumerate(energies):
                 for (lo, hi), s, c in zip(e.annuli, e.sums, e.cumulative):
                     fh.write(f"{i},{float(lo)!r},{float(hi)!r},{float(s)!r},{float(c)!r}\n")
-    config = {
-        k: values[k]
-        for k in (
-            "depth", "c0", "K", "resolution", "window_samples",
-            "atoms_per_interval", "grid", "refine", "annuli_csv", "output",
-        )
-    }
     result = {
         "natoms": mu.natoms,
         "L_seq": L_seq,
@@ -614,365 +559,29 @@ def _cmd_defeater_bmo(values, provided):
         "min_total": min(totals),
         "all_exceed": bool(min(totals) > threshold),
     }
-    _emit("defeater-bmo", config, result, values["output"])
+    _emit("defeater-bmo", values, result, values["output"])
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verify batteries
-
-
-def _split_cases(cases, parts):
-    return max(1, cases // parts)
-
-
-def _chk_norm_homogeneity(cases, seed):
-    """||delta_r p|| = r ||p|| for the parabolic dilations."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (1, 2, 3):
-        chunk = _split_cases(cases, 3 * 8)
-        for _ in range(8):
-            coords = rng.standard_normal((chunk, n + 1)) * rng.uniform(0.1, 10.0)
-            r = float(rng.uniform(0.05, 20.0))
-            zero = ParaPoint(np.zeros(n), 0.0)
-            scaled = blowup_rows(zero, 1.0 / r, coords)
-            lhs = para_norm_rows(scaled)
-            rhs = r * para_norm_rows(coords)
-            err = np.max(np.abs(lhs - rhs) / np.maximum(1.0, rhs))
-            worst = max(worst, float(err))
-    return worst <= 1e-12, {"max_rel_error": worst, "tol": 1e-12}
-
-
-def _chk_norm_split(cases, seed):
-    """||(x,t)||^2 = |x|^2 + |t|, and the norm equals distance to 0."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (1, 2, 3):
-        chunk = _split_cases(cases, 3)
-        coords = rng.standard_normal((chunk, n + 1)) * rng.uniform(0.01, 100.0)
-        norm = para_norm_rows(coords)
-        split = np.sqrt(np.sum(coords[:, :n] ** 2, axis=1) + np.abs(coords[:, n]))
-        origin = np.zeros(n + 1)
-        dist0 = dist_rows(coords, origin)
-        err = np.abs(norm - split) + np.abs(norm - dist0)
-        worst = max(worst, float(np.max(err / np.maximum(1.0, norm))))
-    return worst <= 1e-12, {"max_rel_error": worst, "tol": 1e-12}
-
-
-def _chk_cone_complement(cases, seed):
-    """dist(d, V)^2 + dist(d, co V)^2 = ||d||^2, and cone membership
-    agrees with the sign of the gap dist(d, V) - s ||d||."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    agree = True
-    for n in (1, 2, 3):
-        chunk = _split_cases(cases, 3 * 3)
-        for m in range(1, n + 2):
-            planes = sample_planes(n, m, 3, seed + 7 * n + m)
-            for V in planes:
-                W = complement_plane(V)
-                D = rng.standard_normal((chunk, n + 1)) * rng.uniform(0.1, 10.0)
-                a2 = dist_to_plane_rows(V, D) ** 2
-                b2 = dist_to_plane_rows(W, D) ** 2
-                n2 = para_norm_rows(D) ** 2
-                worst = max(worst, float(np.max(np.abs(a2 + b2 - n2) / np.maximum(1.0, n2))))
-                s = 0.5
-                gap = cone_gap_rows(V, s, D)
-                cone = Cone(ParaPoint(np.zeros(n), 0.0), V, s)
-                for i in range(min(chunk, 20)):
-                    label = cone_membership(cone, ParaPoint(D[i, :n], D[i, n]))
-                    if gap[i] < -1e-9:
-                        agree &= label == "inside"
-                    elif gap[i] > 1e-9:
-                        agree &= label == "outside"
-                    else:
-                        agree &= label == "boundary"
-    passed = worst <= 1e-12 and agree
-    return passed, {"max_rel_error": worst, "membership_agrees": agree, "tol": 1e-12}
-
-
-def _chk_projection_lipschitz(cases, seed):
-    """||P_V d|| <= ||d|| and P_V P_V = P_V for homogeneous planes."""
-    rng = np.random.default_rng(seed)
-    worst_lip = 0.0
-    worst_idem = 0.0
-    for n in (1, 2, 3):
-        chunk = _split_cases(cases, 3 * 3)
-        for m in range(1, n + 2):
-            planes = sample_planes(n, m, 3, seed + 11 * n + m)
-            for V in planes:
-                D = rng.standard_normal((chunk, n + 1)) * rng.uniform(0.1, 10.0)
-                P = project_rows(V, D)
-                excess = para_norm_rows(P) - para_norm_rows(D)
-                worst_lip = max(worst_lip, float(np.max(excess / np.maximum(1.0, para_norm_rows(D)))))
-                PP = project_rows(V, P)
-                worst_idem = max(worst_idem, float(np.max(np.abs(PP - P))))
-    passed = worst_lip <= 1e-12 and worst_idem <= 1e-12
-    return passed, {"max_excess": worst_lip, "max_idempotence_error": worst_idem, "tol": 1e-12}
-
-
-def _chk_cover_separation(cases, seed):
-    """Greedy cover: centers > r apart, every point within r of one."""
-    rng = np.random.default_rng(seed)
-    N = min(max(cases, 10), 1500)
-    pts = np.column_stack([rng.random(N), rng.random(N)])
-    r = 0.15
-    centers = greedy_cover(pts, r)
-    sep_ok = True
-    if centers.shape[0] > 1:
-        for i in range(centers.shape[0]):
-            d = dist_rows(centers, centers[i])
-            d[i] = np.inf
-            if float(d.min()) <= r:
-                sep_ok = False
-                break
-    cover_ok = True
-    for i in range(N):
-        if float(dist_rows(centers, pts[i]).min()) > r + 1e-12:
-            cover_ok = False
-            break
-    return sep_ok and cover_ok, {
-        "ncenters": int(centers.shape[0]),
-        "separation_ok": sep_ok,
-        "coverage_ok": cover_ok,
-    }
-
-
-def _chk_csv_roundtrip(cases, seed):
-    """save_cloud_csv then load_cloud_csv reproduces the measure exactly."""
-    import tempfile
-
-    rng = np.random.default_rng(seed)
-    N = min(max(cases, 10), 500)
-    pts = rng.standard_normal((N, 3)) * np.array([1.0, 1e-8, 1e6])
-    w = rng.uniform(0.5, 2.0, N)
-    mu = DiscreteMeasure(2, pts, w)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cloud.csv")
-        save_cloud_csv(mu, path)
-        nu = load_cloud_csv(path)
-    exact = bool(
-        np.array_equal(mu.points, nu.points) and np.array_equal(mu.weights, nu.weights)
-    )
-    return exact, {"natoms": mu.natoms, "exact": exact}
-
-
-def _chk_dimension_bounds(cases, seed):
-    """Covering counts grow as r shrinks; fitted dim lands in [0, n+2]."""
-    rng = np.random.default_rng(seed)
-    N = min(max(cases, 100), 4000)
-    pts = np.column_stack([rng.random(N), rng.random(N)])
-    rep = dimension_fit(pts, default_scales(0.01, count=5))
-    counts = rep.counts
-    monotone = all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
-    in_range = 0.0 <= rep.fitted_dim <= 3.0
-    return monotone and in_range, {
-        "counts": counts,
-        "fitted_dim": rep.fitted_dim,
-        "monotone": monotone,
-    }
-
-
-def _chk_scale_schedule(cases, seed):
-    """default_scales: geometric, strictly decreasing, anchored finest."""
-    scales = default_scales(1e-3, count=6)
-    dec = all(a > b for a, b in zip(scales, scales[1:]))
-    finest_ok = abs(scales[-1] - 4e-3) <= 1e-15
-    ratios = [a / b for a, b in zip(scales, scales[1:])]
-    ratio_ok = all(abs(q - 2.0) <= 1e-12 for q in ratios)
-    return dec and finest_ok and ratio_ok, {
-        "scales": scales,
-        "decreasing": dec,
-        "anchor_ok": finest_ok,
-        "ratio_ok": ratio_ok,
-    }
-
-
-def _chk_blowup_isometry(cases, seed):
-    """d(T_{a,r} p, T_{a,r} q) = d(p, q) / r."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (1, 2, 3):
-        chunk = _split_cases(cases, 3 * 8)
-        for _ in range(8):
-            P = rng.standard_normal((chunk, n + 1))
-            Q = rng.standard_normal((chunk, n + 1))
-            a = ParaPoint(rng.standard_normal(n), float(rng.standard_normal()))
-            r = float(rng.uniform(0.05, 20.0))
-            TP = blowup_rows(a, r, P)
-            TQ = blowup_rows(a, r, Q)
-            lhs = para_norm_rows(TP - TQ)
-            rhs = para_norm_rows(P - Q) / r
-            worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, rhs))))
-    return worst <= 1e-12, {"max_rel_error": worst, "tol": 1e-12}
-
-
-def _chk_blowup_composition(cases, seed):
-    """T_{0,r} after T_{0,s} equals T_{0,rs} at the origin."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (1, 2, 3):
-        chunk = _split_cases(cases, 3 * 8)
-        zero = ParaPoint(np.zeros(n), 0.0)
-        for _ in range(8):
-            P = rng.standard_normal((chunk, n + 1))
-            r = float(rng.uniform(0.1, 10.0))
-            s = float(rng.uniform(0.1, 10.0))
-            two = blowup_rows(zero, r, blowup_rows(zero, s, P))
-            one = blowup_rows(zero, r * s, P)
-            scale = np.maximum(1.0, np.abs(one))
-            worst = max(worst, float(np.max(np.abs(two - one) / scale)))
-    return worst <= 1e-12, {"max_rel_error": worst, "tol": 1e-12}
-
-
-def _chk_restriction_invariance(cases, seed):
-    """Cone defects only read the ball B(a, r): restricting the measure
-    to any larger ball leaves them unchanged."""
-    rng = np.random.default_rng(seed)
-    N = min(max(cases, 100), 2000)
-    pts = np.column_stack([rng.random(N) * 2 - 1, rng.random(N) * 2 - 1])
-    w = rng.uniform(0.5, 2.0, N)
-    mu = DiscreteMeasure(1, pts, w)
-    V = HomPlane.t_axis(1)
-    worst = 0.0
-    for i in (0, N // 3, (2 * N) // 3):
-        a = mu.points[i]
-        full = cone_defect(mu, a, V, 0.5, 0.25, 2)
-        restricted = cone_defect(mu.restrict_ball(a, 0.6), a, V, 0.5, 0.25, 2)
-        worst = max(worst, abs(full - restricted) / max(1.0, abs(full)))
-    return worst <= 1e-12, {"max_rel_error": worst, "tol": 1e-12}
-
-
-def _chk_flatness_exact(cases, seed):
-    """A flat horizontal cloud has flatness defect exactly zero."""
-    V = HomPlane.horizontal_axes(1, (0,))
-    mu, _ = gen_flat(V, extent=1.0, resolution=5e-3)
-    nu = blowup_measure(mu, np.zeros(2), 0.5)
-    best, defect = flatness_defect(nu, 1)
-    passed = defect <= 1e-12 and best.family == "horizontal"
-    return passed, {"defect": defect, "family": best.family}
-
-
-def _chk_generator_determinism(cases, seed):
-    """generate() twice from one spec: identical arrays and sidecars."""
-    spec = {"kind": "weierstrass_graph", "params": {"n": 1, "K": 20, "resolution": 2e-3}, "seed": 3}
-    mu1, info1 = generate(dict(spec))
-    mu2, info2 = generate(dict(spec))
-    same_cloud = bool(
-        np.array_equal(mu1.points, mu2.points) and np.array_equal(mu1.weights, mu2.weights)
-    )
-    side1 = json.dumps(sidecar_payload(info1), sort_keys=True)
-    side2 = json.dumps(sidecar_payload(info2), sort_keys=True)
-    return same_cloud and side1 == side2, {
-        "cloud_identical": same_cloud,
-        "sidecar_identical": side1 == side2,
-    }
-
-
-def _chk_oscillation_bounds(cases, seed):
-    """Measured sqrt-Holder envelope: 0 < lower <= upper, both stable
-    under re-evaluation, and stride ratios never exceed the upper bound."""
-    ts = np.linspace(0.0, 1.0, 2001)
-    fs = weierstrass_eval(0.05, 20, ts)
-    up = holder_upper(ts, fs)
-    lo = holder_lower(ts, fs)
-    stable = up == holder_upper(ts, fs) and lo == holder_lower(ts, fs)
-    worst = 0.0
-    for stride in (1, 2, 4, 8, 16, 32, 64):
-        df = np.abs(fs[stride:] - fs[:-stride])
-        dt = np.sqrt(ts[stride:] - ts[:-stride])
-        worst = max(worst, float(np.max(df / dt)))
-    passed = 0.0 < lo <= up and stable and worst <= up * (1.0 + 1e-12)
-    return passed, {"lower": lo, "upper": up, "max_stride_ratio": worst, "stable": stable}
-
-
-def _chk_quartic_law(cases, seed):
-    """Quartic construction: image lengths are fourth powers of domain
-    lengths at every level and the level ratios decrease."""
-    _, info = gen_quartic_cantor(depth=6)
-    dom = info["dom_lengths"]
-    img = info["img_lengths"]
-    worst = max(
-        abs(i - d**4) / max(i, 1e-300) for d, i in zip(dom, img)
-    )
-    ratios = info["level_ratios"]
-    dec = all(a > b for a, b in zip(ratios, ratios[1:]))
-    return worst <= 1e-12 and dec, {
-        "max_rel_error": worst,
-        "ratios_decreasing": dec,
-        "levels": len(dom),
-    }
-
-
-def _chk_generator_masses(cases, seed):
-    """Documented total masses: nested squares carry mass 1, a flat
-    horizontal line of radius 1 carries length 2, the quartic image
-    carries its domain measure."""
-    mu_v, _ = gen_vertical_cantor(depth=2, n_seq=(2, 4), rows=4, cols=2)
-    mu_f, _ = gen_flat(HomPlane.horizontal_axes(1, (0,)), extent=1.0, resolution=1e-3)
-    mu_q, info_q = gen_quartic_cantor(depth=6)
-    mu_c, _ = gen_cantor_segments(n_seq=(2, 3), depth=2, points_per_segment=16)
-    err_v = abs(mu_v.total_mass - 1.0)
-    err_f = abs(mu_f.total_mass - 2.0)
-    err_q = abs(mu_q.total_mass - info_q["domain_measure"])
-    passed = err_v <= 1e-9 and err_f <= 1e-9 and err_q <= 1e-12 and mu_c.total_mass > 0
-    return passed, {
-        "vertical_cantor_error": err_v,
-        "flat_line_error": err_f,
-        "quartic_error": err_q,
-        "segment_mass": mu_c.total_mass,
-    }
-
-
-_SUITES = {
-    "geometry": [
-        ("norm_homogeneity", _chk_norm_homogeneity),
-        ("norm_split", _chk_norm_split),
-        ("cone_complement_identity", _chk_cone_complement),
-        ("projection_1lipschitz", _chk_projection_lipschitz),
-    ],
-    "measure": [
-        ("cover_separation_and_radius", _chk_cover_separation),
-        ("csv_roundtrip_exact", _chk_csv_roundtrip),
-        ("dimension_bounds", _chk_dimension_bounds),
-        ("scale_schedule", _chk_scale_schedule),
-    ],
-    "rectify": [
-        ("blowup_isometry", _chk_blowup_isometry),
-        ("blowup_composition", _chk_blowup_composition),
-        ("restriction_invariance", _chk_restriction_invariance),
-        ("flatness_exact_on_planes", _chk_flatness_exact),
-    ],
-    "generators": [
-        ("determinism", _chk_generator_determinism),
-        ("oscillation_bounds", _chk_oscillation_bounds),
-        ("quartic_interval_law", _chk_quartic_law),
-        ("conserved_masses", _chk_generator_masses),
-    ],
-}
-
-
-def _cmd_verify(values, provided):
-    suites = list(_SUITES) if values["suite"] == "all" else [values["suite"]]
+def _cmd_verify(values):
+    suites = list(SUITES) if values["suite"] == "all" else [values["suite"]]
     cases = values["cases"]
     if cases < 1:
         raise CliError("--cases must be >= 1")
     checks = []
     violations = []
     for suite in suites:
-        for name, fn in _SUITES[suite]:
+        for name, fn in SUITES[suite]:
             passed, detail = fn(cases, values["seed"])
             checks.append({"suite": suite, "name": name, "passed": bool(passed), "detail": detail})
             if not passed:
                 violations.append({"suite": suite, "name": name, "detail": detail})
-    config = {k: values[k] for k in ("suite", "cases", "seed", "output")}
     result = {
         "checks": checks,
         "violations": violations,
         "passed": len(violations) == 0,
     }
-    _emit("verify", config, result, values["output"])
+    _emit("verify", values, result, values["output"])
     return 0 if not violations else 2
 
 
@@ -1014,8 +623,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        values, provided = _merge_options(args.command, args)
-        return _HANDLERS[args.command](values, provided)
+        values = _merge_options(args.command, args)
+        return _HANDLERS[args.command](values)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

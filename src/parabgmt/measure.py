@@ -17,7 +17,7 @@ import numpy as np
 from ._index import GridIndex
 from ._report import Record
 from ._version import __version__
-from .geometry import ParaPoint, as_coord_array, dist_rows
+from .geometry import ParaPoint, as_coord_array, dist_rows, para_norm_rows
 
 # finest default scale sits at 4x the cloud resolution, per-octave schedule
 SCALE_RATIO = 0.5
@@ -564,10 +564,7 @@ def _pairwise_ratio_max(dom, img, min_sep):
         keep = dd >= min_sep
         if not np.any(keep):
             continue
-        dv = img[i + 1 :][keep] - img[i]
-        dpar = np.sqrt(
-            np.einsum("ij,ij->i", dv[:, :-1], dv[:, :-1]) + np.abs(dv[:, -1])
-        )
+        dpar = para_norm_rows(img[i + 1 :][keep] - img[i])
         best = max(best, float(np.max(dpar / dd[keep])))
     return best
 
@@ -609,9 +606,7 @@ def lip_image_cover_sum(gm, N):
     lhat_fine = 0.0
     for axis in range(gm.d):
         a = np.moveaxis(gm.values, axis, 0)
-        dv = a[1:] - a[:-1]
-        dv = dv.reshape(-1, gm.d)
-        dpar = np.sqrt(np.einsum("ij,ij->i", dv[:, :-1], dv[:, :-1]) + np.abs(dv[:, -1]))
+        dpar = para_norm_rows((a[1:] - a[:-1]).reshape(-1, gm.d))
         if dpar.size:
             lhat_fine = max(lhat_fine, float(np.max(dpar)) / spacing)
     flagged = lhat_fine > 2.0 * lhat_coarse

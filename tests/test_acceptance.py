@@ -16,22 +16,13 @@ from parabgmt.generators import (
     gen_graph,
     generate,
 )
+from parabgmt import checks
 from parabgmt.geometry import (
-    Cone,
     GraphSamples,
     HomPlane,
-    ParaPoint,
-    blowup_rows,
-    complement_plane,
-    cone_gap_rows,
-    cone_membership,
-    dist_to_plane_rows,
     graph_cone_check,
     graph_extract,
-    para_norm_rows,
     plane_distance,
-    project_rows,
-    sample_planes,
 )
 from parabgmt.measure import dimension_fit, flat_constant_estimate
 from parabgmt.measure import GridMap, lip_image_cover_sum
@@ -57,62 +48,28 @@ def _rel_ok(a, b, tol=TOL):
     return np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b)))
 
 
-def test_01_exact_algebra_identities_at_1e12():
+def test_01_exact_algebra_identities_at_1e12(monkeypatch):
+    # the geometry suite of the verify table; the samples of each counted
+    # identity are tallied as they are drawn, and cone_complement_identity
+    # also checks cone membership against the sign of the gap
     t0 = time.time()
-    rng = np.random.default_rng(20260825)
-    cases = {"homogeneity": 0, "split": 0, "complement": 0, "lipschitz": 0}
-    ok = True
+    drawn = []
+    sample = checks._sample
 
-    # dilation homogeneity of the norm, batched over scale factors
-    for _ in range(100):
-        n = int(rng.integers(1, 4))
-        r = float(rng.uniform(0.1, 10.0))
-        pts = rng.uniform(-5.0, 5.0, size=(100, n + 1))
-        lhs = para_norm_rows(blowup_rows(np.zeros(n + 1), 1.0 / r, pts))
-        ok &= bool(_rel_ok(lhs, r * para_norm_rows(pts)))
-        cases["homogeneity"] += 100
+    def counted(rng, rows, *args):
+        drawn.append(rows)
+        return sample(rng, rows, *args)
 
-    # squared norm splits into horizontal and time parts
-    for n in (1, 2, 3):
-        pts = rng.uniform(-5.0, 5.0, size=(3400, n + 1))
-        split = np.einsum("ij,ij->i", pts[:, :n], pts[:, :n]) + np.abs(pts[:, n])
-        ok &= bool(_rel_ok(para_norm_rows(pts) ** 2, split))
-        cases["split"] += 3400
-
-    # complementary plane distances satisfy the pythagorean identity,
-    # and cone membership matches the gap sign outside the 1e-9 band
-    for n in (1, 2, 3):
-        for m in range(1, n + 2):
-            planes = sample_planes(n, m, 10, seed=n * 10 + m)
-            for V in planes:
-                d = rng.uniform(-2.0, 2.0, size=(120, n + 1))
-                a2 = dist_to_plane_rows(V, d) ** 2
-                b2 = dist_to_plane_rows(complement_plane(V), d) ** 2
-                ok &= bool(_rel_ok(a2 + b2, para_norm_rows(d) ** 2))
-                cases["complement"] += d.shape[0]
-                s = float(rng.uniform(0.05, 0.95))
-                cone = Cone(ParaPoint(np.zeros(n), 0.0), V, s)
-                gaps = cone_gap_rows(V, s, d)
-                for row, gap in zip(d, gaps):
-                    got = cone_membership(cone, ParaPoint(row[:n], row[n]))
-                    if gap < -1e-9:
-                        ok &= got == "inside"
-                    elif gap > 1e-9:
-                        ok &= got == "outside"
-                    else:
-                        ok &= got == "boundary"
-
-    # plane projection is 1-Lipschitz for the parabolic distance
-    for n in (1, 2, 3):
-        for m in range(1, n + 2):
-            for V in sample_planes(n, m, 8, seed=100 + n * 10 + m):
-                p = rng.uniform(-3.0, 3.0, size=(145, n + 1))
-                q = rng.uniform(-3.0, 3.0, size=(145, n + 1))
-                dd = para_norm_rows(project_rows(V, p) - project_rows(V, q))
-                ok &= bool(np.all(dd <= para_norm_rows(p - q) + TOL))
-                cases["lipschitz"] += p.shape[0]
-
+    monkeypatch.setattr(checks, "_sample", counted)
+    cases, ok = {}, True
+    for name, fn in checks.SUITES["geometry"]:
+        drawn.clear()
+        passed, _ = fn(12_000, 20260825)
+        ok &= bool(passed)
+        cases[name] = sum(drawn)
     elapsed = time.time() - t0
+    ok &= sorted(cases) == ["cone_complement_identity", "norm_homogeneity", "norm_split",
+                            "projection_1lipschitz"]
     ok &= all(v >= 10_000 for v in cases.values()) and elapsed < 5.0
     _line(1, ok, f"norm/cone/projection identities on {cases} seeded cases "
                  f"at 1e-12 in {elapsed:.1f}s")

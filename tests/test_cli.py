@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parabgmt import cli
+from parabgmt import checks, cli
 from parabgmt.measure import load_cloud_csv
 
 
@@ -81,6 +81,13 @@ class TestGenerate:
                          "-o", str(tmp_path / "x.csv"))
         assert rc == 1
         assert "--extent does not apply to kind" in err
+
+    def test_inapplicable_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("kind = weierstrass_graph\nextent = 1\n")
+        rc, _, err = run(capsys, "generate", "--config", str(cfg), "-o", str(tmp_path / "x.csv"))
+        assert rc == 1
+        assert "--extent does not apply to kind 'weierstrass_graph'" in err
 
     def test_missing_output_rejected(self, capsys):
         rc, _, err = run(capsys, "generate", "--kind", "quartic_cantor")
@@ -228,7 +235,7 @@ class TestVerify:
         assert res["passed"] is True and res["violations"] == []
 
     def test_failures_exit_two_with_violation_list(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(cli._SUITES, "geometry",
+        monkeypatch.setitem(checks.SUITES, "geometry",
                             [("always_fails", lambda cases, seed: (False, {"why": "forced"}))])
         out = tmp_path / "verify.json"
         rc, _, _ = run(capsys, "verify", "--suite", "geometry", "-o", str(out))

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,19 +80,25 @@ COMMANDS = [
     ("verify", ["verify", "--suite", "all", "--cases", "50", "-o", "verify.json"]),
     ("defeater_bmo", ["defeater-bmo", "--depth", "2", "--annuli-csv", "annuli.csv",
                       "-o", "bmo.json"]),
-]
+    ("help", ["--help"]),
+] + [(f"help_{command}", [command, "--help"]) for command in cli._COMMAND_OPTS]
 
 
 def run_commands(workdir):
-    """Run COMMANDS in workdir; returns {golden file name: bytes}."""
+    """Run COMMANDS in workdir; returns {golden file name: bytes}.  Help
+    text is wrapped at COLUMNS=80, and its SystemExit code is the exit code."""
     out = {}
     old = os.getcwd()
     os.chdir(workdir)
     try:
         for name, argv in COMMANDS:
             stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                rc = cli.main(list(argv))
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                    mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+                try:
+                    rc = cli.main(list(argv))
+                except SystemExit as exc:
+                    rc = exc.code
             out[f"{name}.stdout"] = f"exit {rc}\n{stderr.getvalue()}{stdout.getvalue()}".encode()
         for path in sorted(Path(".").iterdir()):
             out[path.name] = path.read_bytes()
