@@ -17,17 +17,19 @@ The map is linear, so the codes of a query's block of cells are the
 code of its corner plus the distinct codes of the block's cell offsets
 (outer sums of per-axis terms, cached per block shape).  A query looks
 them all up with one searchsorted, gathers the ragged point ranges at
-once and keeps the points within the radius: a fixed number of numpy
-calls, however many cells the block has.  A hash collision can only
-add candidates from a far cell, and the exact distance filter drops
-them, so the answer is the set of points in the ball, in ascending
-index order.
+once and keeps the points p with geometry.dist_rows(p, center) <= radius:
+a fixed number of numpy calls, however many cells the block has.  A
+hash collision can only add candidates from a far cell, and the exact
+distance filter drops them, so the answer is the set of points in the
+ball, in ascending index order.
 """
 
 import math
 from functools import reduce
 
 import numpy as np
+
+from .geometry import dist_rows
 
 # float cell coordinates are clipped here before the int64 cast, so an
 # infinite or huge quotient lands in an edge cell instead of overflowing
@@ -48,6 +50,10 @@ def _multipliers(d):
 
 
 class GridIndex:
+    """Ball queries on the rows of pts.  query(center, radius) returns
+    the indices i with dist_rows(pts[i], center) <= radius, the same
+    closed ball a full scan with dist_rows gives."""
+
     def __init__(self, pts, r, metric="parabolic"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if r <= 0:
@@ -100,8 +106,11 @@ class GridIndex:
         if center.size != len(self._cell):
             raise ValueError(f"center has {center.size} coordinates, the index {len(self._cell)}")
         radius = self.r if radius is None else float(radius)
-        reach = [radius] * (center.size - 1)
-        reach.append(radius * radius if self.metric == "parabolic" else radius)
+        # dist_rows rounds, so a point it keeps can lie a few ulps of the
+        # radius outside the exact ball; the block reaches past that
+        far = radius * (1.0 + 2.0**-40)
+        reach = [far] * (center.size - 1)
+        reach.append(far * far if self.metric == "parabolic" else far)
         # the block of cells that can hold a point of the ball, clamped
         # to the occupied range; a few scalars, so plain Python floats
         lo, hi = [], []
@@ -123,10 +132,4 @@ class GridIndex:
         end = size.cumsum()
         cand = self.order[np.arange(end[-1]) + (start + size - end).repeat(size)]
         cand.sort()
-        diff = self.pts[cand] - center
-        d2 = np.einsum("ij,ij->i", diff[:, :-1], diff[:, :-1])
-        if self.metric == "parabolic":
-            d2 = d2 + np.abs(diff[:, -1])
-        else:
-            d2 = d2 + diff[:, -1] ** 2
-        return cand[d2 <= radius * radius]
+        return cand[dist_rows(self.pts[cand], center, self.metric) <= radius]

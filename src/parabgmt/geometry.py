@@ -101,22 +101,30 @@ def para_norm_rows(coords):
 def metric_eval(p, q, metric="parabolic"):
     """Distance between p and q, parabolic or euclidean."""
     _same_dim(p, q)
-    dx = p.x - q.x
-    dt = p.t - q.t
-    if metric == "parabolic":
-        return float(np.sqrt(dx @ dx + abs(dt)))
-    if metric == "euclidean":
-        return float(np.sqrt(dx @ dx + dt * dt))
-    raise ValueError(f"unknown metric {metric!r}")
+    return float(dist_rows(p.coords(), q, metric))
 
 
 def dist_rows(coords, p, metric="parabolic"):
-    """Distances from each row of an (N, n+1) array to the point p."""
+    """Distances from each row of an (N, n+1) array to the point p.
+
+    The two broadcast over their leading axes like numpy operands, so a
+    (K, 1, n+1) stack of points gives the (K, N) distance matrix.  This
+    is the one distance of every ball query: a row lies in the closed
+    ball B(p, r) when its entry here is <= r.
+    """
     coords = np.asarray(coords, dtype=float)
     pc = p.coords() if isinstance(p, ParaPoint) else np.asarray(p, dtype=float)
-    dx = coords[:, :-1] - pc[:-1]
-    dt = coords[:, -1] - pc[-1]
-    d2 = np.einsum("ij,ij->i", dx, dx)
+    # same values either way; numpy is fastest when the array it loops
+    # over last is long: the one x column of P^1 sliced before the
+    # subtraction, wider points subtracted whole
+    if coords.shape[-1] == 2:
+        dx = coords[..., :1] - pc[..., :1]
+        dt = coords[..., 1] - pc[..., 1]
+    else:
+        diff = coords - pc
+        dx = diff[..., :-1]
+        dt = diff[..., -1]
+    d2 = np.einsum("...i,...i->...", dx, dx)
     if metric == "parabolic":
         return np.sqrt(d2 + np.abs(dt))
     if metric == "euclidean":

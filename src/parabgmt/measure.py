@@ -156,9 +156,8 @@ def save_cloud_csv(mu, path):
     header = [f"x{i + 1}" for i in range(mu.n)] + ["t", "w"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row, w in zip(mu.points, mu.weights):
-            fields = [repr(float(v)) for v in row] + [repr(float(w))]
-            fh.write(",".join(fields) + "\n")
+        for row in np.column_stack([mu.points, mu.weights]).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def load_cloud_csv(path, nominal_dim=None, provenance=None):
@@ -228,8 +227,10 @@ def greedy_cover(points, r, metric="parabolic"):
     Scans atoms in canonical order; for the first uncovered point it
     picks, among the uncovered candidates within r of it, the one whose
     ball covers the most still-uncovered points (evaluated on a bounded
-    deterministic sample), then marks that ball covered.  Centers stay
-    mutually more than r apart because candidates are never covered.
+    deterministic sample), then marks that ball covered.  Every ball is
+    the closed one of dist_rows, {q : dist_rows(q, c) <= r}, so centers
+    stay mutually more than r apart by dist_rows: candidates are never
+    covered.
     """
     if r <= 0:
         raise ValueError("radius must be > 0")
@@ -258,14 +259,7 @@ def greedy_cover(points, r, metric="parabolic"):
             ev = index.query(p, 2.0 * r)
             ev = ev[~covered[ev]]
             ev = _stride_pick(ev, EVAL_CAP)
-            diff_x = pts[cand, None, :-1] - pts[None, ev, :-1]
-            d2 = np.einsum("ijk,ijk->ij", diff_x, diff_x)
-            dt = pts[cand, None, -1] - pts[None, ev, -1]
-            if metric == "parabolic":
-                d2 = d2 + np.abs(dt)
-            else:
-                d2 = d2 + dt * dt
-            gains = np.sum(d2 <= r * r, axis=1)
+            gains = np.sum(dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
             best = int(cand[int(np.argmax(gains))])
         centers.append(best)
         covered[index.query(pts[best], r)] = True
@@ -553,19 +547,22 @@ class LipCoverSum(_Estimate):
     flagged: bool
 
 
-def _pairwise_ratio_max(dom, img, min_sep):
-    """Max parabolic-image over euclidean-domain distance ratio among
-    pairs separated by at least min_sep in the domain."""
-    best = 0.0
+def _pairwise_ratio_max(dom, img, seps, rows=128):
+    """For each separation in seps, the max parabolic-image over
+    euclidean-domain distance ratio among pairs at least that far apart
+    in the domain; one sweep over blocks of `rows` rows serves them all."""
+    best = [0.0] * len(seps)
     npts = dom.shape[0]
-    for i in range(npts - 1):
-        du = dom[i + 1 :] - dom[i]
-        dd = np.sqrt(np.einsum("ij,ij->i", du, du))
-        keep = dd >= min_sep
-        if not np.any(keep):
-            continue
-        dpar = para_norm_rows(img[i + 1 :][keep] - img[i])
-        best = max(best, float(np.max(dpar / dd[keep])))
+    for lo in range(0, npts - 1, rows):
+        hi = min(lo + rows, npts - 1)
+        # later[i - lo, j]: the pair (i, j) has i < j
+        later = np.arange(npts) > np.arange(lo, hi)[:, None]
+        dd = dist_rows(dom, dom[lo:hi, None], "euclidean")
+        dpar = dist_rows(img, img[lo:hi, None])
+        for k, sep in enumerate(seps):
+            keep = later & (dd >= sep)
+            if np.any(keep):
+                best[k] = max(best[k], float(np.max(dpar[keep] / dd[keep])))
     return best
 
 
@@ -601,7 +598,9 @@ def lip_image_cover_sum(gm, N):
     stride = max(1, int(np.ceil(dom.shape[0] / 1024)))
     dom_s = dom[::stride]
     img_s = vals[::stride]
-    lhat_coarse = _pairwise_ratio_max(dom_s, img_s, R / 4.0)
+    # far, the ratio over nearly the domain diameter, is a lower bound
+    # for any true Lipschitz constant
+    lhat_coarse, far = _pairwise_ratio_max(dom_s, img_s, (R / 4.0, 0.75 * math.sqrt(gm.d) * R))
     spacing = R / (gm.M - 1)
     lhat_fine = 0.0
     for axis in range(gm.d):
@@ -610,9 +609,6 @@ def lip_image_cover_sum(gm, N):
         if dpar.size:
             lhat_fine = max(lhat_fine, float(np.max(dpar)) / spacing)
     flagged = lhat_fine > 2.0 * lhat_coarse
-    # global diameter ratio: a lower bound for any true Lipschitz constant
-    dmax_dom = math.sqrt(gm.d) * R
-    far = _pairwise_ratio_max(dom_s, img_s, 0.75 * dmax_dom)
     lhat = far if far > 0 else (lhat_coarse if lhat_coarse > 0 else lhat_fine)
     cols_idx = np.floor(xs / delta).astype(np.int64)
     # exact column ids (lexicographic rank), whatever the spread of the image

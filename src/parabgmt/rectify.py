@@ -91,21 +91,16 @@ def cone_defect(mu, a, V, s, r, m):
 
     Returns r^(-m) times the total weight of atoms within distance r of
     a whose perpendicular part is at least s times their distance from
-    a.  The atom at a itself (distance zero) never counts.
+    a.  The atom at a itself (distance zero) never counts.  This is the
+    one-plane, one-(r, s) case of the grid that detect_tangent scores.
     """
     a = _as_point(a, mu.n)
     if not 0.0 < s < 1.0:
         raise ValueError("aperture must lie in (0, 1)")
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    d = dist_rows(mu.points, a)
-    keep = (d > 0.0) & (d <= r)
-    if not np.any(keep):
-        return 0.0
-    delta = mu.points[keep] - a.coords()
-    perp = dist_to_plane_rows(V, delta)
-    outside = perp >= s * d[keep]
-    return float(np.sum(mu.weights[keep][outside])) / float(r) ** float(m)
+    delta, d, w = _gather_ball(mu, a, r)
+    return _plane_defect_grid(V, delta, d, w, (float(s),), (r,), m, [d.size])[0]
 
 
 def _canonical_planes(n, m):
@@ -149,11 +144,13 @@ def _perturbed_planes(V, sigma, count, rng):
 
 
 def _gather_ball(mu, a, r_max, index=None):
-    """Atoms of mu within r_max of a, minus a itself, sorted by distance.
+    """Atoms of mu in the closed ball dist_rows(p, a) <= r_max, minus a
+    itself, sorted by distance.
 
     Returns (delta, dist, weight) with rows ordered by increasing
-    distance; ties keep canonical atom order, so the result does not
-    depend on whether a spatial index was used.
+    distance; ties keep canonical atom order.  The index answers the
+    same ball as the full scan, so the result does not depend on
+    whether one was used.
     """
     ac = a.coords()
     if index is not None:
@@ -163,17 +160,16 @@ def _gather_ball(mu, a, r_max, index=None):
     else:
         pts = mu.points
         w = mu.weights
-    delta = pts - ac
-    d = para_norm_rows(delta)
-    keep = (d > 0.0) & (d <= r_max)
-    delta, d, w = delta[keep], d[keep], w[keep]
-    order = np.argsort(d, kind="stable")
-    return delta[order], d[order], w[order]
+    d = dist_rows(pts, ac)
+    inside = np.flatnonzero((d > 0.0) & (d <= r_max))
+    order = inside[np.argsort(d[inside], kind="stable")]
+    return pts[order] - ac, d[order], w[order]
 
 
 def _plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix):
-    """Defect at every (r, s) pair for one plane; returns the grid max
-    and the flat curve [(r, s, defect), ...]."""
+    """Defect at every (r, s) pair for one plane on a ball from
+    _gather_ball, whose first prefix[i] rows lie within r_list[i];
+    returns the grid max and the flat curve [(r, s, defect), ...]."""
     perp = dist_to_plane_rows(V, delta)
     curve = []
     worst = 0.0
@@ -240,18 +236,14 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
     best_worst = math.inf
     best_plane = None
     best_curve = []
-    for V in planes:
-        worst, curve = _plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix)
-        if worst < best_worst:
-            best_worst, best_plane, best_curve = worst, V, curve
     rng = np.random.default_rng(cfg.seed + 104729)
-    for rnd in range(int(cfg.refine_rounds)):
-        base = best_plane
-        sigma = 0.1 * 0.3**rnd
-        for W in _perturbed_planes(base, sigma, 8, rng):
-            worst, curve = _plane_defect_grid(W, delta, d, w, s_list, r_list, m, prefix)
+    for rnd in range(int(cfg.refine_rounds) + 1):
+        if rnd:
+            planes = _perturbed_planes(best_plane, 0.1 * 0.3 ** (rnd - 1), 8, rng)
+        for V in planes:
+            worst, curve = _plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix)
             if worst < best_worst:
-                best_worst, best_plane, best_curve = worst, W, curve
+                best_worst, best_plane, best_curve = worst, V, curve
     if best_worst > cfg.threshold:
         return PointTangent(None, best_curve, "none", best_worst, best_plane)
     return PointTangent(best_plane, best_curve, best_plane.family, best_worst, best_plane)
@@ -305,7 +297,7 @@ def classify_points(mu, cfg):
     sel = np.sort(rng.choice(mu.natoms, size=size, replace=False))
     planes = _candidate_planes(mu.n, cfg)
     r_list = cfg.resolved_r_list(mu)
-    index = GridIndex(mu.points, max(r_list)) if mu.natoms > 4096 else None
+    index = GridIndex(mu.points, max(r_list))
     points = [ParaPoint.from_coords(mu.points[i]) for i in sel]
     results = [detect_tangent(mu, p, cfg, planes=planes, index=index) for p in points]
     counts = {"horizontal": 0, "vertical": 0, "none": 0}

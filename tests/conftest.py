@@ -1,5 +1,8 @@
 """Shared heavy fixtures; built once per session and only on demand."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ import scipy.linalg  # noqa: F401
 import scipy.ndimage  # noqa: F401
 import scipy.stats  # noqa: F401
 
+import parabgmt
 from parabgmt.generators import (
     gen_cantor_segments,
     gen_quartic_cantor,
@@ -17,6 +21,13 @@ from parabgmt.generators import (
     gen_vertical_cantor,
     gen_weierstrass_graph,
 )
+
+
+@pytest.fixture
+def child_pythonpath(monkeypatch):
+    """Child Python processes import the parabgmt these tests import."""
+    src = str(Path(parabgmt.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 @pytest.fixture(scope="session")

@@ -291,7 +291,7 @@ def test_09_defeater_is_graph_like_per_level_yet_energy_diverges(defeater6):
                  f"{exceed}/{len(totals)} density points (min {totals.min():.3f})")
 
 
-def test_10_cli_reports_replay_bit_identically(tmp_path):
+def test_10_cli_reports_replay_bit_identically(tmp_path, child_pythonpath):
     cli = [sys.executable, "-m", "parabgmt.cli"]
     cloud = tmp_path / "cloud.csv"
     r = subprocess.run(cli + ["generate", "--kind", "cantor_segments", "--depth", "2",

@@ -1,10 +1,8 @@
 """End-to-end command line coverage: reports, replays, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,13 +131,10 @@ class TestGenerateExpr:
         np.testing.assert_array_equal(pts[:, 0], 0.5 * pts[:, 1])
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_import_leaves_scipy_stats_unloaded(child_pythonpath):
     # scipy.stats is most of the import time and only plane sampling needs it
     code = "import sys, parabgmt.cli; print('scipy.stats' in sys.modules)"
-    src = Path(cli.__file__).resolve().parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parabgmt.geometry import (
@@ -111,6 +111,16 @@ class TestMetric:
         assert d_par == pytest.approx([1.0, 0.5, math.sqrt(13.0)])
         assert d_euc == pytest.approx([1.0, 0.25, 5.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+    def test_dist_rows_broadcasts_a_stack_of_points(self, n, metric):
+        pts = np.random.default_rng(n).standard_normal((7, n + 1))
+        got = dist_rows(pts, pts[:4, None], metric)
+        want = np.stack([dist_rows(pts, p, metric) for p in pts[:4]])
+        assert got.shape == (4, 7)
+        np.testing.assert_array_equal(got, want)
+        assert dist_rows(pts[0], pts[1], metric) == want[1, 0]
+
 
 class TestDilation:
     def test_dilate_oracle(self):
@@ -143,12 +153,32 @@ class TestDilation:
         one = blowup_map(zero, r * s, p)
         assert two.coords() == pytest.approx(one.coords(), rel=1e-9, abs=1e-9)
 
-    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(point_strategy(n), point_strategy(n))), scale)
+    # p.t - a.t and q.t - a.t both round to 0.5, so the blown-up t
+    # difference is lost: 0 against 1.24e-12, and 1.6e-9 off by 2e-15
+    @example(pq=(ParaPoint([0.0], 0.0), ParaPoint([0.0], 9.3e-29)), r=2.0**-7)
+    @example(pq=(ParaPoint([0.0], 0.0), ParaPoint([0.0], 1e-10)), r=0.25)
+    @given(pq=st.integers(1, 3).flatmap(lambda n: st.tuples(point_strategy(n), point_strategy(n))),
+           r=scale)
     def test_blowup_scales_distances(self, pq, r):
+        """d(T p, T q) = d(p, q) / r for T = T_{a,r}, up to rounding.
+
+        With u = 2^-53, T p = ((p.x - a.x) / r, (p.t - a.t) / r^2) takes
+        two roundings per x coordinate and three in t, so it is off by
+        e_p with |e_p| <= 3u |p.x - a.x| / r in x and by f_p with
+        |f_p| <= 4u |p.t - a.t| / r^2 in t (first order, with slack).
+        sqrt(|x|^2 + |t|) moves by at most |e| when x moves by e and by
+        at most sqrt(|f|) when t moves by f, and the two distances round
+        to within a few u of themselves; so the gap is at most
+        |e_p| + |e_q| + sqrt(|f_p| + |f_q|) + 32u max(lhs, rhs).
+        """
         p, q = pq
         a = ParaPoint(np.ones(p.n), -0.5)
+        u = 2.0**-53
         lhs = metric_eval(blowup_map(a, r, p), blowup_map(a, r, q))
-        assert lhs == pytest.approx(metric_eval(p, q) / r, rel=1e-9, abs=1e-12)
+        rhs = metric_eval(p, q) / r
+        ex = 3 * u * (np.linalg.norm(p.x - a.x) + np.linalg.norm(q.x - a.x)) / r
+        ft = 4 * u * (abs(p.t - a.t) + abs(q.t - a.t)) / r**2
+        assert abs(lhs - rhs) <= ex + math.sqrt(ft) + 32 * u * max(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

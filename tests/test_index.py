@@ -8,20 +8,15 @@ from hypothesis import strategies as st
 
 from parabgmt import _index, measure
 from parabgmt._index import GridIndex
+from parabgmt.geometry import dist_rows
 from parabgmt.measure import DiscreteMeasure, GridMap, greedy_cover, lip_image_cover_sum
 from parabgmt.rectify import TangentConfig, classify_points, detect_tangent
 
 
 def brute_query(pts, center, radius, metric):
-    """Every index within radius of center, by a full scan with the
-    distance formula of GridIndex.query."""
-    diff = pts - np.asarray(center, dtype=float)
-    d2 = np.einsum("ij,ij->i", diff[:, :-1], diff[:, :-1])
-    if metric == "parabolic":
-        d2 = d2 + np.abs(diff[:, -1])
-    else:
-        d2 = d2 + diff[:, -1] ** 2
-    return np.flatnonzero(d2 <= radius * radius)
+    """Every index in the closed ball dist_rows <= radius, by a full
+    scan."""
+    return np.flatnonzero(dist_rows(pts, center, metric) <= radius)
 
 
 class BruteIndex:
@@ -51,25 +46,66 @@ def clouds(draw):
     return pts
 
 
+def sphere_atoms(center, radius, metric, rng):
+    """Atoms on the sphere of the ball (before rounding) and one ulp
+    either side of each: the axis extremes and four random points."""
+    d = center.size
+    reach = np.full(d, radius)
+    if metric == "parabolic":
+        reach[-1] = radius * radius
+    offsets = [*np.diag(reach), *np.diag(-reach)]
+    for _ in range(4):
+        u = rng.standard_normal(d)
+        if metric == "parabolic":
+            x = u[:-1] / np.linalg.norm(u[:-1]) * radius * rng.random()
+            offsets.append(np.append(x, np.sign(u[-1]) * (radius * radius - x @ x)))
+        else:
+            offsets.append(u / np.linalg.norm(u) * radius)
+    on = center + np.array(offsets)
+    return np.vstack([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     pts=clouds(),
     metric=st.sampled_from(["parabolic", "euclidean"]),
-    r=st.sampled_from([1e-3, 0.05, 0.3, 1.0]),
+    r=st.sampled_from([1e-3, 0.05, 0.25, 0.3, 1.0]),
     factor=st.sampled_from([0.5, 1.0, 2.0]),
     data=st.data(),
 )
 def test_query_matches_brute_force(pts, metric, r, factor, data):
-    index = GridIndex(pts, r, metric)
     d = pts.shape[1]
     outside = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=d, max_size=d)
     centers = [pts[data.draw(st.integers(0, len(pts) - 1))], np.array(data.draw(outside))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = np.vstack([pts] + [sphere_atoms(c, rad, metric, rng)
+                             for c in centers for rad in (r, factor * r)])
+    index = GridIndex(pts, r, metric)
     for center in centers:
         for radius in (None, factor * r):
             got = index.query(center, radius)
             want = brute_query(pts, center, r if radius is None else radius, metric)
             assert got.dtype.kind == "i"
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("metric, axis", [("parabolic", 0), ("parabolic", 1),
+                                          ("euclidean", 0), ("euclidean", 1)])
+def test_block_reaches_atoms_rounded_onto_the_sphere(metric, axis):
+    # the centre sits half an ulp of the reach below 0 along `axis`, so
+    # centre + reach ends just below the cell edge at reach; the atom on
+    # that edge is off by half an ulp more, which rounds away, and
+    # dist_rows puts it on the sphere, one cell past the block
+    r = 0.25
+    reach = r * r if (metric, axis) == ("parabolic", 1) else r
+    center = np.zeros(2)
+    center[axis] = -np.spacing(reach) / 2
+    atom = np.zeros(2)
+    atom[axis] = reach
+    # atoms below the centre open the occupied cell range past it
+    pts = np.vstack([atom, -np.eye(2)])
+    assert dist_rows(atom, center, metric) == r
+    np.testing.assert_array_equal(GridIndex(pts, r, metric).query(center), [0])
 
 
 @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
@@ -110,7 +146,7 @@ class TestFarOutlier:
         np.testing.assert_array_equal(got, greedy_cover(mu, 1e-3))
         assert len(got) == 1001
 
-    def test_classify_points_above_index_threshold(self):
+    def test_classify_points_matches_full_scan(self):
         mu = outlier_cloud(5000, side=0.02)
         cfg = TangentConfig(m=1, r_list=(2e-3, 1e-3), plane_budget=8, sample_size=6,
                             refine_rounds=0)
@@ -130,3 +166,28 @@ class TestFarOutlier:
         cols = np.floor(values.reshape(-1, 3)[:, :-1] / res.delta)
         assert res.columns == len({tuple(c) for c in cols.tolist()})
         assert res.balls >= res.columns and np.isfinite(res.value)
+
+
+class TestClosedBall:
+    """The index, the full scan and the greedy cover share one ball.
+    (0, nextafter(1/16)) is at d2 > 1/16 from the origin, but dist_rows
+    rounds its distance to 1/4, so it lies in the closed ball of radius
+    1/4."""
+
+    edge = [0.0, np.nextafter(0.0625, 1.0)]
+
+    def test_detect_tangent_with_and_without_index(self):
+        mu = DiscreteMeasure(1, [[0.0, 0.0], self.edge, [0.1, 0.0]], [1.0, 1.0, 1.0])
+        cfg = TangentConfig(m=1, s_list=(0.5,), r_list=(0.25,), plane_budget=4, refine_rounds=0)
+        a = mu.points[0]
+        plain = detect_tangent(mu, a, cfg)
+        indexed = detect_tangent(mu, a, cfg, index=GridIndex(mu.points, 0.25))
+        # the edge atom is perpendicular to the horizontal line: 1 / 0.25
+        assert plain.defect_curve == [(0.25, 0.5, 4.0)]
+        assert indexed.defect_curve == plain.defect_curve
+
+    def test_greedy_cover_centres_more_than_r_apart(self):
+        centers = greedy_cover(np.array([[0.0, 0.0], self.edge]), 0.25)
+        gaps = [dist_rows(np.delete(centers, i, axis=0), c) for i, c in enumerate(centers)]
+        assert all(gap.min() > 0.25 for gap in gaps if gap.size)
+        assert dist_rows(np.array([self.edge]), centers[0])[0] <= 0.25

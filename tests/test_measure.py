@@ -6,12 +6,13 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parabgmt.geometry import HomPlane, ParaPoint
 from parabgmt.measure import (
     DiscreteMeasure,
+    _pairwise_ratio_max,
     GridMap,
     canonical_order,
     canonical_sorted,
@@ -325,6 +326,26 @@ class TestLipCoverSum:
         assert vals == pytest.approx([6.0, 3.125, 1.40625], rel=1e-12)
         for a, b in zip(vals, vals[1:]):
             assert 0.4 <= b / a <= 0.6
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 4), npts=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+           rows=st.sampled_from([1, 7, 128]))
+    def test_pairwise_ratio_max_matches_double_loop(self, d, npts, seed, rows):
+        rng = np.random.default_rng(seed)
+        dom = rng.random((npts, d))
+        img = rng.standard_normal((npts, d)) ** 3
+        seps = (0.25, 0.75 * math.sqrt(d), 0.0, 2.0 * d)
+        want = [0.0] * len(seps)
+        for i in range(npts):
+            for j in range(i + 1, npts):
+                dd = math.sqrt(sum(u * u for u in dom[j] - dom[i]))
+                dx = img[j] - img[i]
+                dpar = math.sqrt(sum(u * u for u in dx[:-1]) + abs(dx[-1]))
+                for k, sep in enumerate(seps):
+                    if dd >= sep:
+                        want[k] = max(want[k], dpar / dd)
+        got = _pairwise_ratio_max(dom, img, seps, rows)
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_constant_map_is_free(self):
         gm = GridMap(np.zeros((9, 9, 2)), (0.0, 1.0))

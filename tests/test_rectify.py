@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from parabgmt._index import GridIndex
 from parabgmt.generators import gen_flat, gen_graph
 from parabgmt.geometry import (
     GraphSamples,
@@ -110,6 +111,22 @@ class TestDetectTangent:
         res = detect_tangent(mu, np.zeros(2), TangentConfig(m=1, r_list=(0.5, 0.25)))
         assert res.classification == "none"
         assert res.best_plane is None and res.defect_curve == []
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_curve_is_cone_defect_of_argmin_plane(self, indexed):
+        # the curve entry at (r, s) is cone_defect at (r, s) for the
+        # argmin plane, bit for bit, and the min defect is the curve max
+        rng = np.random.default_rng(4)
+        pts = rng.random((3000, 3)) * [1.0, 0.2, 1.0]
+        mu = DiscreteMeasure(2, pts, rng.uniform(0.5, 2.0, 3000))
+        cfg = TangentConfig(m=2, s_list=(0.5, 0.25, 0.1), r_list=(0.3, 0.2, 0.1), plane_budget=16)
+        index = GridIndex(mu.points, 0.3) if indexed else None
+        for a in mu.points[::1000]:
+            res = detect_tangent(mu, a, cfg, index=index)
+            assert len(res.defect_curve) == 9
+            for r, s, defect in res.defect_curve:
+                assert cone_defect(mu, a, res.argmin_plane, s, r, cfg.m) == defect
+            assert res.min_defect == max(defect for _, _, defect in res.defect_curve)
 
     def test_tilted_graph_recovers_tilt(self):
         V = HomPlane.horizontal_axes(2, (0,))
