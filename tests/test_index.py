@@ -146,7 +146,10 @@ class TestFarOutlier:
         np.testing.assert_array_equal(got, greedy_cover(mu, 1e-3))
         assert len(got) == 1001
 
-    def test_classify_points_matches_full_scan(self):
+    def test_classify_points_above_index_threshold(self):
+        # 5001 atoms, more than the 4096 below which classify_points
+        # once skipped the index; it now always builds one, and every
+        # result must match the full scan of detect_tangent
         mu = outlier_cloud(5000, side=0.02)
         cfg = TangentConfig(m=1, r_list=(2e-3, 1e-3), plane_budget=8, sample_size=6,
                             refine_rounds=0)
