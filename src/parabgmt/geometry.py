@@ -114,16 +114,8 @@ def dist_rows(coords, p, metric="parabolic"):
     """
     coords = np.asarray(coords, dtype=float)
     pc = p.coords() if isinstance(p, ParaPoint) else np.asarray(p, dtype=float)
-    # same values either way; numpy is fastest when the array it loops
-    # over last is long: the one x column of P^1 sliced before the
-    # subtraction, wider points subtracted whole
-    if coords.shape[-1] == 2:
-        dx = coords[..., :1] - pc[..., :1]
-        dt = coords[..., 1] - pc[..., 1]
-    else:
-        diff = coords - pc
-        dx = diff[..., :-1]
-        dt = diff[..., -1]
+    dx = coords[..., :-1] - pc[..., :-1]
+    dt = coords[..., -1] - pc[..., -1]
     d2 = np.einsum("...i,...i->...", dx, dx)
     if metric == "parabolic":
         return np.sqrt(d2 + np.abs(dt))

@@ -547,14 +547,17 @@ class LipCoverSum(_Estimate):
     flagged: bool
 
 
-def _pairwise_ratio_max(dom, img, seps, rows=128):
+_PAIR_ROWS = 128
+
+
+def _pairwise_ratio_max(dom, img, seps):
     """For each separation in seps, the max parabolic-image over
     euclidean-domain distance ratio among pairs at least that far apart
-    in the domain; one sweep over blocks of `rows` rows serves them all."""
+    in the domain; one sweep over blocks of _PAIR_ROWS rows serves them all."""
     best = [0.0] * len(seps)
     npts = dom.shape[0]
-    for lo in range(0, npts - 1, rows):
-        hi = min(lo + rows, npts - 1)
+    for lo in range(0, npts - 1, _PAIR_ROWS):
+        hi = min(lo + _PAIR_ROWS, npts - 1)
         # later[i - lo, j]: the pair (i, j) has i < j
         later = np.arange(npts) > np.arange(lo, hi)[:, None]
         dd = dist_rows(dom, dom[lo:hi, None], "euclidean")

@@ -166,10 +166,15 @@ class TestDilation:
         two roundings per x coordinate and three in t, so it is off by
         e_p with |e_p| <= 3u |p.x - a.x| / r in x and by f_p with
         |f_p| <= 4u |p.t - a.t| / r^2 in t (first order, with slack).
-        sqrt(|x|^2 + |t|) moves by at most |e| when x moves by e and by
-        at most sqrt(|f|) when t moves by f, and the two distances round
-        to within a few u of themselves; so the gap is at most
-        |e_p| + |e_q| + sqrt(|f_p| + |f_q|) + 32u max(lhs, rhs).
+        Let L and R be the exact distances of the perturbed and exact
+        differences (X + e, T + f) and (X, T).  Then
+        L^2 - R^2 = |X + e|^2 - |X|^2 + |T + f| - |T|, which is at most
+        |e| (L + R) + |f| in size, so |L - R| <= |e| + |f| / (L + R);
+        also |L - R| <= |e| + sqrt(|f|).  The computed lhs and rhs are
+        within a few u of L and R, which the factor 2 on |f| / (L + R)
+        and the 32u max(lhs, rhs) term absorb.  So the gap is at most
+        |e_p| + |e_q| + min(sqrt(F), 2F / (lhs + rhs)) + 32u max(lhs, rhs)
+        with F = |f_p| + |f_q|.
         """
         p, q = pq
         a = ParaPoint(np.ones(p.n), -0.5)
@@ -178,7 +183,8 @@ class TestDilation:
         rhs = metric_eval(p, q) / r
         ex = 3 * u * (np.linalg.norm(p.x - a.x) + np.linalg.norm(q.x - a.x)) / r
         ft = 4 * u * (abs(p.t - a.t) + abs(q.t - a.t)) / r**2
-        assert abs(lhs - rhs) <= ex + math.sqrt(ft) + 32 * u * max(lhs, rhs)
+        ft_gap = math.sqrt(ft) if lhs + rhs == 0 else min(math.sqrt(ft), 2 * ft / (lhs + rhs))
+        assert abs(lhs - rhs) <= ex + ft_gap + 32 * u * max(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

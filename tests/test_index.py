@@ -147,9 +147,7 @@ class TestFarOutlier:
         assert len(got) == 1001
 
     def test_classify_points_above_index_threshold(self):
-        # 5001 atoms, more than the 4096 below which classify_points
-        # once skipped the index; it now always builds one, and every
-        # result must match the full scan of detect_tangent
+        # every indexed result must equal the full scan of detect_tangent
         mu = outlier_cloud(5000, side=0.02)
         cfg = TangentConfig(m=1, r_list=(2e-3, 1e-3), plane_budget=8, sample_size=6,
                             refine_rounds=0)

@@ -3,12 +3,14 @@ constants and the Lipschitz-image covering sums."""
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parabgmt import measure
 from parabgmt.geometry import HomPlane, ParaPoint
 from parabgmt.measure import (
     DiscreteMeasure,
@@ -344,7 +346,8 @@ class TestLipCoverSum:
                 for k, sep in enumerate(seps):
                     if dd >= sep:
                         want[k] = max(want[k], dpar / dd)
-        got = _pairwise_ratio_max(dom, img, seps, rows)
+        with mock.patch.object(measure, "_PAIR_ROWS", rows):
+            got = _pairwise_ratio_max(dom, img, seps)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_constant_map_is_free(self):
