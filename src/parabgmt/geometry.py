@@ -436,34 +436,39 @@ def as_coord_array(points, n=None):
     return arr
 
 
+PAIR_TILE = 1 << 16
+
+
+def pair_tiles(npts):
+    """The pairs i < j of npts points, as tiles in (i, j) lexicographic order.
+
+    Yields (lo, hi, later): rows lo..hi-1 against columns lo+1..npts-1,
+    where later[i - lo, j - lo - 1] is true exactly when j > i.  A tile
+    holds about PAIR_TILE row-column pairs (at least one row), so the
+    arrays built on it stay bounded at any npts.
+    """
+    rows = max(1, PAIR_TILE // max(npts, 1))
+    for lo in range(0, npts - 1, rows):
+        hi = min(lo + rows, npts - 1)
+        yield lo, hi, np.arange(lo + 1, npts) > np.arange(lo, hi)[:, None]
+
+
 def graph_cone_check(points, V, s):
     """Check that every pair of distinct points satisfies the cone
-    condition over V with aperture s.  Returns the list of violating
-    index pairs; an empty list means pass.  The condition is symmetric,
-    so only unordered pairs are examined.
+    condition over V with aperture s.  Returns the violating pairs (i, j),
+    i < j, in lexicographic order; an empty list means pass.  A pair
+    violates exactly when cone_membership(Cone(p_i, V, s), p_j) is
+    "outside"; the condition is symmetric, so only i < j is examined.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("aperture must lie in (0, 1)")
     pts = as_coord_array(points, V.n)
-    npts = pts.shape[0]
-    if npts < 2:
-        return []
-    proj = V.horiz_projector()
     violations = []
-    for i in range(npts - 1):
-        d = pts[i + 1 :] - pts[i]
-        dx = d[:, :-1]
-        dt = d[:, -1]
-        perp_x = dx - dx @ proj
-        d2 = np.einsum("ij,ij->i", dx, dx)
-        if V.includes_t_axis:
-            a = np.sqrt(np.einsum("ij,ij->i", perp_x, perp_x))
-        else:
-            a = np.sqrt(np.einsum("ij,ij->i", perp_x, perp_x) + np.abs(dt))
-        b = s * np.sqrt(d2 + np.abs(dt))
-        bad = np.nonzero(a > b + CONE_BAND)[0]
-        for j in bad:
-            violations.append((i, i + 1 + int(j)))
+    for lo, hi, later in pair_tiles(pts.shape[0]):
+        d = pts[lo + 1 :] - pts[lo:hi, None]
+        gap = cone_gap_rows(V, s, d.reshape(-1, d.shape[-1])).reshape(later.shape)
+        ii, jj = np.nonzero(later & (gap > CONE_BAND))
+        violations += zip((ii + lo).tolist(), (jj + lo + 1).tolist())
     return violations
 
 
@@ -552,19 +557,18 @@ def graph_extract(points, V, s):
     graph = GraphSamples.from_points(pts, V)
     bound = s / np.sqrt(1.0 - s * s)
     ratio = 0.0
-    nb = len(graph)
-    base = graph.base
-    vals = graph.values
-    for i in range(nb - 1):
-        db = para_norm_rows(base[i + 1 :] - base[i])
-        dv = para_norm_rows(vals[i + 1 :] - vals[i])
-        if np.any(db == 0.0):
-            j = int(np.nonzero(db == 0.0)[0][0]) + i + 1
+    base, vals = graph.base, graph.values
+    for lo, hi, later in pair_tiles(len(graph)):
+        db = dist_rows(base[lo + 1 :], base[lo:hi, None])
+        same = np.argwhere(later & (db == 0.0))
+        if same.size:
+            i, j = same[0] + (lo, lo + 1)
             raise ConeViolationError(
                 f"projection to the plane is not injective: points {i} and {j}",
                 pair=(base[i].copy(), base[j].copy()),
             )
-        ratio = max(ratio, float(np.max(dv / db)))
+        dv = dist_rows(vals[lo + 1 :], vals[lo:hi, None])
+        ratio = max(ratio, float(np.max(dv[later] / db[later])))
     return ExtractResult(graph, float(bound), ratio)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from ._index import GridIndex
 from ._report import Record
 from ._version import __version__
-from .geometry import ParaPoint, as_coord_array, dist_rows, para_norm_rows
+from .geometry import ParaPoint, as_coord_array, dist_rows, pair_tiles, para_norm_rows
 
 # finest default scale sits at 4x the cloud resolution, per-octave schedule
 SCALE_RATIO = 0.5
@@ -547,21 +547,14 @@ class LipCoverSum(_Estimate):
     flagged: bool
 
 
-_PAIR_ROWS = 128
-
-
 def _pairwise_ratio_max(dom, img, seps):
     """For each separation in seps, the max parabolic-image over
     euclidean-domain distance ratio among pairs at least that far apart
-    in the domain; one sweep over blocks of _PAIR_ROWS rows serves them all."""
+    in the domain; one sweep over the pair tiles serves them all."""
     best = [0.0] * len(seps)
-    npts = dom.shape[0]
-    for lo in range(0, npts - 1, _PAIR_ROWS):
-        hi = min(lo + _PAIR_ROWS, npts - 1)
-        # later[i - lo, j]: the pair (i, j) has i < j
-        later = np.arange(npts) > np.arange(lo, hi)[:, None]
-        dd = dist_rows(dom, dom[lo:hi, None], "euclidean")
-        dpar = dist_rows(img, img[lo:hi, None])
+    for lo, hi, later in pair_tiles(dom.shape[0]):
+        dd = dist_rows(dom[lo + 1 :], dom[lo:hi, None], "euclidean")
+        dpar = dist_rows(img[lo + 1 :], img[lo:hi, None])
         for k, sep in enumerate(seps):
             keep = later & (dd >= sep)
             if np.any(keep):

@@ -26,7 +26,6 @@ from .geometry import (
     dist_rows,
     dist_to_plane_rows,
     graph_cone_check,
-    para_norm_rows,
     plane_distance,
     sample_planes,
 )
@@ -311,16 +310,16 @@ def classify_points(mu, cfg):
 def blowup_measure(mu, a, r, normalization="mass", m=None):
     """Zoom of mu at a by scale r, restricted to the unit ball.
 
-    Atoms go through p -> delta_{1/r}(p - a); those with norm <= 1 are
-    kept and their weights are scaled by c = 1 / mu(B(a, r)) for "mass"
-    normalization or c = r^(-m) for "power".
+    The atoms of the closed ball dist_rows(p, a) <= r go through
+    p -> delta_{1/r}(p - a), and their weights are scaled by
+    c = 1 / mu.mass_in_ball(a, r) for "mass" normalization or
+    c = r^(-m) for "power".
     """
     a = _as_point(a, mu.n)
     r = float(r)
     if r <= 0.0:
         raise ValueError("scale must be positive")
-    rows = blowup_rows(a, r, mu.points)
-    keep = para_norm_rows(rows) <= 1.0
+    keep = dist_rows(mu.points, a) <= r
     if normalization == "mass":
         mass = float(np.sum(mu.weights[keep]))
         if mass <= 0.0:
@@ -336,7 +335,7 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     hint = mu.resolution_hint / r if mu.resolution_hint else None
     return DiscreteMeasure(
         mu.n,
-        rows[keep],
+        blowup_rows(a, r, mu.points[keep]),
         mu.weights[keep] * c,
         nominal_dim=mu.nominal_dim,
         provenance=(mu.provenance + " | " if mu.provenance else "") + f"blowup r={r:g}",

@@ -1,12 +1,14 @@
 """Norm, dilations, homogeneous planes, cones and graph extraction."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parabgmt import geometry
 from parabgmt.geometry import (
     CONE_BAND,
     Cone,
@@ -28,6 +30,7 @@ from parabgmt.geometry import (
     graph_cone_check,
     graph_extract,
     metric_eval,
+    pair_tiles,
     para_norm,
     para_norm_rows,
     plane_distance,
@@ -339,6 +342,30 @@ class TestCone:
             assert cone_membership(c, dilate(r, q)) == label
 
 
+def random_plane(rng, n, family):
+    """A homogeneous plane of P^n in the given family with a random frame."""
+    k = int(rng.integers(1, n + 1)) if family == "horizontal" else int(rng.integers(0, n))
+    frame = np.linalg.qr(rng.standard_normal((n, k)))[0].T if k else np.zeros((0, n))
+    return HomPlane(n, frame, family == "vertical")
+
+
+# rows per pair tile: one, several, and all rows in a single tile
+tile_rows = st.sampled_from([1, 3, 10**6])
+
+
+def test_pair_tiles_cover_each_pair_once_in_order():
+    for npts, budget in ((0, 8), (1, 8), (2, 8), (9, 1), (9, 20), (9, 81), (40, 100)):
+        with mock.patch.object(geometry, "PAIR_TILE", budget):
+            tiles = list(pair_tiles(npts))
+        pairs = []
+        for lo, hi, later in tiles:
+            assert later.shape == (hi - lo, npts - lo - 1)
+            assert later.size <= max(budget, npts)
+            ii, jj = np.nonzero(later)
+            pairs += zip((ii + lo).tolist(), (jj + lo + 1).tolist())
+        assert pairs == [(i, j) for i in range(npts) for j in range(i + 1, npts)]
+
+
 class TestGraphConeCheck:
     def _sqrt_cloud(self, L, lo=0.0):
         t = np.linspace(lo, 1.0, 400)
@@ -377,6 +404,55 @@ class TestGraphConeCheck:
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])  # same t, far x: not a graph over t
         with pytest.raises(ConeViolationError):
             graph_extract(pts, HomPlane.t_axis(1), 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), family=st.sampled_from(["horizontal", "vertical"]),
+           npts=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+           s=st.floats(0.05, 0.95), scale=st.sampled_from([1e-6, 1.0, 1e3]), rows=tile_rows)
+    def test_check_matches_cone_membership(self, n, family, npts, seed, s, scale, rows):
+        rng = np.random.default_rng(seed)
+        V = random_plane(rng, n, family)
+        pts = scale * rng.standard_normal((npts, n + 1))
+        if npts > 2:
+            pts[-1] = pts[0]  # a repeated point sits on the cone boundary
+        ppts = [ParaPoint.from_coords(p) for p in pts]
+        want = [
+            (i, j)
+            for i in range(npts)
+            for j in range(i + 1, npts)
+            if cone_membership(Cone(ppts[i], V, s), ppts[j]) == "outside"
+        ]
+        with mock.patch.object(geometry, "PAIR_TILE", rows * max(npts, 1)):
+            assert graph_cone_check(pts, V, s) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), family=st.sampled_from(["horizontal", "vertical"]),
+           npts=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), rows=tile_rows)
+    def test_extract_ratio_matches_double_loop(self, n, family, npts, seed, rows):
+        # a random cloud thinned until it is a graph with cone aperture 0.9
+        rng = np.random.default_rng(seed)
+        V = random_plane(rng, n, family)
+        pts = rng.standard_normal((npts, n + 1))
+        while bad := graph_cone_check(pts, V, 0.9):
+            pts = np.delete(pts, bad[0][1], axis=0)
+        with mock.patch.object(geometry, "PAIR_TILE", rows * npts):
+            res = graph_extract(pts, V, 0.9)
+        base, vals = res.graph.base, res.graph.values
+        want = max(
+            (para_norm(vals[j] - vals[i]) / para_norm(base[j] - base[i])
+             for i in range(len(base)) for j in range(i + 1, len(base))),
+            default=0.0,
+        )
+        assert res.empirical_ratio == pytest.approx(want, rel=1e-14)
+
+    def test_extract_rejects_a_projection_that_is_not_injective(self):
+        # points 0 and 1, and 2 and 3, are within the cone band of each
+        # other but share their projection to the t-axis; the first is named
+        pts = np.array([[0.0, 0.0], [1e-10, 0.0], [0.5, 1.0], [0.5 + 1e-10, 1.0]])
+        V = HomPlane.t_axis(1)
+        assert graph_cone_check(pts, V, 0.5) == []
+        with pytest.raises(ConeViolationError, match="points 0 and 1"):
+            graph_extract(pts, V, 0.5)
 
     def test_graph_samples_accessors(self):
         x = np.linspace(-1.0, 1.0, 50)

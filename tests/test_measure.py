@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabgmt import measure
+from parabgmt import geometry
 from parabgmt.geometry import HomPlane, ParaPoint
 from parabgmt.measure import (
     DiscreteMeasure,
@@ -346,7 +346,7 @@ class TestLipCoverSum:
                 for k, sep in enumerate(seps):
                     if dd >= sep:
                         want[k] = max(want[k], dpar / dd)
-        with mock.patch.object(measure, "_PAIR_ROWS", rows):
+        with mock.patch.object(geometry, "PAIR_TILE", rows * npts):
             got = _pairwise_ratio_max(dom, img, seps)
         assert got == pytest.approx(want, rel=1e-14)
 

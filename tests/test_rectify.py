@@ -185,6 +185,23 @@ class TestBlowup:
         with pytest.raises(ValueError):
             blowup_measure(mu, np.zeros(2), 0.5)
 
+    def test_ball_is_the_mass_in_ball_ball(self):
+        # 2000 atoms of P^2 on the sphere of B(a, r) (three in four) or
+        # inside it; rounding puts sphere atoms on either side of it
+        rng = np.random.default_rng(0)
+        a, r = np.array([0.1, 0.2, 0.3]), 0.1
+        u = rng.standard_normal((2000, 2))
+        share = rng.random(2000)  # |x|^2 of the unit-sphere point
+        x = u / np.linalg.norm(u, axis=1)[:, None] * np.sqrt(share)[:, None]
+        t = rng.choice([-1.0, 1.0], 2000) * (1.0 - share)
+        shrink = np.where(rng.random(2000) < 0.25, rng.random(2000), 1.0)
+        pts = a + np.column_stack([r * x * np.sqrt(shrink)[:, None], r * r * t * shrink])
+        mu = DiscreteMeasure(2, pts, np.ones(2000))
+        nu = blowup_measure(mu, a, r)
+        kept = mu.mass_in_ball(a, r)
+        assert nu.natoms == kept < 2000
+        assert np.all(nu.weights == 1.0 / kept)
+
     def test_dyadic_composition(self):
         # zooming twice by 1/2 equals zooming once by 1/4 on the kept set
         mu = line_cloud()
