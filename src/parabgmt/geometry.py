@@ -442,15 +442,17 @@ PAIR_TILE = 1 << 16
 def pair_tiles(npts):
     """The pairs i < j of npts points, as tiles in (i, j) lexicographic order.
 
-    Yields (lo, hi, later): rows lo..hi-1 against columns lo+1..npts-1,
-    where later[i - lo, j - lo - 1] is true exactly when j > i.  A tile
-    holds about PAIR_TILE row-column pairs (at least one row), so the
+    Yields index arrays (i, j) of equal length, so pts.take(j, 0) -
+    pts.take(i, 0) are the tile's pair differences (take gathers rows
+    several times faster than pts[j]).  A tile takes whole rows i, as
+    many as fit in PAIR_TILE row-column pairs (at least one row), so the
     arrays built on it stay bounded at any npts.
     """
     rows = max(1, PAIR_TILE // max(npts, 1))
+    cols = np.arange(npts)
     for lo in range(0, npts - 1, rows):
-        hi = min(lo + rows, npts - 1)
-        yield lo, hi, np.arange(lo + 1, npts) > np.arange(lo, hi)[:, None]
+        i = cols[lo : min(lo + rows, npts - 1)]
+        yield np.repeat(i, npts - 1 - i), np.concatenate([cols[k + 1 :] for k in i])
 
 
 def graph_cone_check(points, V, s):
@@ -464,11 +466,9 @@ def graph_cone_check(points, V, s):
         raise ValueError("aperture must lie in (0, 1)")
     pts = as_coord_array(points, V.n)
     violations = []
-    for lo, hi, later in pair_tiles(pts.shape[0]):
-        d = pts[lo + 1 :] - pts[lo:hi, None]
-        gap = cone_gap_rows(V, s, d.reshape(-1, d.shape[-1])).reshape(later.shape)
-        ii, jj = np.nonzero(later & (gap > CONE_BAND))
-        violations += zip((ii + lo).tolist(), (jj + lo + 1).tolist())
+    for i, j in pair_tiles(pts.shape[0]):
+        bad = cone_gap_rows(V, s, pts.take(j, 0) - pts.take(i, 0)) > CONE_BAND
+        violations += zip(i[bad].tolist(), j[bad].tolist())
     return violations
 
 
@@ -558,17 +558,16 @@ def graph_extract(points, V, s):
     bound = s / np.sqrt(1.0 - s * s)
     ratio = 0.0
     base, vals = graph.base, graph.values
-    for lo, hi, later in pair_tiles(len(graph)):
-        db = dist_rows(base[lo + 1 :], base[lo:hi, None])
-        same = np.argwhere(later & (db == 0.0))
+    for i, j in pair_tiles(len(graph)):
+        db = dist_rows(base.take(j, 0), base.take(i, 0))
+        same = np.flatnonzero(db == 0.0)
         if same.size:
-            i, j = same[0] + (lo, lo + 1)
+            a, b = i[same[0]], j[same[0]]
             raise ConeViolationError(
-                f"projection to the plane is not injective: points {i} and {j}",
-                pair=(base[i].copy(), base[j].copy()),
+                f"projection to the plane is not injective: points {a} and {b}",
+                pair=(base[a].copy(), base[b].copy()),
             )
-        dv = dist_rows(vals[lo + 1 :], vals[lo:hi, None])
-        ratio = max(ratio, float(np.max(dv[later] / db[later])))
+        ratio = max(ratio, float(np.max(dist_rows(vals.take(j, 0), vals.take(i, 0)) / db)))
     return ExtractResult(graph, float(bound), ratio)
 
 

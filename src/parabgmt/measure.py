@@ -552,11 +552,11 @@ def _pairwise_ratio_max(dom, img, seps):
     euclidean-domain distance ratio among pairs at least that far apart
     in the domain; one sweep over the pair tiles serves them all."""
     best = [0.0] * len(seps)
-    for lo, hi, later in pair_tiles(dom.shape[0]):
-        dd = dist_rows(dom[lo + 1 :], dom[lo:hi, None], "euclidean")
-        dpar = dist_rows(img[lo + 1 :], img[lo:hi, None])
+    for i, j in pair_tiles(dom.shape[0]):
+        dd = dist_rows(dom.take(j, 0), dom.take(i, 0), "euclidean")
+        dpar = dist_rows(img.take(j, 0), img.take(i, 0))
         for k, sep in enumerate(seps):
-            keep = later & (dd >= sep)
+            keep = dd >= sep
             if np.any(keep):
                 best[k] = max(best[k], float(np.max(dpar[keep] / dd[keep])))
     return best

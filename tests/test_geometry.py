@@ -358,11 +358,10 @@ def test_pair_tiles_cover_each_pair_once_in_order():
         with mock.patch.object(geometry, "PAIR_TILE", budget):
             tiles = list(pair_tiles(npts))
         pairs = []
-        for lo, hi, later in tiles:
-            assert later.shape == (hi - lo, npts - lo - 1)
-            assert later.size <= max(budget, npts)
-            ii, jj = np.nonzero(later)
-            pairs += zip((ii + lo).tolist(), (jj + lo + 1).tolist())
+        for i, j in tiles:
+            assert i.shape == j.shape and i.size
+            assert (i[-1] - i[0] + 1) * npts <= max(budget, npts)
+            pairs += zip(i.tolist(), j.tolist())
         assert pairs == [(i, j) for i in range(npts) for j in range(i + 1, npts)]
 
 
