@@ -73,6 +73,13 @@ def _parse_int(text):
         raise CliError(f"invalid integer {text!r}") from None
 
 
+def _parse_seed(text):
+    value = _parse_int(text)
+    if value < 0:
+        raise CliError(f"invalid seed {value} (must be >= 0)")
+    return value
+
+
 def _parse_float(text):
     try:
         return float(text)
@@ -110,6 +117,7 @@ def _parse_scales(text):
 
 _PARSERS = {
     "int": _parse_int,
+    "seed": _parse_seed,
     "float": _parse_float,
     "bool": _parse_bool,
     "str": lambda text: text,
@@ -244,7 +252,7 @@ _COMMAND_OPTS = {
         Opt("plane_budget", "int", default=64, help="sampled candidate planes"),
         Opt("threshold", "float", default=0.05, help="max tolerated cone defect"),
         Opt("sample_size", "int", default=100, help="atoms classified"),
-        Opt("seed", "int", default=0, help="subsample and plane-sampling seed"),
+        Opt("seed", "seed", default=0, help="subsample and plane-sampling seed"),
         Opt("refine_rounds", "int", default=2, help="local refinement rounds"),
         Opt("curves_csv", "str", help="write point_index,r,s,defect rows here"),
         Opt("output", "str", help="report path (stdout when omitted)"),
@@ -268,7 +276,7 @@ _COMMAND_OPTS = {
     "verify": [
         Opt("suite", "str", default="all", choices=(*SUITES, "all")),
         Opt("cases", "int", default=1000, help="sample count for randomized checks"),
-        Opt("seed", "int", default=0, help="sampling seed"),
+        Opt("seed", "seed", default=0, help="sampling seed"),
         Opt("output", "str", help="report path (stdout when omitted)"),
     ],
     "defeater-bmo": [

@@ -9,6 +9,7 @@ the measure and rectify modules.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,26 +318,66 @@ def complement_plane(V):
     return HomPlane(n, co_basis, not V.includes_t_axis)
 
 
+def _halton_rows(d, seed, count, start):
+    """Rows start .. start+count-1 of a d-dimensional scrambled Halton
+    sequence (Owen's random digit permutations), as a (count, d) array
+    in [0, 1); see _halton_frames for the definition."""
+    bases = []
+    cand = 2
+    while len(bases) < d:
+        if all(cand % b for b in bases):
+            bases.append(cand)
+        cand += 1
+    rng = np.random.default_rng(seed)
+    index = np.arange(start, start + count, dtype=np.int64)
+    rows = np.empty((count, d))
+    for col, b in enumerate(bases):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = index.copy()
+        b2r = 1.0 / b
+        u = np.zeros(count)
+        for perm in perms:
+            u += perm[q % b] * b2r
+            q //= b
+            b2r /= b
+        rows[:, col] = u
+    return rows
+
+
 def _halton_frames(n, k, count, seed):
-    """Deterministic pseudo-uniform orthonormal (k, n) frames from a
-    scrambled Halton sequence pushed through normal scores and QR."""
+    """Deterministic pseudo-uniform orthonormal (k, n) frames.
+
+    Row i = 0, 1, 2, ... of a scrambled Halton sequence in d = n*k
+    dimensions is u_i with coordinates u_i[c] = sum_j P_c,j[a_j] w_j for
+    j = 0 .. ceil(54 / log2 b) - 2, added in that order, where b is the
+    (c+1)-th prime, a_0, a_1, ... are the base-b digits of i, least
+    significant first, and w_j is 1/b divided j more times by b.  The
+    digit permutations P_c,j are copies of 0..b-1 shuffled in turn by
+    np.random.default_rng(seed).shuffle, all of base 2's first, then
+    base 3's, and so on.  The standard normal quantiles ndtri(u_i),
+    filled row by row into an (n, k) matrix, are QR factored; the frame
+    is Q^T with each row's sign flipped so that diag R > 0.  A row with
+    min |diag R| < 1e-12 is skipped, and the frames are those of the
+    first `count` rows kept.  (This is the sequence that scipy's
+    qmc.Halton(d, seed=seed, scramble=True) draws.)
+    """
     if k == 0:
         return [np.zeros((0, n)) for _ in range(count)]
-    # scipy.stats is imported here, not at module level: it is most of
-    # the package's import time and only plane sampling needs it
-    from scipy.stats import norm, qmc
+    from scipy.special import ndtri
 
-    sampler = qmc.Halton(d=n * k, seed=seed, scramble=True)
     frames = []
+    start = 0
     while len(frames) < count:
-        u = sampler.random(1)[0]
-        z = norm.ppf(u).reshape(n, k)
+        need = count - len(frames)
+        z = ndtri(_halton_rows(n * k, seed, need, start)).reshape(need, n, k)
+        start += need
         q, r = np.linalg.qr(z)
-        diag = np.diag(r)
-        if np.min(np.abs(diag)) < 1e-12:
-            continue
-        q = q * np.sign(diag)
-        frames.append(q.T.copy())
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        keep = np.min(np.abs(diag), axis=1) >= 1e-12
+        q = q * np.sign(diag)[:, None, :]
+        frames.extend(np.ascontiguousarray(q[keep].transpose(0, 2, 1)))
     return frames
 
 

@@ -11,7 +11,7 @@ import pytest
 # not land inside the first timed example of a hypothesis test.
 import scipy.linalg  # noqa: F401
 import scipy.ndimage  # noqa: F401
-import scipy.stats  # noqa: F401
+import scipy.special  # noqa: F401
 
 import parabgmt
 from parabgmt.generators import (

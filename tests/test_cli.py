@@ -132,11 +132,53 @@ class TestGenerateExpr:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(child_pythonpath):
-    # scipy.stats is most of the import time and only plane sampling needs it
+    # importing scipy.stats takes about 1 s, so no part of the package uses it
     code = "import sys, parabgmt.cli; print('scipy.stats' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+# Each child counts its calls of geometry._halton_frames, so the plane
+# sampling that once imported scipy.stats is known to have run.
+_COUNT_FRAMES = """
+import json, sys
+import numpy as np
+from parabgmt import geometry
+calls = []
+draw = geometry._halton_frames
+geometry._halton_frames = lambda *args: calls.append(args) or draw(*args)
+"""
+
+_SAMPLING_RUNS = {
+    "tangent": """
+from parabgmt import cli
+csv = sys.argv[1]
+assert cli.main(["generate", "--kind", "flat_plane", "--n", "2", "--axes", "0",
+                 "--extent", "0.5", "--resolution", "0.05", "-o", csv]) == 0
+assert cli.main(["tangent", "-i", csv, "--m", "1", "--sample-size", "3",
+                 "-o", csv + ".tan.json"]) == 0
+""",
+    "uniqueness_scan": """
+from parabgmt.measure import DiscreteMeasure
+from parabgmt.rectify import tangent_uniqueness_scan
+s = np.linspace(-1.0, 1.0, 201)
+mu = DiscreteMeasure(2, np.column_stack([s, 0.5 * s, np.zeros_like(s)]), np.ones_like(s))
+tangent_uniqueness_scan(mu, np.zeros(3), (0.5, 0.25, 0.125), 1, plane_budget=8)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLING_RUNS))
+def test_plane_sampling_leaves_scipy_stats_unloaded(name, tmp_path, child_pythonpath):
+    code = _COUNT_FRAMES + _SAMPLING_RUNS[name] + (
+        "print(json.dumps([len(calls), 'scipy.stats' in sys.modules]))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cloud.csv")],
+                          capture_output=True, text=True, check=True)
+    calls, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert calls > 0
+    assert loaded is False
 
 
 class TestDim:
@@ -303,6 +345,30 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         rc, _, err = run(capsys, "frobnicate")
         assert rc == 1 and "error:" in err
+
+    @pytest.mark.parametrize("command", ["tangent", "verify"])
+    def test_negative_seed_flag_names_the_option(self, line_csv, capsys, command):
+        extra = ["-i", str(line_csv), "--m", "1"] if command == "tangent" else []
+        rc, out, err = run(capsys, command, *extra, "--seed", "-1")
+        assert rc == 1 and out == ""
+        assert err == "error: --seed: invalid seed -1 (must be >= 0)\n"
+
+    @pytest.mark.parametrize("command", ["tangent", "verify"])
+    def test_negative_seed_in_config_carries_location(self, line_csv, tmp_path, capsys,
+                                                      command):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("# replay\nseed = -4\n")
+        extra = ["-i", str(line_csv), "--m", "1"] if command == "tangent" else []
+        rc, out, err = run(capsys, command, *extra, "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err == f"error: {cfg}:2: invalid seed -4 (must be >= 0)\n"
+
+    def test_generate_still_takes_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "line.csv"
+        rc, _, _ = run(capsys, "generate", "--kind", "flat_plane", "--n", "1",
+                       "--axes", "0", "--seed", "-2", "-o", str(out))
+        assert rc == 0
+        assert json.loads(out.with_suffix(".json").read_text())["config"]["seed"] == -2
 
     def test_bad_flag_value(self, line_csv, capsys):
         rc, _, err = run(capsys, "dim", "-i", str(line_csv), "--scales", "xyz")

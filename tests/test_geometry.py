@@ -304,6 +304,100 @@ class TestPlaneDistance:
 
 
 # ---------------------------------------------------------------------------
+# Candidate plane sampling
+
+
+def scipy_halton_frames(n, k, count, seed):
+    """The frames as scipy's own Halton sampler and normal quantile give
+    them, one row at a time: the reference for geometry._halton_frames."""
+    from scipy.stats import norm, qmc
+
+    if k == 0:
+        return [np.zeros((0, n)) for _ in range(count)]
+    sampler = qmc.Halton(d=n * k, seed=seed, scramble=True)
+    frames = []
+    while len(frames) < count:
+        z = norm.ppf(sampler.random(1)[0]).reshape(n, k)
+        q, r = np.linalg.qr(z)
+        diag = np.diag(r)
+        if np.min(np.abs(diag)) < 1e-12:
+            continue
+        frames.append((q * np.sign(diag)).T.copy())
+    return frames
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a = np.asarray(a)
+        assert a.shape == b.shape and a.flags.c_contiguous
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+HALTON_SEEDS = (0, 1, 205, 104729, 2**32 - 1)
+
+
+class TestHaltonFrames:
+    @pytest.mark.parametrize("seed", HALTON_SEEDS)
+    def test_frames_match_scipy_bit_for_bit(self, seed):
+        for n in range(1, 5):
+            for k in range(n + 1):
+                for count in (1, 7, 70):
+                    assert_same_bits(geometry._halton_frames(n, k, count, seed),
+                                     scipy_halton_frames(n, k, count, seed))
+
+    @pytest.mark.parametrize("seed", HALTON_SEEDS)
+    def test_sample_planes_match_scipy_bit_for_bit(self, seed):
+        for n in range(1, 5):
+            for m in range(1, n + 2):
+                for count in (1, 9, 70):
+                    got = sample_planes(n, m, count, seed)
+                    with mock.patch.object(geometry, "_halton_frames", scipy_halton_frames):
+                        want = sample_planes(n, m, count, seed)
+                    assert [V.includes_t_axis for V in got] == [
+                        V.includes_t_axis for V in want
+                    ]
+                    assert_same_bits([V.horiz_basis for V in got],
+                                     [V.horiz_basis for V in want])
+
+    @pytest.mark.parametrize("seed", HALTON_SEEDS)
+    def test_rows_from_an_offset_match_scipy_fast_forward(self, seed):
+        from scipy.stats import qmc
+
+        for d in (1, 2, 5, 12):
+            for start in (0, 1, 13, 250):
+                sampler = qmc.Halton(d=d, seed=seed, scramble=True)
+                sampler.fast_forward(start)
+                want = sampler.random(40)
+                got = geometry._halton_rows(d, seed, 40, start)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rejected_row_resumes_at_next_index(self):
+        from scipy.special import ndtri
+
+        # rows 1 and 3 give a rank-deficient 2x2 matrix (equal columns),
+        # so the frames are those of rows 0, 2, 4, 5 and the second draw
+        # starts at row 4
+        table = geometry._halton_rows(4, 9, 6, 0)
+        table[1] = [0.3, 0.3, 0.8, 0.8]
+        table[3] = [0.6, 0.6, 0.1, 0.1]
+        starts = []
+
+        def rows(d, seed, count, start):
+            starts.append((start, count))
+            return table[start:start + count]
+
+        with mock.patch.object(geometry, "_halton_rows", rows):
+            got = geometry._halton_frames(2, 2, 4, 9)
+        assert starts == [(0, 4), (4, 2)]
+        expect = []
+        for u in table[[0, 2, 4, 5]]:
+            q, r = np.linalg.qr(ndtri(u).reshape(2, 2))
+            expect.append((q * np.sign(np.diag(r))).T.copy())
+        assert_same_bits(got, expect)
+
+
+# ---------------------------------------------------------------------------
 # Cones
 
 
