@@ -71,8 +71,25 @@ COMMANDS = [
              "-o", "dim.json"]),
     ("density", ["density", "-i", "tilted.csv", "--point", "0,0,0", "--s", "1",
                  "--scales", "0.4,0.2,0.1"]),
+    ("gen_vflat", ["generate", "--kind", "flat_plane", "--n", "2", "--axes", "0",
+                   "--t-axis", "true", "--resolution", "0.1", "-o", "vflat.csv"]),
+    ("gen_hflat", ["generate", "--kind", "flat_plane", "--n", "2", "--axes", "0,1",
+                   "--resolution", "0.1", "-o", "hflat.csv"]),
     ("tangent", ["tangent", "-i", "cantor.csv", "--m", "1", "--sample-size", "10",
                  "--curves-csv", "curves.csv", "-o", "tangent.json"]),
+    # the other plane families: sampled and perturbed vertical k = 1 frames,
+    # the two one-plane families of m = 2 in P^2 (horizontal k = 2, the
+    # t-axis), and a seed whose sampled planes miss the tilt
+    ("tangent_vflat", ["tangent", "-i", "vflat.csv", "--m", "3", "--sample-size", "12",
+                       "-o", "tangent_vflat.json"]),
+    ("tangent_hflat_m2", ["tangent", "-i", "hflat.csv", "--m", "2", "--sample-size", "12",
+                          "-o", "tangent_hflat_m2.json"]),
+    ("tangent_vertical_m2", ["tangent", "-i", "vertical.csv", "--m", "2", "--sample-size",
+                             "12", "--s-list", "0.9,0.5", "-o", "tangent_vertical_m2.json"]),
+    ("tangent_tilted_205", ["tangent", "-i", "tilted.csv", "--m", "1", "--s-list",
+                            "0.1,0.05,0.02", "--seed", "205", "--sample-size", "12",
+                            "--curves-csv", "curves_tilted_205.csv",
+                            "-o", "tangent_tilted_205.json"]),
     ("blowup", ["blowup", "-i", "tilted.csv", "--point", "0,0,0", "--r", "0.5",
                 "-o", "blown.csv"]),
     ("vconst", ["vconst", "--n", "1", "--m", "1", "--scales", "0.2,0.15,0.1",
