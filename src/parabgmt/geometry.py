@@ -172,7 +172,7 @@ class HomPlane:
         _check_finite(basis, "horiz_basis")
         k = basis.shape[0]
         gram = basis @ basis.T
-        if k and not np.allclose(gram, np.eye(k), atol=ORTHO_TOL, rtol=0.0):
+        if k and not np.all(np.abs(gram - np.eye(k)) <= ORTHO_TOL):
             raise ValueError("horiz_basis rows are not orthonormal within 1e-10")
         m = k + (2 if includes_t_axis else 0)
         if not 0 < m < n + 2:
@@ -283,9 +283,39 @@ def project_rows(V, coords, part="onto"):
     return out
 
 
+def dist_to_planes_rows(planes, coords):
+    """Parabolic distances ||P_{V perp} q|| from each row q of an (N, n+1)
+    array to each plane V of a list, as a (P, N) array.
+
+    The planes are grouped by (k, includes_t_axis).  Each group stacks
+    its bases as B of shape (G, k, n), computes the horizontal
+    projections px = (x @ B^T) @ B in one stacked product, and takes
+    sqrt(|x - px|^2 + |t_perp|), where t_perp is t for a horizontal
+    plane and 0 for a vertical one.  Every plane's row is computed as
+    it would be alone, so a distance does not depend on the other
+    planes in the list.  The temporaries take G * N * (n + 1) floats;
+    callers bound them by passing at most PAIR_TILE // N planes at a
+    time (see tile_slices).
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    out = np.empty((len(planes), coords.shape[0]))
+    x = coords[:, :-1]
+    groups = {}
+    for i, V in enumerate(planes):
+        if coords.shape[1] != V.n + 1:
+            raise DimensionMismatchError(f"expected {V.n + 1} coordinates, got {coords.shape[1]}")
+        groups.setdefault((V.k, V.includes_t_axis), []).append(i)
+    for (_, vertical), idx in groups.items():
+        basis = np.stack([planes[i].horiz_basis for i in idx])
+        perp = x - (x @ basis.transpose(0, 2, 1)) @ basis
+        d2 = np.einsum("gni,gni->gn", perp, perp)
+        out[idx] = np.sqrt(d2 if vertical else d2 + np.abs(coords[:, -1]))
+    return out
+
+
 def dist_to_plane_rows(V, coords):
     """Parabolic distance from each row to the plane V (= ||P_{V perp} q||)."""
-    return para_norm_rows(project_rows(V, coords, "complement"))
+    return dist_to_planes_rows([V], coords)[0]
 
 
 def plane_distance(V, W):
@@ -394,6 +424,8 @@ def sample_planes(n, m, count, seed):
         raise ValueError(f"m={m} out of range for n={n}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     has_h = 1 <= m <= n
     has_v = 2 <= m <= n + 1
     canon_h = (
@@ -480,6 +512,14 @@ def as_coord_array(points, n=None):
 PAIR_TILE = 1 << 16
 
 
+def tile_slices(count, width):
+    """Consecutive slices of range(count), each as long as fits in
+    PAIR_TILE items of the given width (at least one item), so arrays
+    of slice length times width stay bounded."""
+    step = max(1, PAIR_TILE // max(width, 1))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def pair_tiles(npts):
     """The pairs i < j of npts points, as tiles in (i, j) lexicographic order.
 
@@ -489,10 +529,9 @@ def pair_tiles(npts):
     many as fit in PAIR_TILE row-column pairs (at least one row), so the
     arrays built on it stay bounded at any npts.
     """
-    rows = max(1, PAIR_TILE // max(npts, 1))
     cols = np.arange(npts)
-    for lo in range(0, npts - 1, rows):
-        i = cols[lo : min(lo + rows, npts - 1)]
+    for rows in tile_slices(npts - 1, npts):
+        i = cols[rows]
         yield np.repeat(i, npts - 1 - i), np.concatenate([cols[k + 1 :] for k in i])
 
 

@@ -24,10 +24,11 @@ from .geometry import (
     blowup_rows,
     complement_plane,
     dist_rows,
-    dist_to_plane_rows,
+    dist_to_planes_rows,
     graph_cone_check,
     plane_distance,
     sample_planes,
+    tile_slices,
 )
 from .measure import DiscreteMeasure
 
@@ -76,6 +77,22 @@ class TangentConfig(Record):
     seed: int = 0
     refine_rounds: int = 2
 
+    def __post_init__(self):
+        if not len(self.s_list):
+            raise ValueError("s_list must hold at least one aperture")
+        for s in self.s_list:
+            if not 0.0 < s < 1.0:
+                raise ValueError(f"s_list: aperture {s} must lie in (0, 1)")
+        if self.r_list is not None:
+            if not len(self.r_list):
+                raise ValueError("r_list must hold at least one radius")
+            for r in self.r_list:
+                if not 0.0 < r < math.inf:
+                    raise ValueError(f"r_list: radius {r} must be finite and > 0")
+        for name, low in (("sample_size", 1), ("plane_budget", 1), ("refine_rounds", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
     def resolved_r_list(self, mu):
         if self.r_list is not None:
             return tuple(float(r) for r in self.r_list)
@@ -99,7 +116,7 @@ def cone_defect(mu, a, V, s, r, m):
     if r <= 0.0:
         raise ValueError("radius must be positive")
     delta, d, w = _gather_ball(mu, a, r)
-    return _plane_defect_grid(V, delta, d, w, (float(s),), (r,), m, [d.size])[0]
+    return _plane_defect_grids([V], delta, d, w, (float(s),), (r,), m, [d.size])[0][0]
 
 
 def _canonical_planes(n, m):
@@ -119,27 +136,25 @@ def _dedupe_planes(planes, tol=PLANE_DEDUP_TOL):
     return kept
 
 
-def _candidate_planes(n, cfg):
-    planes = _canonical_planes(n, cfg.m)
-    planes.extend(sample_planes(n, cfg.m, cfg.plane_budget, cfg.seed))
-    return _dedupe_planes(planes)
+def _candidate_planes(n, m, budget, seed):
+    """The canonical m-planes of P^n plus a seeded budget of sampled
+    ones, deduplicated: the list every plane search scores."""
+    return _dedupe_planes(_canonical_planes(n, m) + sample_planes(n, m, budget, seed))
 
 
 def _perturbed_planes(V, sigma, count, rng):
     """Nearby frames of the same family; empty when the family admits a
-    single plane (k = 0 or a full horizontal basis)."""
+    single plane (k = 0 or a full horizontal basis).  Frame i comes
+    from the i-th (k, n) block of one rng.standard_normal draw; a frame
+    whose QR factor has min |diag R| < 1e-12 is skipped."""
     if V.k == 0 or (not V.includes_t_axis and V.k == V.n):
         return []
-    out = []
-    for _ in range(count):
-        g = rng.standard_normal(V.horiz_basis.shape)
-        q, rr = np.linalg.qr((V.horiz_basis + sigma * g).T)
-        diag = np.diag(rr)
-        if np.min(np.abs(diag)) < 1e-12:
-            continue
-        q = q * np.where(diag >= 0.0, 1.0, -1.0)
-        out.append(HomPlane(V.n, q.T.copy(), V.includes_t_axis))
-    return out
+    g = rng.standard_normal((count,) + V.horiz_basis.shape)
+    q, rr = np.linalg.qr((V.horiz_basis + sigma * g).transpose(0, 2, 1))
+    diag = np.diagonal(rr, axis1=1, axis2=2)
+    q = q * np.where(diag >= 0.0, 1.0, -1.0)[:, None, :]
+    keep = np.min(np.abs(diag), axis=1) >= 1e-12
+    return [HomPlane(V.n, qi.T.copy(), V.includes_t_axis) for qi in q[keep]]
 
 
 def _gather_ball(mu, a, r_max, index=None):
@@ -165,28 +180,39 @@ def _gather_ball(mu, a, r_max, index=None):
     return pts[order] - ac, d[order], w[order]
 
 
-def _plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix):
-    """Defect at every (r, s) pair for one plane on a ball from
-    _gather_ball, whose first prefix[i] rows lie within r_list[i];
-    returns the grid max and the flat curve [(r, s, defect), ...]."""
-    perp = dist_to_plane_rows(V, delta)
-    curve = []
-    worst = 0.0
-    for r, cnt in zip(r_list, prefix):
-        if cnt == 0:
-            for s in s_list:
-                curve.append((r, s, 0.0))
-            continue
-        scale = float(r) ** (-float(m))
-        dp = d[:cnt]
-        pp = perp[:cnt]
-        ww = w[:cnt]
-        for s in s_list:
-            defect = float(np.sum(ww[pp >= s * dp])) * scale
-            curve.append((r, s, defect))
-            if defect > worst:
-                worst = defect
-    return worst, curve
+def _plane_defect_grids(planes, delta, d, w, s_list, r_list, m, prefix):
+    """Defect at every (r, s) pair for each plane on a ball from
+    _gather_ball, whose first prefix[i] rows lie within r_list[i].
+
+    Returns (worst, curves), one entry per plane in list order: the
+    grid max (0.0 at least) and the flat curve [(r, s, defect), ...].
+    The defect at (r, s) is float(sum of w over the rows within r with
+    perp >= s * d) * r^-m, summed by np.sum over the masked weights in
+    row order, so it does not depend on which planes are scored
+    together.  Planes go through dist_to_planes_rows in tile_slices
+    chunks, one (chunk, |s_list|, count) mask per r.
+    """
+    s_col = np.asarray(s_list, dtype=float)[:, None]
+    keys = [(r, s) for r in r_list for s in s_list]
+    worst = []
+    curves = []
+    for chunk in tile_slices(len(planes), d.size):
+        perp = dist_to_planes_rows(planes[chunk], delta)
+        grid = np.zeros((perp.shape[0], len(r_list), len(s_list)))
+        for j, (r, cnt) in enumerate(zip(r_list, prefix)):
+            if cnt == 0:
+                continue
+            scale = float(r) ** (-float(m))
+            ww = w[:cnt]
+            outside = perp[:, None, :cnt] >= s_col * d[:cnt]
+            hits = np.count_nonzero(outside, axis=2)
+            grid[:, j] = np.where(hits == cnt, float(ww.sum()) * scale, 0.0 * scale)
+            for p, i in zip(*np.nonzero((hits > 0) & (hits < cnt))):
+                grid[p, j, i] = float(ww[outside[p, i]].sum()) * scale
+        worst.extend(np.where(grid > 0.0, grid, 0.0).max(axis=(1, 2)).tolist())
+        cells = grid.reshape(grid.shape[0], -1).tolist()
+        curves.extend([(r, s, x) for (r, s), x in zip(keys, row)] for row in cells)
+    return worst, curves
 
 
 @dataclass(eq=False)
@@ -218,16 +244,24 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
     Every candidate plane (the axis-aligned ones plus a seeded budget
     from sample_planes, deduplicated) is scored by the max of
     cone_defect over the (s, r) grid; the argmin wins, ties by list
-    position.  Two refinement rounds re-score perturbed frames around
+    position (a plane replaces the best only with a strictly smaller
+    score).  Two refinement rounds re-score perturbed frames around
     the current best.  A point whose punctured ball is empty at every
     scale yields class "none" with an empty curve.
+
+    The candidate list and each refinement round are scored in batches:
+    _plane_defect_grids groups the planes by (k, includes_t_axis) for
+    one stacked distance product, in chunks of PAIR_TILE // N planes
+    for a ball of N atoms, so temporaries stay near PAIR_TILE * (n + 1)
+    floats.  Each plane's scores are bit for bit those it gets alone,
+    so the result does not depend on the batch size.
     """
     a = _as_point(a, mu.n)
     r_list = cfg.resolved_r_list(mu)
     s_list = tuple(float(s) for s in cfg.s_list)
     m = float(cfg.m)
     if planes is None:
-        planes = _candidate_planes(mu.n, cfg)
+        planes = _candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
     delta, d, w = _gather_ball(mu, a, max(r_list), index)
     if d.size == 0:
         return PointTangent(None, [], "none", math.inf, None)
@@ -239,8 +273,8 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
     for rnd in range(int(cfg.refine_rounds) + 1):
         if rnd:
             planes = _perturbed_planes(best_plane, 0.1 * 0.3 ** (rnd - 1), 8, rng)
-        for V in planes:
-            worst, curve = _plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix)
+        worsts, curves = _plane_defect_grids(planes, delta, d, w, s_list, r_list, m, prefix)
+        for V, worst, curve in zip(planes, worsts, curves):
             if worst < best_worst:
                 best_worst, best_plane, best_curve = worst, V, curve
     if best_worst > cfg.threshold:
@@ -294,7 +328,7 @@ def classify_points(mu, cfg):
     rng = np.random.default_rng(cfg.seed)
     size = min(int(cfg.sample_size), mu.natoms)
     sel = np.sort(rng.choice(mu.natoms, size=size, replace=False))
-    planes = _candidate_planes(mu.n, cfg)
+    planes = _candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
     r_list = cfg.resolved_r_list(mu)
     index = GridIndex(mu.points, max(r_list))
     points = [ParaPoint.from_coords(mu.points[i]) for i in sel]
@@ -388,27 +422,30 @@ def _empty_cell_fraction(V, coords, grid_cells):
     return float(total - hit) / float(total)
 
 
-def flatness_defect(nu, m, plane_budget=32, tube_width=0.05, grid_cells=6, seed=0):
+def flatness_defect(nu, m, plane_budget=32, tube_width=0.05, grid_cells=6, seed=0, planes=None):
     """How far nu (supported in the unit ball) is from a flat measure.
 
-    For each candidate m-plane the score adds the mass fraction outside
-    the tube of the given width and the fraction of empty grid cells on
-    the plane (so a measure covering only half a plane still scores
-    high).  Returns (best_plane, defect) with defect clamped to [0, 1].
+    For each candidate m-plane (by default the canonical planes plus
+    plane_budget sampled ones, deduplicated) the score adds the mass
+    fraction outside the tube of the given width and the fraction of
+    empty grid cells on the plane (so a measure covering only half a
+    plane still scores high).  Returns (best_plane, defect) with defect
+    clamped to [0, 1]; ties go to the earlier plane.
     """
     if nu.natoms == 0:
         raise ValueError("flatness defect of an empty measure")
-    planes = _dedupe_planes(_canonical_planes(nu.n, m) + sample_planes(nu.n, m, plane_budget, seed))
+    if planes is None:
+        planes = _candidate_planes(nu.n, m, plane_budget, seed)
     total = nu.total_mass
     best = None
-    for V in planes:
-        dist = dist_to_plane_rows(V, nu.points)
-        in_tube = dist <= tube_width
-        out_frac = 1.0 - float(np.sum(nu.weights[in_tube])) / total
-        empty_frac = _empty_cell_fraction(V, nu.points[in_tube], grid_cells)
-        defect = min(1.0, out_frac + empty_frac)
-        if best is None or defect < best[1]:
-            best = (V, defect)
+    for chunk in tile_slices(len(planes), nu.natoms):
+        for V, dist in zip(planes[chunk], dist_to_planes_rows(planes[chunk], nu.points)):
+            in_tube = dist <= tube_width
+            out_frac = 1.0 - float(np.sum(nu.weights[in_tube])) / total
+            empty_frac = _empty_cell_fraction(V, nu.points[in_tube], grid_cells)
+            defect = min(1.0, out_frac + empty_frac)
+            if best is None or defect < best[1]:
+                best = (V, defect)
     return best
 
 
@@ -451,12 +488,13 @@ def tangent_uniqueness_scan(
     scales = tuple(float(r) for r in scale_sequence)
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
+    candidates = _candidate_planes(mu.n, m, plane_budget, seed)
     planes = []
     defects = []
     for r in scales:
         nu = blowup_measure(mu, a, r, normalization=normalization, m=m)
         V, defect = flatness_defect(
-            nu, m, plane_budget=plane_budget, tube_width=tube_width, grid_cells=grid_cells, seed=seed
+            nu, m, tube_width=tube_width, grid_cells=grid_cells, planes=candidates
         )
         planes.append(V)
         defects.append(defect)

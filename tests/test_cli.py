@@ -232,6 +232,24 @@ class TestTangent:
         assert curves.read_text().splitlines()[0] == "point_index,r,s,defect"
 
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--sample-size", "0", "sample_size must be >= 1, got 0"),
+        ("--sample-size", "-5", "sample_size must be >= 1, got -5"),
+        ("--s-list", "1.5", "s_list: aperture 1.5 must lie in (0, 1)"),
+        ("--s-list", "0", "s_list: aperture 0.0 must lie in (0, 1)"),
+        ("--r-list", "-0.1", "r_list: radius -0.1 must be finite and > 0"),
+        ("--plane-budget", "0", "plane_budget must be >= 1, got 0"),
+        ("--refine-rounds", "-1", "refine_rounds must be >= 0, got -1"),
+    ])
+    def test_bad_search_config_is_a_one_line_error(self, line_csv, tmp_path, capsys, flag,
+                                                   value, message):
+        out = tmp_path / "tan.json"
+        rc, stdout, err = run(capsys, "tangent", "-i", str(line_csv), "--m", "1",
+                              f"{flag}={value}", "-o", str(out))
+        assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+
 class TestBlowup:
     def test_roundtrip(self, line_csv, tmp_path, capsys):
         out = tmp_path / "blown.csv"

@@ -263,6 +263,34 @@ class TestProjection:
                     lhs = dist_to_plane_rows(V, D) ** 2 + dist_to_plane_rows(W, D) ** 2
                     assert lhs == pytest.approx(para_norm_rows(D) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batched_plane_distances_match_projection_bit_for_bit(self, n):
+        # reference: one plane at a time through the complement projection
+        # and the row norm, the formula the batched product replaced
+        rng = np.random.default_rng(n)
+        planes = [V for m in range(1, n + 2) for V in sample_planes(n, m, 7, n)]
+        planes += [HomPlane.t_axis(n), HomPlane.horizontal_axes(n, range(n))]
+        planes = [planes[i] for i in rng.permutation(len(planes))]
+        families = {(V.k, V.includes_t_axis) for V in planes}
+        assert (0, True) in families and any(not flag for _, flag in families)
+        for npts in (1, 2, 9, 500):
+            X = rng.standard_normal((npts, n + 1)) * rng.uniform(1e-3, 1e3, (npts, 1))
+            got = geometry.dist_to_planes_rows(planes, X)
+            assert got.shape == (len(planes), npts)
+            for V, row in zip(planes, got):
+                want = para_norm_rows(project_rows(V, X, "complement"))
+                np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
+                one = dist_to_plane_rows(V, X)
+                np.testing.assert_array_equal(one.view(np.uint64), want.view(np.uint64))
+
+    def test_batched_plane_distances_shapes(self):
+        V = HomPlane.vertical_axes(2, (0,))
+        assert geometry.dist_to_planes_rows([], np.zeros((4, 3))).shape == (0, 4)
+        assert geometry.dist_to_planes_rows([V, V], np.zeros((0, 3))).shape == (2, 0)
+        assert dist_to_plane_rows(V, np.array([0.3, 0.4, -1.0])) == pytest.approx([0.4])
+        with pytest.raises(DimensionMismatchError):
+            geometry.dist_to_planes_rows([V, HomPlane.t_axis(1)], np.zeros((3, 3)))
+
     def test_complement_involution(self):
         V = HomPlane.horizontal_axes(3, (0, 1))
         W = complement_plane(complement_plane(V))
@@ -301,6 +329,8 @@ class TestPlaneDistance:
         assert all(plane_distance(a, b) == 0.0 for a, b in zip(planes, again))
         with pytest.raises(ValueError):
             sample_planes(1, 3, 4, 0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sample_planes(2, 1, 8, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +487,15 @@ def test_pair_tiles_cover_each_pair_once_in_order():
             assert (i[-1] - i[0] + 1) * npts <= max(budget, npts)
             pairs += zip(i.tolist(), j.tolist())
         assert pairs == [(i, j) for i in range(npts) for j in range(i + 1, npts)]
+
+
+def test_tile_slices_split_in_order_within_the_budget():
+    for count, width, budget, step in ((0, 5, 8, 1), (7, 0, 3, 3), (7, 5, 8, 1),
+                                       (7, 2, 6, 3), (7, 1, 100, 100)):
+        with mock.patch.object(geometry, "PAIR_TILE", budget):
+            slices = geometry.tile_slices(count, width)
+        assert [i for sl in slices for i in range(count)[sl]] == list(range(count))
+        assert all(sl.stop - sl.start == min(step, count - sl.start) for sl in slices)
 
 
 class TestGraphConeCheck:
