@@ -517,7 +517,8 @@ def tile_slices(count, width):
     PAIR_TILE items of the given width (at least one item), so arrays
     of slice length times width stay bounded."""
     step = max(1, PAIR_TILE // max(width, 1))
-    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
 
 
 def pair_tiles(npts):

@@ -493,7 +493,7 @@ def test_tile_slices_split_in_order_within_the_budget():
     for count, width, budget, step in ((0, 5, 8, 1), (7, 0, 3, 3), (7, 5, 8, 1),
                                        (7, 2, 6, 3), (7, 1, 100, 100)):
         with mock.patch.object(geometry, "PAIR_TILE", budget):
-            slices = geometry.tile_slices(count, width)
+            slices = list(geometry.tile_slices(count, width))
         assert [i for sl in slices for i in range(count)[sl]] == list(range(count))
         assert all(sl.stop - sl.start == min(step, count - sl.start) for sl in slices)
 

@@ -170,8 +170,8 @@ class TestDetectTangent:
 
 
 # ---------------------------------------------------------------------------
-# Reference: plane scoring one plane at a time, as detect_tangent did before
-# it scored each candidate list in batches; results must match bit for bit
+# Reference: plane scoring one plane at a time, with the projection-based
+# distance; the batched scoring must match it bit for bit
 
 
 def ref_plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix):
@@ -297,7 +297,8 @@ class TestBatchedScoringMatchesReference:
             prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
             args = (delta, d, w, s_list, r_list, 2.0, prefix)
             with mock.patch.object(geometry, "PAIR_TILE", budget * d.size):
-                assert len(geometry.tile_slices(len(planes), d.size)) == -(-len(planes) // budget)
+                chunks = list(geometry.tile_slices(len(planes), d.size))
+                assert len(chunks) == -(-len(planes) // budget)
                 worst, curves = rectify._plane_defect_grids(planes, *args)
                 res = detect_tangent(mu, a, cfg, planes=planes)
             for V, x, curve in zip(planes, worst, curves):
