@@ -89,7 +89,8 @@ class TangentConfig(Record):
             for r in self.r_list:
                 if not 0.0 < r < math.inf:
                     raise ValueError(f"r_list: radius {r} must be finite and > 0")
-        for name, low in (("sample_size", 1), ("plane_budget", 1), ("refine_rounds", 0), ("seed", 0)):
+        bounds = (("sample_size", 1), ("plane_budget", 1), ("refine_rounds", 0), ("seed", 0))
+        for name, low in bounds:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
