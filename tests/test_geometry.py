@@ -1,5 +1,6 @@
 """Norm, dilations, homogeneous planes, cones and graph extraction."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -594,6 +595,66 @@ class TestGraphConeCheck:
         assert g.value_h.shape == (50, 1)
         assert g.value_h[:, 0] == pytest.approx(0.5 * g.base_h[:, 0], abs=1e-12)
         assert g.co_plane.family == "vertical"
+
+
+def bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def random_frame(rng, rows, cols):
+    q, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
+    return q.T.copy()
+
+
+def scipy_complement_basis(V):
+    """The complement basis as scipy.linalg.null_space gives it: the
+    reference for complement_plane."""
+    from scipy.linalg import null_space
+
+    if V.k == 0:
+        return np.eye(V.n)
+    if V.k == V.n:
+        return np.zeros((0, V.n))
+    return null_space(V.horiz_basis).T
+
+
+def scipy_verticalize_basis(V):
+    """The horizontal basis of verticalize(V) with scipy.linalg.null_space
+    for the rows of V orthogonal to the t-axis."""
+    from scipy.linalg import null_space
+
+    if V.dim == 1:
+        return np.zeros((0, V.ambient - 1))
+    mix = null_space(V.basis[:, -1][None, :]).T @ V.basis
+    q, r = np.linalg.qr(mix[:, :-1].T)
+    return (q * np.sign(np.diag(r))).T
+
+
+class TestComplementsMatchScipy:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_complement_plane(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(n + 1):
+            bases = [np.eye(n)[list(c)] for c in itertools.combinations(range(n), k)]
+            bases += [random_frame(rng, k, n) for _ in range(40)] if k else []
+            for basis in bases:
+                V = HomPlane(n, basis, k == 0)
+                W = complement_plane(V)
+                assert W.includes_t_axis != V.includes_t_axis
+                assert bits_equal(W.horiz_basis, scipy_complement_basis(V))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_verticalize(self, n):
+        rng = np.random.default_rng(10 + n)
+        amb = n + 1
+        for dim in range(1, amb):
+            bases = [np.eye(amb)[list(c) + [n]] for c in itertools.combinations(range(n), dim - 1)]
+            bases += [random_frame(rng, dim, amb) for _ in range(40)]
+            for basis in bases:
+                V = EuclideanPlane(basis)
+                W = verticalize(V)
+                assert W.includes_t_axis and W.k == dim - 1
+                assert bits_equal(W.horiz_basis, scipy_verticalize_basis(V))
 
 
 class TestEuclidComparison:

@@ -1,5 +1,6 @@
 """Tangent detection, blow-ups, flatness scores and differentials."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -210,6 +211,23 @@ def ref_perturbed_planes(V, sigma, count, rng):
     return out
 
 
+def ref_candidate_planes(n, m, budget, seed):
+    """The canonical planes plus sample_planes, with every plane within
+    1e-9 (plane_distance) of an earlier one dropped: the candidate list
+    as first defined."""
+    canon = []
+    if 1 <= m <= n:
+        canon.extend(HomPlane.horizontal_axes(n, c) for c in itertools.combinations(range(n), m))
+    if 2 <= m <= n + 1:
+        canon.extend(HomPlane.vertical_axes(n, c)
+                     for c in itertools.combinations(range(n), m - 2))
+    kept = []
+    for p in canon + sample_planes(n, m, budget, seed):
+        if not any(plane_distance(p, q) <= 1e-9 for q in kept):
+            kept.append(p)
+    return kept
+
+
 def ref_detect_tangent(mu, a, cfg, planes=None, index=None):
     a = ParaPoint.from_coords(np.asarray(a, dtype=float))
     r_list = cfg.resolved_r_list(mu)
@@ -271,6 +289,18 @@ def reference_clouds():
          TangentConfig(m=3, r_list=(0.4, 0.2), plane_budget=24, seed=4)),
         (line_cloud(1e-2), TangentConfig(m=2, s_list=(0.9, 0.5))),
     ]
+
+
+class TestCandidatePlanes:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_match_the_deduplicated_union(self, seed):
+        for n in range(1, 5):
+            for m in range(1, n + 2):
+                for budget in (1, 2, 3, 5, 8, 16, 24, 32, 64, 100):
+                    got = rectify._candidate_planes(n, m, budget, seed)
+                    want = ref_candidate_planes(n, m, budget, seed)
+                    assert len(got) == len(want)
+                    assert all(same_plane(a, b) for a, b in zip(got, want))
 
 
 class TestBatchedScoringMatchesReference:
@@ -375,6 +405,25 @@ class TestBatchedScoringMatchesReference:
         want = ref_perturbed_planes(V, 0.1, 8, Replay())
         assert len(got) == len(want) == 6
         assert all(same_plane(a, b) for a, b in zip(got, want))
+
+
+def ref_tilted_plane(V, lam):
+    if V.k == 0 or lam.shape[0] == 0:
+        return V
+    rows = V.horiz_basis + lam.T @ geometry.complement_plane(V).horiz_basis
+    q, rr = np.linalg.qr(rows.T)
+    diag = np.diag(rr)
+    return HomPlane(V.n, (q * np.where(diag >= 0.0, 1.0, -1.0)).T.copy(), V.includes_t_axis)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tilted_plane_matches_reference(n):
+    rng = np.random.default_rng(n)
+    for m in range(1, n + 2):
+        for V in sample_planes(n, m, 12, n):
+            for scale in (0.0, 0.1, 3.0):
+                lam = scale * rng.standard_normal((n - V.k, V.k))
+                assert same_plane(rectify._tilted_plane(V, lam), ref_tilted_plane(V, lam))
 
 
 class TestClassifyPoints:
