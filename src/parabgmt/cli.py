@@ -23,6 +23,7 @@ stderr), 2 verify failures (violation list inside the report).
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,10 +82,14 @@ def _parse_seed(text):
 
 
 def _parse_float(text):
+    """A float; NaN is refused, since no option has a use for it."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise CliError(f"invalid number {text!r}") from None
+        value = math.nan
+    if math.isnan(value):
+        raise CliError(f"invalid number {text!r}")
+    return value
 
 
 def _parse_bool(text):

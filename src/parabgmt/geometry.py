@@ -85,6 +85,20 @@ def _same_dim(p, q):
         raise DimensionMismatchError(f"ambient dimensions differ: {p.n} vs {q.n}")
 
 
+def as_point(a, n):
+    """a as a ParaPoint of P^n: a ParaPoint or n + 1 coordinates x1..xn, t.
+
+    Raises DimensionMismatchError for any other ambient dimension."""
+    if isinstance(a, ParaPoint):
+        if a.n != n:
+            raise DimensionMismatchError(f"point has n={a.n}, measure has n={n}")
+        return a
+    arr = np.asarray(a, dtype=float).ravel()
+    if arr.size != n + 1:
+        raise DimensionMismatchError(f"expected {n + 1} coordinates, got {arr.size}")
+    return ParaPoint.from_coords(arr)
+
+
 def para_norm(p):
     """||(x,t)|| = sqrt(|x|^2 + |t|)."""
     if isinstance(p, ParaPoint):
@@ -336,16 +350,23 @@ def complement_plane(V):
     """The orthogonal complement plane: horizontal <-> vertical, with
     horizontal parts orthocomplementary in R^n; dimensions add to n+2.
     """
-    n = V.n
-    if V.k == 0:
-        co_basis = np.eye(n)
-    elif V.k == n:
-        co_basis = np.zeros((0, n))
-    else:
-        from scipy.linalg import null_space
+    co_basis = np.linalg.svd(V.horiz_basis)[2][V.k :]
+    return HomPlane(V.n, co_basis, not V.includes_t_axis)
 
-        co_basis = null_space(V.horiz_basis).T
-    return HomPlane(n, co_basis, not V.includes_t_axis)
+
+def orthonormal_frames(cols):
+    """Orthonormal row frames of a (P, n, k) stack of column sets, k >= 1.
+
+    One stacked QR factors every (n, k) set; its frame is Q^T with each
+    row's sign flipped so that diag R > 0.  A set with min |diag R| <
+    1e-12 is rank deficient and dropped.  Returns the (P', k, n) frames
+    of the kept sets, in stack order, and the (P,) keep mask.
+    """
+    q, r = np.linalg.qr(cols)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    keep = np.min(np.abs(diag), axis=1) >= 1e-12
+    q = q * np.where(diag >= 0.0, 1.0, -1.0)[:, None, :]
+    return np.ascontiguousarray(q[keep].transpose(0, 2, 1)), keep
 
 
 def _halton_rows(d, seed, count, start):
@@ -387,11 +408,10 @@ def _halton_frames(n, k, count, seed):
     digit permutations P_c,j are copies of 0..b-1 shuffled in turn by
     np.random.default_rng(seed).shuffle, all of base 2's first, then
     base 3's, and so on.  The standard normal quantiles ndtri(u_i),
-    filled row by row into an (n, k) matrix, are QR factored; the frame
-    is Q^T with each row's sign flipped so that diag R > 0.  A row with
-    min |diag R| < 1e-12 is skipped, and the frames are those of the
-    first `count` rows kept.  (This is the sequence that scipy's
-    qmc.Halton(d, seed=seed, scramble=True) draws.)
+    filled row by row into an (n, k) matrix, go through
+    orthonormal_frames, which drops a rank-deficient row; the frames are
+    those of the first `count` rows kept.  (This is the sequence that
+    scipy's qmc.Halton(d, seed=seed, scramble=True) draws.)
     """
     if k == 0:
         return [np.zeros((0, n)) for _ in range(count)]
@@ -403,12 +423,20 @@ def _halton_frames(n, k, count, seed):
         need = count - len(frames)
         z = ndtri(_halton_rows(n * k, seed, need, start)).reshape(need, n, k)
         start += need
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        keep = np.min(np.abs(diag), axis=1) >= 1e-12
-        q = q * np.sign(diag)[:, None, :]
-        frames.extend(np.ascontiguousarray(q[keep].transpose(0, 2, 1)))
+        frames.extend(orthonormal_frames(z)[0])
     return frames
+
+
+def _canonical_planes(n, m):
+    """The axis-aligned m-planes of P^n, as (horizontal, vertical) lists
+    in itertools.combinations order of their axes."""
+    canon_h = [HomPlane.horizontal_axes(n, c) for c in itertools.combinations(range(n), m)]
+    canon_v = (
+        [HomPlane.vertical_axes(n, c) for c in itertools.combinations(range(n), m - 2)]
+        if m >= 2
+        else []
+    )
+    return canon_h, canon_v
 
 
 def sample_planes(n, m, count, seed):
@@ -426,37 +454,36 @@ def sample_planes(n, m, count, seed):
         raise ValueError("count must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    has_h = 1 <= m <= n
-    has_v = 2 <= m <= n + 1
-    canon_h = (
-        [HomPlane.horizontal_axes(n, c) for c in itertools.combinations(range(n), m)]
-        if has_h
-        else []
-    )
-    canon_v = (
-        [HomPlane.vertical_axes(n, c) for c in itertools.combinations(range(n), m - 2)]
-        if has_v
-        else []
-    )
+    canon_h, canon_v = _canonical_planes(n, m)
     canon = [p for pair in itertools.zip_longest(canon_h, canon_v) for p in pair if p is not None]
     planes = canon[:count]
     need = count - len(planes)
     if need > 0:
         fill = []
-        if has_h:
-            k = m
-            h_finite = k == n
-            src = canon_h if h_finite else _halton_frames(n, k, need, seed)
-            fill.append([HomPlane(n, b, False) for b in src] if not h_finite else src)
-        if has_v:
-            k = m - 2
-            v_finite = k == 0 or k == n
-            src = canon_v if v_finite else _halton_frames(n, k, need, seed + 1)
-            fill.append([HomPlane(n, b, True) for b in src] if not v_finite else src)
+        families = ((canon_h, m, False, seed), (canon_v, m - 2, True, seed + 1))
+        for canon_f, k, vertical, fseed in families:
+            if not canon_f:
+                continue
+            if k in (0, n):  # the family is the one plane R^n x {0} or the t-axis
+                fill.append(canon_f)
+            else:
+                fill.append([HomPlane(n, b, vertical) for b in _halton_frames(n, k, need, fseed)])
         pools = [itertools.cycle(f) for f in fill]
         for i in range(need):
             planes.append(next(pools[i % len(pools)]))
     return planes
+
+
+def candidate_planes(n, m, budget, seed):
+    """The m-planes of P^n that every plane search scores: the canonical
+    horizontal planes, then the canonical vertical ones, then the
+    seeded frames that sample_planes(n, m, budget, seed) draws after its
+    canonical prefix.  The cycled repeats of a family with a single
+    plane (k = 0 or k = n) are left out, so no plane is listed twice."""
+    sampled = sample_planes(n, m, budget, seed)
+    canon_h, canon_v = _canonical_planes(n, m)
+    drawn = sampled[len(canon_h) + len(canon_v) :]
+    return canon_h + canon_v + [V for V in drawn if V.k not in (0, n)]
 
 
 class Cone:
@@ -698,11 +725,8 @@ def verticalize(V):
     if V.dim == 1:
         horiz = np.zeros((0, n))
     else:
-        from scipy.linalg import null_space
-
-        mix = null_space(tcol).T @ V.basis
-        q, r = np.linalg.qr(mix[:, :-1].T)
-        horiz = (q * np.sign(np.diag(r))).T
+        mix = np.linalg.svd(tcol)[2][1:] @ V.basis
+        horiz = orthonormal_frames(mix[:, :-1].T[None])[0][0]
     return HomPlane(n, horiz, True)
 
 

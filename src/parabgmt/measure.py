@@ -17,7 +17,7 @@ import numpy as np
 from ._index import GridIndex
 from ._report import Record
 from ._version import __version__
-from .geometry import ParaPoint, as_coord_array, dist_rows, pair_tiles, para_norm_rows
+from .geometry import ParaPoint, as_coord_array, as_point, dist_rows, pair_tiles, para_norm_rows
 
 # finest default scale sits at 4x the cloud resolution, per-octave schedule
 SCALE_RATIO = 0.5
@@ -107,11 +107,11 @@ class DiscreteMeasure:
         )
 
     def mass_in_ball(self, a, r, metric="parabolic"):
-        d = dist_rows(self.points, a, metric)
+        d = dist_rows(self.points, as_point(a, self.n), metric)
         return float(np.sum(self.weights[d <= r]))
 
     def restrict_ball(self, a, r, metric="parabolic"):
-        keep = dist_rows(self.points, a, metric) <= r
+        keep = dist_rows(self.points, as_point(a, self.n), metric) <= r
         if not np.any(keep):
             raise ValueError("no atoms inside the requested ball")
         return DiscreteMeasure(
@@ -142,13 +142,6 @@ class DiscreteMeasure:
                     mins.append(float(d.min()))
                 self._resolution = float(np.median(mins))
         return self._resolution
-
-    def to_csv(self, path):
-        save_cloud_csv(self, path)
-
-    @classmethod
-    def from_csv(cls, path, nominal_dim=None, provenance=None):
-        return load_cloud_csv(path, nominal_dim=nominal_dim, provenance=provenance)
 
 
 def save_cloud_csv(mu, path):
@@ -328,6 +321,7 @@ class DensityEstimate(_Estimate):
 def density_profile(mu, a, s, scales):
     """Values (2r)^{-s} mu(B(a,r)) per scale; upper/lower are the
     max/min over the finest third of the scales."""
+    a = as_point(a, mu.n)
     scales = sorted((float(r) for r in scales), reverse=True)
     d = dist_rows(mu.points, a)
     values = []
@@ -336,14 +330,7 @@ def density_profile(mu, a, s, scales):
         values.append((2.0 * r) ** (-s) * mass)
     k = max(1, len(scales) // 3)
     fine = values[-k:]
-    return DensityEstimate(
-        a if isinstance(a, ParaPoint) else ParaPoint(np.asarray(a)[:-1], np.asarray(a)[-1]),
-        float(s),
-        scales,
-        values,
-        max(fine),
-        min(fine),
-    )
+    return DensityEstimate(a, float(s), scales, values, max(fine), min(fine))
 
 
 @dataclass(eq=False)

@@ -8,7 +8,6 @@ and the splitting of a fitted graph into cone-certified pieces.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,21 +17,25 @@ from ._index import GridIndex
 from ._report import Record, jsonable
 from ._version import __version__
 from .geometry import (
-    DimensionMismatchError,
     HomPlane,
     ParaPoint,
+    as_point,
     blowup_rows,
+    candidate_planes,
     complement_plane,
     dist_rows,
     dist_to_planes_rows,
     graph_cone_check,
+    orthonormal_frames,
     plane_distance,
-    sample_planes,
     tile_slices,
 )
 from .measure import DiscreteMeasure
 
-PLANE_DEDUP_TOL = 1e-9
+# flatness_defect: atoms within TUBE_WIDTH of a plane are in its tube,
+# and each plane axis of the unit ball is cut into GRID_CELLS cells
+TUBE_WIDTH = 0.05
+GRID_CELLS = 6
 
 
 class ConstructionError(RuntimeError):
@@ -45,17 +48,6 @@ class ConstructionError(RuntimeError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-def _as_point(a, n):
-    if isinstance(a, ParaPoint):
-        if a.n != n:
-            raise DimensionMismatchError(f"point has n={a.n}, measure has n={n}")
-        return a
-    arr = np.asarray(a, dtype=float).ravel()
-    if arr.size != n + 1:
-        raise DimensionMismatchError(f"expected {n + 1} coordinates, got {arr.size}")
-    return ParaPoint.from_coords(arr)
 
 
 @dataclass
@@ -89,6 +81,8 @@ class TangentConfig(Record):
             for r in self.r_list:
                 if not 0.0 < r < math.inf:
                     raise ValueError(f"r_list: radius {r} must be finite and > 0")
+        if math.isnan(self.threshold):
+            raise ValueError("threshold must be a number, got nan")
         bounds = (("sample_size", 1), ("plane_budget", 1), ("refine_rounds", 0), ("seed", 0))
         for name, low in bounds:
             if getattr(self, name) < low:
@@ -111,7 +105,7 @@ def cone_defect(mu, a, V, s, r, m):
     a.  The atom at a itself (distance zero) never counts.  This is the
     one-plane, one-(r, s) case of the grid that detect_tangent scores.
     """
-    a = _as_point(a, mu.n)
+    a = as_point(a, mu.n)
     if not 0.0 < s < 1.0:
         raise ValueError("aperture must lie in (0, 1)")
     if r <= 0.0:
@@ -120,42 +114,16 @@ def cone_defect(mu, a, V, s, r, m):
     return _plane_defect_grids([V], delta, d, w, (float(s),), (r,), m, [d.size])[0][0]
 
 
-def _canonical_planes(n, m):
-    out = []
-    if 1 <= m <= n:
-        out.extend(HomPlane.horizontal_axes(n, c) for c in itertools.combinations(range(n), m))
-    if 2 <= m <= n + 1:
-        out.extend(HomPlane.vertical_axes(n, c) for c in itertools.combinations(range(n), m - 2))
-    return out
-
-
-def _dedupe_planes(planes, tol=PLANE_DEDUP_TOL):
-    kept = []
-    for p in planes:
-        if not any(plane_distance(p, q) <= tol for q in kept):
-            kept.append(p)
-    return kept
-
-
-def _candidate_planes(n, m, budget, seed):
-    """The canonical m-planes of P^n plus a seeded budget of sampled
-    ones, deduplicated: the list every plane search scores."""
-    return _dedupe_planes(_canonical_planes(n, m) + sample_planes(n, m, budget, seed))
-
-
 def _perturbed_planes(V, sigma, count, rng):
     """Nearby frames of the same family; empty when the family admits a
     single plane (k = 0 or a full horizontal basis).  Frame i comes
-    from the i-th (k, n) block of one rng.standard_normal draw; a frame
-    whose QR factor has min |diag R| < 1e-12 is skipped."""
+    from the i-th (k, n) block of one rng.standard_normal draw;
+    orthonormal_frames drops a rank-deficient one."""
     if V.k == 0 or (not V.includes_t_axis and V.k == V.n):
         return []
     g = rng.standard_normal((count,) + V.horiz_basis.shape)
-    q, rr = np.linalg.qr((V.horiz_basis + sigma * g).transpose(0, 2, 1))
-    diag = np.diagonal(rr, axis1=1, axis2=2)
-    q = q * np.where(diag >= 0.0, 1.0, -1.0)[:, None, :]
-    keep = np.min(np.abs(diag), axis=1) >= 1e-12
-    return [HomPlane(V.n, qi.T.copy(), V.includes_t_axis) for qi in q[keep]]
+    frames, _ = orthonormal_frames((V.horiz_basis + sigma * g).transpose(0, 2, 1))
+    return [HomPlane(V.n, f, V.includes_t_axis) for f in frames]
 
 
 def _gather_ball(mu, a, r_max, index=None):
@@ -220,9 +188,8 @@ def _plane_defect_grids(planes, delta, d, w, s_list, r_list, m, prefix):
 class PointTangent:
     """Tangent-detection outcome at one point.
 
-    Iterates as the pair (best_plane, defect_curve); best_plane is None
-    when no plane beat the threshold, in which case argmin_plane still
-    records the minimizer behind the reported curve.
+    best_plane is None when no plane beat the threshold, in which case
+    argmin_plane still records the minimizer behind the reported curve.
     """
 
     best_plane: HomPlane | None
@@ -231,10 +198,6 @@ class PointTangent:
     min_defect: float
     argmin_plane: HomPlane | None
 
-    def __iter__(self):
-        yield self.best_plane
-        yield self.defect_curve
-
     def __repr__(self):
         return f"PointTangent({self.classification}, min_defect={self.min_defect:.4g})"
 
@@ -242,11 +205,10 @@ class PointTangent:
 def detect_tangent(mu, a, cfg, planes=None, index=None):
     """Approximate tangent plane of mu at a.
 
-    Every candidate plane (the axis-aligned ones plus a seeded budget
-    from sample_planes, deduplicated) is scored by the max of
-    cone_defect over the (s, r) grid; the argmin wins, ties by list
-    position (a plane replaces the best only with a strictly smaller
-    score).  Two refinement rounds re-score perturbed frames around
+    Every plane of candidate_planes(n, m, plane_budget, seed) is scored
+    by the max of cone_defect over the (s, r) grid; the argmin wins,
+    ties by list position (a plane replaces the best only with a
+    strictly smaller score).  Two refinement rounds re-score perturbed frames around
     the current best.  A point whose punctured ball is empty at every
     scale yields class "none" with an empty curve.
 
@@ -257,12 +219,12 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
     floats.  Each plane's scores are bit for bit those it gets alone,
     so the result does not depend on the batch size.
     """
-    a = _as_point(a, mu.n)
+    a = as_point(a, mu.n)
     r_list = cfg.resolved_r_list(mu)
     s_list = tuple(float(s) for s in cfg.s_list)
     m = float(cfg.m)
     if planes is None:
-        planes = _candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
+        planes = candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
     delta, d, w = _gather_ball(mu, a, max(r_list), index)
     if d.size == 0:
         return PointTangent(None, [], "none", math.inf, None)
@@ -329,7 +291,7 @@ def classify_points(mu, cfg):
     rng = np.random.default_rng(cfg.seed)
     size = min(int(cfg.sample_size), mu.natoms)
     sel = np.sort(rng.choice(mu.natoms, size=size, replace=False))
-    planes = _candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
+    planes = candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
     r_list = cfg.resolved_r_list(mu)
     index = GridIndex(mu.points, max(r_list))
     points = [ParaPoint.from_coords(mu.points[i]) for i in sel]
@@ -350,7 +312,7 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     c = 1 / mu.mass_in_ball(a, r) for "mass" normalization or
     c = r^(-m) for "power".
     """
-    a = _as_point(a, mu.n)
+    a = as_point(a, mu.n)
     r = float(r)
     if r <= 0.0:
         raise ValueError("scale must be positive")
@@ -378,14 +340,14 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     )
 
 
-def _cell_grid(V, grid_cells):
-    """Centers of the plane-coordinate grid on V within the unit ball.
+def _cell_grid(V):
+    """Centers of the GRID_CELLS-per-axis grid on V within the unit ball.
 
     Horizontal planes grid the Euclidean ball of R^k; vertical planes
     grid {(xi, t): |xi|^2 + |t| <= 1}.  Returns (dims, valid mask) with
     the mask flattened in C order.
     """
-    g = int(grid_cells)
+    g = GRID_CELLS
     axes = V.k + (1 if V.includes_t_axis else 0)
     centers = -1.0 + (np.arange(g) + 0.5) * (2.0 / g)
     mesh = np.meshgrid(*([centers] * axes), indexing="ij") if axes else []
@@ -399,11 +361,11 @@ def _cell_grid(V, grid_cells):
     return axes, sq <= 1.0
 
 
-def _empty_cell_fraction(V, coords, grid_cells):
+def _empty_cell_fraction(V, coords):
     """Fraction of valid plane cells left empty by the projections of
     the given ambient rows."""
-    g = int(grid_cells)
-    axes, valid = _cell_grid(V, grid_cells)
+    g = GRID_CELLS
+    axes, valid = _cell_grid(V)
     total = int(np.sum(valid))
     if total == 0:
         return 1.0
@@ -423,27 +385,27 @@ def _empty_cell_fraction(V, coords, grid_cells):
     return float(total - hit) / float(total)
 
 
-def flatness_defect(nu, m, plane_budget=32, tube_width=0.05, grid_cells=6, seed=0, planes=None):
+def flatness_defect(nu, m, planes=None):
     """How far nu (supported in the unit ball) is from a flat measure.
 
-    For each candidate m-plane (by default the canonical planes plus
-    plane_budget sampled ones, deduplicated) the score adds the mass
-    fraction outside the tube of the given width and the fraction of
-    empty grid cells on the plane (so a measure covering only half a
-    plane still scores high).  Returns (best_plane, defect) with defect
-    clamped to [0, 1]; ties go to the earlier plane.
+    For each m-plane of the list (by default candidate_planes(n, m, 32,
+    0)) the score adds the mass fraction outside the tube of width
+    TUBE_WIDTH = 0.05 about the plane and the fraction of empty cells of
+    the GRID_CELLS = 6 per axis grid on the plane (so a measure covering
+    only half a plane still scores high).  Returns (best_plane, defect)
+    with defect clamped to [0, 1]; ties go to the earlier plane.
     """
     if nu.natoms == 0:
         raise ValueError("flatness defect of an empty measure")
     if planes is None:
-        planes = _candidate_planes(nu.n, m, plane_budget, seed)
+        planes = candidate_planes(nu.n, m, 32, 0)
     total = nu.total_mass
     best = None
     for chunk in tile_slices(len(planes), nu.natoms):
         for V, dist in zip(planes[chunk], dist_to_planes_rows(planes[chunk], nu.points)):
-            in_tube = dist <= tube_width
+            in_tube = dist <= TUBE_WIDTH
             out_frac = 1.0 - float(np.sum(nu.weights[in_tube])) / total
-            empty_frac = _empty_cell_fraction(V, nu.points[in_tube], grid_cells)
+            empty_frac = _empty_cell_fraction(V, nu.points[in_tube])
             defect = min(1.0, out_frac + empty_frac)
             if best is None or defect < best[1]:
                 best = (V, defect)
@@ -470,33 +432,24 @@ class UniquenessScan(Record):
         return {"version": __version__, "a": d.pop("point"), **d}
 
 
-def tangent_uniqueness_scan(
-    mu,
-    a,
-    scale_sequence,
-    m,
-    plane_budget=32,
-    tube_width=0.05,
-    grid_cells=6,
-    normalization="mass",
-    seed=0,
-):
+def tangent_uniqueness_scan(mu, a, scale_sequence, m, plane_budget=32, seed=0):
     """Blow up at a over each scale, fit the flattest plane, and report
     how much the winning plane moves across scales.  A small spread and
     small defects is the empirical signature of a unique flat tangent.
+
+    Each blow-up is mass normalized and scored by flatness_defect (tube
+    width TUBE_WIDTH = 0.05, GRID_CELLS = 6 cells per plane axis) over
+    candidate_planes(n, m, plane_budget, seed), built once.
     """
-    a = _as_point(a, mu.n)
+    a = as_point(a, mu.n)
     scales = tuple(float(r) for r in scale_sequence)
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
-    candidates = _candidate_planes(mu.n, m, plane_budget, seed)
+    candidates = candidate_planes(mu.n, m, plane_budget, seed)
     planes = []
     defects = []
     for r in scales:
-        nu = blowup_measure(mu, a, r, normalization=normalization, m=m)
-        V, defect = flatness_defect(
-            nu, m, tube_width=tube_width, grid_cells=grid_cells, planes=candidates
-        )
+        V, defect = flatness_defect(blowup_measure(mu, a, r), m, planes=candidates)
         planes.append(V)
         defects.append(defect)
     spread = 0.0
@@ -608,12 +561,8 @@ def _tilted_plane(V, lam):
     complement, then the frame is re-orthonormalized."""
     if V.k == 0 or lam.shape[0] == 0:
         return V
-    co = complement_plane(V)
-    rows = V.horiz_basis + lam.T @ co.horiz_basis
-    q, rr = np.linalg.qr(rows.T)
-    diag = np.diag(rr)
-    q = q * np.where(diag >= 0.0, 1.0, -1.0)
-    return HomPlane(V.n, q.T.copy(), V.includes_t_axis)
+    rows = V.horiz_basis + lam.T @ complement_plane(V).horiz_basis
+    return HomPlane(V.n, orthonormal_frames(rows.T[None])[0][0], V.includes_t_axis)
 
 
 @dataclass

@@ -9,7 +9,6 @@ import pytest
 # The package imports these scipy modules inside the functions that need
 # them.  Import them once here so that their one-time import cost does
 # not land inside the first timed example of a hypothesis test.
-import scipy.linalg  # noqa: F401
 import scipy.ndimage  # noqa: F401
 import scipy.special  # noqa: F401
 

@@ -168,17 +168,45 @@ tangent_uniqueness_scan(mu, np.zeros(3), (0.5, 0.25, 0.125), 1, plane_budget=8)
 """,
 }
 
+# Runs that build plane complements and frames without sampling planes
+_FRAME_RUNS = {
+    "user_graph": """
+from parabgmt import cli
+assert cli.main(["generate", "--kind", "user_graph", "--n", "2", "--axes", "0",
+                 "--expr", "0.1*x1;0", "--resolution", "0.05", "-o", sys.argv[1]]) == 0
+""",
+    "fit_differential": """
+from parabgmt.geometry import GraphSamples, HomPlane
+from parabgmt.rectify import FitConfig, fit_differential
+x = np.linspace(-1.0, 1.0, 201)
+pts = np.column_stack([x, 0.5 * x, np.zeros_like(x)])
+graph = GraphSamples.from_points(pts, HomPlane.horizontal_axes(2, (0,)))
+assert fit_differential(graph, 100, FitConfig(scales=(0.5, 0.1))).verdict == "differentiable"
+""",
+}
 
-@pytest.mark.parametrize("name", sorted(_SAMPLING_RUNS))
-def test_plane_sampling_leaves_scipy_stats_unloaded(name, tmp_path, child_pythonpath):
-    code = _COUNT_FRAMES + _SAMPLING_RUNS[name] + (
-        "print(json.dumps([len(calls), 'scipy.stats' in sys.modules]))"
+
+def _child_run(code, tmp_path):
+    """Frame-sampling calls and the heavy scipy modules loaded after code."""
+    code = _COUNT_FRAMES + code + (
+        "print(json.dumps([len(calls), [name for name in ('scipy.stats', 'scipy.linalg')"
+        " if name in sys.modules]]))"
     )
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cloud.csv")],
                           capture_output=True, text=True, check=True)
-    calls, loaded = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLING_RUNS))
+def test_plane_sampling_leaves_scipy_stats_unloaded(name, tmp_path, child_pythonpath):
+    calls, loaded = _child_run(_SAMPLING_RUNS[name], tmp_path)
     assert calls > 0
-    assert loaded is False
+    assert loaded == []
+
+
+@pytest.mark.parametrize("name", sorted(_FRAME_RUNS))
+def test_plane_frames_leave_scipy_linalg_unloaded(name, tmp_path, child_pythonpath):
+    assert _child_run(_FRAME_RUNS[name], tmp_path) == [0, []]
 
 
 class TestDim:
@@ -240,6 +268,9 @@ class TestTangent:
         ("--r-list", "-0.1", "r_list: radius -0.1 must be finite and > 0"),
         ("--plane-budget", "0", "plane_budget must be >= 1, got 0"),
         ("--refine-rounds", "-1", "refine_rounds must be >= 0, got -1"),
+        ("--threshold", "nan", "--threshold: invalid number 'nan'"),
+        ("--threshold", "NaN", "--threshold: invalid number 'NaN'"),
+        ("--r-list", "0.1,nan", "--r-list: invalid number 'nan'"),
     ])
     def test_bad_search_config_is_a_one_line_error(self, line_csv, tmp_path, capsys, flag,
                                                    value, message):
@@ -248,6 +279,14 @@ class TestTangent:
                               f"{flag}={value}", "-o", str(out))
         assert (rc, stdout, err) == (1, "", f"error: {message}\n")
         assert not out.exists()
+
+
+    def test_infinite_threshold_is_legal(self, line_csv, tmp_path, capsys):
+        out = tmp_path / "tan.json"
+        rc, _, _ = run(capsys, "tangent", "-i", str(line_csv), "--m", "1", "--sample-size", "2",
+                       "--threshold", "inf", "-o", str(out))
+        assert rc == 0
+        assert json.loads(out.read_text())["result"]["config"]["threshold"] == float("inf")
 
 
 class TestBlowup:

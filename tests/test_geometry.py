@@ -620,14 +620,45 @@ def scipy_complement_basis(V):
 
 def scipy_verticalize_basis(V):
     """The horizontal basis of verticalize(V) with scipy.linalg.null_space
-    for the rows of V orthogonal to the t-axis."""
+    for the rows of V orthogonal to the t-axis.  null_space returns a
+    strided view, which numpy multiplies in another order than
+    contiguous rows (297 of 2052 random frames then differ in the last
+    bit), so the null space is made contiguous first."""
     from scipy.linalg import null_space
 
     if V.dim == 1:
         return np.zeros((0, V.ambient - 1))
-    mix = null_space(V.basis[:, -1][None, :]).T @ V.basis
+    mix = np.ascontiguousarray(null_space(V.basis[:, -1][None, :]).T) @ V.basis
     q, r = np.linalg.qr(mix[:, :-1].T)
     return (q * np.sign(np.diag(r))).T
+
+
+def ref_orthonormal_frames(cols):
+    """One 2-D QR per column set, the sign fix and the rank test as each
+    caller once wrote them: the reference for orthonormal_frames."""
+    frames, keep = [], []
+    for c in cols:
+        q, r = np.linalg.qr(c)
+        diag = np.diag(r)
+        keep.append(bool(np.min(np.abs(diag)) >= 1e-12))
+        if keep[-1]:
+            frames.append((q * np.sign(diag)).T.copy())
+    return frames, keep
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orthonormal_frames_match_one_qr_per_frame(n):
+    rng = np.random.default_rng(n)
+    for k in range(1, n + 1):
+        cols = rng.standard_normal((30, n, k))
+        cols[3] = 0.0
+        cols[7, :, -1] = cols[7, :, 0]  # a repeated column
+        cols[11, :, 0] *= 1e-13
+        cols[19] = np.eye(n)[:, :k]
+        frames, keep = geometry.orthonormal_frames(cols)
+        want, want_keep = ref_orthonormal_frames(cols)
+        assert keep.tolist() == want_keep and want_keep[3] is want_keep[11] is False
+        assert_same_bits(list(frames), want)
 
 
 class TestComplementsMatchScipy:

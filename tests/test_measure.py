@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parabgmt import geometry
-from parabgmt.geometry import HomPlane, ParaPoint
+from parabgmt.geometry import DimensionMismatchError, HomPlane, ParaPoint
 from parabgmt.measure import (
     DiscreteMeasure,
     _pairwise_ratio_max,
@@ -69,6 +69,16 @@ class TestDiscreteMeasure:
         assert nu.natoms == 1
         with pytest.raises(ValueError):
             mu.restrict_ball(np.array([10.0, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("a", [np.array([0.0, 0.0]), [0.0, 5.0], np.zeros(4),
+                                   ParaPoint([0.0], 0.0)])
+    def test_ball_helpers_check_the_point(self, a):
+        # a point of P^2 has three coordinates; two would broadcast to a wrong ball
+        mu = DiscreteMeasure(2, np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), [1.0, 1.0])
+        for call in (lambda: mu.mass_in_ball(a, 1.5), lambda: mu.restrict_ball(a, 1.5),
+                     lambda: density_profile(mu, a, 1, [2.0, 1.0])):
+            with pytest.raises(DimensionMismatchError):
+                call()
 
     def test_resolution_hint_vs_measured(self):
         pts = np.column_stack([np.linspace(0, 1, 101), np.zeros(101)])

@@ -14,6 +14,7 @@ from parabgmt.geometry import (
     GraphSamples,
     HomPlane,
     ParaPoint,
+    candidate_planes,
     graph_cone_check,
     para_norm_rows,
     plane_distance,
@@ -103,6 +104,7 @@ class TestTangentConfig:
         ("plane_budget", 0, "plane_budget must be >= 1, got 0"),
         ("refine_rounds", -1, "refine_rounds must be >= 0, got -1"),
         ("seed", -1, "seed must be >= 0, got -1"),
+        ("threshold", math.nan, "threshold must be a number, got nan"),
     ])
     def test_fields_validated(self, field, value, message):
         with pytest.raises(ValueError) as err:
@@ -111,7 +113,7 @@ class TestTangentConfig:
 
     def test_edge_values_accepted(self):
         cfg = TangentConfig(m=1, s_list=[1e-9, 0.999], r_list=[1e-9], sample_size=1,
-                            plane_budget=1, refine_rounds=0, seed=0)
+                            plane_budget=1, refine_rounds=0, seed=0, threshold=math.inf)
         assert cfg.refine_rounds == 0
 
     def test_to_dict_keys(self):
@@ -233,7 +235,7 @@ def ref_detect_tangent(mu, a, cfg, planes=None, index=None):
     r_list = cfg.resolved_r_list(mu)
     s_list = tuple(float(s) for s in cfg.s_list)
     if planes is None:
-        planes = rectify._candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
+        planes = candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
     delta, d, w = rectify._gather_ball(mu, a, max(r_list), index)
     if d.size == 0:
         return None, [], "none", math.inf, None
@@ -297,7 +299,7 @@ class TestCandidatePlanes:
         for n in range(1, 5):
             for m in range(1, n + 2):
                 for budget in (1, 2, 3, 5, 8, 16, 24, 32, 64, 100):
-                    got = rectify._candidate_planes(n, m, budget, seed)
+                    got = candidate_planes(n, m, budget, seed)
                     want = ref_candidate_planes(n, m, budget, seed)
                     assert len(got) == len(want)
                     assert all(same_plane(a, b) for a, b in zip(got, want))
@@ -319,7 +321,7 @@ class TestBatchedScoringMatchesReference:
     def test_plane_chunks(self, budget):
         # budget 1: one plane per chunk; budget 3: three planes per chunk
         mu, cfg = reference_clouds()[0]
-        planes = rectify._candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
+        planes = candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
         r_list = cfg.resolved_r_list(mu)
         s_list = tuple(cfg.s_list)
         for a in mu.points[::300]:
@@ -527,8 +529,8 @@ class TestFlatnessDefect:
     def test_given_planes_and_chunks_leave_the_result(self, budget):
         rng = np.random.default_rng(2)
         nu = DiscreteMeasure(2, rng.standard_normal((400, 3)) * [0.5, 0.05, 0.3], np.ones(400))
-        planes = rectify._candidate_planes(2, 2, 16, 3)
-        best, defect = flatness_defect(nu, 2, plane_budget=16, seed=3)
+        planes = candidate_planes(2, 2, 16, 3)
+        best, defect = flatness_defect(nu, 2, planes=candidate_planes(2, 2, 16, 3))
         with mock.patch.object(geometry, "PAIR_TILE", (budget or 10**6) * nu.natoms):
             got, got_defect = flatness_defect(nu, 2, planes=planes)
         assert same_plane(got, best) and got_defect == defect
@@ -538,7 +540,7 @@ class TestFlatnessDefect:
             dist = para_norm_rows(project_rows(V, nu.points, "complement"))
             tube = dist <= 0.05
             scores.append(min(1.0, 1.0 - float(np.sum(nu.weights[tube])) / nu.total_mass
-                              + rectify._empty_cell_fraction(V, nu.points[tube], 6)))
+                              + rectify._empty_cell_fraction(V, nu.points[tube])))
         assert got is planes[scores.index(min(scores))] and got_defect == min(scores)
 
 
@@ -553,7 +555,7 @@ class TestUniquenessScan:
 
     def test_samples_the_candidate_planes_once(self):
         mu = line_cloud(5e-3)
-        with mock.patch.object(rectify, "sample_planes", wraps=sample_planes) as spy:
+        with mock.patch.object(rectify, "candidate_planes", wraps=candidate_planes) as spy:
             scan = tangent_uniqueness_scan(mu, np.zeros(2), (0.4, 0.2, 0.1), 1, seed=7)
         assert spy.call_count == 1 and spy.call_args.args == (1, 1, 32, 7)
         assert scan.max_defect <= 1e-9
