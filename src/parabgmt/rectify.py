@@ -119,7 +119,7 @@ def _perturbed_planes(V, sigma, count, rng):
     single plane (k = 0 or a full horizontal basis).  Frame i comes
     from the i-th (k, n) block of one rng.standard_normal draw;
     orthonormal_frames drops a rank-deficient one."""
-    if V.k == 0 or (not V.includes_t_axis and V.k == V.n):
+    if V.k in (0, V.n):
         return []
     g = rng.standard_normal((count,) + V.horiz_basis.shape)
     frames, _ = orthonormal_frames((V.horiz_basis + sigma * g).transpose(0, 2, 1))
