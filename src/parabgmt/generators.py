@@ -129,25 +129,31 @@ def holder_lower(ts, fs, min_steps=10):
     """Constant c with oscillation > c*sqrt(span) on every window of >= min_steps steps.
 
     Windows are swept at dyadic sizes; the returned value carries a 1/sqrt(2)
-    factor so that intermediate window sizes are covered too.
+    factor so that intermediate window sizes are covered too.  The extremes
+    of the windows of one size come from van Herk / Gil-Werman: split fs into
+    blocks of the window's size; a window's extreme is that of the block
+    suffix at its first element and the block prefix at its last.
     """
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)
     n = len(fs)
     if n < min_steps + 1:
         raise ValueError("sample too short for the requested window size")
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
     step = (ts[-1] - ts[0]) / (n - 1)
     best = float(fs.max() - fs.min()) / math.sqrt(ts[-1] - ts[0])
     w = int(min_steps)
     while w < n - 1:
-        mx = maximum_filter1d(fs, size=w + 1, mode="nearest")
-        mn = minimum_filter1d(fs, size=w + 1, mode="nearest")
-        half = (w + 1) // 2
-        osc = (mx - mn)[half:n - half]
-        if osc.size:
-            best = min(best, float(np.min(osc)) / math.sqrt(w * step))
+        # the windows fs[j : j + w + 1], j < count, whose centre
+        # j + (w + 1) // 2 lies at least (w + 1) // 2 from either end;
+        # none of them reaches the padding
+        count = n - 2 * ((w + 1) // 2)
+        blocks = np.pad(fs, (0, -n % (w + 1))).reshape(-1, w + 1)
+        extremes = []
+        for acc in (np.maximum, np.minimum):
+            prefix = acc.accumulate(blocks, axis=1).ravel()
+            suffix = acc.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+            extremes.append(acc(suffix[:count], prefix[w : w + count]))
+        best = min(best, float(np.min(extremes[0] - extremes[1])) / math.sqrt(w * step))
         w *= 2
     return best / math.sqrt(2.0)
 

@@ -397,6 +397,65 @@ def _halton_rows(d, seed, count, start):
     return rows
 
 
+# Cephes ndtri: the rational approximation for |y - 1/2| <= 1/2 - exp(-2),
+# then two in z = 1 / sqrt(-2 log y), split at sqrt(-2 log y) = 8.  Each
+# denominator carries its leading 1.0, which Cephes' p1evl leaves implicit.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x, coefs):
+    """The polynomial with the given coefficients, highest power first,
+    at x, in Horner order."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y):
+    """The standard normal quantile of a float y, as Cephes' ndtri computes
+    it: -inf at 0, inf at 1, nan outside [0, 1]."""
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x - math.log(x) / x - x1
+    return x if upper else -x
+
+
 def _halton_frames(n, k, count, seed):
     """Deterministic pseudo-uniform orthonormal (k, n) frames.
 
@@ -412,16 +471,20 @@ def _halton_frames(n, k, count, seed):
     orthonormal_frames, which drops a rank-deficient row; the frames are
     those of the first `count` rows kept.  (This is the sequence that
     scipy's qmc.Halton(d, seed=seed, scramble=True) draws.)
+
+    The quantile is _ndtri, Cephes' ndtri in Python floats, so it takes
+    its logarithms from math.log, as the compiled Cephes does from the C
+    library; np.log rounds some of them differently, which moves the
+    frames' last bits.
     """
     if k == 0:
         return [np.zeros((0, n)) for _ in range(count)]
-    from scipy.special import ndtri
-
     frames = []
     start = 0
     while len(frames) < count:
         need = count - len(frames)
-        z = ndtri(_halton_rows(n * k, seed, need, start)).reshape(need, n, k)
+        u = _halton_rows(n * k, seed, need, start)
+        z = np.array([_ndtri(v) for v in u.ravel().tolist()]).reshape(need, n, k)
         start += need
         frames.extend(orthonormal_frames(z)[0])
     return frames
@@ -648,35 +711,59 @@ def graph_extract(points, V, s):
     """Extract g = P_{V perp} o (P_V|G)^{-1} from a point set satisfying
     the cone condition over V with aperture s.
 
-    Raises ConeViolationError naming a violating pair when the cone
-    check fails (two points sharing a P_V image are such a pair).
-    Exact duplicate points are collapsed first.
+    Exact duplicate points are collapsed first, by np.unique(points,
+    axis=0), and the point indices in the errors below are rows of that
+    sorted unique array, not of the caller's points.  Raises
+    ConeViolationError naming the first violating pair (i, j) in
+    lexicographic order, the pair graph_cone_check(...)[0] names, and
+    only when no pair violates the cone condition, the first pair whose
+    P_V images are equal.
+
+    One sweep over the pairs does all of it.  Each tile gathers the rows
+    (p, P_V p, P_{V perp} p) of its pairs (p, q) once, and one
+    subtraction gives three differences: d = q - p, whose cone gap is
+    computed by cone_gap_rows as in graph_cone_check, and the
+    differences of the graph's base and values, whose parabolic norms
+    give the injectivity test and the pair's ratio.  Since ||d||^2 =
+    ||P_V d||^2 + ||P_{V perp} d||^2 exactly, a pair inside the cone has
+    ||P_V d|| >= sqrt(1 - s^2) ||d|| > 0: only pairs closer than about
+    CONE_BAND / (1 - s) can pass the cone check and still share a P_V
+    image in floating point.  The sweep stops at the first tile with a
+    cone violation.
     """
-    pts = as_coord_array(points, V.n)
-    pts = np.unique(pts, axis=0)
-    violations = graph_cone_check(pts, V, s)
-    if violations:
-        i, j = violations[0]
-        raise ConeViolationError(
-            f"cone condition fails for pair ({i}, {j}): "
-            f"{pts[i].tolist()} vs {pts[j].tolist()}",
-            pair=(pts[i].copy(), pts[j].copy()),
-        )
+    pts = np.unique(as_coord_array(points, V.n), axis=0)
+    if not 0.0 < s < 1.0:
+        raise ValueError("aperture must lie in (0, 1)")
     graph = GraphSamples.from_points(pts, V)
-    bound = s / np.sqrt(1.0 - s * s)
+    w = pts.shape[1]
+    rows = np.hstack([pts, graph.base, graph.values])
     ratio = 0.0
-    base, vals = graph.base, graph.values
-    for i, j in pair_tiles(len(graph)):
-        db = dist_rows(base.take(j, 0), base.take(i, 0))
-        same = np.flatnonzero(db == 0.0)
-        if same.size:
-            a, b = i[same[0]], j[same[0]]
+    same = None
+    for i, j in pair_tiles(pts.shape[0]):
+        diff = rows.take(j, 0) - rows.take(i, 0)
+        # a contiguous d, as graph_cone_check projects it
+        bad = np.flatnonzero(cone_gap_rows(V, s, np.ascontiguousarray(diff[:, :w])) > CONE_BAND)
+        if bad.size:
+            a, b = i[bad[0]], j[bad[0]]
             raise ConeViolationError(
-                f"projection to the plane is not injective: points {a} and {b}",
-                pair=(base[a].copy(), base[b].copy()),
+                f"cone condition fails for pair ({a}, {b}): "
+                f"{pts[a].tolist()} vs {pts[b].tolist()}",
+                pair=(pts[a].copy(), pts[b].copy()),
             )
-        ratio = max(ratio, float(np.max(dist_rows(vals.take(j, 0), vals.take(i, 0)) / db)))
-    return ExtractResult(graph, float(bound), ratio)
+        if same is None:
+            db = para_norm_rows(diff[:, w : 2 * w])
+            zero = np.flatnonzero(db == 0.0)
+            if zero.size:
+                same = i[zero[0]], j[zero[0]]
+            else:
+                ratio = max(ratio, float(np.max(para_norm_rows(diff[:, 2 * w :]) / db)))
+    if same is not None:
+        a, b = same
+        raise ConeViolationError(
+            f"projection to the plane is not injective: points {a} and {b}",
+            pair=(graph.base[a].copy(), graph.base[b].copy()),
+        )
+    return ExtractResult(graph, float(s / np.sqrt(1.0 - s * s)), ratio)
 
 
 class EuclideanPlane:

@@ -6,12 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-# The package imports these scipy modules inside the functions that need
-# them.  Import them once here so that their one-time import cost does
-# not land inside the first timed example of a hypothesis test.
-import scipy.ndimage  # noqa: F401
-import scipy.special  # noqa: F401
-
 import parabgmt
 from parabgmt.generators import (
     gen_cantor_segments,

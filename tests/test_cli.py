@@ -131,16 +131,22 @@ class TestGenerateExpr:
         np.testing.assert_array_equal(pts[:, 0], 0.5 * pts[:, 1])
 
 
+# The package runs on numpy alone.  After `import parabgmt.cli`, importing
+# scipy.stats takes about 1 s, scipy.special 0.25 s and scipy.ndimage
+# 0.32 s, which every process that sampled planes or generated a
+# Weierstrass graph once paid.
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
 def test_cli_import_leaves_scipy_stats_unloaded(child_pythonpath):
-    # importing scipy.stats takes about 1 s, so no part of the package uses it
-    code = "import sys, parabgmt.cli; print('scipy.stats' in sys.modules)"
+    code = f"import json, sys, parabgmt.cli\nprint(json.dumps({_SCIPY_LOADED}))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert json.loads(done.stdout) == []
 
 
 # Each child counts its calls of geometry._halton_frames, so the plane
-# sampling that once imported scipy.stats is known to have run.
+# sampling that once imported scipy is known to have run.
 _COUNT_FRAMES = """
 import json, sys
 import numpy as np
@@ -186,12 +192,41 @@ assert fit_differential(graph, 100, FitConfig(scales=(0.5, 0.1))).verdict == "di
 }
 
 
+# Runs of the benchmark's other commands and certification calls
+_OTHER_RUNS = {
+    "verify": """
+from parabgmt import cli
+assert cli.main(["verify", "--suite", "all", "-o", sys.argv[1] + ".json"]) == 0
+""",
+    "defeater_bmo": """
+from parabgmt import cli
+assert cli.main(["defeater-bmo", "--depth", "2", "-o", sys.argv[1] + ".json"]) == 0
+""",
+    "weierstrass_graph": """
+from parabgmt import cli
+assert cli.main(["generate", "--kind", "weierstrass_graph", "-o", sys.argv[1]]) == 0
+""",
+    "certification": """
+from parabgmt.geometry import HomPlane, graph_cone_check, graph_extract
+from parabgmt.measure import DiscreteMeasure, GridMap, lip_image_cover_sum
+from parabgmt.rectify import tangent_uniqueness_scan
+x = np.linspace(-1.0, 1.0, 201)
+pts = np.column_stack([x, 0.1 * x, np.zeros_like(x)])
+V = HomPlane.horizontal_axes(2, (0,))
+assert graph_extract(pts, V, 0.2).empirical_ratio > 0.0
+assert graph_cone_check(pts, V, 0.2) == []
+ax = np.linspace(0.0, 1.0, 17)
+gm = GridMap(np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1), (0.0, 1.0))
+assert lip_image_cover_sum(gm, 4).value > 0.0
+tangent_uniqueness_scan(DiscreteMeasure(2, pts, np.ones_like(x)), np.zeros(3),
+                        (0.5, 0.25, 0.125), 1)
+""",
+}
+
+
 def _child_run(code, tmp_path):
-    """Frame-sampling calls and the heavy scipy modules loaded after code."""
-    code = _COUNT_FRAMES + code + (
-        "print(json.dumps([len(calls), [name for name in ('scipy.stats', 'scipy.linalg')"
-        " if name in sys.modules]]))"
-    )
+    """Frame-sampling calls and the scipy modules loaded after code."""
+    code = _COUNT_FRAMES + code + f"print(json.dumps([len(calls), {_SCIPY_LOADED}]))"
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cloud.csv")],
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -207,6 +242,11 @@ def test_plane_sampling_leaves_scipy_stats_unloaded(name, tmp_path, child_python
 @pytest.mark.parametrize("name", sorted(_FRAME_RUNS))
 def test_plane_frames_leave_scipy_linalg_unloaded(name, tmp_path, child_pythonpath):
     assert _child_run(_FRAME_RUNS[name], tmp_path) == [0, []]
+
+
+@pytest.mark.parametrize("name", sorted(_OTHER_RUNS))
+def test_runs_leave_scipy_unloaded(name, tmp_path, child_pythonpath):
+    assert _child_run(_OTHER_RUNS[name], tmp_path)[1] == []
 
 
 class TestDim:

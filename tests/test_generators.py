@@ -80,6 +80,44 @@ class TestHolderBounds:
         with pytest.raises(ValueError):
             holder_lower(GRID[:5], GRID[:5])
 
+    def test_lower_matches_scipy_filters_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for min_steps in range(1, 11):
+            # n at and just above min_steps + 1, then odd and even lengths,
+            # so both odd and even window sizes occur
+            for n in (min_steps + 1, min_steps + 2, min_steps + 3, 64, 65, 1000, 4097):
+                ts = np.linspace(0.0, 1.0, n)
+                for fs in (rng.standard_normal(n), np.cumsum(rng.standard_normal(n)),
+                           weierstrass_eval(0.33, 48, ts), np.round(rng.standard_normal(n), 1)):
+                    got = holder_lower(ts, fs, min_steps)
+                    assert got.hex() == scipy_holder_lower(ts, fs, min_steps).hex()
+
+    def test_lower_of_the_weierstrass_sidecar_matches_scipy_filters(self):
+        ts = np.linspace(0.0, 1.0, 50001)
+        fs = weierstrass_eval(1.0, 50, ts)
+        assert holder_lower(ts, fs).hex() == scipy_holder_lower(ts, fs).hex()
+
+
+def scipy_holder_lower(ts, fs, min_steps=10):
+    """holder_lower with the window extremes of scipy.ndimage's centred
+    filters, kept only on whole windows: the reference for the numpy
+    sweep."""
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+    n = len(fs)
+    step = (ts[-1] - ts[0]) / (n - 1)
+    best = float(fs.max() - fs.min()) / math.sqrt(ts[-1] - ts[0])
+    w = int(min_steps)
+    while w < n - 1:
+        mx = maximum_filter1d(fs, size=w + 1, mode="nearest")
+        mn = minimum_filter1d(fs, size=w + 1, mode="nearest")
+        half = (w + 1) // 2
+        osc = (mx - mn)[half:n - half]
+        if osc.size:
+            best = min(best, float(np.min(osc)) / math.sqrt(w * step))
+        w *= 2
+    return best / math.sqrt(2.0)
+
 
 class TestFindEqualPair:
     def test_cosine_endpoints(self):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parabgmt import geometry
@@ -428,6 +428,59 @@ class TestHaltonFrames:
         assert_same_bits(got, expect)
 
 
+EXP_M2 = 0.1353352832366127  # the branch edge exp(-2) of ndtri, and 1 minus it
+
+
+def float_neighbours(x, count=3):
+    """x and the `count` floats on either side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(count):
+        lo, hi = np.nextafter(lo, -1.0), np.nextafter(hi, 2.0)
+        out += [lo, hi]
+    return out
+
+
+class TestNdtri:
+    """geometry._ndtri against scipy.special.ndtri, bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(values):
+        from scipy.special import ndtri
+
+        values = np.asarray(values, dtype=float)
+        want = ndtri(values)
+        got = np.array([geometry._ndtri(v) for v in values.tolist()])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        np.testing.assert_array_equal(got[ok].view(np.uint64), want[ok].view(np.uint64))
+
+    def test_uniform_values(self):
+        self.assert_matches_scipy(np.random.default_rng(3).random(50000))
+
+    def test_branch_edges_and_their_neighbours(self):
+        self.assert_matches_scipy(float_neighbours(EXP_M2) + float_neighbours(1.0 - EXP_M2))
+        # the tail splits at sqrt(-2 log y) = 8, y = exp(-32)
+        self.assert_matches_scipy(float_neighbours(math.exp(-32.0)))
+
+    def test_near_zero_and_one(self):
+        u = np.random.default_rng(4).random(20000)
+        self.assert_matches_scipy(np.concatenate([1e-6 * u, 1.0 - 1e-6 * u]))
+        self.assert_matches_scipy(10.0 ** np.random.default_rng(5).uniform(-300.0, 0.0, 20000))
+
+    def test_subnormals_and_ends(self):
+        tiny = np.finfo(float).smallest_normal
+        self.assert_matches_scipy([5e-324, 1e-320, 1e-310, tiny, np.nextafter(tiny, 0.0),
+                                   0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)])
+        assert geometry._ndtri(0.0) == -math.inf and geometry._ndtri(1.0) == math.inf
+
+    def test_outside_the_unit_interval_is_nan(self):
+        values = [-1e-300, -0.5, -1.0, np.nextafter(1.0, 2.0), 1.5, 1e300, -math.inf, math.inf,
+                  math.nan]
+        self.assert_matches_scipy(values)
+        assert all(math.isnan(geometry._ndtri(v)) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # Cones
 
@@ -595,6 +648,128 @@ class TestGraphConeCheck:
         assert g.value_h.shape == (50, 1)
         assert g.value_h[:, 0] == pytest.approx(0.5 * g.base_h[:, 0], abs=1e-12)
         assert g.co_plane.family == "vertical"
+
+
+def two_pass_graph_extract(points, V, s):
+    """graph_extract as two sweeps over the pairs, the cone check then the
+    ratio pass on the graph's base and values: the reference for the
+    one-sweep version."""
+    pts = np.unique(geometry.as_coord_array(points, V.n), axis=0)
+    violations = graph_cone_check(pts, V, s)
+    if violations:
+        i, j = violations[0]
+        raise ConeViolationError(
+            f"cone condition fails for pair ({i}, {j}): "
+            f"{pts[i].tolist()} vs {pts[j].tolist()}",
+            pair=(pts[i].copy(), pts[j].copy()),
+        )
+    graph = GraphSamples.from_points(pts, V)
+    bound = s / np.sqrt(1.0 - s * s)
+    ratio = 0.0
+    base, vals = graph.base, graph.values
+    for i, j in pair_tiles(len(graph)):
+        db = dist_rows(base.take(j, 0), base.take(i, 0))
+        same = np.flatnonzero(db == 0.0)
+        if same.size:
+            a, b = i[same[0]], j[same[0]]
+            raise ConeViolationError(
+                f"projection to the plane is not injective: points {a} and {b}",
+                pair=(base[a].copy(), base[b].copy()),
+            )
+        ratio = max(ratio, float(np.max(dist_rows(vals.take(j, 0), vals.take(i, 0)) / db)))
+    return geometry.ExtractResult(graph, float(bound), ratio)
+
+
+def extract_outcome(extract, pts, V, s):
+    """What an extract function returns or raises, as comparable bytes."""
+    try:
+        res = extract(pts, V, s)
+    except ConeViolationError as err:
+        return ("error", str(err), [p.tobytes() for p in err.pair])
+    return ("ok", res.graph.base.tobytes(), res.graph.values.tobytes(),
+            res.lipschitz_bound.hex(), res.empirical_ratio.hex())
+
+
+def axis_plane(rng, n, family):
+    """A homogeneous plane of P^n spanned by random coordinate axes."""
+    k = int(rng.integers(1, n + 1)) if family == "horizontal" else int(rng.integers(0, n))
+    axes = sorted(rng.choice(n, size=k, replace=False).tolist())
+    if family == "horizontal":
+        return HomPlane.horizontal_axes(n, axes)
+    return HomPlane.vertical_axes(n, axes)
+
+
+class TestExtractMatchesTwoPass:
+    """graph_extract's one sweep against the two-pass reference: the same
+    ExtractResult bits, or the same error, message and pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), family=st.sampled_from(["horizontal", "vertical"]),
+           npts=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           s=st.sampled_from([0.3, 0.9]), thin=st.booleans(), rows=tile_rows)
+    def test_random_frames(self, n, family, npts, seed, s, thin, rows):
+        rng = np.random.default_rng(seed)
+        V = random_plane(rng, n, family)
+        pts = rng.standard_normal((npts, n + 1))
+        if npts > 2:
+            pts[-1] = pts[0]  # a duplicate, which both collapse
+        while thin and (bad := graph_cone_check(pts, V, s)):
+            pts = np.delete(pts, bad[0][1], axis=0)
+        with mock.patch.object(geometry, "PAIR_TILE", rows * max(npts, 1)):
+            got = extract_outcome(graph_extract, pts, V, s)
+            want = extract_outcome(two_pass_graph_extract, pts, V, s)
+        assert got == want
+        if thin:
+            assert got[0] == "ok"
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), family=st.sampled_from(["horizontal", "vertical"]),
+           npts=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+           twins=st.integers(1, 3), violate=st.booleans(), rows=tile_rows)
+    def test_shared_projections(self, n, family, npts, seed, twins, violate, rows):
+        # a graph over a coordinate plane plus twins at distance 1e-10 from
+        # some of its points across the plane, which pass the cone check
+        # but share the projection; with violate, a far point across the
+        # plane as well
+        rng = np.random.default_rng(seed)
+        V = axis_plane(rng, n, family)
+        pts = rng.standard_normal((npts, n + 1))
+        while bad := graph_cone_check(pts, V, 0.5):
+            pts = np.delete(pts, bad[0][1], axis=0)
+        across = project_rows(V, np.eye(n + 1), "complement")
+        across = across[np.any(across != 0.0, axis=1)]
+        # a twin 1e-10 off in t is the same float, so only x axes serve
+        near = 1e-10 * across[across[:, -1] == 0.0]
+        assume(len(near))
+        picks = rng.choice(len(pts), size=min(twins, len(pts)), replace=False)
+        extra = [pts[i] + near[rng.integers(len(near))] for i in picks]
+        if violate:
+            extra.append(pts[0] + across[0])
+        pts = np.vstack([pts] + extra)
+        with mock.patch.object(geometry, "PAIR_TILE", rows * len(pts)):
+            got = extract_outcome(graph_extract, pts, V, 0.5)
+            want = extract_outcome(two_pass_graph_extract, pts, V, 0.5)
+        assert got == want
+        assert got[0] == "error"
+        assert ("cone condition fails" in got[1]) == violate
+
+    def test_t_axis_case(self):
+        pts = np.array([[0.0, 0.0], [1e-10, 0.0], [0.5, 1.0], [0.5 + 1e-10, 1.0]])
+        V = HomPlane.t_axis(1)
+        got = extract_outcome(graph_extract, pts, V, 0.5)
+        assert got == extract_outcome(two_pass_graph_extract, pts, V, 0.5)
+        assert got[1] == "projection to the plane is not injective: points 0 and 1"
+
+    def test_first_violation_is_the_cone_checks_first(self):
+        x = np.linspace(-1.0, 1.0, 300)
+        pts = np.column_stack([x, 0.2 * x + 0.05 * np.sin(40.0 * x), np.zeros_like(x)])
+        V = HomPlane.horizontal_axes(2, (0,))
+        i, j = graph_cone_check(pts, V, 0.2)[0]
+        with pytest.raises(ConeViolationError, match=rf"pair \({i}, {j}\)") as err:
+            graph_extract(pts, V, 0.2)
+        assert extract_outcome(graph_extract, pts, V, 0.2) == extract_outcome(
+            two_pass_graph_extract, pts, V, 0.2)
+        np.testing.assert_array_equal(err.value.pair[0], pts[i])
 
 
 def bits_equal(a, b):
