@@ -10,18 +10,22 @@ Spatial Hashing for Collision Detection of Deformable Objects" (VMV
 2003): the integer cell coordinates are hashed by a linear map modulo
 2^64 (uint64 multiply-add with fixed odd multipliers, wrap-around
 intended), so the code of a cell never depends on how far apart the
-occupied cells lie.  One table holds the sorted distinct codes with the
-start offset and the length of their run of points in `order`.
+occupied cells lie.  The points are sorted by code into `order`, and
+the index keeps its own copy of them in that order, so the points of
+one code form one contiguous run of rows.  One table holds the sorted
+distinct codes with the start offset and the length of their run.
 
 The map is linear, so the codes of a query's block of cells are the
 code of its corner plus the distinct codes of the block's cell offsets
 (outer sums of per-axis terms, cached per block shape).  A query looks
-them all up with one searchsorted, gathers the ragged point ranges at
-once and keeps the points p with geometry.dist_rows(p, center) <= radius:
-a fixed number of numpy calls, however many cells the block has.  A
-hash collision can only add candidates from a far cell, and the exact
-distance filter drops them, so the answer is the set of points in the
-ball, in ascending index order.
+them all up with one searchsorted, gathers the rows of their runs from
+the cell-ordered copy (contiguous reads) and keeps the rows p with
+geometry.dist_rows(p, center) <= radius; only those hits are mapped back
+through `order` and sorted.  That is a fixed number of numpy calls,
+however many cells the block has.  A hash collision can only add
+candidates from a far cell, and the exact distance filter drops them,
+so the answer is the set of points in the ball, in ascending index
+order.
 """
 
 import math
@@ -60,7 +64,6 @@ class GridIndex:
             raise ValueError("cell scale r must be > 0")
         if metric not in ("parabolic", "euclidean"):
             raise ValueError(f"unknown metric {metric!r}")
-        self.pts = pts
         self.r = float(r)
         self.metric = metric
         d = pts.shape[1]
@@ -79,13 +82,20 @@ class GridIndex:
         # the int64 -> uint64 view is two's complement, so this is the
         # linear map of the signed cell coordinates modulo 2^64
         codes = ci.view(np.uint64) @ np.array(self._mult, dtype=np.uint64)
-        # a query sorts its candidates, so the order within a run is free
+        # free the cell coordinates before the cell-ordered copy below is
+        # made, so the two never coexist
+        del ci
+        # a query sorts its hits, so the order of points within a run is free
         self.order = np.argsort(codes)
         ordered = codes[self.order]
+        del codes
         start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
         self._keys = ordered[start]
         # (start, length) of each key's run in order
         self._ranges = np.column_stack((start, np.diff(np.append(start, ordered.size))))
+        del ordered, start
+        # row j is pts[order[j]]: each run is a contiguous block of rows
+        self._sorted = pts[self.order]
         self._blocks = {}
 
     def _block(self, shape):
@@ -128,8 +138,11 @@ class GridIndex:
         start, size = self._ranges[pos[self._keys.take(pos, mode="clip") == codes]].T
         if size.size == 0:
             return np.empty(0, dtype=np.intp)
-        # ragged gather: item j of range i sits at order[start[i] + j]
+        # ragged gather: item j of range i is row start[i] + j of the
+        # cell-ordered copy
         end = size.cumsum()
-        cand = self.order[np.arange(end[-1]) + (start + size - end).repeat(size)]
-        cand.sort()
-        return cand[dist_rows(self.pts[cand], center, self.metric) <= radius]
+        rows = np.arange(end[-1]) + (start + size - end).repeat(size)
+        rows = rows[dist_rows(self._sorted.take(rows, axis=0), center, self.metric) <= radius]
+        hits = self.order.take(rows)
+        hits.sort()
+        return hits

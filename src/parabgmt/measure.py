@@ -389,26 +389,28 @@ def _packing_value(pts, w, r, m, inflate):
     """One scale of the flat-constant estimator: greedy disjoint ball
     packing, interior balls only, piece diameters measured empirically
     with per-axis cell inflation and capped at the ball diameter 2r,
-    then normalized by the covered mass fraction."""
+    then normalized by the covered mass fraction.
+
+    Each centre takes one index query, at 2r, which blocks the later
+    centres; an interior centre's piece is the part of that ball within
+    r, filtered on the same dist_rows values an r-query would compute."""
     index = GridIndex(pts, 2.0 * r)
     npts = pts.shape[0]
     norm2 = np.einsum("ij,ij->i", pts[:, :-1], pts[:, :-1]) + np.abs(pts[:, -1])
     hx = np.asarray(inflate[:-1], dtype=float)
     ht = float(inflate[-1])
     blocked = np.zeros(npts, dtype=bool)
-    centers = []
+    covered = np.zeros(npts, dtype=bool)
+    total = 0.0
     for i in range(npts):
         if blocked[i]:
             continue
-        centers.append(i)
-        blocked[index.query(pts[i], 2.0 * r)] = True
-    covered = np.zeros(npts, dtype=bool)
-    total = 0.0
-    for i in centers:
+        ball = index.query(pts[i], 2.0 * r)
+        blocked[ball] = True
         if norm2[i] > (1.0 - r) ** 2:
             continue
-        inside = index.query(pts[i], r)
-        piece = pts[inside]
+        inside = ball[dist_rows(pts.take(ball, axis=0), pts[i]) <= r]
+        piece = pts.take(inside, axis=0)
         pick = np.unique(
             np.concatenate(
                 [

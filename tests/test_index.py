@@ -1,6 +1,8 @@
 """The hashed neighbour index against brute-force distances, and the
 far-outlier clouds that overflowed dense cell codes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,12 @@ def clouds(draw):
     if draw(st.booleans()):
         far = draw(st.sampled_from([1e4, -1e6, 1e12]))
         pts = np.vstack([pts, np.full(n + 1, far)])
+    if draw(st.booleans()):
+        # repeated atoms share a cell, and shuffled rows put the atoms
+        # of a cell out of index order
+        again = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=20))
+        pts = np.vstack([pts, pts[again]])
+        pts = pts[draw(st.permutations(range(len(pts))))]
     return pts
 
 
@@ -118,6 +126,19 @@ def test_colliding_hash_only_adds_filtered_candidates(monkeypatch, metric):
         for radius in (0.05, 0.1, 0.2):
             np.testing.assert_array_equal(
                 index.query(center, radius), brute_query(pts, center, radius, metric))
+
+
+def test_build_peak_stays_within_two_copies_of_the_points():
+    # the peak is the float cell quotients beside their int64 cast; the
+    # cell-ordered copy is made after both are freed, so it adds nothing
+    pts = measure._flat_plane_cloud(3, 4, "vertical")[0]
+    tracemalloc.start()
+    try:
+        GridIndex(pts, 0.15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * pts.nbytes * 1.01
 
 
 def test_center_of_wrong_dimension_is_rejected():

@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parabgmt import geometry
+from parabgmt._index import GridIndex
 from parabgmt.geometry import DimensionMismatchError, HomPlane, ParaPoint
 from parabgmt.measure import (
     DiscreteMeasure,
+    _flat_plane_cloud,
+    _packing_value,
     _pairwise_ratio_max,
     GridMap,
     canonical_order,
@@ -297,6 +300,80 @@ class TestFlatConstants:
             flat_constant_estimate(1, 1, "diagonal")
         with pytest.raises(ValueError):
             flat_constant_estimate(1, 1, "horizontal", scales=[0.1])
+
+
+def ref_packing_value(pts, w, r, m, inflate):
+    """_packing_value in two passes: block with one 2r-query per centre,
+    then one r-query per interior centre for its piece.  Also returns
+    the number of centres the interior test skips."""
+    index = GridIndex(pts, 2.0 * r)
+    npts = pts.shape[0]
+    norm2 = np.einsum("ij,ij->i", pts[:, :-1], pts[:, :-1]) + np.abs(pts[:, -1])
+    hx = np.asarray(inflate[:-1], dtype=float)
+    ht = float(inflate[-1])
+    blocked = np.zeros(npts, dtype=bool)
+    centers = []
+    for i in range(npts):
+        if blocked[i]:
+            continue
+        centers.append(i)
+        blocked[index.query(pts[i], 2.0 * r)] = True
+    covered = np.zeros(npts, dtype=bool)
+    total = 0.0
+    skipped = 0
+    for i in centers:
+        if norm2[i] > (1.0 - r) ** 2:
+            skipped += 1
+            continue
+        inside = index.query(pts[i], r)
+        piece = pts[inside]
+        pick = np.unique(np.concatenate([
+            piece.argmin(axis=0),
+            piece.argmax(axis=0),
+            np.round(np.linspace(0, piece.shape[0] - 1, 128)).astype(int),
+        ]))
+        sub = piece[pick]
+        dx = np.abs(sub[:, None, :-1] - sub[None, :, :-1]) + hx
+        dd = np.einsum("...i,...i->...", dx, dx) + np.abs(sub[:, None, -1] - sub[None, :, -1]) + ht
+        diam2 = min(float(dd.max()), (2.0 * r) ** 2)
+        total += diam2 ** (m / 2.0)
+        covered[inside] = True
+    frac = float(np.sum(w[covered])) / float(np.sum(w))
+    return (0.0 if frac == 0.0 else total / frac), skipped
+
+
+class TestPackingMatchesTwoPass:
+    """One 2r-query per centre gives the two-pass value bit for bit."""
+
+    @pytest.mark.parametrize("n, m, family", [
+        (1, 1, "horizontal"),
+        (2, 2, "horizontal"),
+        (1, 2, "vertical"),
+        (2, 3, "vertical"),
+        (3, 4, "vertical"),
+    ])
+    def test_same_float(self, n, m, family):
+        pts, w, inflate = _flat_plane_cloud(n, m, family)
+        # every scale skips centres near the unit sphere; at 0.9 no
+        # centre is interior, so the value is 0.0
+        for r in (0.9, 0.3, 0.15):
+            want, skipped = ref_packing_value(pts, w, r, m, inflate)
+            got = _packing_value(pts, w, r, m, inflate)
+            assert skipped > 0 and (want == 0.0) == (r == 0.9)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    def test_same_float_with_atoms_on_the_sphere(self):
+        # a dyadic grid puts atoms exactly at distance r from each centre
+        h = 1.0 / 32
+        ax = np.arange(-32, 33) * h
+        mesh = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+        mesh = mesh[np.einsum("ij,ij->i", mesh, mesh) <= 1.0]
+        pts = np.column_stack([mesh, np.zeros(len(mesh))])
+        w = np.full(len(pts), h * h)
+        for r in (0.25, 0.125):
+            want, _ = ref_packing_value(pts, w, r, 2, [h, h, 0.0])
+            got = _packing_value(pts, w, r, 2, [h, h, 0.0])
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 # ---------------------------------------------------------------------------

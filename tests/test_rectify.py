@@ -216,18 +216,27 @@ def ref_perturbed_planes(V, sigma, count, rng):
 def ref_candidate_planes(n, m, budget, seed):
     """The canonical planes plus sample_planes, with every plane within
     1e-9 (plane_distance) of an earlier one dropped: the candidate list
-    as first defined."""
+    as first defined.  plane_distance is the spectral norm of the
+    projector difference, at least the largest |entry|, so only pairs
+    with every entry within 1e-6 go to one stacked eigvalsh; planes with
+    different t-axis flags are at distance >= 1, so they are never near."""
     canon = []
     if 1 <= m <= n:
         canon.extend(HomPlane.horizontal_axes(n, c) for c in itertools.combinations(range(n), m))
     if 2 <= m <= n + 1:
         canon.extend(HomPlane.vertical_axes(n, c)
                      for c in itertools.combinations(range(n), m - 2))
+    planes = canon + sample_planes(n, m, budget, seed)
+    proj = np.stack([p.horiz_projector() for p in planes])
+    flags = np.array([p.includes_t_axis for p in planes])
+    diff = proj[:, None] - proj[None, :]
+    near = (np.abs(diff).max(axis=(-2, -1)) <= 1e-6) & (flags[:, None] == flags[None, :])
+    near[near] = np.abs(np.linalg.eigvalsh(diff[near])).max(axis=-1) <= 1e-9
     kept = []
-    for p in canon + sample_planes(n, m, budget, seed):
-        if not any(plane_distance(p, q) <= 1e-9 for q in kept):
-            kept.append(p)
-    return kept
+    for i in range(len(planes)):
+        if not near[i, kept].any():
+            kept.append(i)
+    return [planes[i] for i in kept]
 
 
 def ref_detect_tangent(mu, a, cfg, planes=None, index=None):
