@@ -82,8 +82,8 @@ class GridIndex:
         # the int64 -> uint64 view is two's complement, so this is the
         # linear map of the signed cell coordinates modulo 2^64
         codes = ci.view(np.uint64) @ np.array(self._mult, dtype=np.uint64)
-        # free the cell coordinates before the cell-ordered copy below is
-        # made, so the two never coexist
+        # the cell coordinates, codes and run starts are freed before the
+        # cell-ordered copy below is made, so it never coexists with them
         del ci
         # a query sorts its hits, so the order of points within a run is free
         self.order = np.argsort(codes)
@@ -95,7 +95,7 @@ class GridIndex:
         self._ranges = np.column_stack((start, np.diff(np.append(start, ordered.size))))
         del ordered, start
         # row j is pts[order[j]]: each run is a contiguous block of rows
-        self._sorted = pts[self.order]
+        self._sorted = pts.take(self.order, axis=0)
         self._blocks = {}
 
     def _block(self, shape):
