@@ -29,11 +29,12 @@ order.
 """
 
 import math
+import sys
 from functools import reduce
 
 import numpy as np
 
-from .geometry import dist_rows
+from .geometry import _dist_pad, dist_rows
 
 # float cell coordinates are clipped here before the int64 cast, so an
 # infinite or huge quotient lands in an edge cell instead of overflowing
@@ -67,10 +68,16 @@ class GridIndex:
         self.r = float(r)
         self.metric = metric
         d = pts.shape[1]
-        cell = np.full(d, self.r)
+        self._pad = _dist_pad(d)
+        # cells of r (r^2 along t), padded so that they stay positive and
+        # finite when r^2 underflows or overflows; a tiny cell sends far
+        # quotients to inf, which the clip below takes in
+        side = self.r + self._pad
+        cell = np.full(d, side)
         if metric == "parabolic":
-            cell[-1] = self.r * self.r
-        ci = pts / cell
+            cell[-1] = min(side * side, sys.float_info.max)
+        with np.errstate(over="ignore"):
+            ci = pts / cell
         np.floor(ci, out=ci)
         np.clip(ci, -_CELL_LIMIT, _CELL_LIMIT, out=ci)
         ci = ci.astype(np.int64)
@@ -117,8 +124,9 @@ class GridIndex:
             raise ValueError(f"center has {center.size} coordinates, the index {len(self._cell)}")
         radius = self.r if radius is None else float(radius)
         # dist_rows rounds, so a point it keeps can lie a few ulps of the
-        # radius outside the exact ball; the block reaches past that
-        far = radius * (1.0 + 2.0**-40)
+        # radius outside the exact ball, or, where its squares underflow,
+        # up to the pad outside it; the block reaches past both
+        far = radius * (1.0 + 2.0**-40) + self._pad
         reach = [far] * (center.size - 1)
         reach.append(far * far if self.metric == "parabolic" else far)
         # the block of cells that can hold a point of the ball, clamped

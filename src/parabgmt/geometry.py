@@ -139,6 +139,20 @@ def dist_rows(coords, p, metric="parabolic"):
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _dist_pad(d):
+    """Absolute slack that covers the underflow of dist_rows on rows of
+    d coordinates.
+
+    Relative slack covers every rounding of dist_rows except one: a
+    squared coordinate difference below 2^-1022 is rounded to a multiple
+    of 2^-1074, up to 2^-1075 away, however small the radius.  The d
+    squares of a row lose at most d 2^-1075 together; the pad squared,
+    d 2^-1070, is 32 times that.  Above radii of about 1e-140 adding the
+    pad changes no bit.
+    """
+    return math.sqrt(d) * 2.0**-535
+
+
 def dilate(r, p):
     """The parabolic dilation delta_r(x,t) = (r x, r^2 t)."""
     if r <= 0:

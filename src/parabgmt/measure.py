@@ -10,6 +10,7 @@ Lipschitz maps into P^n.
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,15 @@ import numpy as np
 from ._index import GridIndex
 from ._report import Record
 from ._version import __version__
-from .geometry import ParaPoint, as_coord_array, as_point, dist_rows, pair_tiles, para_norm_rows
+from .geometry import (
+    ParaPoint,
+    _dist_pad,
+    as_coord_array,
+    as_point,
+    dist_rows,
+    pair_tiles,
+    para_norm_rows,
+)
 
 # finest default scale sits at 4x the cloud resolution, per-octave schedule
 SCALE_RATIO = 0.5
@@ -26,9 +35,20 @@ SCALE_ANCHOR = 4.0
 
 
 def canonical_order(coords):
-    """Permutation sorting rows lexicographically by x1, x2, ..., t."""
+    """Permutation sorting rows lexicographically by x1, x2, ..., t.
+
+    Rows already in that order give the identity, which is what the
+    stable lexsort returns for them, without sorting."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     keys = tuple(coords[:, j] for j in range(coords.shape[1] - 1, -1, -1))
+    if keys:
+        # each pair of neighbours compared at its first differing column
+        # (column 0 for equal rows); a NaN there fails and is sorted
+        head, tail = coords[:-1], coords[1:]
+        col = (head != tail).argmax(axis=1)
+        pair = np.arange(col.size)
+        if np.all(head[pair, col] <= tail[pair, col]):
+            return np.arange(coords.shape[0])
     return np.lexsort(keys)
 
 
@@ -154,6 +174,26 @@ def save_cloud_csv(mu, path):
 
 
 def load_cloud_csv(path, nominal_dim=None, provenance=None):
+    """Read a point-cloud CSV, the format save_cloud_csv writes.
+
+    The first line is the header x1,...,xn,t,w with n >= 1.  Every other
+    non-blank line is a data row of n + 2 numbers: the coordinates x1..xn
+    and t, then the weight w.  A number is anything Python's float()
+    reads, and a field may be quoted.  The atoms must be finite and the
+    weights > 0, as DiscreteMeasure requires.
+
+    A malformed file raises ValueError with a message that starts with
+    the path: `path: empty file`, `path: header must end with t,w`,
+    `path: header must be x1,...,xn,t,w` or `path: no data rows`.  A bad
+    data row gives `path:line: expected k fields, got m` or
+    `path:line: ` followed by float()'s message, where the header is line 1.
+
+    The data rows are parsed by one np.loadtxt call.  When that call
+    fails, finds no rows or finds rows of the wrong width (quoted fields,
+    underscores in numbers, every malformed row), the csv module parses
+    them again, row by row.  That parser decides what else is accepted
+    and words every diagnostic.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -166,19 +206,29 @@ def load_cloud_csv(path, nominal_dim=None, provenance=None):
         n = len(header) - 2
         if header[:n] != [f"x{i + 1}" for i in range(n)]:
             raise ValueError(f"{path}: header must be x1,...,xn,t,w")
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != n + 2:
-                raise ValueError(f"{path}:{lineno}: expected {n + 2} fields, got {len(rec)}")
-            try:
-                rows.append([float(v) for v in rec])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
+        try:
+            with warnings.catch_warnings():
+                # a file without rows is the csv parser's to report
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                arr = np.loadtxt(
+                    path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
+                )
+        except ValueError:
+            arr = np.empty((0, n + 2))
+        if arr.shape[0] == 0 or arr.shape[1] != n + 2:
+            rows = []
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                if len(rec) != n + 2:
+                    raise ValueError(f"{path}:{lineno}: expected {n + 2} fields, got {len(rec)}")
+                try:
+                    rows.append([float(v) for v in rec])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not rows:
+                raise ValueError(f"{path}: no data rows")
+            arr = np.asarray(rows, dtype=float)
     return DiscreteMeasure(
         n,
         arr[:, :-1],
@@ -224,6 +274,12 @@ def greedy_cover(points, r, metric="parabolic"):
     the closed one of dist_rows, {q : dist_rows(q, c) <= r}, so centers
     stay mutually more than r apart by dist_rows: candidates are never
     covered.
+
+    Each centre takes one index query, at a reach R just past 2r.  The
+    candidates (within r of p), the evaluation sample (within 2r) and the
+    ball marked covered around the chosen centre are all cut from its
+    hits, on the dist_rows values separate r-, 2r- and best-centred
+    queries would compute, so they are the same arrays bit for bit.
     """
     if r <= 0:
         raise ValueError("radius must be > 0")
@@ -232,6 +288,17 @@ def greedy_cover(points, r, metric="parabolic"):
     if npts == 0:
         return pts.copy()
     index = GridIndex(pts, r, metric)
+    # The reach R catches the whole ball around best.  Let D be dist_rows
+    # and |q - p| the exact distance of the same float rows, which obeys
+    # the triangle inequality in both metrics.  D rounds by a few ulps
+    # and, where the squares of the k coordinate differences underflow,
+    # D^2 by up to k 2^-1075 more (see _dist_pad).  So D(q, best) <= r
+    # and D(best, p) <= r bound |q - p| by the sum of two exact distances
+    # of about r, and D(q, p)^2 <= 4 r^2 (1 + 2^-43) + 3 k 2^-1074.
+    # R = 2r (1 + 2^-40) + _dist_pad(k) has R^2 >= 4 r^2 (1 + 2^-40)
+    # + k 2^-1071, more than that, so query(p, R) holds every q with
+    # D(q, best) <= r.  Below radii of about 1e-155 only the pad does.
+    reach = 2.0 * r * (1.0 + 2.0**-40) + _dist_pad(pts.shape[1])
     covered = np.zeros(npts, dtype=bool)
     centers = []
     scan = 0
@@ -241,21 +308,21 @@ def greedy_cover(points, r, metric="parabolic"):
         if scan == npts:
             break
         p = pts[scan]
-        cand = index.query(p, r)
-        cand = cand[~covered[cand]]
-        cand = _stride_pick(cand, CAND_CAP)
+        hits = index.query(p, reach)
+        rows = pts.take(hits, axis=0)
+        dist = dist_rows(rows, p, metric)
+        free = ~covered[hits]
+        cand = _stride_pick(hits[(dist <= r) & free], CAND_CAP)
         if scan not in cand:
             cand = np.sort(np.append(cand, scan))
         if cand.size == 1:
             best = int(cand[0])
         else:
-            ev = index.query(p, 2.0 * r)
-            ev = ev[~covered[ev]]
-            ev = _stride_pick(ev, EVAL_CAP)
+            ev = _stride_pick(hits[(dist <= 2.0 * r) & free], EVAL_CAP)
             gains = np.sum(dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
             best = int(cand[int(np.argmax(gains))])
         centers.append(best)
-        covered[index.query(pts[best], r)] = True
+        covered[hits[dist_rows(rows, pts[best], metric) <= r]] = True
     return pts[np.asarray(centers, dtype=int)]
 
 
@@ -279,7 +346,8 @@ class CoveringReport(_Estimate):
 def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
     """Box-counting dimension: least squares slope of log N(r) against
     log(1/r) over the greedy covering counts."""
-    pts = _points_of(points)
+    # sorted once: every cover then finds its rows in canonical order
+    pts = canonical_sorted(_points_of(points))
     n = pts.shape[1] - 1
     scales = sorted((float(r) for r in scales), reverse=True)
     if len(scales) < 2:
@@ -300,7 +368,7 @@ def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
 def hausdorff_sum(points, s, scales, metric="parabolic"):
     """Premeasure surrogate per scale: N(r) * (2r)^s with N from the
     greedy cover (ball diameters taken as 2r)."""
-    pts = _points_of(points)
+    pts = canonical_sorted(_points_of(points))
     out = []
     for r in sorted((float(r) for r in scales), reverse=True):
         count = greedy_cover(pts, r, metric).shape[0]

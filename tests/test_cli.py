@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from parabgmt import checks, cli
+from parabgmt import checks, cli, measure
+from parabgmt.geometry import dist_rows
 from parabgmt.measure import load_cloud_csv
 
 
@@ -270,6 +271,28 @@ class TestDim:
     def test_missing_input_file(self, capsys):
         rc, _, err = run(capsys, "dim", "-i", "nope.csv", "--scales", "3")
         assert rc == 1 and "cannot read cloud" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_scales_whose_square_underflows(self, tmp_path, capsys, monkeypatch):
+        # 1e-165^2 is 0.0: the grid index divided by a zero cell along t
+        # and the run ended in the catch-all `error: ZeroDivisionError`
+        cloud = tmp_path / "c.csv"
+        cloud.write_text("x1,t,w\n0,0,1\n1e-170,0,1\n1,1,1\n")
+        rc, stdout, err = run(capsys, "dim", "-i", str(cloud), "--scales", "1e-165,1e-166")
+        assert (rc, err) == (0, "")
+
+        class ScanIndex:
+            def __init__(self, pts, r, metric):
+                self.pts = pts
+
+            def query(self, center, radius):
+                return np.flatnonzero(dist_rows(self.pts, center) <= radius)
+
+        # the same greedy cover with every ball found by a full scan
+        monkeypatch.setattr(measure, "GridIndex", ScanIndex)
+        pts = load_cloud_csv(cloud).points
+        brute = [len(measure.greedy_cover(pts, r)) for r in (1e-165, 1e-166)]
+        assert json.loads(stdout)["result"]["counts"] == brute == [2, 2]
 
 
 class TestDensity:

@@ -128,6 +128,54 @@ def test_colliding_hash_only_adds_filtered_candidates(monkeypatch, metric):
                 index.query(center, radius), brute_query(pts, center, radius, metric))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+@pytest.mark.parametrize("r", [1e-165, 1e-200, 5e-324])
+def test_radius_whose_square_underflows(monkeypatch, metric, r):
+    # r * r is 0.0, so a cell of r^2 along t divided by zero; and
+    # 1e-170 lies at dist_rows 0.0 from the origin, its square lost
+    pts = np.array([[0.0, 0.0], [1e-170, 0.0], [1.0, 1.0]])
+    index = GridIndex(pts, r, metric)
+    for center in pts:
+        for radius in (r, 2 * r, 1e-160):
+            np.testing.assert_array_equal(index.query(center, radius),
+                                          brute_query(pts, center, radius, metric))
+    got = greedy_cover(pts, r, metric)
+    monkeypatch.setattr(measure, "GridIndex", BruteIndex)
+    np.testing.assert_array_equal(got, greedy_cover(pts, r, metric))
+    assert len(got) == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+def test_radius_whose_square_overflows(metric):
+    # a cell of r^2 = inf along t made every block edge NaN, so the
+    # queries came back empty and greedy_cover never ended
+    pts = np.random.default_rng(4).random((50, 3)) * 1e3
+    for r in (1e160, 1e200, 1e300):
+        index = GridIndex(pts, r, metric)
+        np.testing.assert_array_equal(index.query(pts[0]), np.arange(50))
+        assert len(greedy_cover(pts, r, metric)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pts=clouds(),
+    metric=st.sampled_from(["parabolic", "euclidean"]),
+    scale=st.sampled_from([1e-170, 1e-160, 1e-155, 1e-150]),
+    r=st.sampled_from([0.01, 0.3, 1.0, 3.0]),
+)
+def test_tiny_radii_match_brute_force(pts, metric, scale, r):
+    # coordinates near `scale` put the squares of dist_rows in the
+    # subnormals, where they round by a large relative amount
+    pts = pts * scale
+    index = GridIndex(pts, r * scale, metric)
+    for center in pts[:4]:
+        for radius in (r * scale, 2 * r * scale):
+            np.testing.assert_array_equal(index.query(center, radius),
+                                          brute_query(pts, center, radius, metric))
+
+
 def test_build_peak_stays_within_two_copies_of_the_points():
     # the peak is the float cell quotients beside their int64 cast; the
     # cell-ordered copy is made after both are freed, so it adds nothing

@@ -3,6 +3,7 @@ constants and the Lipschitz-image covering sums."""
 
 import math
 import os
+import struct
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,13 @@ from parabgmt import geometry
 from parabgmt._index import GridIndex
 from parabgmt.geometry import DimensionMismatchError, HomPlane, ParaPoint
 from parabgmt.measure import (
+    CAND_CAP,
+    EVAL_CAP,
     DiscreteMeasure,
     _flat_plane_cloud,
     _packing_value,
     _pairwise_ratio_max,
+    _stride_pick,
     GridMap,
     canonical_order,
     canonical_sorted,
@@ -158,6 +162,96 @@ class TestCsvRoundtrip:
             load_cloud_csv(empty)
 
 
+def load_outcome(path):
+    """The loaded atoms and weights as raw bits, or the error message."""
+    try:
+        mu = load_cloud_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    return mu.points.view(np.uint64).tolist(), mu.weights.view(np.uint64).tolist()
+
+
+# (name, file text, True when the rows np.loadtxt parses are taken)
+LOADER_CASES = [
+    ("plain", "x1,t,w\n0.5,-2.0,1.0\n1e-3,3.0,2.0\n", True),
+    ("quoted", 'x1,t,w\n"0.5",-2.0,1.0\n', False),
+    ("underscore", "x1,t,w\n1_0,-2.0,1.0\n", False),
+    ("crlf", "x1,t,w\r\n0.5,-2.0,1.0\r\n1.5,2.0,1.0\r\n", True),
+    ("blank_lines", "x1,t,w\n\n0.5,-2.0,1.0\n\n\n1.5,2.0,1.0\n\n", True),
+    ("single_row", "x1,x2,t,w\n0.5,0.25,-2.0,1.0", True),
+    ("padded_fields", "x1,t,w\n 0.5 ,\t-2.0,1.0 \n", True),
+    # more than 17 digits, the smallest normal and subnormal, underflow
+    ("long_digits", "x1,t,w\n0.1000000000000000055511151231257827021181583404541015625,"
+     "2.2250738585072011e-308,1.0\n4.9e-324,1e-400,1.0\n", True),
+    ("whitespace_line", "x1,t,w\n0.5,-2.0,1.0\n   \n", False),
+    ("trailing_comma", "x1,t,w\n0.5,-2.0,1.0,\n", False),
+    ("empty_field", "x1,t,w\n0.5,,1.0\n", False),
+    ("bad_number", "x1,t,w\n0.5,-2.0,1.0\n0.5,oops,1.0\n", False),
+    ("too_few_fields", "x1,x2,t,w\n0.5,-2.0,1.0\n", False),
+    ("comment", "x1,t,w\n# note\n0.5,-2.0,1.0\n", False),
+    ("zero_weight", "x1,t,w\n0.5,-2.0,0.0\n", True),
+    ("infinite", "x1,t,w\ninf,-2.0,1.0\n", True),
+    ("header_only", "x1,t,w\n", False),
+    ("header_only_crlf", "x1,t,w\r\n\r\n", False),
+]
+
+
+class TestCsvLoaderFastPath:
+    """One np.loadtxt call reads the rows of a well-formed file; the
+    csv line parser reads everything else.  Both must give the same
+    atoms bit for bit, or the same message."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, text, fast", LOADER_CASES, ids=[c[0] for c in LOADER_CASES])
+    def test_matches_line_parser(self, tmp_path, monkeypatch, capsys, name, text, fast):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            try:
+                rows = loadtxt(*args, **kwargs)
+            except ValueError:
+                parsed.append((0, 0))
+                raise
+            parsed.append(rows.shape)
+            return rows
+
+        def fail(*args, **kwargs):
+            raise ValueError("line parser only")
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        got = load_outcome(path)
+        columns = len(text.splitlines()[0].split(","))
+        assert (parsed[0][0] > 0 and parsed[0][1] == columns) == fast
+        monkeypatch.setattr(np, "loadtxt", fail)
+        assert got == load_outcome(path)
+        # no numpy warning or other noise, e.g. for a file without rows
+        assert capsys.readouterr().err == ""
+
+    def test_messages_name_the_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        want = {
+            "whitespace_line": f"{path}:3: expected 3 fields, got 1",
+            "trailing_comma": f"{path}:2: expected 3 fields, got 4",
+            "empty_field": f"{path}:2: could not convert string to float: ''",
+            "bad_number": f"{path}:3: could not convert string to float: 'oops'",
+            "header_only": f"{path}: no data rows",
+            "header_only_crlf": f"{path}: no data rows",
+        }
+        for name, text, _ in LOADER_CASES:
+            if name in want:
+                path.write_bytes(text.encode("utf-8"))
+                assert load_outcome(path) == want[name], name
+
+    def test_fallback_values(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text('x1,t,w\n"0.5",1_0,1.0\n')
+        mu = load_cloud_csv(path)
+        assert mu.points.tolist() == [[0.5, 10.0]] and mu.weights.tolist() == [1.0]
+
+
 # ---------------------------------------------------------------------------
 # Coverings
 
@@ -204,6 +298,154 @@ class TestGreedyCover:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             greedy_cover(np.zeros((3, 2)), 0.0)
+
+
+def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
+    """The three-query greedy cover: (p, r) for the candidates, (p, 2r)
+    for the evaluation sample and (best, r) for the ball marked
+    covered."""
+    pts = canonical_sorted(np.asarray(points, dtype=float))
+    npts = pts.shape[0]
+    index = index_type(pts, r, metric)
+    covered = np.zeros(npts, dtype=bool)
+    centers = []
+    scan = 0
+    while True:
+        while scan < npts and covered[scan]:
+            scan += 1
+        if scan == npts:
+            break
+        p = pts[scan]
+        cand = index.query(p, r)
+        cand = cand[~covered[cand]]
+        cand = _stride_pick(cand, CAND_CAP)
+        if scan not in cand:
+            cand = np.sort(np.append(cand, scan))
+        if cand.size == 1:
+            best = int(cand[0])
+        else:
+            ev = index.query(p, 2.0 * r)
+            ev = ev[~covered[ev]]
+            ev = _stride_pick(ev, EVAL_CAP)
+            gains = np.sum(geometry.dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
+            best = int(cand[int(np.argmax(gains))])
+        centers.append(best)
+        covered[index.query(pts[best], r)] = True
+    return pts[np.asarray(centers, dtype=int)]
+
+
+class ScanIndex:
+    """Ball queries by a full dist_rows scan."""
+
+    def __init__(self, pts, r, metric):
+        self.pts = pts
+        self.metric = metric
+
+    def query(self, center, radius):
+        return np.flatnonzero(geometry.dist_rows(self.pts, center, self.metric) <= radius)
+
+
+def float_bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def last_float_where(lo, hi, ok):
+    """The largest float x in [lo, hi) with ok(x), for ok true at lo
+    and monotone."""
+    a, b = float_bits(lo), float_bits(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if ok(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            a = mid
+        else:
+            b = mid
+    return struct.unpack("<d", struct.pack("<q", a))[0]
+
+
+class TestGreedyCoverMatchesThreeQuery:
+    """One query per centre gives the three-query centres bit for bit."""
+
+    def assert_same(self, pts, r, metric, index_type=GridIndex):
+        got = greedy_cover(pts, r, metric)
+        want = ref_greedy_cover(pts, r, metric, index_type)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        return got
+
+    @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_clouds(self, n, metric):
+        rng = np.random.default_rng(n)
+        pts = rng.random((700, n + 1))
+        # far outliers and repeated rows in a raw array
+        pts = np.vstack([pts, np.full(n + 1, 1e12), -np.full(n + 1, 1e12), pts[:40]])
+        for r in (0.05, 0.2, 0.6):
+            self.assert_same(pts, r, metric)
+
+    @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+    def test_balls_larger_than_the_caps(self, metric):
+        pts = np.random.default_rng(7).random((4000, 2))
+        r = 0.3
+        d = geometry.dist_rows(pts, pts[0], metric)
+        assert np.sum(d <= r) > CAND_CAP and np.sum(d <= 2 * r) > EVAL_CAP
+        self.assert_same(pts, r, metric)
+
+    def test_dyadic_grid_puts_atoms_on_both_spheres(self):
+        # x = k/8 and t = j/64: at r = 1/4 the r-sphere of a grid atom
+        # holds e.g. (1/4, 0), (0, 1/16) and (1/8, 3/64) away, the
+        # 2r-sphere (1/2, 0) and (0, 1/4), all exactly
+        xs, ts = np.meshgrid(np.arange(-8, 9) / 8, np.arange(-64, 65) / 64, indexing="ij")
+        pts = np.column_stack([xs.ravel(), ts.ravel()])
+        for r in (0.25, 0.125):
+            d = geometry.dist_rows(pts, pts[0])
+            assert np.any(d == r) and np.any(d == 2 * r)
+            self.assert_same(pts, r, "parabolic")
+        self.assert_same(pts, 0.25, "euclidean")
+
+    def test_atoms_one_ulp_around_the_spheres(self):
+        rng = np.random.default_rng(5)
+        base = rng.random((300, 3))
+        r = 0.1
+        shell = []
+        for c in base[:6]:
+            for rad in (r, 2 * r):
+                u = rng.standard_normal((8, 2))
+                x = u / np.linalg.norm(u, axis=1, keepdims=True) * rad * rng.random((8, 1))
+                t = rng.choice([-1.0, 1.0], 8) * (rad * rad - np.einsum("ij,ij->i", x, x))
+                on = c + np.column_stack([x, t])
+                shell += [on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)]
+        self.assert_same(np.vstack([base, *shell]), r, "parabolic")
+
+    @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+    def test_subnormal_squares(self, metric):
+        # below radii of about 1e-155 the squared coordinate differences
+        # of dist_rows fall into the subnormals
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            scale = 10.0 ** rng.uniform(-160, -145)
+            pts = rng.random((int(rng.integers(2, 120)), n + 1)) * scale
+            pts[:, -1] *= rng.choice([0.0, scale, 1.0])
+            r = scale * 10.0 ** rng.uniform(-1.5, 0.0)
+            got = self.assert_same(pts, r, metric)
+            np.testing.assert_array_equal(got, ref_greedy_cover(pts, r, metric, ScanIndex))
+
+    @pytest.mark.parametrize("r", [1e-160, 1e-158])
+    def test_chain_past_the_relative_reach(self, r):
+        # b is the farthest atom on the x-axis within r of the origin and
+        # q the farthest within r of b; the rounding of the underflowing
+        # squares puts q past 2r (1 + 2^-40) from the origin, so only the
+        # pad of the reach lets one query cover it.  The atom at 1.5 r
+        # makes b the better centre.
+        def dist(u, v):
+            return float(geometry.dist_rows(np.array([[u, 0.0]]), np.array([v, 0.0]))[0])
+
+        b = last_float_where(r, 2 * r, lambda x: dist(x, 0.0) <= r)
+        q = last_float_where(b, 3 * r, lambda x: dist(x, b) <= r)
+        assert dist(q, 0.0) > 2 * r * (1 + 2**-40)
+        pts = np.array([[0.0, 0.0], [b, 0.0], [1.5 * r, 0.0], [q, 0.0]])
+        got = self.assert_same(pts, r, "parabolic", ScanIndex)
+        assert got.tolist() == [[b, 0.0]]
 
 
 class TestDimensionFit:
