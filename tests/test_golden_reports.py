@@ -67,7 +67,18 @@ COMMANDS = [
     ("gen_vertical", ["generate", "--kind", "user_graph", "--n", "2", "--t-axis", "true",
                       "--expr", "0.1*t; np.cos(t) ** 2", "--resolution", "0.05",
                       "-o", "vertical.csv"]),
-    ("dim", ["dim", "-i", "cantor.csv", "--scales", "4", "--sum-exponents", "1,2",
+    # the kinds above leave few parameters at their defaults; these runs
+    # pin the defaults of the other kinds through their sidecars
+    ("gen_weierstrass", ["generate", "--kind", "weierstrass_graph", "--resolution", "0.05",
+                         "-o", "weierstrass.csv"]),
+    ("gen_defeater", ["generate", "--kind", "regular_defeater", "--depth", "1",
+                      "--resolution", "1e-3", "--window-samples", "200",
+                      "--atoms-per-interval", "4", "-o", "defeater.csv"]),
+    ("gen_vcantor", ["generate", "--kind", "vertical_cantor", "--depth", "1", "--rows", "2",
+                     "--cols", "1", "-o", "vcantor.csv"]),
+    ("gen_quartic", ["generate", "--kind", "quartic_cantor", "--depth", "2",
+                     "-o", "quartic.csv"]),
+    ("dim",["dim", "-i", "cantor.csv", "--scales", "4", "--sum-exponents", "1,2",
              "-o", "dim.json"]),
     ("density", ["density", "-i", "tilted.csv", "--point", "0,0,0", "--s", "1",
                  "--scales", "0.4,0.2,0.1"]),
