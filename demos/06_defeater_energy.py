@@ -11,7 +11,7 @@ capture the set: graph-like at all scales is weaker than rectifiable.
 
 import numpy as np
 
-from parabgmt.generators import bmo_energy, gen_regular_defeater
+from parabgmt.generators import defeater_energies, gen_regular_defeater
 from parabgmt.geometry import HomPlane, graph_cone_check
 
 mu, info = gen_regular_defeater(depth=4, c0=0.33, K=48, resolution=1e-3,
@@ -35,13 +35,8 @@ for k in range(1, tree.depth + 1):
 
 print()
 print("== singular energy at the deep interval midpoints ==")
-a, b = tree.intervals(tree.depth)
-mids = (a + b) / 2.0
-ts = np.unique(np.concatenate(
-    [np.linspace(0.0, 1.0, 8001)]
-    + [np.linspace(ai, bi, 300) for ai, bi in zip(a, b)] + [mids]))
-fs = tree.eval(ts)
-totals = [bmo_energy(ts, fs, t0).total for t0 in mids]
+_, energies = defeater_energies(tree, grid=8001, refine=300)
+totals = [e.total for e in energies]
 threshold = sum(v * v for v in info["L_seq"]) / 16.0
 print(f"partial-sum threshold sum L_k^2 / 16 = {threshold:.4f}")
 print(f"energies: min {min(totals):.3f}, max {max(totals):.3f} over {len(totals)} points")

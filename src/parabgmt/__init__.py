@@ -59,6 +59,7 @@ from .generators import (
     PairNotFoundError,
     QuarticStructure,
     bmo_energy,
+    defeater_energies,
     find_equal_pair,
     gen_cantor_segments,
     gen_flat,

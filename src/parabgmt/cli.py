@@ -22,10 +22,11 @@ stderr), 2 verify failures (violation list inside the report).
 """
 
 import argparse
+import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +35,15 @@ from ._report import jsonable
 from ._version import __version__
 from .checks import SUITES
 from .generators import (
-    GENERATOR_KINDS,
+    GENERATORS,
     GeneratorSpec,
-    bmo_energy,
+    defeater_energies,
     gen_regular_defeater,
     generate,
     sidecar_payload,
 )
 from .measure import (
+    SCALE_COUNT,
     default_scales,
     density_profile,
     dimension_fit,
@@ -156,55 +158,48 @@ class Opt:
         return value
 
 
-def _scales_help(extra=""):
-    return "integer = number of default scales, or a comma list of radii" + extra
+_SCALES_HELP = "integer = number of default scales, or a comma list of radii"
+
+
+def _param_opt(fn, name, kind, **kw):
+    """The option that feeds parameter `name` of fn, a library function or
+    config class; it takes fn's default, so the two cannot drift apart."""
+    return Opt(name, kind, default=inspect.signature(fn).parameters[name].default, **kw)
 
 
 # ---------------------------------------------------------------------------
-# Command schemas
+# Generator kinds
 
-_GEN_COMMON = [
-    Opt("kind", "str", required=True, choices=sorted(GENERATOR_KINDS),
-        help="generator family"),
-    Opt("seed", "int", default=0, help="generator seed"),
-    Opt("output", "str", required=True, help="cloud CSV path; report goes to the .json sidecar"),
-]
+# the default of a builder parameter without one: the user must supply it
+_REQ = inspect.Parameter.empty
 
-# per-kind parameter names with their generator defaults; _REQ marks
-# parameters the user must supply
-_REQ = object()
-
-_KIND_PARAMS = {
-    "weierstrass_graph": [
-        ("n", 1), ("c0", 0.05), ("K", 30), ("resolution", 1e-3), ("depth", 0),
-    ],
-    "regular_defeater": [
-        ("depth", 6), ("resolution", 1e-4), ("c0", 0.33), ("K", 48),
-        ("window_samples", 1500), ("atoms_per_interval", 160),
-        ("l_seq", None), ("c_seq", None),
-    ],
-    "cantor_segments": [
-        ("n_seq", None), ("depth", 1), ("points_per_segment", 64),
-    ],
-    "vertical_cantor": [
-        ("depth", 1), ("n_seq", None), ("r_seq", None), ("rows", 8), ("cols", 2),
-    ],
-    "quartic_cantor": [
-        ("depth", 8), ("gap_seq", None), ("kappa", 12.0), ("kappa_growth", 0.25),
-    ],
-    "flat_plane": [
-        ("n", _REQ), ("axes", ()), ("t_axis", False), ("extent", 1.0),
-        ("resolution", 1e-3), ("depth", 0),
-    ],
-    "user_graph": [
-        ("n", _REQ), ("axes", ()), ("t_axis", False), ("expr", _REQ),
-        ("domain", 1.0), ("resolution", 1e-3), ("noise", 0.0), ("depth", 0),
-    ],
+# builder parameters that reach the command line other than as one flag of
+# their own name: the plane V as its axis flags, the graph map g as --expr
+# text, and the seed as the common --seed
+_PARAM_FLAGS = {
+    "V": [("n", _REQ), ("axes", ()), ("t_axis", False)],
+    "g": [("expr", _REQ)],
+    "seed": [],
 }
 
-# kinds whose cloud is cut at a resolution rather than iterated to a depth;
-# they accept --depth 0 only, mirroring the flag set of the iterated kinds
-_ANALYTIC_KINDS = ("flat_plane", "user_graph", "weierstrass_graph")
+# builder parameter -> option name, where they differ (options are lower case)
+_OPTION_NAMES = {"L_seq": "l_seq"}
+
+
+def _kind_params(kind):
+    """[(option name, default or _REQ)] of a generator kind, read from the
+    signature of its builder.  The plane flags come first, so a missing
+    --n is named before a missing --expr.  A builder that takes no depth
+    is not iterated and gets depth 0, the only depth it accepts."""
+    sig = inspect.signature(GENERATORS[kind]).parameters
+    out = []
+    for param in sorted(sig.values(), key=lambda q: q.name != "V"):
+        name = _OPTION_NAMES.get(param.name, param.name)
+        out += _PARAM_FLAGS.get(param.name, [(name, param.default)])
+    if "depth" not in sig:
+        out.append(("depth", 0))
+    return out
+
 
 _GEN_PARAM_OPTS = [
     Opt("n", "int", help="ambient horizontal dimension"),
@@ -232,84 +227,6 @@ _GEN_PARAM_OPTS = [
     Opt("noise", "float", help="gaussian noise level on graph values"),
 ]
 
-_COMMAND_OPTS = {
-    "generate": _GEN_COMMON + _GEN_PARAM_OPTS,
-    "dim": [
-        Opt("input", "str", required=True, help="cloud CSV"),
-        Opt("metric", "str", default="parabolic", choices=("parabolic", "euclidean")),
-        Opt("scales", "scales", default=8, help=_scales_help()),
-        Opt("sum_exponents", "floats", default=[],
-            help="also report N(r)(2r)^s for these exponents"),
-        Opt("output", "str", help="report path (stdout when omitted)"),
-    ],
-    "density": [
-        Opt("input", "str", required=True, help="cloud CSV"),
-        Opt("point", "floats", required=True, help="comma list x1,..,xn,t"),
-        Opt("s", "float", required=True, help="density exponent"),
-        Opt("scales", "scales", default=8, help=_scales_help()),
-        Opt("output", "str", help="report path (stdout when omitted)"),
-    ],
-    "tangent": [
-        Opt("input", "str", required=True, help="cloud CSV"),
-        Opt("m", "int", required=True, help="homogeneous dimension of candidate planes"),
-        Opt("s_list", "floats", default=[0.5, 0.25, 0.1], help="cone apertures"),
-        Opt("r_list", "floats", help="cone radii (default: 8,4,2 x cloud resolution)"),
-        Opt("plane_budget", "int", default=64, help="sampled candidate planes"),
-        Opt("threshold", "float", default=0.05, help="max tolerated cone defect"),
-        Opt("sample_size", "int", default=100, help="atoms classified"),
-        Opt("seed", "seed", default=0, help="subsample and plane-sampling seed"),
-        Opt("refine_rounds", "int", default=2, help="local refinement rounds"),
-        Opt("curves_csv", "str", help="write point_index,r,s,defect rows here"),
-        Opt("output", "str", help="report path (stdout when omitted)"),
-    ],
-    "blowup": [
-        Opt("input", "str", required=True, help="cloud CSV"),
-        Opt("point", "floats", required=True, help="zoom center x1,..,xn,t"),
-        Opt("r", "float", required=True, help="zoom scale"),
-        Opt("normalization", "str", default="mass", choices=("mass", "power")),
-        Opt("m", "float", help="exponent for power normalization"),
-        Opt("output", "str", required=True,
-            help="rescaled cloud CSV; report goes to the .json sidecar"),
-    ],
-    "vconst": [
-        Opt("n", "int", required=True, help="ambient horizontal dimension"),
-        Opt("m", "int", required=True, help="homogeneous dimension of the plane"),
-        Opt("family", "str", default="horizontal", choices=("horizontal", "vertical")),
-        Opt("scales", "floats", help="packing radii (default schedule when omitted)"),
-        Opt("output", "str", help="report path (stdout when omitted)"),
-    ],
-    "verify": [
-        Opt("suite", "str", default="all", choices=(*SUITES, "all")),
-        Opt("cases", "int", default=1000, help="sample count for randomized checks"),
-        Opt("seed", "seed", default=0, help="sampling seed"),
-        Opt("output", "str", help="report path (stdout when omitted)"),
-    ],
-    "defeater-bmo": [
-        Opt("depth", "int", default=6, help="construction depth"),
-        Opt("c0", "float", default=0.33, help="base profile amplitude"),
-        Opt("K", "int", default=48, help="base profile truncation"),
-        Opt("resolution", "float", default=1e-4, help="profile probe step"),
-        Opt("window_samples", "int", default=1500, help="samples per pair-search window"),
-        Opt("atoms_per_interval", "int", default=160, help="atoms per deepest interval"),
-        Opt("grid", "int", default=20001, help="coarse quadrature grid size on [0,1]"),
-        Opt("refine", "int", default=400, help="extra quadrature points per deepest interval"),
-        Opt("annuli_csv", "str",
-            help="write point_index,annulus_lo,annulus_hi,sum,cumulative rows here"),
-        Opt("output", "str", help="report path (stdout when omitted)"),
-    ],
-}
-
-_COMMAND_HELP = {
-    "generate": "build a fixture cloud (CSV + JSON sidecar)",
-    "dim": "box-counting dimension of a cloud",
-    "density": "density profile at a point",
-    "tangent": "approximate-tangent classification",
-    "blowup": "rescaled zoom of a cloud at a point",
-    "vconst": "flat-measure constant of a canonical plane",
-    "verify": "run invariant check batteries",
-    "defeater-bmo": "singular-energy sums for the regular defeater",
-}
-
 
 # ---------------------------------------------------------------------------
 # Option merging
@@ -333,7 +250,7 @@ def _read_config_file(path):
 
 
 def _merge_options(command, args):
-    opts = _COMMAND_OPTS[command]
+    opts = _COMMANDS[command][2]
     by_name = {o.name: o for o in opts}
     values = {o.name: o.default for o in opts}
     if args.config is not None:
@@ -426,7 +343,7 @@ def _check_point(values, n):
 
 def _cmd_generate(values):
     kind = values["kind"]
-    spec_params = _KIND_PARAMS[kind]
+    spec_params = _kind_params(kind)
     names = {name for name, _ in spec_params}
     # every kind parameter defaults to None and no parser returns None,
     # so a value that is not None was given by a flag or the config file
@@ -446,21 +363,22 @@ def _cmd_generate(values):
     _sidecar_path(out)
 
     params = dict(merged)
-    if kind in _ANALYTIC_KINDS:
-        if params.pop("depth") != 0:
-            raise CliError(f"kind {kind!r} is not iterated; only --depth 0 is accepted")
-    if kind in ("flat_plane", "user_graph"):
+    takes = inspect.signature(GENERATORS[kind]).parameters
+    if "depth" not in takes and params.pop("depth") != 0:
+        raise CliError(f"kind {kind!r} is not iterated; only --depth 0 is accepted")
+    if "V" in takes:
         params["plane"] = {
             "n": params.pop("n"),
             "axes": list(params.pop("axes")),
             "t": params.pop("t_axis"),
         }
-    if kind == "user_graph":
+    if "g" in takes:
         exprs = [e.strip() for e in params.pop("expr").split(";") if e.strip()]
         if not exprs:
             raise CliError("--expr must hold at least one expression")
         params["expr"] = exprs
-    params = {{"l_seq": "L_seq"}.get(k, k): v for k, v in params.items() if v is not None}
+    builder_names = {opt: name for name, opt in _OPTION_NAMES.items()}
+    params = {builder_names.get(k, k): v for k, v in params.items() if v is not None}
 
     mu, info = generate(GeneratorSpec(kind=kind, params=params, seed=values["seed"]))
     result = {"cloud": _save_cloud(mu, out), "info": sidecar_payload(info)}
@@ -493,16 +411,8 @@ def _cmd_density(values):
 
 def _cmd_tangent(values):
     mu = _load_cloud(values["input"])
-    cfg = TangentConfig(
-        m=values["m"],
-        s_list=tuple(values["s_list"]),
-        r_list=None if values["r_list"] is None else tuple(values["r_list"]),
-        plane_budget=values["plane_budget"],
-        threshold=values["threshold"],
-        sample_size=values["sample_size"],
-        seed=values["seed"],
-        refine_rounds=values["refine_rounds"],
-    )
+    search = {f.name: values[f.name] for f in fields(TangentConfig)}
+    cfg = TangentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in search.items()})
     rep = classify_points(mu, cfg)
     if values["curves_csv"] is not None:
         rep.defect_curves_csv(values["curves_csv"])
@@ -524,35 +434,15 @@ def _cmd_blowup(values):
 
 
 def _cmd_vconst(values):
-    est = flat_constant_estimate(
-        values["n"],
-        values["m"],
-        values["family"],
-        scales=None if values["scales"] is None else list(values["scales"]),
-    )
+    est = flat_constant_estimate(values["n"], values["m"], values["family"], values["scales"])
     _emit("vconst", values, est.to_dict(), values["output"])
     return 0
 
 
 def _cmd_defeater_bmo(values):
-    mu, info = gen_regular_defeater(
-        depth=values["depth"],
-        resolution=values["resolution"],
-        c0=values["c0"],
-        K=values["K"],
-        window_samples=values["window_samples"],
-        atoms_per_interval=values["atoms_per_interval"],
-    )
-    tree = info["tree"]
-    depth = values["depth"]
-    a, b = tree.intervals(depth)
-    mids = (a + b) / 2.0
-    pieces = [np.linspace(0.0, 1.0, values["grid"])]
-    pieces.extend(np.linspace(ai, bi, values["refine"]) for ai, bi in zip(a, b))
-    pieces.append(mids)
-    ts = np.unique(np.concatenate(pieces))
-    fs = tree.eval(ts)
-    energies = [bmo_energy(ts, fs, t0) for t0 in mids]
+    takes = inspect.signature(gen_regular_defeater).parameters
+    mu, info = gen_regular_defeater(**{k: v for k, v in values.items() if k in takes})
+    mids, energies = defeater_energies(info["tree"], values["grid"], values["refine"])
     totals = [e.total for e in energies]
     L_seq = info["L_seq"]
     threshold = sum(l * l for l in L_seq) / 16.0
@@ -598,15 +488,85 @@ def _cmd_verify(values):
     return 0 if not violations else 2
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "dim": _cmd_dim,
-    "density": _cmd_density,
-    "tangent": _cmd_tangent,
-    "blowup": _cmd_blowup,
-    "vconst": _cmd_vconst,
-    "verify": _cmd_verify,
-    "defeater-bmo": _cmd_defeater_bmo,
+# ---------------------------------------------------------------------------
+# Command table: command -> (help, handler, options), in --help order
+
+_COMMANDS = {
+    "generate": ("build a fixture cloud (CSV + JSON sidecar)", _cmd_generate, [
+        Opt("kind", "str", required=True, choices=sorted(GENERATORS), help="generator family"),
+        _param_opt(GeneratorSpec, "seed", "int", help="generator seed"),
+        Opt("output", "str", required=True,
+            help="cloud CSV path; report goes to the .json sidecar"),
+        *_GEN_PARAM_OPTS,
+    ]),
+    "dim": ("box-counting dimension of a cloud", _cmd_dim, [
+        Opt("input", "str", required=True, help="cloud CSV"),
+        _param_opt(dimension_fit, "metric", "str", choices=("parabolic", "euclidean")),
+        Opt("scales", "scales", default=SCALE_COUNT, help=_SCALES_HELP),
+        _param_opt(dimension_fit, "sum_exponents", "floats",
+                   help="also report N(r)(2r)^s for these exponents"),
+        Opt("output", "str", help="report path (stdout when omitted)"),
+    ]),
+    "density": ("density profile at a point", _cmd_density, [
+        Opt("input", "str", required=True, help="cloud CSV"),
+        Opt("point", "floats", required=True, help="comma list x1,..,xn,t"),
+        Opt("s", "float", required=True, help="density exponent"),
+        Opt("scales", "scales", default=SCALE_COUNT, help=_SCALES_HELP),
+        Opt("output", "str", help="report path (stdout when omitted)"),
+    ]),
+    "tangent": ("approximate-tangent classification", _cmd_tangent, [
+        Opt("input", "str", required=True, help="cloud CSV"),
+        Opt("m", "int", required=True, help="homogeneous dimension of candidate planes"),
+        _param_opt(TangentConfig, "s_list", "floats", help="cone apertures"),
+        _param_opt(TangentConfig, "r_list", "floats",
+                   help="cone radii (default: 8,4,2 x cloud resolution)"),
+        _param_opt(TangentConfig, "plane_budget", "int", help="sampled candidate planes"),
+        _param_opt(TangentConfig, "threshold", "float", help="max tolerated cone defect"),
+        _param_opt(TangentConfig, "sample_size", "int", help="atoms classified"),
+        _param_opt(TangentConfig, "seed", "seed", help="subsample and plane-sampling seed"),
+        _param_opt(TangentConfig, "refine_rounds", "int", help="local refinement rounds"),
+        Opt("curves_csv", "str", help="write point_index,r,s,defect rows here"),
+        Opt("output", "str", help="report path (stdout when omitted)"),
+    ]),
+    "blowup": ("rescaled zoom of a cloud at a point", _cmd_blowup, [
+        Opt("input", "str", required=True, help="cloud CSV"),
+        Opt("point", "floats", required=True, help="zoom center x1,..,xn,t"),
+        Opt("r", "float", required=True, help="zoom scale"),
+        _param_opt(blowup_measure, "normalization", "str", choices=("mass", "power")),
+        _param_opt(blowup_measure, "m", "float", help="exponent for power normalization"),
+        Opt("output", "str", required=True,
+            help="rescaled cloud CSV; report goes to the .json sidecar"),
+    ]),
+    "vconst": ("flat-measure constant of a canonical plane", _cmd_vconst, [
+        Opt("n", "int", required=True, help="ambient horizontal dimension"),
+        Opt("m", "int", required=True, help="homogeneous dimension of the plane"),
+        Opt("family", "str", default="horizontal", choices=("horizontal", "vertical")),
+        _param_opt(flat_constant_estimate, "scales", "floats",
+                   help="packing radii (default schedule when omitted)"),
+        Opt("output", "str", help="report path (stdout when omitted)"),
+    ]),
+    "verify": ("run invariant check batteries", _cmd_verify, [
+        Opt("suite", "str", default="all", choices=(*SUITES, "all")),
+        Opt("cases", "int", default=1000, help="sample count for randomized checks"),
+        Opt("seed", "seed", default=0, help="sampling seed"),
+        Opt("output", "str", help="report path (stdout when omitted)"),
+    ]),
+    "defeater-bmo": ("singular-energy sums for the regular defeater", _cmd_defeater_bmo, [
+        _param_opt(gen_regular_defeater, "depth", "int", help="construction depth"),
+        _param_opt(gen_regular_defeater, "c0", "float", help="base profile amplitude"),
+        _param_opt(gen_regular_defeater, "K", "int", help="base profile truncation"),
+        _param_opt(gen_regular_defeater, "resolution", "float", help="profile probe step"),
+        _param_opt(gen_regular_defeater, "window_samples", "int",
+                   help="samples per pair-search window"),
+        _param_opt(gen_regular_defeater, "atoms_per_interval", "int",
+                   help="atoms per deepest interval"),
+        _param_opt(defeater_energies, "grid", "int", help="coarse quadrature grid size on [0,1]"),
+        _param_opt(defeater_energies, "refine", "int",
+                   help="extra quadrature points per deepest interval"),
+        Opt("annuli_csv", "str",
+            help="write point_index,annulus_lo,annulus_hi,sum,cumulative rows here"),
+        Opt("output", "str", help="report path (stdout when omitted)"),
+    ]),
 }
 
 
@@ -619,8 +579,8 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"parabgmt {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for command, opts in _COMMAND_OPTS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command], description=_COMMAND_HELP[command])
+    for command, (text, _, opts) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text, description=text)
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
         for opt in opts:
             flags = [opt.flag]
@@ -637,7 +597,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         values = _merge_options(args.command, args)
-        return _HANDLERS[args.command](values)
+        return _COMMANDS[args.command][1](values)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

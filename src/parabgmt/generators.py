@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import math
 import operator
 from collections import deque
@@ -20,16 +21,6 @@ from ._report import Record, jsonable
 from .geometry import HomPlane, complement_plane
 from .measure import DiscreteMeasure
 from .rectify import ConstructionError
-
-GENERATOR_KINDS = (
-    "flat_plane",
-    "user_graph",
-    "weierstrass_graph",
-    "regular_defeater",
-    "cantor_segments",
-    "vertical_cantor",
-    "quartic_cantor",
-)
 
 _SEQ_KEYS = ("L_seq", "c_seq", "n_seq", "r_seq", "gap_seq")
 
@@ -366,8 +357,9 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
         return {k: np.array([r[i] for r in rows]) for i, k in enumerate(keys)}
 
     # alpha is taken relative to the prescaled profile, so the root is 1
-    levels = [node_arrays([(0.0, 1.0, -1, 1.0, 0.0, 0.0, 1.0, 0.0)])]
-    f0 = lambda ts: prescale * weierstrass_eval(c0, K, ts)
+    root = node_arrays([(0.0, 1.0, -1, 1.0, 0.0, 0.0, 1.0, 0.0)])
+    tree = DefeaterTree(c0, K, prescale, L_full, c, c_seq, ctilde_seq, [root])
+    levels = tree.levels
 
     for k in range(1, depth + 1):
         prev = levels[k - 1]
@@ -379,7 +371,7 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
             third = (pb - pa) / 3.0
             for wa, wb in ((pa, pa + third), (pb - third, pb)):
                 wt = np.linspace(wa, wb, window_samples)
-                fv = f0(wt)
+                fv = tree.f0(wt)
                 h = fv + (ga / al) * wt
                 try:
                     ia, ib = find_equal_pair(wt, h, ctilde_seq[k - 1])
@@ -403,8 +395,6 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
                 ))
         levels.append(node_arrays(rows))
 
-    tree = DefeaterTree(c0, K, prescale, L_full, c, c_seq, ctilde_seq, levels)
-
     deepest = levels[depth]
     m = int(atoms_per_interval)
     tcols = []
@@ -413,7 +403,7 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
     for j in range(len(deepest["a"])):
         a, b = deepest["a"][j], deepest["b"][j]
         tt = np.linspace(a, b, m)
-        ff = deepest["alpha"][j] * f0(tt) + deepest["beta"][j] + deepest["gamma"][j] * tt
+        ff = deepest["alpha"][j] * tree.f0(tt) + deepest["beta"][j] + deepest["gamma"][j] * tt
         tcols.append(tt)
         fcols.append(ff)
         wcols.append(np.full(m, (b - a) / m))
@@ -509,6 +499,23 @@ def bmo_energy(ts, fs, t0, weights=None, min_sep=None):
         sums[i] = vals[mask].sum()
     cum = np.cumsum(sums)
     return BmoEnergy(float(t0), annuli, sums, cum, float(cum[-1]), float(min_sep))
+
+
+def defeater_energies(tree, grid=20001, refine=400):
+    """bmo_energy of a DefeaterTree's function at the midpoints of its
+    deepest intervals; returns (midpoints, [BmoEnergy per midpoint]).
+
+    The quadrature nodes are `grid` points on [0, 1], `refine` points
+    across each deepest interval, and the midpoints themselves.
+    """
+    a, b = tree.intervals(tree.depth)
+    mids = (a + b) / 2.0
+    pieces = [np.linspace(0.0, 1.0, grid)]
+    pieces.extend(np.linspace(ai, bi, refine) for ai, bi in zip(a, b))
+    pieces.append(mids)
+    ts = np.unique(np.concatenate(pieces))
+    fs = tree.eval(ts)
+    return mids, [bmo_energy(ts, fs, t0) for t0 in mids]
 
 
 # ---------------------------------------------------------------------------
@@ -982,6 +989,21 @@ def _expr_graph(exprs, dims_in, has_t):
     return g
 
 
+# kind -> builder; generate() passes a spec's params to the builder as
+# keywords, except that a plane spec reaches V, an expression list
+# reaches g as its graph map, and the spec's seed reaches seed
+GENERATORS = {
+    "flat_plane": gen_flat,
+    "user_graph": gen_graph,
+    "weierstrass_graph": gen_weierstrass_graph,
+    "regular_defeater": gen_regular_defeater,
+    "cantor_segments": gen_cantor_segments,
+    "vertical_cantor": gen_vertical_cantor,
+    "quartic_cantor": gen_quartic_cantor,
+}
+GENERATOR_KINDS = tuple(GENERATORS)
+
+
 def generate(spec):
     """Build the cloud described by a GeneratorSpec; returns (measure, info).
 
@@ -990,28 +1012,16 @@ def generate(spec):
     """
     if isinstance(spec, dict):
         spec = GeneratorSpec(**spec)
+    build = GENERATORS[spec.kind]
+    takes = inspect.signature(build).parameters
     p = dict(spec.params)
-    kind = spec.kind
-    if kind == "flat_plane":
-        V = _plane_from_params(p.pop("plane"))
-        mu, info = gen_flat(V, **p)
-    elif kind == "user_graph":
-        V = _plane_from_params(p.pop("plane"))
-        expr = p.pop("expr")
-        g = _expr_graph(expr, V.k, V.includes_t_axis)
-        mu, info = gen_graph(g, V, seed=spec.seed, **p)
-        info["expr"] = expr
-    elif kind == "weierstrass_graph":
-        mu, info = gen_weierstrass_graph(**p)
-    elif kind == "regular_defeater":
-        mu, info = gen_regular_defeater(**p)
-    elif kind == "cantor_segments":
-        mu, info = gen_cantor_segments(**p)
-    elif kind == "vertical_cantor":
-        mu, info = gen_vertical_cantor(**p)
-    elif kind == "quartic_cantor":
-        mu, info = gen_quartic_cantor(**p)
-    else:  # pragma: no cover - guarded by GeneratorSpec
-        raise ValueError(f"unknown kind {kind!r}")
-    info = {"spec": spec.to_dict(), **info}
-    return mu, info
+    if "V" in takes:
+        p["V"] = _plane_from_params(p.pop("plane"))
+    if "g" in takes:
+        p["g"] = _expr_graph(p.pop("expr"), p["V"].k, p["V"].includes_t_axis)
+    if "seed" in takes:
+        p["seed"] = spec.seed
+    mu, info = build(**p)
+    if "g" in takes:
+        info["expr"] = spec.params["expr"]
+    return mu, {"spec": spec.to_dict(), **info}

@@ -208,9 +208,9 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
     Every plane of candidate_planes(n, m, plane_budget, seed) is scored
     by the max of cone_defect over the (s, r) grid; the argmin wins,
     ties by list position (a plane replaces the best only with a
-    strictly smaller score).  Two refinement rounds re-score perturbed frames around
-    the current best.  A point whose punctured ball is empty at every
-    scale yields class "none" with an empty curve.
+    strictly smaller score).  cfg.refine_rounds rounds then re-score
+    perturbed frames around the current best.  A point whose punctured
+    ball is empty at every scale yields class "none" with an empty curve.
 
     The candidate list and each refinement round are scored in batches:
     _plane_defect_grids groups the planes by (k, includes_t_axis) for
@@ -350,9 +350,7 @@ def _cell_grid(V):
     g = GRID_CELLS
     axes = V.k + (1 if V.includes_t_axis else 0)
     centers = -1.0 + (np.arange(g) + 0.5) * (2.0 / g)
-    mesh = np.meshgrid(*([centers] * axes), indexing="ij") if axes else []
-    if axes == 0:
-        return 0, np.ones(1, dtype=bool)
+    mesh = np.meshgrid(*([centers] * axes), indexing="ij")
     stack = np.stack([mg.ravel() for mg in mesh], axis=1)
     if V.includes_t_axis:
         sq = np.sum(stack[:, :-1] ** 2, axis=1) + np.abs(stack[:, -1])
@@ -376,9 +374,9 @@ def _empty_cell_fraction(V, coords):
         cols.append(coords[:, :-1] @ V.horiz_basis.T)
     if V.includes_t_axis:
         cols.append(coords[:, -1:])
-    plane_xy = np.concatenate(cols, axis=1) if cols else np.zeros((coords.shape[0], 0))
+    plane_xy = np.concatenate(cols, axis=1)
     idx = np.clip(np.floor((plane_xy + 1.0) * (g / 2.0)).astype(int), 0, g - 1)
-    codes = np.ravel_multi_index(idx.T, (g,) * axes) if axes else np.zeros(len(idx), dtype=int)
+    codes = np.ravel_multi_index(idx.T, (g,) * axes)
     occupied = np.zeros(g**axes, dtype=bool)
     occupied[codes] = True
     hit = int(np.sum(occupied & valid))

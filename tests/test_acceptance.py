@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from parabgmt.generators import (
-    bmo_energy,
+    defeater_energies,
     gen_flat,
     gen_graph,
     generate,
@@ -274,14 +274,8 @@ def test_09_defeater_is_graph_like_per_level_yet_energy_diverges(defeater6):
             if graph_cone_check(np.column_stack([ff, tt]), Vt, s):
                 level_pass = False
 
-    a, b = tree.intervals(tree.depth)
-    mids = (a + b) / 2.0
-    pieces = [np.linspace(0.0, 1.0, 20001)]
-    pieces.extend(np.linspace(ai, bi, 400) for ai, bi in zip(a, b))
-    pieces.append(mids)
-    ts = np.unique(np.concatenate(pieces))
-    fs = tree.eval(ts)
-    totals = np.array([bmo_energy(ts, fs, t0).total for t0 in mids])
+    _, energies = defeater_energies(tree, grid=20001, refine=400)
+    totals = np.array([e.total for e in energies])
     threshold = sum(v * v for v in info["L_seq"]) / 16.0
     exceed = int((totals > threshold).sum())
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from parabgmt import checks, cli, measure
+from parabgmt.generators import GENERATORS
 from parabgmt.geometry import dist_rows
 from parabgmt.measure import load_cloud_csv
 
@@ -91,6 +92,26 @@ class TestGenerate:
     def test_missing_output_rejected(self, capsys):
         rc, _, err = run(capsys, "generate", "--kind", "quartic_cantor")
         assert rc == 1 and "is required" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "flat_plane"], "kind 'flat_plane' requires --n"),
+        (["--kind", "user_graph", "--n", "1"], "kind 'user_graph' requires --expr"),
+        (["--kind", "cantor_segments", "--noise", "1"],
+         "--noise does not apply to kind 'cantor_segments'"),
+        (["--kind", "flat_plane", "--n", "1", "--axes", "0", "--depth", "2"],
+         "kind 'flat_plane' is not iterated; only --depth 0 is accepted"),
+    ])
+    def test_kind_parameter_errors(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        rc, stdout, err = run(capsys, "generate", *argv, "-o", str(out))
+        assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_flags_are_the_builder_parameters(self):
+        # a builder parameter without a flag, or a flag that no builder
+        # takes, breaks this equality
+        derived = {name for kind in GENERATORS for name, _ in cli._kind_params(kind)}
+        assert derived == {opt.name for opt in cli._GEN_PARAM_OPTS}
 
 
 class TestGenerateExpr:

@@ -78,7 +78,7 @@ COMMANDS = [
                      "--cols", "1", "-o", "vcantor.csv"]),
     ("gen_quartic", ["generate", "--kind", "quartic_cantor", "--depth", "2",
                      "-o", "quartic.csv"]),
-    ("dim",["dim", "-i", "cantor.csv", "--scales", "4", "--sum-exponents", "1,2",
+    ("dim", ["dim", "-i", "cantor.csv", "--scales", "4", "--sum-exponents", "1,2",
              "-o", "dim.json"]),
     ("density", ["density", "-i", "tilted.csv", "--point", "0,0,0", "--s", "1",
                  "--scales", "0.4,0.2,0.1"]),
@@ -109,7 +109,7 @@ COMMANDS = [
     ("defeater_bmo", ["defeater-bmo", "--depth", "2", "--annuli-csv", "annuli.csv",
                       "-o", "bmo.json"]),
     ("help", ["--help"]),
-] + [(f"help_{command}", [command, "--help"]) for command in cli._COMMAND_OPTS]
+] + [(f"help_{command}", [command, "--help"]) for command in cli._COMMANDS]
 
 
 def run_commands(workdir):
