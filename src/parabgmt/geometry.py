@@ -119,19 +119,51 @@ def metric_eval(p, q, metric="parabolic"):
     return float(dist_rows(p.coords(), q, metric))
 
 
+def _sum_squares(cols):
+    """Elementwise sum of squares of k same-shaped arrays, the k columns
+    of a (..., k) block, with the bits np.einsum("...i,...i->...") gives
+    on that block.
+
+    Up to 7 columns einsum adds the even-indexed squares in one running
+    sum and the odd-indexed ones in another, then even + odd; a plain
+    left-to-right sum differs from k = 3 on.  From 8 columns on einsum
+    adds in a SIMD order, so the columns are stacked and einsum adds
+    them itself.  Working on columns, which may be strided views, saves
+    einsum's inner loop per row of k elements.  The order is numpy's
+    choice, not a promise: TestSumSquares holds this kernel against
+    einsum for k = 1..12, so a numpy that adds otherwise fails there.
+    """
+    if len(cols) >= 8:
+        block = np.stack(cols, axis=-1)
+        return np.einsum("...i,...i->...", block, block)
+    even = cols[0] * cols[0]
+    for c in cols[2::2]:
+        even += c * c
+    if len(cols) == 1:
+        return even
+    odd = cols[1] * cols[1]
+    for c in cols[3::2]:
+        odd += c * c
+    return even + odd
+
+
 def dist_rows(coords, p, metric="parabolic"):
     """Distances from each row of an (N, n+1) array to the point p.
 
     The two broadcast over their leading axes like numpy operands, so a
     (K, 1, n+1) stack of points gives the (K, N) distance matrix.  This
     is the one distance of every ball query: a row lies in the closed
-    ball B(p, r) when its entry here is <= r.
+    ball B(p, r) when its entry here is <= r.  The differences are taken
+    and squared column by column (_sum_squares), which gives the bits of
+    an einsum over the (N, n) block of spatial differences without its
+    per-row inner loop.
     """
     coords = np.asarray(coords, dtype=float)
     pc = p.coords() if isinstance(p, ParaPoint) else np.asarray(p, dtype=float)
-    dx = coords[..., :-1] - pc[..., :-1]
+    if coords.shape[-1] != pc.shape[-1]:
+        raise DimensionMismatchError(f"coordinate counts differ: {coords.shape[-1]} vs {pc.shape[-1]}")
+    d2 = _sum_squares([coords[..., j] - pc[..., j] for j in range(coords.shape[-1] - 1)])
     dt = coords[..., -1] - pc[..., -1]
-    d2 = np.einsum("...i,...i->...", dx, dx)
     if metric == "parabolic":
         return np.sqrt(d2 + np.abs(dt))
     if metric == "euclidean":

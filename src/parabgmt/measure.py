@@ -21,6 +21,7 @@ from ._version import __version__
 from .geometry import (
     ParaPoint,
     _dist_pad,
+    _sum_squares,
     as_coord_array,
     as_point,
     dist_rows,
@@ -263,6 +264,22 @@ def _stride_pick(arr, cap):
     return arr[sel]
 
 
+def _next_unset(mask, start):
+    """The first index i >= start with mask[i] False, or mask.size.
+
+    Searches windows that double in length from start, so finding an
+    index d places on costs O(d) elements and O(log d) numpy calls."""
+    width = 64
+    while start < mask.size:
+        window = mask[start : start + width]
+        j = int(window.argmin())
+        if not window[j]:
+            return start + j
+        start += width
+        width *= 2
+    return mask.size
+
+
 def greedy_cover(points, r, metric="parabolic"):
     """Deterministic greedy ball cover; returns the (K, n+1) array of
     chosen centers, which are always input points.
@@ -303,8 +320,7 @@ def greedy_cover(points, r, metric="parabolic"):
     centers = []
     scan = 0
     while True:
-        while scan < npts and covered[scan]:
-            scan += 1
+        scan = _next_unset(covered, scan)
         if scan == npts:
             break
         p = pts[scan]
@@ -464,15 +480,17 @@ def _packing_value(pts, w, r, m, inflate):
     r, filtered on the same dist_rows values an r-query would compute."""
     index = GridIndex(pts, 2.0 * r)
     npts = pts.shape[0]
-    norm2 = np.einsum("ij,ij->i", pts[:, :-1], pts[:, :-1]) + np.abs(pts[:, -1])
+    norm2 = _sum_squares([pts[:, j] for j in range(pts.shape[1] - 1)]) + np.abs(pts[:, -1])
     hx = np.asarray(inflate[:-1], dtype=float)
     ht = float(inflate[-1])
     blocked = np.zeros(npts, dtype=bool)
     covered = np.zeros(npts, dtype=bool)
     total = 0.0
-    for i in range(npts):
-        if blocked[i]:
-            continue
+    i = -1
+    while True:
+        i = _next_unset(blocked, i + 1)
+        if i == npts:
+            break
         ball = index.query(pts[i], 2.0 * r)
         blocked[ball] = True
         if norm2[i] > (1.0 - r) ** 2:
@@ -488,9 +506,14 @@ def _packing_value(pts, w, r, m, inflate):
                 ]
             )
         )
-        sub = piece[pick]
-        dx = np.abs(sub[:, None, :-1] - sub[None, :, :-1]) + hx
-        dd = np.einsum("...i,...i->...", dx, dx) + np.abs(sub[:, None, -1] - sub[None, :, -1]) + ht
+        # one (L, L) difference matrix per coordinate of the L picked rows
+        cols = piece[pick].T.copy()
+        dx = [np.abs(c[:, None] - c) for c in cols[:-1]]
+        for d, h in zip(dx, hx):
+            d += h
+        dd = _sum_squares(dx)
+        dd += np.abs(cols[-1][:, None] - cols[-1])
+        dd += ht
         diam2 = min(float(dd.max()), (2.0 * r) ** 2)
         total += diam2 ** (m / 2.0)
         covered[inside] = True

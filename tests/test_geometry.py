@@ -125,6 +125,97 @@ class TestMetric:
         np.testing.assert_array_equal(got, want)
         assert dist_rows(pts[0], pts[1], metric) == want[1, 0]
 
+    def test_dist_rows_refuses_rows_of_another_length(self):
+        with pytest.raises(DimensionMismatchError):
+            dist_rows(np.zeros((3, 3)), np.zeros(4))
+
+
+def einsum_dist_rows(coords, p, metric="parabolic"):
+    """dist_rows as one einsum over the (..., n) block of spatial
+    differences: the formula the column form must reproduce bit for bit."""
+    coords = np.asarray(coords, dtype=float)
+    pc = np.asarray(p, dtype=float)
+    dx = coords[..., :-1] - pc[..., :-1]
+    dt = coords[..., -1] - pc[..., -1]
+    d2 = np.einsum("...i,...i->...", dx, dx)
+    return np.sqrt(d2 + np.abs(dt)) if metric == "parabolic" else np.sqrt(d2 + dt * dt)
+
+
+def wide_floats(rng, shape):
+    """Standard normal floats, whose sums of squares show the adding
+    order in their last bits, with a third of the entries replaced by
+    floats of exponents spread over 1e-170..1e170, so some squares
+    underflow to subnormals or zero and some overflow, plus signed
+    zeros."""
+    x = rng.standard_normal(shape)
+    wide = rng.random(shape) < 1 / 3
+    x[wide] = (rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-170, 170, shape))[wide]
+    x[rng.random(shape) < 0.05] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    # near 1e-160 the squares fall into the subnormals
+    sub = rng.random(shape) < 0.1
+    x[sub] = rng.uniform(-1e-160, 1e-160, shape)[sub]
+    return x
+
+
+def einsum_squares(block):
+    return np.einsum("...i,...i->...", block, block)
+
+
+class TestSumSquares:
+    """_sum_squares over columns has the bits of einsum over the block."""
+
+    # k <= 7 takes the even/odd column sums, k >= 8 einsum's own order
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("shape", [(300,), (3, 200)])
+    def test_matches_einsum(self, k, shape):
+        rng = np.random.default_rng(k)
+        block = wide_floats(rng, (*shape, k))
+        with np.errstate(over="ignore", under="ignore"):
+            got = geometry._sum_squares([block[..., j] for j in range(k)])
+            assert bits_equal(got, einsum_squares(block))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_einsum_on_broadcast_differences(self, k):
+        # a (K, 1, k) stack against (N, k) rows, as dist_rows takes them
+        rng = np.random.default_rng(100 + k)
+        a, b = wide_floats(rng, (5, 1, k)), wide_floats(rng, (40, k))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = geometry._sum_squares([a[..., j] - b[..., j] for j in range(k)])
+            assert bits_equal(got, einsum_squares(a - b))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_einsum_on_one_row(self, k):
+        row = wide_floats(np.random.default_rng(200 + k), (k,))
+        with np.errstate(over="ignore", under="ignore"):
+            got = np.float64(geometry._sum_squares([row[..., j] for j in range(k)]))
+            assert got.view(np.uint64) == np.float64(einsum_squares(row)).view(np.uint64)
+
+    def test_left_to_right_order_differs_at_three_columns(self):
+        # b^2 = 1 and a^2 = c^2 = 1.125 * 2^-53, just over half an ulp of
+        # 1: einsum adds a^2 + c^2 first and rounds once, to 1 + 2^-52;
+        # a left-to-right sum rounds up twice, to 1 + 2^-51
+        a = 3.0 * 2.0**-28
+        cols = [np.array([a]), np.array([1.0]), np.array([a])]
+        left_to_right = (a * a + 1.0) + a * a
+        want = einsum_squares(np.array([[a, 1.0, a]]))
+        assert want[0] == 1.0 + 2.0**-52 and left_to_right == 1.0 + 2.0**-51
+        assert bits_equal(geometry._sum_squares(cols), want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+    def test_dist_rows_matches_the_einsum_formula(self, n, metric):
+        rng = np.random.default_rng(300 + n)
+        pts = rng.standard_normal((500, n + 1)) * 10.0 ** rng.uniform(-80, 80, (500, n + 1))
+        pts[:50] = wide_floats(rng, (50, n + 1))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for p in (pts[7], pts[:6, None], ParaPoint(pts[3, :-1], pts[3, -1])):
+                pc = p.coords() if isinstance(p, ParaPoint) else p
+                assert bits_equal(dist_rows(pts, p, metric), einsum_dist_rows(pts, pc, metric))
+            one = dist_rows(pts[0], pts[1], metric)
+            assert np.float64(one).view(np.uint64) == np.float64(
+                einsum_dist_rows(pts[0], pts[1], metric)).view(np.uint64)
+
 
 class TestDilation:
     def test_dilate_oracle(self):

@@ -19,6 +19,7 @@ from parabgmt.measure import (
     EVAL_CAP,
     DiscreteMeasure,
     _flat_plane_cloud,
+    _next_unset,
     _packing_value,
     _pairwise_ratio_max,
     _stride_pick,
@@ -298,6 +299,42 @@ class TestGreedyCover:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             greedy_cover(np.zeros((3, 2)), 0.0)
+
+
+def scan_next_unset(mask, start):
+    while start < mask.size and mask[start]:
+        start += 1
+    return start
+
+
+class TestNextUnset:
+    """The windowed search finds what a scan one index at a time finds."""
+
+    @pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 1000, 5000])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 0.99, 0.999, 1.0])
+    def test_matches_a_scan(self, size, density):
+        rng = np.random.default_rng(size)
+        mask = rng.random(size) < density
+        starts = {s for s in (0, size // 3, size // 2, size - 1, size) if s >= 0}
+        starts |= set(rng.integers(0, size + 1, 20).tolist())
+        for start in sorted(starts):
+            assert _next_unset(mask, start) == scan_next_unset(mask, start)
+
+    def test_all_set_and_none_set(self):
+        for size in (1, 64, 200, 70000):
+            for start in (0, size // 2, size - 1, size):
+                assert _next_unset(np.ones(size, dtype=bool), start) == size
+                assert _next_unset(np.zeros(size, dtype=bool), start) == start
+
+    def test_lone_unset_index_past_many_windows(self):
+        # windows of 64, 128, 256, ... from start; the gap sits at and
+        # around their edges
+        for gap in (0, 63, 64, 191, 192, 193, 4095, 9999):
+            mask = np.ones(10000, dtype=bool)
+            mask[gap] = False
+            assert _next_unset(mask, 0) == gap
+            assert _next_unset(mask, gap) == gap
+            assert _next_unset(mask, gap + 1) == 10000
 
 
 def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
