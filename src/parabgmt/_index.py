@@ -20,12 +20,17 @@ code of its corner plus the distinct codes of the block's cell offsets
 (outer sums of per-axis terms, cached per block shape).  A query looks
 them all up with one searchsorted, gathers the rows of their runs from
 the cell-ordered copy (contiguous reads) and keeps the rows p with
-geometry.dist_rows(p, center) <= radius; only those hits are mapped back
-through `order` and sorted.  That is a fixed number of numpy calls,
-however many cells the block has.  A hash collision can only add
-candidates from a far cell, and the exact distance filter drops them,
-so the answer is the set of points in the ball, in ascending index
-order.
+geometry.dist_rows(p, center) <= radius.  That is a fixed number of
+numpy calls, however many cells the block has.  A hash collision can
+only add candidates from a far cell, and the exact distance filter
+drops them, so the answer is the set of points in the ball.
+
+`ball` is the one query primitive: it maps the hits back through
+`order` and returns them in cell order, unsorted, together with the
+dist_rows values the filter has just computed for them.  A caller that
+needs the distances of its hits takes them from there instead of
+computing them again.  `query` sorts the indices of `ball` and drops
+the distances.
 """
 
 import math
@@ -55,9 +60,10 @@ def _multipliers(d):
 
 
 class GridIndex:
-    """Ball queries on the rows of pts.  query(center, radius) returns
+    """Ball queries on the rows of pts.  ball(center, radius) returns
     the indices i with dist_rows(pts[i], center) <= radius, the same
-    closed ball a full scan with dist_rows gives."""
+    closed ball a full scan with dist_rows gives, and those distances;
+    query(center, radius) returns the indices alone, sorted."""
 
     def __init__(self, pts, r, metric="parabolic"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -92,7 +98,8 @@ class GridIndex:
         # the cell coordinates, codes and run starts are freed before the
         # cell-ordered copy below is made, so it never coexists with them
         del ci
-        # a query sorts its hits, so the order of points within a run is free
+        # ball returns its hits in cell order, and the order of points
+        # within a run is free
         self.order = np.argsort(codes)
         ordered = codes[self.order]
         del codes
@@ -116,9 +123,10 @@ class GridIndex:
             offsets = self._blocks[shape] = np.unique(reduce(np.add.outer, terms))
         return offsets
 
-    def query(self, center, radius=None):
-        """Indices of points within `radius` of center (default: the
-        build scale r), in ascending index order."""
+    def ball(self, center, radius=None):
+        """Points within `radius` of center (default: the build scale
+        r), as (indices, distances): the indices in cell order, not
+        sorted, and each one's dist_rows value from center."""
         center = np.asarray(center, dtype=float).ravel()
         if center.size != len(self._cell):
             raise ValueError(f"center has {center.size} coordinates, the index {len(self._cell)}")
@@ -137,7 +145,7 @@ class GridIndex:
             a = min(max((c - e) / w, first), last)
             b = min(max((c + e) / w, first), last)
             if not a <= b:
-                return np.empty(0, dtype=np.intp)
+                return np.empty(0, dtype=np.intp), np.empty(0)
             lo.append(math.floor(a))
             hi.append(math.floor(b))
         corner = sum(a * m for a, m in zip(lo, self._mult)) % 2**64
@@ -145,12 +153,18 @@ class GridIndex:
         pos = self._keys.searchsorted(codes)
         start, size = self._ranges[pos[self._keys.take(pos, mode="clip") == codes]].T
         if size.size == 0:
-            return np.empty(0, dtype=np.intp)
+            return np.empty(0, dtype=np.intp), np.empty(0)
         # ragged gather: item j of range i is row start[i] + j of the
         # cell-ordered copy
         end = size.cumsum()
         rows = np.arange(end[-1]) + (start + size - end).repeat(size)
-        rows = rows[dist_rows(self._sorted.take(rows, axis=0), center, self.metric) <= radius]
-        hits = self.order.take(rows)
+        dist = dist_rows(self._sorted.take(rows, axis=0), center, self.metric)
+        keep = dist <= radius
+        return self.order.take(rows[keep]), dist[keep]
+
+    def query(self, center, radius=None):
+        """Indices of points within `radius` of center (default: the
+        build scale r), in ascending index order."""
+        hits = self.ball(center, radius)[0]
         hits.sort()
         return hits

@@ -506,8 +506,13 @@ def defeater_energies(tree, grid=20001, refine=400):
     deepest intervals; returns (midpoints, [BmoEnergy per midpoint]).
 
     The quadrature nodes are `grid` points on [0, 1], `refine` points
-    across each deepest interval, and the midpoints themselves.
+    across each deepest interval, and the midpoints themselves.  Both
+    counts must be >= 2, so that each linspace reaches both ends of its
+    interval.
     """
+    for name, count in (("grid", grid), ("refine", refine)):
+        if count < 2:
+            raise ValueError(f"{name} must be >= 2, got {count}")
     a, b = tree.intervals(tree.depth)
     mids = (a + b) / 2.0
     pieces = [np.linspace(0.0, 1.0, grid)]

@@ -324,21 +324,19 @@ def greedy_cover(points, r, metric="parabolic"):
         if scan == npts:
             break
         p = pts[scan]
-        hits = index.query(p, reach)
-        rows = pts.take(hits, axis=0)
-        dist = dist_rows(rows, p, metric)
+        hits, dist = index.ball(p, reach)
         free = ~covered[hits]
-        cand = _stride_pick(hits[(dist <= r) & free], CAND_CAP)
+        cand = _stride_pick(np.sort(hits[(dist <= r) & free]), CAND_CAP)
         if scan not in cand:
             cand = np.sort(np.append(cand, scan))
         if cand.size == 1:
             best = int(cand[0])
         else:
-            ev = _stride_pick(hits[(dist <= 2.0 * r) & free], EVAL_CAP)
+            ev = _stride_pick(np.sort(hits[(dist <= 2.0 * r) & free]), EVAL_CAP)
             gains = np.sum(dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
             best = int(cand[int(np.argmax(gains))])
         centers.append(best)
-        covered[hits[dist_rows(rows, pts[best], metric) <= r]] = True
+        covered[hits[dist_rows(pts.take(hits, axis=0), pts[best], metric) <= r]] = True
     return pts[np.asarray(centers, dtype=int)]
 
 
@@ -431,7 +429,16 @@ class FlatConstantEstimate(_Estimate):
 
 def _flat_plane_cloud(n, m, family):
     """Dense cloud on the canonical plane of P(n,m) inside B(0,1),
-    together with the per-axis grid steps used to build it."""
+    together with the per-axis grid steps used to build it.
+
+    The cloud is written in the plane's own coordinates: the spatial
+    axes the plane spans, then t.  The axes of P^n it leaves out would
+    be zero in every atom, with a grid step of 0.0; each would only add
+    +0.0 at the end of the even or the odd partial sum of _sum_squares,
+    so every distance and piece diameter has the bits it has in P^n.  A horizontal plane gives (N, m+1) rows
+    x1..xm, t (t = 0) and a vertical one (N, k+1) rows x1..xk, t with
+    k = m - 2; the t-axis (k = 0) spans no spatial axis and keeps one
+    zero column, since a sum of no squares has no shape."""
     if family == "horizontal":
         if not 1 <= m <= n:
             raise ValueError(f"horizontal family needs 1 <= m <= n, got m={m}, n={n}")
@@ -439,7 +446,7 @@ def _flat_plane_cloud(n, m, family):
         axes = [np.arange(-1.0, 1.0 + h / 2, h) for _ in range(m)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
         mesh = mesh[np.einsum("ij,ij->i", mesh, mesh) <= 1.0]
-        pts = np.zeros((mesh.shape[0], n + 1))
+        pts = np.zeros((mesh.shape[0], m + 1))
         pts[:, :m] = mesh
         w = np.full(pts.shape[0], h**m)
         return pts, w, [h] * m + [0.0]
@@ -450,22 +457,19 @@ def _flat_plane_cloud(n, m, family):
         if k == 0:
             ht = 2e-5
             t = np.arange(-1.0, 1.0 + ht / 2, ht)
-            pts = np.zeros((t.size, n + 1))
+            pts = np.zeros((t.size, 2))
             pts[:, -1] = t
             w = np.full(t.size, ht)
-            return pts, w, [0.0] * n + [ht]
+            return pts, w, [0.0, ht]
         hx = 8e-3 if k == 1 else 4e-2
         ht = 2e-3 if k == 1 else 1e-2
         axes = [np.arange(-1.0, 1.0 + hx / 2, hx) for _ in range(k)]
         axes.append(np.arange(-1.0, 1.0 + ht / 2, ht))
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k + 1)
         keep = np.einsum("ij,ij->i", mesh[:, :k], mesh[:, :k]) + np.abs(mesh[:, k]) <= 1.0
-        mesh = mesh[keep]
-        pts = np.zeros((mesh.shape[0], n + 1))
-        pts[:, :k] = mesh[:, :k]
-        pts[:, -1] = mesh[:, k]
+        pts = mesh[keep]
         w = np.full(pts.shape[0], hx**k * ht)
-        return pts, w, [hx] * k + [0.0] * (n - k) + [ht]
+        return pts, w, [hx] * k + [ht]
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -477,7 +481,8 @@ def _packing_value(pts, w, r, m, inflate):
 
     Each centre takes one index query, at 2r, which blocks the later
     centres; an interior centre's piece is the part of that ball within
-    r, filtered on the same dist_rows values an r-query would compute."""
+    r, cut on the distances the query returns, which are the dist_rows
+    values an r-query would compute."""
     index = GridIndex(pts, 2.0 * r)
     npts = pts.shape[0]
     norm2 = _sum_squares([pts[:, j] for j in range(pts.shape[1] - 1)]) + np.abs(pts[:, -1])
@@ -485,27 +490,31 @@ def _packing_value(pts, w, r, m, inflate):
     ht = float(inflate[-1])
     blocked = np.zeros(npts, dtype=bool)
     covered = np.zeros(npts, dtype=bool)
+    # the 128 evenly spread rows of a piece, per piece size
+    spread = {}
     total = 0.0
     i = -1
     while True:
         i = _next_unset(blocked, i + 1)
         if i == npts:
             break
-        ball = index.query(pts[i], 2.0 * r)
+        ball, dist = index.ball(pts[i], 2.0 * r)
         blocked[ball] = True
-        if norm2[i] > (1.0 - r) ** 2:
+        inside = np.sort(ball[dist <= r]) if norm2[i] <= (1.0 - r) ** 2 else None
+        # freed here, not at the next query, whose peak they would raise
+        del ball, dist
+        if inside is None:
             continue
-        inside = ball[dist_rows(pts.take(ball, axis=0), pts[i]) <= r]
         piece = pts.take(inside, axis=0)
-        pick = np.unique(
-            np.concatenate(
-                [
-                    piece.argmin(axis=0),
-                    piece.argmax(axis=0),
-                    np.round(np.linspace(0, piece.shape[0] - 1, 128)).astype(int),
-                ]
-            )
-        )
+        # the spread rows and each coordinate's extreme rows, ascending
+        size = piece.shape[0]
+        if size not in spread:
+            spread[size] = np.round(np.linspace(0, size - 1, 128)).astype(int)
+        mask = np.zeros(size, dtype=bool)
+        mask[spread[size]] = True
+        mask[piece.argmin(axis=0)] = True
+        mask[piece.argmax(axis=0)] = True
+        pick = np.flatnonzero(mask)
         # one (L, L) difference matrix per coordinate of the L picked rows
         cols = piece[pick].T.copy()
         dx = [np.abs(c[:, None] - c) for c in cols[:-1]]

@@ -137,16 +137,16 @@ def _gather_ball(mu, a, r_max, index=None):
     """
     ac = a.coords()
     if index is not None:
-        cand = index.query(ac, r_max)
-        pts = mu.points[cand]
-        w = mu.weights[cand]
+        cand, d = index.ball(ac, r_max)
     else:
-        pts = mu.points
-        w = mu.weights
-    d = dist_rows(pts, ac)
-    inside = np.flatnonzero((d > 0.0) & (d <= r_max))
-    order = inside[np.argsort(d[inside], kind="stable")]
-    return pts[order] - ac, d[order], w[order]
+        d = dist_rows(mu.points, ac)
+        cand = np.arange(d.size)
+    keep = (d > 0.0) & (d <= r_max)
+    cand, d = cand[keep], d[keep]
+    # by distance, ties by atom index: the stable sort of ascending indices
+    order = np.lexsort((cand, d))
+    cand = cand[order]
+    return mu.points[cand] - ac, d[order], mu.weights[cand]
 
 
 def _plane_defect_grids(planes, delta, d, w, s_list, r_list, m, prefix):

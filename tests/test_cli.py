@@ -6,10 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from scan_index import ScanIndex
 
 from parabgmt import checks, cli, measure
 from parabgmt.generators import GENERATORS
-from parabgmt.geometry import dist_rows
 from parabgmt.measure import load_cloud_csv
 
 
@@ -302,13 +302,6 @@ class TestDim:
         rc, stdout, err = run(capsys, "dim", "-i", str(cloud), "--scales", "1e-165,1e-166")
         assert (rc, err) == (0, "")
 
-        class ScanIndex:
-            def __init__(self, pts, r, metric):
-                self.pts = pts
-
-            def query(self, center, radius):
-                return np.flatnonzero(dist_rows(self.pts, center) <= radius)
-
         # the same greedy cover with every ball found by a full scan
         monkeypatch.setattr(measure, "GridIndex", ScanIndex)
         pts = load_cloud_csv(cloud).points
@@ -443,6 +436,20 @@ class TestDefeaterBmo:
         assert res["all_exceed"] is True and len(res["points"]) == 4
         header = ann.read_text().splitlines()[0]
         assert header == "point_index,annulus_lo,annulus_hi,sum,cumulative"
+
+    @pytest.mark.parametrize("grid, refine, bad", [
+        ("0", "0", "grid must be >= 2, got 0"),
+        ("4001", "1", "refine must be >= 2, got 1"),
+    ])
+    def test_quadrature_too_coarse(self, tmp_path, capsys, grid, refine, bad):
+        # --grid 0 --refine 0 integrated over the midpoints alone and
+        # reported totals [0.0, 0.0]
+        out = tmp_path / "bmo.json"
+        rc, stdout, err = run(capsys, "defeater-bmo", "--depth", "1", "--resolution", "1e-3",
+                              "--window-samples", "200", "--atoms-per-interval", "4",
+                              "--grid", grid, "--refine", refine, "-o", str(out))
+        assert (rc, stdout, err) == (1, "", f"error: {bad}\n")
+        assert not out.exists()
 
 
 class TestConfigPrecedence:

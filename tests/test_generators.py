@@ -12,6 +12,7 @@ from parabgmt.generators import (
     GeneratorSpec,
     PairNotFoundError,
     bmo_energy,
+    defeater_energies,
     find_equal_pair,
     gen_cantor_segments,
     gen_flat,
@@ -199,6 +200,25 @@ class TestRegularDefeater:
         mu, info = defeater2
         tree = info["tree"]
         assert np.allclose(tree.eval(mu.points[:, 1]), mu.points[:, 0], atol=1e-12)
+
+    @pytest.mark.parametrize("grid, refine, bad", [
+        (0, 0, "grid must be >= 2, got 0"),
+        (1, 100, "grid must be >= 2, got 1"),
+        (4001, 1, "refine must be >= 2, got 1"),
+        (4001, -3, "refine must be >= 2, got -3"),
+    ])
+    def test_energies_refuse_a_quadrature_that_misses_an_end(self, defeater2, grid, refine, bad):
+        with pytest.raises(ValueError, match=f"^{bad}$"):
+            defeater_energies(defeater2[1]["tree"], grid, refine)
+
+    def test_energies_on_the_coarsest_quadrature(self, defeater2):
+        # two nodes per interval: its ends, beside the midpoints
+        tree = defeater2[1]["tree"]
+        mids, energies = defeater_energies(tree, 2, 2)
+        a, b = tree.intervals(tree.depth)
+        np.testing.assert_array_equal(mids, (a + b) / 2.0)
+        assert len(energies) == len(mids) == 4
+        assert all(math.isfinite(e.total) for e in energies)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

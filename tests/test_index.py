@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scan_index import ScanIndex
 
 from parabgmt import _index, measure
 from parabgmt._index import GridIndex
@@ -18,20 +19,7 @@ from parabgmt.rectify import TangentConfig, classify_points, detect_tangent
 def brute_query(pts, center, radius, metric):
     """Every index in the closed ball dist_rows <= radius, by a full
     scan."""
-    return np.flatnonzero(dist_rows(pts, center, metric) <= radius)
-
-
-class BruteIndex:
-    """Drop-in GridIndex that scans every point."""
-
-    def __init__(self, pts, r, metric="parabolic"):
-        self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        self.r = float(r)
-        self.metric = metric
-
-    def query(self, center, radius=None):
-        radius = self.r if radius is None else float(radius)
-        return brute_query(self.pts, center, radius, self.metric)
+    return ScanIndex(pts, radius, metric).query(center)
 
 
 coord = st.floats(-2.0, 2.0, allow_nan=False, width=64)
@@ -97,6 +85,59 @@ def test_query_matches_brute_force(pts, metric, r, factor, data):
             np.testing.assert_array_equal(got, want)
 
 
+def assert_ball_matches_scan(index, pts, center, radius, metric):
+    """ball gives the indices of the full scan, in any order, each with
+    the bits of its own dist_rows value."""
+    hits, dist = index.ball(center, radius)
+    assert hits.dtype.kind == "i" and hits.shape == dist.shape
+    want = brute_query(pts, center, index.r if radius is None else radius, metric)
+    np.testing.assert_array_equal(np.sort(hits), want)
+    np.testing.assert_array_equal(
+        dist.view(np.uint64), dist_rows(pts[hits], center, metric).view(np.uint64))
+    return dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pts=clouds(),
+    metric=st.sampled_from(["parabolic", "euclidean"]),
+    r=st.sampled_from([1e-3, 0.05, 0.3, 1.0]),
+    factor=st.sampled_from([0.5, 1.0, 2.0]),
+    scale=st.sampled_from([1.0, 1e-160]),
+    data=st.data(),
+)
+def test_ball_matches_brute_force(pts, metric, r, factor, scale, data):
+    # at scale 1e-160 the radii reach 1e-163, whose square underflows
+    d = pts.shape[1]
+    outside = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=d, max_size=d)
+    centers = [pts[data.draw(st.integers(0, len(pts) - 1))], np.array(data.draw(outside))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = np.vstack([pts] + [sphere_atoms(c, rad, metric, rng)
+                             for c in centers for rad in (r, factor * r)])
+    pts, centers, r = pts * scale, [c * scale for c in centers], r * scale
+    index = GridIndex(pts, r, metric)
+    for center in centers:
+        for radius in (None, factor * r):
+            assert_ball_matches_scan(index, pts, center, radius, metric)
+
+
+@pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+def test_ball_with_atoms_exactly_on_the_sphere(metric):
+    # the dyadic grid x = k/32 puts atoms at distance exactly r of each
+    # grid centre, for r = 1/4 and 1/8, in both metrics
+    h = 1.0 / 32
+    ax = np.arange(-32, 33) * h
+    mesh = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    mesh = mesh[np.einsum("ij,ij->i", mesh, mesh) <= 1.0]
+    pts = np.column_stack([mesh, np.zeros(len(mesh))])
+    for r in (0.25, 0.125):
+        index = GridIndex(pts, 2.0 * r, metric)
+        for center in pts[::97]:
+            for radius in (r, 2.0 * r):
+                dist = assert_ball_matches_scan(index, pts, center, radius, metric)
+                assert np.any(dist == radius)
+
+
 @pytest.mark.parametrize("metric, axis", [("parabolic", 0), ("parabolic", 1),
                                           ("euclidean", 0), ("euclidean", 1)])
 def test_block_reaches_atoms_rounded_onto_the_sphere(metric, axis):
@@ -140,8 +181,9 @@ def test_radius_whose_square_underflows(monkeypatch, metric, r):
         for radius in (r, 2 * r, 1e-160):
             np.testing.assert_array_equal(index.query(center, radius),
                                           brute_query(pts, center, radius, metric))
+            assert_ball_matches_scan(index, pts, center, radius, metric)
     got = greedy_cover(pts, r, metric)
-    monkeypatch.setattr(measure, "GridIndex", BruteIndex)
+    monkeypatch.setattr(measure, "GridIndex", ScanIndex)
     np.testing.assert_array_equal(got, greedy_cover(pts, r, metric))
     assert len(got) == 2
 
@@ -180,6 +222,9 @@ def test_build_peak_stays_within_two_copies_of_the_points():
     # the peak is the float cell quotients beside their int64 cast; the
     # cell-ordered copy is made after both are freed, so it adds nothing
     pts = measure._flat_plane_cloud(3, 4, "vertical")[0]
+    # the cloud in the coordinates of P^3: x1, x2, a zero x3, t
+    pts = np.insert(pts, 2, 0.0, axis=1)
+    assert pts.shape[1] == 4
     tracemalloc.start()
     try:
         GridIndex(pts, 0.15)
@@ -211,7 +256,7 @@ class TestFarOutlier:
     def test_greedy_cover(self, monkeypatch):
         mu = outlier_cloud(1000)
         got = greedy_cover(mu, 1e-3)
-        monkeypatch.setattr(measure, "GridIndex", BruteIndex)
+        monkeypatch.setattr(measure, "GridIndex", ScanIndex)
         np.testing.assert_array_equal(got, greedy_cover(mu, 1e-3))
         assert len(got) == 1001
 

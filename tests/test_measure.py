@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scan_index import ScanIndex
 
 from parabgmt import geometry
 from parabgmt._index import GridIndex
@@ -371,17 +372,6 @@ def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
     return pts[np.asarray(centers, dtype=int)]
 
 
-class ScanIndex:
-    """Ball queries by a full dist_rows scan."""
-
-    def __init__(self, pts, r, metric):
-        self.pts = pts
-        self.metric = metric
-
-    def query(self, center, radius):
-        return np.flatnonzero(geometry.dist_rows(self.pts, center, self.metric) <= radius)
-
-
 def float_bits(x):
     return struct.unpack("<q", struct.pack("<d", x))[0]
 
@@ -653,6 +643,46 @@ class TestPackingMatchesTwoPass:
             want, _ = ref_packing_value(pts, w, r, 2, [h, h, 0.0])
             got = _packing_value(pts, w, r, 2, [h, h, 0.0])
             assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+def padded_plane_cloud(n, m, family):
+    """_flat_plane_cloud in the coordinates of P^n: zero columns, with
+    grid steps 0.0, for the spatial axes the plane leaves out."""
+    pts, w, inflate = _flat_plane_cloud(n, m, family)
+    live = pts.shape[1] - 1
+    pts = np.insert(pts, [live] * (n - live), 0.0, axis=1)
+    return pts, w, inflate[:-1] + [0.0] * (n - live) + inflate[-1:]
+
+
+class TestPlaneCloudInItsOwnCoordinates:
+    @pytest.mark.parametrize("n, m, family, live", [
+        (1, 1, "horizontal", 1),
+        (2, 2, "horizontal", 2),
+        (3, 1, "horizontal", 1),
+        (2, 2, "vertical", 1),
+        (2, 3, "vertical", 1),
+        (3, 4, "vertical", 2),
+    ])
+    def test_packing_keeps_the_bits_of_the_padded_cloud(self, n, m, family, live):
+        pts, w, inflate = _flat_plane_cloud(n, m, family)
+        assert pts.shape[1] == live + 1 and len(inflate) == live + 1
+        padded, w_padded, inflate_padded = padded_plane_cloud(n, m, family)
+        assert padded.shape[1] == n + 1 and len(inflate_padded) == n + 1
+        np.testing.assert_array_equal(w, w_padded)
+        for r in (0.3, 0.15):
+            got = _packing_value(pts, w, r, m, inflate)
+            want = _packing_value(padded, w_padded, r, m, inflate_padded)
+            assert got > 0.0
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    def test_dropped_columns_are_the_zero_ones(self):
+        # the t-axis keeps one spatial column of zeros beside t
+        pts, _, inflate = _flat_plane_cloud(3, 2, "vertical")
+        assert not pts[:, 0].any() and pts[:, 1].any()
+        assert inflate == [0.0, 2e-5]
+        pts, _, inflate = _flat_plane_cloud(3, 1, "horizontal")
+        assert pts[:, 0].any() and not pts[:, 1].any()
+        assert inflate == [1e-3, 0.0]
 
 
 # ---------------------------------------------------------------------------

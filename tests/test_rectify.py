@@ -302,6 +302,39 @@ def reference_clouds():
     ]
 
 
+def ref_gather_ball(mu, a, r_max, index=None):
+    """_gather_ball from sorted query indices: distances computed again
+    over the ball, then a stable argsort."""
+    ac = a.coords()
+    cand = np.arange(mu.natoms) if index is None else index.query(ac, r_max)
+    pts, w = mu.points[cand], mu.weights[cand]
+    d = geometry.dist_rows(pts, ac)
+    inside = np.flatnonzero((d > 0.0) & (d <= r_max))
+    order = inside[np.argsort(d[inside], kind="stable")]
+    return pts[order] - ac, d[order], w[order]
+
+
+class TestGatherBall:
+    @pytest.mark.parametrize("r_max", [0.25, 0.125])
+    def test_ties_in_atom_order_with_and_without_index(self, r_max):
+        # a dyadic grid gives many atoms at exactly equal distances, and
+        # distinct weights show the order the tied atoms come in
+        xs, ts = np.meshgrid(np.arange(-8, 9) / 16, np.arange(-32, 33) / 256, indexing="ij")
+        pts = np.column_stack([xs.ravel(), ts.ravel()])
+        mu = DiscreteMeasure(1, pts, np.random.default_rng(2).uniform(0.5, 2.0, len(pts)))
+        index = GridIndex(mu.points, r_max)
+        ties = 0
+        for a in [*mu.points[::101], np.array([0.01, -0.003])]:
+            a = ParaPoint.from_coords(a)
+            want = ref_gather_ball(mu, a, r_max)
+            ties += np.count_nonzero(np.diff(want[1]) == 0.0)
+            for got in (rectify._gather_ball(mu, a, r_max),
+                        rectify._gather_ball(mu, a, r_max, index)):
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and bits(g) == bits(w)
+        assert ties > 10
+
+
 class TestCandidatePlanes:
     @pytest.mark.parametrize("seed", range(12))
     def test_match_the_deduplicated_union(self, seed):
