@@ -1,9 +1,10 @@
 """Approximate tangent planes by multi-scale cone defect minimization.
 
-For each sampled point the detector scores every candidate plane by the
-worst mass fraction outside shrinking cones, across a grid of apertures
-and radii, then refines around the best frame.  Flat clouds classify
-perfectly; a tilted graph recovers its exact tangent direction.
+For each sampled point the detector scores every candidate plane, and
+the planes fitted to the point's own ball, by the worst mass fraction
+outside shrinking cones, across a grid of apertures and radii.  Flat
+clouds classify perfectly; a tilted graph recovers its exact tangent
+direction.
 """
 
 import math

@@ -37,6 +37,7 @@ from .checks import SUITES
 from .generators import (
     GENERATORS,
     GeneratorSpec,
+    check_quadrature,
     defeater_energies,
     gen_regular_defeater,
     generate,
@@ -84,12 +85,12 @@ def _parse_seed(text):
 
 
 def _parse_float(text):
-    """A float; NaN is refused, since no option has a use for it."""
+    """A finite float; NaN and +-inf are refused, since no option needs them."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if math.isnan(value):
+    if not math.isfinite(value):
         raise CliError(f"invalid number {text!r}")
     return value
 
@@ -279,7 +280,7 @@ def _merge_options(command, args):
 
 
 def _json_text(payload):
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(command, config, result, out):
@@ -440,6 +441,7 @@ def _cmd_vconst(values):
 
 
 def _cmd_defeater_bmo(values):
+    check_quadrature(values["grid"], values["refine"])  # before the costly construction
     takes = inspect.signature(gen_regular_defeater).parameters
     mu, info = gen_regular_defeater(**{k: v for k, v in values.items() if k in takes})
     mids, energies = defeater_energies(info["tree"], values["grid"], values["refine"])
@@ -524,7 +526,6 @@ _COMMANDS = {
         _param_opt(TangentConfig, "threshold", "float", help="max tolerated cone defect"),
         _param_opt(TangentConfig, "sample_size", "int", help="atoms classified"),
         _param_opt(TangentConfig, "seed", "seed", help="subsample and plane-sampling seed"),
-        _param_opt(TangentConfig, "refine_rounds", "int", help="local refinement rounds"),
         Opt("curves_csv", "str", help="write point_index,r,s,defect rows here"),
         Opt("output", "str", help="report path (stdout when omitted)"),
     ]),

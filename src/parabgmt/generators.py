@@ -501,18 +501,21 @@ def bmo_energy(ts, fs, t0, weights=None, min_sep=None):
     return BmoEnergy(float(t0), annuli, sums, cum, float(cum[-1]), float(min_sep))
 
 
+def check_quadrature(grid, refine):
+    """Refuse defeater_energies counts below 2: a coarser linspace misses an end."""
+    for name, count in (("grid", grid), ("refine", refine)):
+        if count < 2:
+            raise ValueError(f"{name} must be >= 2, got {count}")
+
+
 def defeater_energies(tree, grid=20001, refine=400):
     """bmo_energy of a DefeaterTree's function at the midpoints of its
     deepest intervals; returns (midpoints, [BmoEnergy per midpoint]).
 
     The quadrature nodes are `grid` points on [0, 1], `refine` points
-    across each deepest interval, and the midpoints themselves.  Both
-    counts must be >= 2, so that each linspace reaches both ends of its
-    interval.
+    across each deepest interval, and the midpoints themselves.
     """
-    for name, count in (("grid", grid), ("refine", refine)):
-        if count < 2:
-            raise ValueError(f"{name} must be >= 2, got {count}")
+    check_quadrature(grid, refine)
     a, b = tree.intervals(tree.depth)
     mids = (a + b) / 2.0
     pieces = [np.linspace(0.0, 1.0, grid)]

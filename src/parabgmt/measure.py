@@ -354,12 +354,12 @@ class CoveringReport(_Estimate):
     counts: list
     sums: dict
     fitted_dim: float
-    fit_residual: float
+    fit_residual: float | None
 
 
 def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
     """Box-counting dimension: least squares slope of log N(r) against
-    log(1/r) over the greedy covering counts."""
+    log(1/r) over the greedy covering counts; equal counts give 0.0, None."""
     # sorted once: every cover then finds its rows in canonical order
     pts = canonical_sorted(_points_of(points))
     n = pts.shape[1] - 1
@@ -370,7 +370,7 @@ def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
     sums = {str(s): [c * (2.0 * r) ** s for c, r in zip(counts, scales)] for s in sum_exponents}
     logs = np.log(np.asarray(counts, dtype=float))
     if np.all(np.asarray(counts) == counts[0]):
-        return CoveringReport(metric, scales, counts, sums, 0.0, math.inf)
+        return CoveringReport(metric, scales, counts, sums, 0.0, None)
     design = np.stack([np.log(1.0 / np.asarray(scales)), np.ones(len(scales))], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, logs, rcond=None)
     resid = float(np.sqrt(np.mean((design @ coef - logs) ** 2)))

@@ -67,7 +67,6 @@ class TangentConfig(Record):
     threshold: float = 0.05
     sample_size: int = 100
     seed: int = 0
-    refine_rounds: int = 2
 
     def __post_init__(self):
         if not len(self.s_list):
@@ -83,8 +82,7 @@ class TangentConfig(Record):
                     raise ValueError(f"r_list: radius {r} must be finite and > 0")
         if math.isnan(self.threshold):
             raise ValueError("threshold must be a number, got nan")
-        bounds = (("sample_size", 1), ("plane_budget", 1), ("refine_rounds", 0), ("seed", 0))
-        for name, low in bounds:
+        for name, low in (("sample_size", 1), ("plane_budget", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -114,18 +112,6 @@ def cone_defect(mu, a, V, s, r, m):
     return _plane_defect_grids([V], delta, d, w, (float(s),), (r,), m, [d.size])[0][0]
 
 
-def _perturbed_planes(V, sigma, count, rng):
-    """Nearby frames of the same family; empty when the family admits a
-    single plane (k = 0 or a full horizontal basis).  Frame i comes
-    from the i-th (k, n) block of one rng.standard_normal draw;
-    orthonormal_frames drops a rank-deficient one."""
-    if V.k in (0, V.n):
-        return []
-    g = rng.standard_normal((count,) + V.horiz_basis.shape)
-    frames, _ = orthonormal_frames((V.horiz_basis + sigma * g).transpose(0, 2, 1))
-    return [HomPlane(V.n, f, V.includes_t_axis) for f in frames]
-
-
 def _gather_ball(mu, a, r_max, index=None):
     """Atoms of mu in the closed ball dist_rows(p, a) <= r_max, minus a
     itself, sorted by distance.
@@ -147,6 +133,20 @@ def _gather_ball(mu, a, r_max, index=None):
     order = np.lexsort((cand, d))
     cand = cand[order]
     return mu.points[cand] - ac, d[order], mu.weights[cand]
+
+
+def _fitted_planes(n, m, delta, d, w):
+    """The m-planes of P^n fitted to a ball from _gather_ball.
+
+    With u = x / d (finite however close the atoms) for the horizontal
+    parts x of delta, the eigenvectors of sum w u u^T, largest first,
+    span the fits: the top m a horizontal plane, the top m - 2 and the
+    t-axis a vertical one.  A family with k = 0 or n is a single plane,
+    already a canonical candidate, and gets no fit."""
+    u = delta[:, :-1] / d[:, None]
+    top = np.linalg.eigh((u * w[:, None]).T @ u)[1][:, ::-1].T
+    return [HomPlane(n, top[:k], vertical)
+            for k, vertical in ((m, False), (m - 2, True)) if 1 <= k <= n - 1]
 
 
 def _plane_defect_grids(planes, delta, d, w, s_list, r_list, m, prefix):
@@ -205,14 +205,13 @@ class PointTangent:
 def detect_tangent(mu, a, cfg, planes=None, index=None):
     """Approximate tangent plane of mu at a.
 
-    Every plane of candidate_planes(n, m, plane_budget, seed) is scored
-    by the max of cone_defect over the (s, r) grid; the argmin wins,
-    ties by list position (a plane replaces the best only with a
-    strictly smaller score).  cfg.refine_rounds rounds then re-score
-    perturbed frames around the current best.  A point whose punctured
-    ball is empty at every scale yields class "none" with an empty curve.
+    The planes (by default candidate_planes(n, m, plane_budget, seed)),
+    then those _fitted_planes fits to the ball at a, are scored by the
+    max of cone_defect over the (s, r) grid; the argmin wins, ties by
+    list position.  A point whose punctured ball is empty at every
+    scale yields class "none" with an empty curve.
 
-    The candidate list and each refinement round are scored in batches:
+    All planes are scored in one pass:
     _plane_defect_grids groups the planes by (k, includes_t_axis) for
     one stacked distance product, in chunks of PAIR_TILE // N planes
     for a ball of N atoms, so temporaries stay near PAIR_TILE * (n + 1)
@@ -229,17 +228,10 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
     if d.size == 0:
         return PointTangent(None, [], "none", math.inf, None)
     prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
-    best_worst = math.inf
-    best_plane = None
-    best_curve = []
-    rng = np.random.default_rng(cfg.seed + 104729)
-    for rnd in range(int(cfg.refine_rounds) + 1):
-        if rnd:
-            planes = _perturbed_planes(best_plane, 0.1 * 0.3 ** (rnd - 1), 8, rng)
-        worsts, curves = _plane_defect_grids(planes, delta, d, w, s_list, r_list, m, prefix)
-        for V, worst, curve in zip(planes, worsts, curves):
-            if worst < best_worst:
-                best_worst, best_plane, best_curve = worst, V, curve
+    planes = list(planes) + _fitted_planes(mu.n, cfg.m, delta, d, w)
+    worsts, curves = _plane_defect_grids(planes, delta, d, w, s_list, r_list, m, prefix)
+    i = worsts.index(min(worsts))  # the first least score: ties go to the earlier plane
+    best_worst, best_plane, best_curve = worsts[i], planes[i], curves[i]
     if best_worst > cfg.threshold:
         return PointTangent(None, best_curve, "none", best_worst, best_plane)
     return PointTangent(best_plane, best_curve, best_plane.family, best_worst, best_plane)

@@ -344,7 +344,6 @@ class TestTangent:
         ("--s-list", "0", "s_list: aperture 0.0 must lie in (0, 1)"),
         ("--r-list", "-0.1", "r_list: radius -0.1 must be finite and > 0"),
         ("--plane-budget", "0", "plane_budget must be >= 1, got 0"),
-        ("--refine-rounds", "-1", "refine_rounds must be >= 0, got -1"),
         ("--threshold", "nan", "--threshold: invalid number 'nan'"),
         ("--threshold", "NaN", "--threshold: invalid number 'NaN'"),
         ("--r-list", "0.1,nan", "--r-list: invalid number 'nan'"),
@@ -358,12 +357,18 @@ class TestTangent:
         assert not out.exists()
 
 
-    def test_infinite_threshold_is_legal(self, line_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,value", [
+        ("--threshold", "inf"), ("--threshold", "-inf"), ("--threshold", "Infinity"),
+        ("--threshold", "1e999"), ("--r-list", "inf"),
+    ])
+    def test_infinite_number_is_refused(self, line_csv, tmp_path, capsys, flag, value):
+        # an infinite threshold was accepted and echoed as a bare
+        # Infinity, which is not JSON; a large finite one does its job
         out = tmp_path / "tan.json"
-        rc, _, _ = run(capsys, "tangent", "-i", str(line_csv), "--m", "1", "--sample-size", "2",
-                       "--threshold", "inf", "-o", str(out))
-        assert rc == 0
-        assert json.loads(out.read_text())["result"]["config"]["threshold"] == float("inf")
+        rc, stdout, err = run(capsys, "tangent", "-i", str(line_csv), "--m", "1",
+                              f"{flag}={value}", "-o", str(out))
+        assert (rc, stdout, err) == (1, "", f"error: {flag}: invalid number {value!r}\n")
+        assert not out.exists()
 
 
 class TestBlowup:
@@ -450,6 +455,15 @@ class TestDefeaterBmo:
                               "--grid", grid, "--refine", refine, "-o", str(out))
         assert (rc, stdout, err) == (1, "", f"error: {bad}\n")
         assert not out.exists()
+
+    def test_quadrature_refused_before_the_construction(self, tmp_path, capsys, monkeypatch):
+        # the default depth 6 took 1.6 s to build before the refusal
+        def build(*args, **kwargs):
+            raise AssertionError("the defeater was built")
+
+        monkeypatch.setattr(cli, "gen_regular_defeater", build)
+        rc, stdout, err = run(capsys, "defeater-bmo", "--grid", "0")
+        assert (rc, stdout, err) == (1, "", "error: grid must be >= 2, got 0\n")
 
 
 class TestConfigPrecedence:

@@ -88,9 +88,10 @@ COMMANDS = [
                    "--resolution", "0.1", "-o", "hflat.csv"]),
     ("tangent", ["tangent", "-i", "cantor.csv", "--m", "1", "--sample-size", "10",
                  "--curves-csv", "curves.csv", "-o", "tangent.json"]),
-    # the other plane families: sampled and perturbed vertical k = 1 frames,
+    # the other plane families: sampled and fitted vertical k = 1 frames,
     # the two one-plane families of m = 2 in P^2 (horizontal k = 2, the
-    # t-axis), and a seed whose sampled planes miss the tilt
+    # t-axis), and a seed whose sampled planes miss the tilt, so that only
+    # the plane fitted to each ball finds it
     ("tangent_vflat", ["tangent", "-i", "vflat.csv", "--m", "3", "--sample-size", "12",
                        "-o", "tangent_vflat.json"]),
     ("tangent_hflat_m2", ["tangent", "-i", "hflat.csv", "--m", "2", "--sample-size", "12",
@@ -220,6 +221,27 @@ def test_cli_writes_exactly_the_golden_files(cli_outputs):
 @pytest.mark.parametrize("name", CLI_FILES)
 def test_cli_bytes(cli_outputs, name):
     assert cli_outputs.get(name) == (GOLDEN / "cli" / name).read_bytes()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_reports_are_strict_json(cli_outputs, tmp_path):
+    # every report and config echo parses without the Infinity and NaN
+    # extensions of the json module; help text is not JSON
+    texts = [data for name, data in cli_outputs.items() if name.endswith(".json")]
+    texts += [data.split(b"\n", 1)[1] for name, data in cli_outputs.items()
+              if name.endswith(".stdout") and not name.startswith("help")]
+    # equal cover counts leave no slope to fit: the residual was a bare Infinity
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("x1,t,w\n0,0,1\n1e-170,0,1\n1,1,1\n")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["dim", "-i", str(cloud), "--scales", "1e-165,1e-166"]) == 0
+    texts.append(stdout.getvalue())
+    reports = [json.loads(text, parse_constant=_refuse_constant) for text in texts]
+    assert reports[-1]["result"]["fit_residual"] is None
 
 
 def test_record_names(record_texts):

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from parabgmt import geometry, rectify
 from parabgmt._index import GridIndex
-from parabgmt.generators import gen_flat, gen_graph
+from parabgmt.generators import GeneratorSpec, gen_flat, gen_graph, generate
 from parabgmt.geometry import (
     GraphSamples,
     HomPlane,
@@ -21,7 +23,7 @@ from parabgmt.geometry import (
     project_rows,
     sample_planes,
 )
-from parabgmt.measure import DiscreteMeasure
+from parabgmt.measure import DiscreteMeasure, load_cloud_csv
 from parabgmt.rectify import (
     DifferentialFit,
     FitConfig,
@@ -35,6 +37,9 @@ from parabgmt.rectify import (
     split_lipschitz,
     tangent_uniqueness_scan,
 )
+
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
 
 def line_cloud(resolution=2e-3):
@@ -102,7 +107,6 @@ class TestTangentConfig:
         ("sample_size", 0, "sample_size must be >= 1, got 0"),
         ("sample_size", -5, "sample_size must be >= 1, got -5"),
         ("plane_budget", 0, "plane_budget must be >= 1, got 0"),
-        ("refine_rounds", -1, "refine_rounds must be >= 0, got -1"),
         ("seed", -1, "seed must be >= 0, got -1"),
         ("threshold", math.nan, "threshold must be a number, got nan"),
     ])
@@ -113,14 +117,14 @@ class TestTangentConfig:
 
     def test_edge_values_accepted(self):
         cfg = TangentConfig(m=1, s_list=[1e-9, 0.999], r_list=[1e-9], sample_size=1,
-                            plane_budget=1, refine_rounds=0, seed=0, threshold=math.inf)
-        assert cfg.refine_rounds == 0
+                            plane_budget=1, seed=0, threshold=math.inf)
+        assert cfg.threshold == math.inf
 
     def test_to_dict_keys(self):
         d = TangentConfig(m=2).to_dict()
         assert set(d) == {
             "m", "s_list", "r_list", "plane_budget", "threshold",
-            "sample_size", "seed", "refine_rounds",
+            "sample_size", "seed",
         }
 
 
@@ -198,21 +202,6 @@ def ref_plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix):
     return worst, curve
 
 
-def ref_perturbed_planes(V, sigma, count, rng):
-    if V.k == 0 or (not V.includes_t_axis and V.k == V.n):
-        return []
-    out = []
-    for _ in range(count):
-        g = rng.standard_normal(V.horiz_basis.shape)
-        q, rr = np.linalg.qr((V.horiz_basis + sigma * g).T)
-        diag = np.diag(rr)
-        if np.min(np.abs(diag)) < 1e-12:
-            continue
-        q = q * np.where(diag >= 0.0, 1.0, -1.0)
-        out.append(HomPlane(V.n, q.T.copy(), V.includes_t_axis))
-    return out
-
-
 def ref_candidate_planes(n, m, budget, seed):
     """The canonical planes plus sample_planes, with every plane within
     1e-9 (plane_distance) of an earlier one dropped: the candidate list
@@ -250,15 +239,10 @@ def ref_detect_tangent(mu, a, cfg, planes=None, index=None):
         return None, [], "none", math.inf, None
     prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
     best_worst, best_plane, best_curve = math.inf, None, []
-    rng = np.random.default_rng(cfg.seed + 104729)
-    for rnd in range(int(cfg.refine_rounds) + 1):
-        if rnd:
-            planes = ref_perturbed_planes(best_plane, 0.1 * 0.3 ** (rnd - 1), 8, rng)
-        for V in planes:
-            worst, curve = ref_plane_defect_grid(V, delta, d, w, s_list, r_list, float(cfg.m),
-                                                 prefix)
-            if worst < best_worst:
-                best_worst, best_plane, best_curve = worst, V, curve
+    for V in list(planes) + rectify._fitted_planes(mu.n, cfg.m, delta, d, w):
+        worst, curve = ref_plane_defect_grid(V, delta, d, w, s_list, r_list, float(cfg.m), prefix)
+        if worst < best_worst:
+            best_worst, best_plane, best_curve = worst, V, curve
     if best_worst > cfg.threshold:
         return None, best_curve, "none", best_worst, best_plane
     return best_plane, best_curve, best_plane.family, best_worst, best_plane
@@ -404,7 +388,7 @@ class TestBatchedScoringMatchesReference:
 
     def test_ties_go_to_the_earlier_plane(self):
         mu = line_cloud(1e-2)
-        cfg = TangentConfig(m=1, r_list=(0.1,), refine_rounds=0)
+        cfg = TangentConfig(m=1, r_list=(0.1,))
         horizontal = HomPlane.horizontal_axes(1, (0,))
         twin = HomPlane.horizontal_axes(1, (0,))
         for planes in ([horizontal, twin], [twin, horizontal]):
@@ -413,42 +397,121 @@ class TestBatchedScoringMatchesReference:
         # an atom on the t-axis is as far from every horizontal line of P^2
         # as from the vertex, so distinct planes score the same
         lone = DiscreteMeasure(2, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.01]]), [1.0, 1.0])
-        flat = TangentConfig(m=1, s_list=(0.9,), r_list=(0.2,), refine_rounds=0)
+        flat = TangentConfig(m=1, s_list=(0.9,), r_list=(0.2,))
         planes = sample_planes(2, 1, 5, 0)
         for order in ([0, 1, 2, 3, 4], [3, 1, 4, 0, 2]):
             listed = [planes[i] for i in order]
             res = detect_tangent(lone, np.zeros(3), flat, planes=listed)
             assert res.argmin_plane is listed[0] and res.min_defect == 5.0
 
-    @pytest.mark.parametrize("n,m,family", [(2, 1, "horizontal"), (2, 3, "vertical"),
-                                            (3, 2, "horizontal"), (4, 4, "vertical")])
-    def test_perturbed_planes(self, n, m, family):
-        V = next(P for P in sample_planes(n, m, 6, 2)[2:] if P.family == family)
-        for sigma in (0.1, 0.03):
-            got = rectify._perturbed_planes(V, sigma, 8, np.random.default_rng(5))
-            want = ref_perturbed_planes(V, sigma, 8, np.random.default_rng(5))
-            assert len(got) == len(want) == 8
-            assert all(same_plane(a, b) for a, b in zip(got, want))
 
-    def test_rank_deficient_frames_are_skipped(self):
-        V = HomPlane.vertical_axes(3, (0, 1))
-        draws = np.random.default_rng(3).standard_normal((8, 2, 3))
-        draws[2] = -V.horiz_basis / 0.1  # frame 2 collapses to zero
-        draws[5, 1] = (draws[5, 0] * 0.1 + V.horiz_basis[0] - V.horiz_basis[1]) / 0.1
+def ref_fitted_planes(n, m, delta, d, w):
+    """_fitted_planes from one np.outer per atom."""
+    C = np.zeros((n, n))
+    for x, di, wi in zip(delta[:, :-1], d, w):
+        C += wi * np.outer(x / di, x / di)
+    top = np.linalg.eigh(C)[1][:, ::-1].T
+    out = []
+    if 1 <= m <= n - 1:
+        out.append(HomPlane(n, top[:m], False))
+    if 1 <= m - 2 <= n - 1:
+        out.append(HomPlane(n, top[: m - 2], True))
+    return out
 
-        class Replay:
-            def __init__(self):
-                self.flat = draws.ravel()
 
-            def standard_normal(self, shape):
-                size = int(np.prod(shape))
-                out, self.flat = self.flat[:size].reshape(shape), self.flat[size:]
-                return out
+def tilted_frame(n, k, seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))[0].T
 
-        got = rectify._perturbed_planes(V, 0.1, 8, Replay())
-        want = ref_perturbed_planes(V, 0.1, 8, Replay())
-        assert len(got) == len(want) == 6
-        assert all(same_plane(a, b) for a, b in zip(got, want))
+
+class TestFittedPlanes:
+    @staticmethod
+    def ball(pts, r_max=10.0):
+        mu = DiscreteMeasure(pts.shape[1] - 1, pts, np.linspace(0.5, 2.0, len(pts)))
+        return rectify._gather_ball(mu, ParaPoint.from_coords(pts[0]), r_max)
+
+    def assert_fits(self, n, m, ball, truth):
+        got = rectify._fitted_planes(n, m, *ball)
+        want = ref_fitted_planes(n, m, *ball)
+        assert len(got) == len(want)
+        assert all(plane_distance(V, W) <= 1e-12 for V, W in zip(got, want))
+        fit = next(V for V in got if V.family == truth.family)
+        assert plane_distance(fit, truth) <= 1e-12
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 3)])
+    def test_tilted_horizontal_flat_cloud(self, n, m):
+        basis = tilted_frame(n, m, n + m)
+        c = np.random.default_rng(m).uniform(-1.0, 1.0, (200, m))
+        pts = np.column_stack([c @ basis, np.zeros(200)])
+        self.assert_fits(n, m, self.ball(pts), HomPlane(n, basis, False))
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 4), (4, 5)])
+    def test_tilted_vertical_flat_cloud(self, n, m):
+        basis = tilted_frame(n, m - 2, n + m)
+        rng = np.random.default_rng(m)
+        c = rng.uniform(-1.0, 1.0, (200, m - 2))
+        pts = np.column_stack([c @ basis, rng.uniform(-1.0, 1.0, 200)])
+        self.assert_fits(n, m, self.ball(pts), HomPlane(n, basis, True))
+
+    def test_no_fit_for_a_single_plane_family(self):
+        # k = 0 (the t-axis) and k = n (R^n x {0}) hold one plane each
+        rng = np.random.default_rng(3)
+        for n in range(1, 5):
+            ball = self.ball(rng.uniform(-1.0, 1.0, (50, n + 1)))
+            for m in range(1, n + 2):
+                got = rectify._fitted_planes(n, m, *ball)
+                want = [(k, vertical) for k, vertical in ((m, False), (m - 2, True))
+                        if 1 <= k <= n - 1]
+                assert [(V.k, V.includes_t_axis) for V in got] == want
+
+    def test_atoms_closer_than_the_square_root_of_the_smallest_float(self):
+        # d^2 underflows at d = 1e-155, so w / d^2 would overflow to inf
+        line = np.array([[0.6, 0.8]])
+        pts = np.column_stack([np.arange(12)[:, None] * 1e-155 * line, np.zeros(12)])
+        ball = self.ball(pts, 1e-150)
+        assert ball[1].size == 11
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rectify._fitted_planes(2, 1, *ball)
+            want = ref_fitted_planes(2, 1, *ball)
+        assert np.all(np.isfinite(got[0].horiz_basis))
+        assert plane_distance(got[0], want[0]) <= 1e-12
+        assert plane_distance(got[0], HomPlane(2, line, False)) <= 1e-12
+
+    def test_the_canonical_plane_of_a_flat_cloud_keeps_winning(self):
+        # the fit scores 0 as well, but comes after the candidate list
+        mu = gen_flat(HomPlane.horizontal_axes(2, (0,)), extent=1.0, resolution=1e-2)[0]
+        cfg = TangentConfig(m=1, r_list=(0.1, 0.05))
+        planes = candidate_planes(2, 1, cfg.plane_budget, cfg.seed)
+        for a in mu.points[::40]:
+            res = detect_tangent(mu, a, cfg, planes=planes)
+            assert res.argmin_plane is planes[0] and res.min_defect == 0.0
+
+
+class TestSeedIndependence:
+    """The tangent of a rectifiable cloud does not depend on which planes a
+    seed samples: each of these seeds missed the tilt with sampled and
+    perturbed planes alone."""
+
+    def test_tilted_horizontal_line(self):
+        mu = load_cloud_csv(GOLDEN_CLI / "tilted.csv")
+        missed = []
+        for seed in range(100):
+            cfg = TangentConfig(m=1, s_list=(0.1, 0.05, 0.02), sample_size=12, seed=seed)
+            if classify_points(mu, cfg).fractions["horizontal"] != 1.0:
+                missed.append(seed)
+        assert missed == []
+
+    def test_tilted_vertical_plane(self):
+        spec = GeneratorSpec("user_graph", {"plane": {"n": 2, "axes": [0], "t": True},
+                                            "expr": ["0.1*x1"], "resolution": 0.01})
+        mu = generate(spec)[0]
+        assert mu.natoms == 40401
+        missed = []
+        for seed in (1, 9, 10, 14, 17):
+            cfg = TangentConfig(m=3, s_list=(0.1, 0.05, 0.02), sample_size=20, seed=seed)
+            if classify_points(mu, cfg).fractions["vertical"] != 1.0:
+                missed.append(seed)
+        assert missed == []
 
 
 def ref_tilted_plane(V, lam):
