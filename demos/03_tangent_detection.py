@@ -1,6 +1,6 @@
 """Approximate tangent planes by multi-scale cone defect minimization.
 
-For each sampled point the detector scores every candidate plane, and
+For each sampled point the detector scores every axis-aligned plane, and
 the planes fitted to the point's own ball, by the worst mass fraction
 outside shrinking cones, across a grid of apertures and radii.  Flat
 clouds classify perfectly; a tilted graph recovers its exact tangent

@@ -522,10 +522,9 @@ _COMMANDS = {
         _param_opt(TangentConfig, "s_list", "floats", help="cone apertures"),
         _param_opt(TangentConfig, "r_list", "floats",
                    help="cone radii (default: 8,4,2 x cloud resolution)"),
-        _param_opt(TangentConfig, "plane_budget", "int", help="sampled candidate planes"),
         _param_opt(TangentConfig, "threshold", "float", help="max tolerated cone defect"),
         _param_opt(TangentConfig, "sample_size", "int", help="atoms classified"),
-        _param_opt(TangentConfig, "seed", "seed", help="subsample and plane-sampling seed"),
+        _param_opt(TangentConfig, "seed", "seed", help="subsample seed"),
         Opt("curves_csv", "str", help="write point_index,r,s,defect rows here"),
         Opt("output", "str", help="report path (stdout when omitted)"),
     ]),

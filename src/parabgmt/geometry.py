@@ -415,155 +415,39 @@ def orthonormal_frames(cols):
     return np.ascontiguousarray(q[keep].transpose(0, 2, 1)), keep
 
 
-def _halton_rows(d, seed, count, start):
-    """Rows start .. start+count-1 of a d-dimensional scrambled Halton
-    sequence (Owen's random digit permutations), as a (count, d) array
-    in [0, 1); see _halton_frames for the definition."""
-    bases = []
-    cand = 2
-    while len(bases) < d:
-        if all(cand % b for b in bases):
-            bases.append(cand)
-        cand += 1
-    rng = np.random.default_rng(seed)
-    index = np.arange(start, start + count, dtype=np.int64)
-    rows = np.empty((count, d))
-    for col, b in enumerate(bases):
-        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        q = index.copy()
-        b2r = 1.0 / b
-        u = np.zeros(count)
-        for perm in perms:
-            u += perm[q % b] * b2r
-            q //= b
-            b2r /= b
-        rows[:, col] = u
-    return rows
-
-
-# Cephes ndtri: the rational approximation for |y - 1/2| <= 1/2 - exp(-2),
-# then two in z = 1 / sqrt(-2 log y), split at sqrt(-2 log y) = 8.  Each
-# denominator carries its leading 1.0, which Cephes' p1evl leaves implicit.
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT_2PI = 2.50662827463100050242
-
-
-def _polevl(x, coefs):
-    """The polynomial with the given coefficients, highest power first,
-    at x, in Horner order."""
-    ans = coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y):
-    """The standard normal quantile of a float y, as Cephes' ndtri computes
-    it: -inf at 0, inf at 1, nan outside [0, 1]."""
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))) * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
-    else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
-    x = x - math.log(x) / x - x1
-    return x if upper else -x
-
-
-def _halton_frames(n, k, count, seed):
-    """Deterministic pseudo-uniform orthonormal (k, n) frames.
-
-    Row i = 0, 1, 2, ... of a scrambled Halton sequence in d = n*k
-    dimensions is u_i with coordinates u_i[c] = sum_j P_c,j[a_j] w_j for
-    j = 0 .. ceil(54 / log2 b) - 2, added in that order, where b is the
-    (c+1)-th prime, a_0, a_1, ... are the base-b digits of i, least
-    significant first, and w_j is 1/b divided j more times by b.  The
-    digit permutations P_c,j are copies of 0..b-1 shuffled in turn by
-    np.random.default_rng(seed).shuffle, all of base 2's first, then
-    base 3's, and so on.  The standard normal quantiles ndtri(u_i),
-    filled row by row into an (n, k) matrix, go through
-    orthonormal_frames, which drops a rank-deficient row; the frames are
-    those of the first `count` rows kept.  (This is the sequence that
-    scipy's qmc.Halton(d, seed=seed, scramble=True) draws.)
-
-    The quantile is _ndtri, Cephes' ndtri in Python floats, so it takes
-    its logarithms from math.log, as the compiled Cephes does from the C
-    library; np.log rounds some of them differently, which moves the
-    frames' last bits.
-    """
-    if k == 0:
-        return [np.zeros((0, n)) for _ in range(count)]
-    frames = []
-    start = 0
-    while len(frames) < count:
-        need = count - len(frames)
-        u = _halton_rows(n * k, seed, need, start)
-        z = np.array([_ndtri(v) for v in u.ravel().tolist()]).reshape(need, n, k)
-        start += need
-        frames.extend(orthonormal_frames(z)[0])
-    return frames
-
-
-def _canonical_planes(n, m):
-    """The axis-aligned m-planes of P^n, as (horizontal, vertical) lists
-    in itertools.combinations order of their axes."""
+def candidate_planes(n, m):
+    """The axis-aligned m-planes of P^n, which every plane search scores
+    ahead of the planes it fits to the cloud: the horizontal ones, then
+    the vertical ones, each in itertools.combinations order of their
+    axes."""
+    n = int(n)
+    m = int(m)
+    if not 0 < m < n + 2:
+        raise ValueError(f"m={m} out of range for n={n}")
     canon_h = [HomPlane.horizontal_axes(n, c) for c in itertools.combinations(range(n), m)]
-    canon_v = (
-        [HomPlane.vertical_axes(n, c) for c in itertools.combinations(range(n), m - 2)]
-        if m >= 2
-        else []
-    )
-    return canon_h, canon_v
+    if m < 2:
+        return canon_h
+    return canon_h + [HomPlane.vertical_axes(n, c) for c in itertools.combinations(range(n), m - 2)]
 
 
 def sample_planes(n, m, count, seed):
-    """Exactly `count` planes of P(n,m): the axis-aligned canonical
-    planes first, then seeded low-discrepancy frames, alternating the
-    horizontal and vertical families whenever both exist.  Finite
-    families are cycled, so repeats are possible.
+    """Exactly `count` planes of P(n,m): the canonical planes first, then
+    seeded random frames, alternating the horizontal and vertical
+    families whenever both exist.  The horizontal frames come from
+    np.random.default_rng(seed), the vertical ones from seed + 1.
+    Finite families are cycled, so repeats are possible.  No plane
+    search calls this; the verify checks and the tests draw from it.
     """
     n = int(n)
     m = int(m)
     count = int(count)
-    if not 0 < m < n + 2:
-        raise ValueError(f"m={m} out of range for n={n}")
+    canon = candidate_planes(n, m)
     if count < 1:
         raise ValueError("count must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    canon_h, canon_v = _canonical_planes(n, m)
+    canon_h = [V for V in canon if not V.includes_t_axis]
+    canon_v = [V for V in canon if V.includes_t_axis]
     canon = [p for pair in itertools.zip_longest(canon_h, canon_v) for p in pair if p is not None]
     planes = canon[:count]
     need = count - len(planes)
@@ -576,23 +460,12 @@ def sample_planes(n, m, count, seed):
             if k in (0, n):  # the family is the one plane R^n x {0} or the t-axis
                 fill.append(canon_f)
             else:
-                fill.append([HomPlane(n, b, vertical) for b in _halton_frames(n, k, need, fseed)])
+                cols = np.random.default_rng(fseed).standard_normal((need, n, k))
+                fill.append([HomPlane(n, b, vertical) for b in orthonormal_frames(cols)[0]])
         pools = [itertools.cycle(f) for f in fill]
         for i in range(need):
             planes.append(next(pools[i % len(pools)]))
     return planes
-
-
-def candidate_planes(n, m, budget, seed):
-    """The m-planes of P^n that every plane search scores: the canonical
-    horizontal planes, then the canonical vertical ones, then the
-    seeded frames that sample_planes(n, m, budget, seed) draws after its
-    canonical prefix.  The cycled repeats of a family with a single
-    plane (k = 0 or k = n) are left out, so no plane is listed twice."""
-    sampled = sample_planes(n, m, budget, seed)
-    canon_h, canon_v = _canonical_planes(n, m)
-    drawn = sampled[len(canon_h) + len(canon_v) :]
-    return canon_h + canon_v + [V for V in drawn if V.k not in (0, n)]
 
 
 class Cone:
@@ -763,32 +636,31 @@ def graph_extract(points, V, s):
     ConeViolationError naming the first violating pair (i, j) in
     lexicographic order, the pair graph_cone_check(...)[0] names, and
     only when no pair violates the cone condition, the first pair whose
-    P_V images are equal.
+    difference projects to 0 in V.
 
-    One sweep over the pairs does all of it.  Each tile gathers the rows
-    (p, P_V p, P_{V perp} p) of its pairs (p, q) once, and one
-    subtraction gives three differences: d = q - p, whose cone gap is
-    computed by cone_gap_rows as in graph_cone_check, and the
-    differences of the graph's base and values, whose parabolic norms
-    give the injectivity test and the pair's ratio.  Since ||d||^2 =
-    ||P_V d||^2 + ||P_{V perp} d||^2 exactly, a pair inside the cone has
-    ||P_V d|| >= sqrt(1 - s^2) ||d|| > 0: only pairs closer than about
-    CONE_BAND / (1 - s) can pass the cone check and still share a P_V
-    image in floating point.  The sweep stops at the first tile with a
+    One sweep over the pairs does all of it.  Each tile takes the
+    differences d = q - p of its pairs (p, q), and the projections of d
+    give everything: ||P_{V perp} d|| - s ||d|| is the cone gap, the one
+    cone_gap_rows computes in graph_cone_check, ||P_V d|| = 0 fails the
+    injectivity test, and ||P_{V perp} d|| / ||P_V d|| is the pair's
+    ratio.  Projecting d, rather than subtracting the projections of p
+    and q, keeps the ratio exact to a few ulps for a cloud far from the
+    origin.  Since ||d||^2 = ||P_V d||^2 + ||P_{V perp} d||^2 exactly, a
+    pair inside the cone has ||P_V d|| >= sqrt(1 - s^2) ||d|| > 0: only
+    pairs closer than about CONE_BAND / (1 - s) can pass the cone check
+    and still project to 0.  The sweep stops at the first tile with a
     cone violation.
     """
     pts = np.unique(as_coord_array(points, V.n), axis=0)
     if not 0.0 < s < 1.0:
         raise ValueError("aperture must lie in (0, 1)")
     graph = GraphSamples.from_points(pts, V)
-    w = pts.shape[1]
-    rows = np.hstack([pts, graph.base, graph.values])
     ratio = 0.0
     same = None
     for i, j in pair_tiles(pts.shape[0]):
-        diff = rows.take(j, 0) - rows.take(i, 0)
-        # a contiguous d, as graph_cone_check projects it
-        bad = np.flatnonzero(cone_gap_rows(V, s, np.ascontiguousarray(diff[:, :w])) > CONE_BAND)
+        d = pts.take(j, 0) - pts.take(i, 0)
+        perp = dist_to_plane_rows(V, d)
+        bad = np.flatnonzero(perp - s * para_norm_rows(d) > CONE_BAND)
         if bad.size:
             a, b = i[bad[0]], j[bad[0]]
             raise ConeViolationError(
@@ -797,12 +669,12 @@ def graph_extract(points, V, s):
                 pair=(pts[a].copy(), pts[b].copy()),
             )
         if same is None:
-            db = para_norm_rows(diff[:, w : 2 * w])
+            db = para_norm_rows(project_rows(V, d))
             zero = np.flatnonzero(db == 0.0)
             if zero.size:
                 same = i[zero[0]], j[zero[0]]
             else:
-                ratio = max(ratio, float(np.max(para_norm_rows(diff[:, 2 * w :]) / db)))
+                ratio = max(ratio, float(np.max(perp / db)))
     if same is not None:
         a, b = same
         raise ConeViolationError(

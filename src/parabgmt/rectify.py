@@ -27,6 +27,7 @@ from .geometry import (
     dist_to_planes_rows,
     graph_cone_check,
     orthonormal_frames,
+    para_norm_rows,
     plane_distance,
     tile_slices,
 )
@@ -57,13 +58,14 @@ class TangentConfig(Record):
     The defining limit is replaced by a max over the finite (s, r) grid
     plus a threshold, and the grid is echoed into every report.  When
     r_list is None it is derived from the cloud resolution: three
-    geometric scales 8, 4, 2 times the resolution.
+    geometric scales 8, 4, 2 times the resolution.  The seed picks the
+    atoms that classify_points samples and nothing else: the planes
+    searched are the canonical ones and those fitted to each ball.
     """
 
     m: int
     s_list: tuple = (0.5, 0.25, 0.1)
     r_list: tuple | None = None
-    plane_budget: int = 64
     threshold: float = 0.05
     sample_size: int = 100
     seed: int = 0
@@ -82,7 +84,7 @@ class TangentConfig(Record):
                     raise ValueError(f"r_list: radius {r} must be finite and > 0")
         if math.isnan(self.threshold):
             raise ValueError("threshold must be a number, got nan")
-        for name, low in (("sample_size", 1), ("plane_budget", 1), ("seed", 0)):
+        for name, low in (("sample_size", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -205,8 +207,8 @@ class PointTangent:
 def detect_tangent(mu, a, cfg, planes=None, index=None):
     """Approximate tangent plane of mu at a.
 
-    The planes (by default candidate_planes(n, m, plane_budget, seed)),
-    then those _fitted_planes fits to the ball at a, are scored by the
+    The planes (by default the canonical candidate_planes(n, m)), then
+    those _fitted_planes fits to the ball at a, are scored by the
     max of cone_defect over the (s, r) grid; the argmin wins, ties by
     list position.  A point whose punctured ball is empty at every
     scale yields class "none" with an empty curve.
@@ -223,7 +225,7 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
     s_list = tuple(float(s) for s in cfg.s_list)
     m = float(cfg.m)
     if planes is None:
-        planes = candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
+        planes = candidate_planes(mu.n, cfg.m)
     delta, d, w = _gather_ball(mu, a, max(r_list), index)
     if d.size == 0:
         return PointTangent(None, [], "none", math.inf, None)
@@ -283,7 +285,7 @@ def classify_points(mu, cfg):
     rng = np.random.default_rng(cfg.seed)
     size = min(int(cfg.sample_size), mu.natoms)
     sel = np.sort(rng.choice(mu.natoms, size=size, replace=False))
-    planes = candidate_planes(mu.n, cfg.m, cfg.plane_budget, cfg.seed)
+    planes = candidate_planes(mu.n, cfg.m)
     r_list = cfg.resolved_r_list(mu)
     index = GridIndex(mu.points, max(r_list))
     points = [ParaPoint.from_coords(mu.points[i]) for i in sel]
@@ -378,9 +380,10 @@ def _empty_cell_fraction(V, coords):
 def flatness_defect(nu, m, planes=None):
     """How far nu (supported in the unit ball) is from a flat measure.
 
-    For each m-plane of the list (by default candidate_planes(n, m, 32,
-    0)) the score adds the mass fraction outside the tube of width
-    TUBE_WIDTH = 0.05 about the plane and the fraction of empty cells of
+    The planes (by default the canonical candidate_planes(n, m)), then
+    those _fitted_planes fits to the atoms of nu off the origin, are
+    each scored by the mass fraction outside the tube of width
+    TUBE_WIDTH = 0.05 about the plane plus the fraction of empty cells of
     the GRID_CELLS = 6 per axis grid on the plane (so a measure covering
     only half a plane still scores high).  Returns (best_plane, defect)
     with defect clamped to [0, 1]; ties go to the earlier plane.
@@ -388,7 +391,10 @@ def flatness_defect(nu, m, planes=None):
     if nu.natoms == 0:
         raise ValueError("flatness defect of an empty measure")
     if planes is None:
-        planes = candidate_planes(nu.n, m, 32, 0)
+        planes = candidate_planes(nu.n, m)
+    d = para_norm_rows(nu.points)
+    off = d > 0.0
+    planes = list(planes) + _fitted_planes(nu.n, m, nu.points[off], d[off], nu.weights[off])
     total = nu.total_mass
     best = None
     for chunk in tile_slices(len(planes), nu.natoms):
@@ -422,20 +428,20 @@ class UniquenessScan(Record):
         return {"version": __version__, "a": d.pop("point"), **d}
 
 
-def tangent_uniqueness_scan(mu, a, scale_sequence, m, plane_budget=32, seed=0):
+def tangent_uniqueness_scan(mu, a, scale_sequence, m):
     """Blow up at a over each scale, fit the flattest plane, and report
     how much the winning plane moves across scales.  A small spread and
     small defects is the empirical signature of a unique flat tangent.
 
     Each blow-up is mass normalized and scored by flatness_defect (tube
     width TUBE_WIDTH = 0.05, GRID_CELLS = 6 cells per plane axis) over
-    candidate_planes(n, m, plane_budget, seed), built once.
+    candidate_planes(n, m), built once, and the planes fitted to it.
     """
     a = as_point(a, mu.n)
     scales = tuple(float(r) for r in scale_sequence)
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
-    candidates = candidate_planes(mu.n, m, plane_budget, seed)
+    candidates = candidate_planes(mu.n, m)
     planes = []
     defects = []
     for r in scales:

@@ -167,18 +167,10 @@ def test_cli_import_leaves_scipy_stats_unloaded(child_pythonpath):
     assert json.loads(done.stdout) == []
 
 
-# Each child counts its calls of geometry._halton_frames, so the plane
-# sampling that once imported scipy is known to have run.
-_COUNT_FRAMES = """
-import json, sys
-import numpy as np
-from parabgmt import geometry
-calls = []
-draw = geometry._halton_frames
-geometry._halton_frames = lambda *args: calls.append(args) or draw(*args)
-"""
-
-_SAMPLING_RUNS = {
+# Runs of the benchmark's commands, plane searches, plane complements and
+# frames, and certification calls; each child lists the scipy modules it
+# loaded
+_RUNS = {
     "tangent": """
 from parabgmt import cli
 csv = sys.argv[1]
@@ -192,12 +184,8 @@ from parabgmt.measure import DiscreteMeasure
 from parabgmt.rectify import tangent_uniqueness_scan
 s = np.linspace(-1.0, 1.0, 201)
 mu = DiscreteMeasure(2, np.column_stack([s, 0.5 * s, np.zeros_like(s)]), np.ones_like(s))
-tangent_uniqueness_scan(mu, np.zeros(3), (0.5, 0.25, 0.125), 1, plane_budget=8)
+tangent_uniqueness_scan(mu, np.zeros(3), (0.5, 0.25, 0.125), 1)
 """,
-}
-
-# Runs that build plane complements and frames without sampling planes
-_FRAME_RUNS = {
     "user_graph": """
 from parabgmt import cli
 assert cli.main(["generate", "--kind", "user_graph", "--n", "2", "--axes", "0",
@@ -211,11 +199,6 @@ pts = np.column_stack([x, 0.5 * x, np.zeros_like(x)])
 graph = GraphSamples.from_points(pts, HomPlane.horizontal_axes(2, (0,)))
 assert fit_differential(graph, 100, FitConfig(scales=(0.5, 0.1))).verdict == "differentiable"
 """,
-}
-
-
-# Runs of the benchmark's other commands and certification calls
-_OTHER_RUNS = {
     "verify": """
 from parabgmt import cli
 assert cli.main(["verify", "--suite", "all", "-o", sys.argv[1] + ".json"]) == 0
@@ -246,29 +229,13 @@ tangent_uniqueness_scan(DiscreteMeasure(2, pts, np.ones_like(x)), np.zeros(3),
 }
 
 
-def _child_run(code, tmp_path):
-    """Frame-sampling calls and the scipy modules loaded after code."""
-    code = _COUNT_FRAMES + code + f"print(json.dumps([len(calls), {_SCIPY_LOADED}]))"
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_runs_leave_scipy_unloaded(name, tmp_path, child_pythonpath):
+    code = ("import json, sys\nimport numpy as np\n" + _RUNS[name]
+            + f"print(json.dumps({_SCIPY_LOADED}))")
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cloud.csv")],
                           capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-@pytest.mark.parametrize("name", sorted(_SAMPLING_RUNS))
-def test_plane_sampling_leaves_scipy_stats_unloaded(name, tmp_path, child_pythonpath):
-    calls, loaded = _child_run(_SAMPLING_RUNS[name], tmp_path)
-    assert calls > 0
-    assert loaded == []
-
-
-@pytest.mark.parametrize("name", sorted(_FRAME_RUNS))
-def test_plane_frames_leave_scipy_linalg_unloaded(name, tmp_path, child_pythonpath):
-    assert _child_run(_FRAME_RUNS[name], tmp_path) == [0, []]
-
-
-@pytest.mark.parametrize("name", sorted(_OTHER_RUNS))
-def test_runs_leave_scipy_unloaded(name, tmp_path, child_pythonpath):
-    assert _child_run(_OTHER_RUNS[name], tmp_path)[1] == []
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 class TestDim:
@@ -343,15 +310,19 @@ class TestTangent:
         ("--s-list", "1.5", "s_list: aperture 1.5 must lie in (0, 1)"),
         ("--s-list", "0", "s_list: aperture 0.0 must lie in (0, 1)"),
         ("--r-list", "-0.1", "r_list: radius -0.1 must be finite and > 0"),
-        ("--plane-budget", "0", "plane_budget must be >= 1, got 0"),
+        ("--m", "0", "m=0 out of range for n=2"),
+        ("--m", "4", "m=4 out of range for n=2"),
+        ("--plane-budget", "4", "unrecognized arguments: --plane-budget=4"),
         ("--threshold", "nan", "--threshold: invalid number 'nan'"),
         ("--threshold", "NaN", "--threshold: invalid number 'NaN'"),
         ("--r-list", "0.1,nan", "--r-list: invalid number 'nan'"),
     ])
-    def test_bad_search_config_is_a_one_line_error(self, line_csv, tmp_path, capsys, flag,
-                                                   value, message):
+    def test_bad_search_config_is_a_one_line_error(self, tmp_path, capsys, flag, value,
+                                                   message):
+        cloud = tmp_path / "plane.csv"
+        cloud.write_text("x1,x2,t,w\n0,0,0,1\n0.1,0,0,1\n0,0.1,0,1\n")
         out = tmp_path / "tan.json"
-        rc, stdout, err = run(capsys, "tangent", "-i", str(line_csv), "--m", "1",
+        rc, stdout, err = run(capsys, "tangent", "-i", str(cloud), "--m", "1",
                               f"{flag}={value}", "-o", str(out))
         assert (rc, stdout, err) == (1, "", f"error: {message}\n")
         assert not out.exists()
@@ -485,6 +456,10 @@ class TestConfigPrecedence:
         assert rc == 1
         assertf = f"{cfg}:1: unknown key 'bogus'"
         assert assertf in err
+        # a key the tangent command no longer has is refused like any other
+        cfg.write_text("m = 1\nplane_budget = 8\n")
+        rc, _, err = run(capsys, "tangent", "-i", str(line_csv), "--config", str(cfg))
+        assert (rc, err) == (1, f"error: {cfg}:2: unknown key 'plane_budget' for tangent\n")
 
     def test_malformed_line_diagnostic(self, line_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -423,153 +424,13 @@ class TestPlaneDistance:
             sample_planes(1, 3, 4, 0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             sample_planes(2, 1, 8, -1)
-
-
-# ---------------------------------------------------------------------------
-# Candidate plane sampling
-
-
-def scipy_halton_frames(n, k, count, seed):
-    """The frames as scipy's own Halton sampler and normal quantile give
-    them, one row at a time: the reference for geometry._halton_frames."""
-    from scipy.stats import norm, qmc
-
-    if k == 0:
-        return [np.zeros((0, n)) for _ in range(count)]
-    sampler = qmc.Halton(d=n * k, seed=seed, scramble=True)
-    frames = []
-    while len(frames) < count:
-        z = norm.ppf(sampler.random(1)[0]).reshape(n, k)
-        q, r = np.linalg.qr(z)
-        diag = np.diag(r)
-        if np.min(np.abs(diag)) < 1e-12:
-            continue
-        frames.append((q * np.sign(diag)).T.copy())
-    return frames
-
-
-def assert_same_bits(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        a = np.asarray(a)
-        assert a.shape == b.shape and a.flags.c_contiguous
-        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-HALTON_SEEDS = (0, 1, 205, 104729, 2**32 - 1)
-
-
-class TestHaltonFrames:
-    @pytest.mark.parametrize("seed", HALTON_SEEDS)
-    def test_frames_match_scipy_bit_for_bit(self, seed):
-        for n in range(1, 5):
-            for k in range(n + 1):
-                for count in (1, 7, 70):
-                    assert_same_bits(geometry._halton_frames(n, k, count, seed),
-                                     scipy_halton_frames(n, k, count, seed))
-
-    @pytest.mark.parametrize("seed", HALTON_SEEDS)
-    def test_sample_planes_match_scipy_bit_for_bit(self, seed):
-        for n in range(1, 5):
-            for m in range(1, n + 2):
-                for count in (1, 9, 70):
-                    got = sample_planes(n, m, count, seed)
-                    with mock.patch.object(geometry, "_halton_frames", scipy_halton_frames):
-                        want = sample_planes(n, m, count, seed)
-                    assert [V.includes_t_axis for V in got] == [
-                        V.includes_t_axis for V in want
-                    ]
-                    assert_same_bits([V.horiz_basis for V in got],
-                                     [V.horiz_basis for V in want])
-
-    @pytest.mark.parametrize("seed", HALTON_SEEDS)
-    def test_rows_from_an_offset_match_scipy_fast_forward(self, seed):
-        from scipy.stats import qmc
-
-        for d in (1, 2, 5, 12):
-            for start in (0, 1, 13, 250):
-                sampler = qmc.Halton(d=d, seed=seed, scramble=True)
-                sampler.fast_forward(start)
-                want = sampler.random(40)
-                got = geometry._halton_rows(d, seed, 40, start)
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_rejected_row_resumes_at_next_index(self):
-        from scipy.special import ndtri
-
-        # rows 1 and 3 give a rank-deficient 2x2 matrix (equal columns),
-        # so the frames are those of rows 0, 2, 4, 5 and the second draw
-        # starts at row 4
-        table = geometry._halton_rows(4, 9, 6, 0)
-        table[1] = [0.3, 0.3, 0.8, 0.8]
-        table[3] = [0.6, 0.6, 0.1, 0.1]
-        starts = []
-
-        def rows(d, seed, count, start):
-            starts.append((start, count))
-            return table[start:start + count]
-
-        with mock.patch.object(geometry, "_halton_rows", rows):
-            got = geometry._halton_frames(2, 2, 4, 9)
-        assert starts == [(0, 4), (4, 2)]
-        expect = []
-        for u in table[[0, 2, 4, 5]]:
-            q, r = np.linalg.qr(ndtri(u).reshape(2, 2))
-            expect.append((q * np.sign(np.diag(r))).T.copy())
-        assert_same_bits(got, expect)
-
-
-EXP_M2 = 0.1353352832366127  # the branch edge exp(-2) of ndtri, and 1 minus it
-
-
-def float_neighbours(x, count=3):
-    """x and the `count` floats on either side of it."""
-    out = [x]
-    lo = hi = x
-    for _ in range(count):
-        lo, hi = np.nextafter(lo, -1.0), np.nextafter(hi, 2.0)
-        out += [lo, hi]
-    return out
-
-
-class TestNdtri:
-    """geometry._ndtri against scipy.special.ndtri, bit for bit."""
-
-    @staticmethod
-    def assert_matches_scipy(values):
-        from scipy.special import ndtri
-
-        values = np.asarray(values, dtype=float)
-        want = ndtri(values)
-        got = np.array([geometry._ndtri(v) for v in values.tolist()])
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        ok = ~np.isnan(want)
-        np.testing.assert_array_equal(got[ok].view(np.uint64), want[ok].view(np.uint64))
-
-    def test_uniform_values(self):
-        self.assert_matches_scipy(np.random.default_rng(3).random(50000))
-
-    def test_branch_edges_and_their_neighbours(self):
-        self.assert_matches_scipy(float_neighbours(EXP_M2) + float_neighbours(1.0 - EXP_M2))
-        # the tail splits at sqrt(-2 log y) = 8, y = exp(-32)
-        self.assert_matches_scipy(float_neighbours(math.exp(-32.0)))
-
-    def test_near_zero_and_one(self):
-        u = np.random.default_rng(4).random(20000)
-        self.assert_matches_scipy(np.concatenate([1e-6 * u, 1.0 - 1e-6 * u]))
-        self.assert_matches_scipy(10.0 ** np.random.default_rng(5).uniform(-300.0, 0.0, 20000))
-
-    def test_subnormals_and_ends(self):
-        tiny = np.finfo(float).smallest_normal
-        self.assert_matches_scipy([5e-324, 1e-320, 1e-310, tiny, np.nextafter(tiny, 0.0),
-                                   0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)])
-        assert geometry._ndtri(0.0) == -math.inf and geometry._ndtri(1.0) == math.inf
-
-    def test_outside_the_unit_interval_is_nan(self):
-        values = [-1e-300, -0.5, -1.0, np.nextafter(1.0, 2.0), 1.5, 1e300, -math.inf, math.inf,
-                  math.nan]
-        self.assert_matches_scipy(values)
-        assert all(math.isnan(geometry._ndtri(v)) for v in values)
+        # past the 4 canonical planes of P(3, 2), frames drawn by
+        # default_rng(seed) alternate with the cycled t-axis
+        drawn = sample_planes(3, 2, 9, 3)[4:]
+        assert [V.includes_t_axis for V in drawn] == [False, True, False, True, False]
+        frames = geometry.orthonormal_frames(
+            np.random.default_rng(3).standard_normal((5, 3, 2)))[0]
+        assert_same_bits([V.horiz_basis for V in drawn[::2]], list(frames[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -714,13 +575,35 @@ class TestGraphConeCheck:
             pts = np.delete(pts, bad[0][1], axis=0)
         with mock.patch.object(geometry, "PAIR_TILE", rows * npts):
             res = graph_extract(pts, V, 0.9)
-        base, vals = res.graph.base, res.graph.values
-        want = max(
-            (para_norm(vals[j] - vals[i]) / para_norm(base[j] - base[i])
-             for i in range(len(base)) for j in range(i + 1, len(base))),
-            default=0.0,
-        )
+        pts = np.unique(pts, axis=0)
+        pairs = [ParaPoint.from_coords(pts[j] - pts[i])
+                 for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        want = max((para_norm(project(V, d, "complement")) / para_norm(project(V, d))
+                    for d in pairs), default=0.0)
         assert res.empirical_ratio == pytest.approx(want, rel=1e-14)
+
+    def test_extract_ratio_far_from_the_origin(self):
+        # x2 = 0.1 x1 over a tilted axis of P^2, shifted by 1e6 along it:
+        # differences of separately projected points cancelled and gave
+        # 0.10000000108576154, some 1.6e7 ulps off
+        u = np.array([math.cos(0.3), math.sin(0.3)])
+        v = np.array([-math.sin(0.3), math.cos(0.3)])
+        x = np.linspace(-1.0, 1.0, 21)
+        pts = np.column_stack([(1e6 + x)[:, None] * u + (0.1 * x)[:, None] * v, np.zeros(21)])
+        V = HomPlane(2, u[None], False)
+        got = graph_extract(pts, V, 0.5).empirical_ratio
+        # the exact ratio of these float points and this float frame
+        b = [Fraction(c) for c in V.horiz_basis[0]]
+        bb = b[0] * b[0] + b[1] * b[1]
+        worst = Fraction(0)
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            d = [Fraction(q) - Fraction(p) for p, q in zip(pts[i], pts[j])]
+            c = d[0] * b[0] + d[1] * b[1]
+            perp2 = (d[0] - c * b[0]) ** 2 + (d[1] - c * b[1]) ** 2 + abs(d[2])
+            worst = max(worst, perp2 / (c * c * bb))
+        scale = 2**120
+        want = math.isqrt(worst.numerator * scale**2 // worst.denominator) / scale
+        assert abs(got - want) <= 4 * math.ulp(want)
 
     def test_extract_rejects_a_projection_that_is_not_injective(self):
         # points 0 and 1, and 2 and 3, are within the cone band of each
@@ -743,8 +626,8 @@ class TestGraphConeCheck:
 
 def two_pass_graph_extract(points, V, s):
     """graph_extract as two sweeps over the pairs, the cone check then the
-    ratio pass on the graph's base and values: the reference for the
-    one-sweep version."""
+    ratio pass on the projections of each pair's difference: the
+    reference for the one-sweep version."""
     pts = np.unique(geometry.as_coord_array(points, V.n), axis=0)
     violations = graph_cone_check(pts, V, s)
     if violations:
@@ -757,9 +640,10 @@ def two_pass_graph_extract(points, V, s):
     graph = GraphSamples.from_points(pts, V)
     bound = s / np.sqrt(1.0 - s * s)
     ratio = 0.0
-    base, vals = graph.base, graph.values
+    base = graph.base
     for i, j in pair_tiles(len(graph)):
-        db = dist_rows(base.take(j, 0), base.take(i, 0))
+        d = pts.take(j, 0) - pts.take(i, 0)
+        db = para_norm_rows(project_rows(V, d))
         same = np.flatnonzero(db == 0.0)
         if same.size:
             a, b = i[same[0]], j[same[0]]
@@ -767,7 +651,7 @@ def two_pass_graph_extract(points, V, s):
                 f"projection to the plane is not injective: points {a} and {b}",
                 pair=(base[a].copy(), base[b].copy()),
             )
-        ratio = max(ratio, float(np.max(dist_rows(vals.take(j, 0), vals.take(i, 0)) / db)))
+        ratio = max(ratio, float(np.max(para_norm_rows(project_rows(V, d, "complement")) / db)))
     return geometry.ExtractResult(graph, float(bound), ratio)
 
 
@@ -910,6 +794,14 @@ def ref_orthonormal_frames(cols):
         if keep[-1]:
             frames.append((q * np.sign(diag)).T.copy())
     return frames, keep
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a = np.asarray(a)
+        assert a.shape == b.shape and a.flags.c_contiguous
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -88,10 +88,10 @@ COMMANDS = [
                    "--resolution", "0.1", "-o", "hflat.csv"]),
     ("tangent", ["tangent", "-i", "cantor.csv", "--m", "1", "--sample-size", "10",
                  "--curves-csv", "curves.csv", "-o", "tangent.json"]),
-    # the other plane families: sampled and fitted vertical k = 1 frames,
+    # the other plane families: canonical and fitted vertical k = 1 frames,
     # the two one-plane families of m = 2 in P^2 (horizontal k = 2, the
-    # t-axis), and a seed whose sampled planes miss the tilt, so that only
-    # the plane fitted to each ball finds it
+    # t-axis), and the tilted graph, which only the plane fitted to each
+    # ball holds, at a seed whose sampled planes once missed the tilt
     ("tangent_vflat", ["tangent", "-i", "vflat.csv", "--m", "3", "--sample-size", "12",
                        "-o", "tangent_vflat.json"]),
     ("tangent_hflat_m2", ["tangent", "-i", "hflat.csv", "--m", "2", "--sample-size", "12",

@@ -263,7 +263,7 @@ class TestFarOutlier:
     def test_classify_points_above_index_threshold(self):
         # every indexed result must equal the full scan of detect_tangent
         mu = outlier_cloud(5000, side=0.02)
-        cfg = TangentConfig(m=1, r_list=(2e-3, 1e-3), plane_budget=8, sample_size=6)
+        cfg = TangentConfig(m=1, r_list=(2e-3, 1e-3), sample_size=6)
         report = classify_points(mu, cfg)
         assert sum(report.fractions.values()) == pytest.approx(1.0)
         for point, res in zip(report.points, report.results):
@@ -292,7 +292,7 @@ class TestClosedBall:
 
     def test_detect_tangent_with_and_without_index(self):
         mu = DiscreteMeasure(1, [[0.0, 0.0], self.edge, [0.1, 0.0]], [1.0, 1.0, 1.0])
-        cfg = TangentConfig(m=1, s_list=(0.5,), r_list=(0.25,), plane_budget=4)
+        cfg = TangentConfig(m=1, s_list=(0.5,), r_list=(0.25,))
         a = mu.points[0]
         plain = detect_tangent(mu, a, cfg)
         indexed = detect_tangent(mu, a, cfg, index=GridIndex(mu.points, 0.25))
