@@ -25,6 +25,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -598,13 +599,15 @@ def main(argv=None):
         args = parser.parse_args(argv)
         values = _merge_options(args.command, args)
         return _COMMANDS[args.command][1](values)
-    except (CliError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
-        # anything else (say a typo inside --expr) still gets a one-line
-        # diagnostic and exit 1 rather than a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if os.environ.get("PARABGMT_DEBUG") == "1":
+            raise
+        if isinstance(exc, (CliError, ValueError, OSError)):
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            # anything else (say a typo inside --expr) still gets a
+            # one-line diagnostic and exit 1 rather than a traceback
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -147,6 +147,18 @@ def _sum_squares(cols):
     return even + odd
 
 
+def _norm_cols(cols, metric="parabolic"):
+    """Row norms of a (..., n+1) block given by its n+1 columns: the
+    spatial squares summed by _sum_squares, then the time column added,
+    as |t| (parabolic) or t^2 (euclidean)."""
+    d2 = _sum_squares(cols[:-1])
+    if metric == "parabolic":
+        return np.sqrt(d2 + np.abs(cols[-1]))
+    if metric == "euclidean":
+        return np.sqrt(d2 + cols[-1] * cols[-1])
+    raise ValueError(f"unknown metric {metric!r}")
+
+
 def dist_rows(coords, p, metric="parabolic"):
     """Distances from each row of an (N, n+1) array to the point p.
 
@@ -162,13 +174,7 @@ def dist_rows(coords, p, metric="parabolic"):
     pc = p.coords() if isinstance(p, ParaPoint) else np.asarray(p, dtype=float)
     if coords.shape[-1] != pc.shape[-1]:
         raise DimensionMismatchError(f"coordinate counts differ: {coords.shape[-1]} vs {pc.shape[-1]}")
-    d2 = _sum_squares([coords[..., j] - pc[..., j] for j in range(coords.shape[-1] - 1)])
-    dt = coords[..., -1] - pc[..., -1]
-    if metric == "parabolic":
-        return np.sqrt(d2 + np.abs(dt))
-    if metric == "euclidean":
-        return np.sqrt(d2 + dt * dt)
-    raise ValueError(f"unknown metric {metric!r}")
+    return _norm_cols([coords[..., j] - pc[..., j] for j in range(coords.shape[-1])], metric)
 
 
 def _dist_pad(d):
@@ -320,27 +326,66 @@ def project(V, p, part="onto"):
     return project_rows(V, p, part)
 
 
-def project_rows(V, coords, part="onto"):
+def _dot_cols(weights, cols):
+    """sum_c weights[..., c] * cols[c], added in ascending c from +0.0."""
+    if not cols:
+        return 0.0
+    acc = weights[..., 0] * cols[0]
+    acc += 0.0  # the sum starts from +0.0, so a lone -0.0 product gives +0.0
+    for c in range(1, len(cols)):
+        acc += weights[..., c] * cols[c]
+    return acc
+
+
+def _project_cols(basis, cols):
+    """The one kernel of every plane projection: the n columns of the
+    horizontal projection px of points x given by their n spatial
+    columns, for an orthonormal basis B of shape (..., k, n).
+
+    px_c = sum_j xi_j B[j, c] with xi_j = sum_c B[j, c] x_c, each sum
+    in ascending index order from +0.0, from numpy multiplies and adds
+    alone.  No BLAS call is made, so a row's bits do not depend on how
+    many rows go with it.  The leading axes of B broadcast ahead of the
+    columns' axes: a (G, k, n) stack and (N,) columns give (G, N)
+    columns.  A basis with k = 0 gives the scalar +0.0 per column.
+    """
+    k, n = basis.shape[-2:]
+    w = basis.reshape(basis.shape[:-2] + (1,) * np.ndim(cols[0]) + (k, n))
+    xi = [_dot_cols(w[..., j, :], cols) for j in range(k)]
+    return [_dot_cols(w[..., :, c], xi) for c in range(n)]
+
+
+def _perp_norm(vertical, xcols, t, pxcols):
+    """||P_{V perp} q|| from q's spatial columns, its time column and the
+    columns of its horizontal projection: sqrt(|x - px|^2 + |t_perp|),
+    t_perp being t for a horizontal plane and 0 for a vertical one."""
+    d2 = _sum_squares([x - px for x, px in zip(xcols, pxcols)])
+    return np.sqrt(d2 if vertical else d2 + np.abs(t))
+
+
+def _project_parts(V, coords):
+    """The projections P_V q and P_{V perp} q of each row q of an
+    (N, n+1) array, from one call of the column kernel."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[1] != V.n + 1:
         raise DimensionMismatchError(f"expected {V.n + 1} coordinates, got {coords.shape[1]}")
-    x = coords[:, :-1]
+    xcols = list(coords.T[:-1])
+    onto = np.empty_like(coords)
+    comp = np.empty_like(coords)
+    for c, (x, px) in enumerate(zip(xcols, _project_cols(V.horiz_basis, xcols))):
+        onto[:, c] = px
+        comp[:, c] = x - px
     t = coords[:, -1]
-    if V.k:
-        xi = x @ V.horiz_basis.T
-        px = xi @ V.horiz_basis
-    else:
-        px = np.zeros_like(x)
-    out = np.empty_like(coords)
-    if part == "onto":
-        out[:, :-1] = px
-        out[:, -1] = t if V.includes_t_axis else 0.0
-    elif part == "complement":
-        out[:, :-1] = x - px
-        out[:, -1] = 0.0 if V.includes_t_axis else t
-    else:
+    onto[:, -1] = t if V.includes_t_axis else 0.0
+    comp[:, -1] = 0.0 if V.includes_t_axis else t
+    return onto, comp
+
+
+def project_rows(V, coords, part="onto"):
+    """project() for each row of an (N, n+1) coordinate array."""
+    if part not in ("onto", "complement"):
         raise ValueError(f"unknown part {part!r}")
-    return out
+    return _project_parts(V, coords)[part == "complement"]
 
 
 def dist_to_planes_rows(planes, coords):
@@ -348,18 +393,16 @@ def dist_to_planes_rows(planes, coords):
     array to each plane V of a list, as a (P, N) array.
 
     The planes are grouped by (k, includes_t_axis).  Each group stacks
-    its bases as B of shape (G, k, n), computes the horizontal
-    projections px = (x @ B^T) @ B in one stacked product, and takes
-    sqrt(|x - px|^2 + |t_perp|), where t_perp is t for a horizontal
-    plane and 0 for a vertical one.  Every plane's row is computed as
-    it would be alone, so a distance does not depend on the other
-    planes in the list.  The temporaries take G * N * (n + 1) floats;
-    callers bound them by passing at most PAIR_TILE // N planes at a
-    time (see tile_slices).
+    its bases as B of shape (G, k, n) and projects the rows' columns
+    with _project_cols, which gives every (plane, row) entry the bits
+    it has alone: a distance does not depend on the other planes in the
+    list nor on the other rows.  The temporaries take about
+    (k + 2n) G N floats; callers bound them by passing at most
+    PAIR_TILE // N planes at a time (see tile_slices).
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     out = np.empty((len(planes), coords.shape[0]))
-    x = coords[:, :-1]
+    xcols = list(coords.T[:-1])
     groups = {}
     for i, V in enumerate(planes):
         if coords.shape[1] != V.n + 1:
@@ -367,9 +410,7 @@ def dist_to_planes_rows(planes, coords):
         groups.setdefault((V.k, V.includes_t_axis), []).append(i)
     for (_, vertical), idx in groups.items():
         basis = np.stack([planes[i].horiz_basis for i in idx])
-        perp = x - (x @ basis.transpose(0, 2, 1)) @ basis
-        d2 = np.einsum("gni,gni->gn", perp, perp)
-        out[idx] = np.sqrt(d2 if vertical else d2 + np.abs(coords[:, -1]))
+        out[idx] = _perp_norm(vertical, xcols, coords[:, -1], _project_cols(basis, xcols))
     return out
 
 
@@ -530,19 +571,25 @@ def tile_slices(count, width):
         yield slice(lo, min(lo + step, count))
 
 
-def pair_tiles(npts):
-    """The pairs i < j of npts points, as tiles in (i, j) lexicographic order.
+def pair_blocks(*arrays):
+    """The pairs i < j of the rows of (N, d) arrays, in blocks of whole
+    rows i taken from tile_slices, so each block holds at most
+    max(PAIR_TILE, N) entries.
 
-    Yields index arrays (i, j) of equal length, so pts.take(j, 0) -
-    pts.take(i, 0) are the tile's pair differences (take gathers rows
-    several times faster than pts[j]).  A tile takes whole rows i, as
-    many as fit in PAIR_TILE row-column pairs (at least one row), so the
-    arrays built on it stay bounded at any npts.
+    Yields (lo, upper, diffs) per block of rows lo <= i < hi.  diffs
+    holds, for each array, its d columns of differences as
+    (hi - lo, N - lo - 1) arrays: entry (a, b) of column c is
+    arr[j, c] - arr[i, c] with i = lo + a and j = lo + 1 + b, taken by
+    broadcasting with no gather.  Only the entries with j > i are
+    pairs; upper masks them, and its nonzero entries run in (i, j)
+    lexicographic order.
     """
-    cols = np.arange(npts)
+    npts = arrays[0].shape[0]
+    cols = [list(np.asarray(a, dtype=float).T.copy()) for a in arrays]
     for rows in tile_slices(npts - 1, npts):
-        i = cols[rows]
-        yield np.repeat(i, npts - 1 - i), np.concatenate([cols[k + 1 :] for k in i])
+        lo, hi = rows.start, rows.stop
+        upper = np.arange(npts - lo - 1) >= np.arange(hi - lo)[:, None]
+        yield lo, upper, [[c[None, lo + 1 :] - c[lo:hi, None] for c in a] for a in cols]
 
 
 def graph_cone_check(points, V, s):
@@ -556,9 +603,10 @@ def graph_cone_check(points, V, s):
         raise ValueError("aperture must lie in (0, 1)")
     pts = as_coord_array(points, V.n)
     violations = []
-    for i, j in pair_tiles(pts.shape[0]):
-        bad = cone_gap_rows(V, s, pts.take(j, 0) - pts.take(i, 0)) > CONE_BAND
-        violations += zip(i[bad].tolist(), j[bad].tolist())
+    for lo, upper, (d,) in pair_blocks(pts):
+        perp = _perp_norm(V.includes_t_axis, d[:-1], d[-1], _project_cols(V.horiz_basis, d[:-1]))
+        a, b = np.nonzero((perp - s * _norm_cols(d) > CONE_BAND) & upper)
+        violations += zip((a + lo).tolist(), (b + lo + 1).tolist())
     return violations
 
 
@@ -579,8 +627,7 @@ class GraphSamples:
 
     @classmethod
     def from_points(cls, points, plane):
-        pts = as_coord_array(points, plane.n)
-        return cls(plane, project_rows(plane, pts, "onto"), project_rows(plane, pts, "complement"))
+        return cls(plane, *_project_parts(plane, as_coord_array(points, plane.n)))
 
     def __len__(self):
         return self.base.shape[0]
@@ -638,18 +685,18 @@ def graph_extract(points, V, s):
     only when no pair violates the cone condition, the first pair whose
     difference projects to 0 in V.
 
-    One sweep over the pairs does all of it.  Each tile takes the
-    differences d = q - p of its pairs (p, q), and the projections of d
-    give everything: ||P_{V perp} d|| - s ||d|| is the cone gap, the one
-    cone_gap_rows computes in graph_cone_check, ||P_V d|| = 0 fails the
-    injectivity test, and ||P_{V perp} d|| / ||P_V d|| is the pair's
-    ratio.  Projecting d, rather than subtracting the projections of p
-    and q, keeps the ratio exact to a few ulps for a cloud far from the
-    origin.  Since ||d||^2 = ||P_V d||^2 + ||P_{V perp} d||^2 exactly, a
-    pair inside the cone has ||P_V d|| >= sqrt(1 - s^2) ||d|| > 0: only
-    pairs closer than about CONE_BAND / (1 - s) can pass the cone check
-    and still project to 0.  The sweep stops at the first tile with a
-    cone violation.
+    One sweep over the pair blocks does all of it.  Each block takes
+    the differences d = q - p of its pairs (p, q) and projects them
+    once, and the projections of d give everything: ||P_{V perp} d|| -
+    s ||d|| is the cone gap graph_cone_check computes, ||P_V d|| = 0
+    fails the injectivity test, and ||P_{V perp} d|| / ||P_V d|| is the
+    pair's ratio.  Projecting d, rather than subtracting the projections
+    of p and q, keeps the ratio exact to a few ulps for a cloud far from
+    the origin.  Since ||d||^2 = ||P_V d||^2 + ||P_{V perp} d||^2
+    exactly, a pair inside the cone has ||P_V d|| >= sqrt(1 - s^2) ||d||
+    > 0: only pairs closer than about CONE_BAND / (1 - s) can pass the
+    cone check and still project to 0.  The sweep stops at the first
+    block with a cone violation.
     """
     pts = np.unique(as_coord_array(points, V.n), axis=0)
     if not 0.0 < s < 1.0:
@@ -657,24 +704,27 @@ def graph_extract(points, V, s):
     graph = GraphSamples.from_points(pts, V)
     ratio = 0.0
     same = None
-    for i, j in pair_tiles(pts.shape[0]):
-        d = pts.take(j, 0) - pts.take(i, 0)
-        perp = dist_to_plane_rows(V, d)
-        bad = np.flatnonzero(perp - s * para_norm_rows(d) > CONE_BAND)
+    for lo, upper, (d,) in pair_blocks(pts):
+        x, t = d[:-1], d[-1]
+        px = _project_cols(V.horiz_basis, x)
+        perp = _perp_norm(V.includes_t_axis, x, t, px)
+        bad = np.argwhere((perp - s * _norm_cols(d) > CONE_BAND) & upper)
         if bad.size:
-            a, b = i[bad[0]], j[bad[0]]
+            a, b = bad[0] + (lo, lo + 1)
             raise ConeViolationError(
                 f"cone condition fails for pair ({a}, {b}): "
                 f"{pts[a].tolist()} vs {pts[b].tolist()}",
                 pair=(pts[a].copy(), pts[b].copy()),
             )
         if same is None:
-            db = para_norm_rows(project_rows(V, d))
-            zero = np.flatnonzero(db == 0.0)
+            d2 = _sum_squares(px)
+            db = np.sqrt(d2 + np.abs(t) if V.includes_t_axis else d2)
+            zero = np.argwhere((db == 0.0) & upper)
             if zero.size:
-                same = i[zero[0]], j[zero[0]]
+                same = zero[0] + (lo, lo + 1)
             else:
-                ratio = max(ratio, float(np.max(perp / db)))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = max(ratio, float(np.max(perp / db, where=upper, initial=0.0)))
     if same is not None:
         a, b = same
         raise ConeViolationError(

@@ -21,11 +21,12 @@ from ._version import __version__
 from .geometry import (
     ParaPoint,
     _dist_pad,
+    _norm_cols,
     _sum_squares,
     as_coord_array,
     as_point,
     dist_rows,
-    pair_tiles,
+    pair_blocks,
     para_norm_rows,
 )
 
@@ -639,13 +640,13 @@ class LipCoverSum(_Estimate):
 def _pairwise_ratio_max(dom, img, seps):
     """For each separation in seps, the max parabolic-image over
     euclidean-domain distance ratio among pairs at least that far apart
-    in the domain; one sweep over the pair tiles serves them all."""
+    in the domain; one sweep over the pair blocks serves them all."""
     best = [0.0] * len(seps)
-    for i, j in pair_tiles(dom.shape[0]):
-        dd = dist_rows(dom.take(j, 0), dom.take(i, 0), "euclidean")
-        dpar = dist_rows(img.take(j, 0), img.take(i, 0))
+    for _, upper, (ddom, dimg) in pair_blocks(dom, img):
+        dd = _norm_cols(ddom, "euclidean")
+        dpar = _norm_cols(dimg)
         for k, sep in enumerate(seps):
-            keep = dd >= sep
+            keep = (dd >= sep) & upper
             if np.any(keep):
                 best[k] = max(best[k], float(np.max(dpar[keep] / dd[keep])))
     return best

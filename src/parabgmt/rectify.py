@@ -215,9 +215,9 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
 
     All planes are scored in one pass:
     _plane_defect_grids groups the planes by (k, includes_t_axis) for
-    one stacked distance product, in chunks of PAIR_TILE // N planes
-    for a ball of N atoms, so temporaries stay near PAIR_TILE * (n + 1)
-    floats.  Each plane's scores are bit for bit those it gets alone,
+    one stacked projection (geometry.dist_to_planes_rows), in chunks of
+    PAIR_TILE // N planes for a ball of N atoms, so temporaries stay
+    within a few PAIR_TILE * (n + 1) floats.  Each plane's scores are bit for bit those it gets alone,
     so the result does not depend on the batch size.
     """
     a = as_point(a, mu.n)

@@ -507,6 +507,17 @@ class TestTopLevel:
         assert rc == 0
         assert json.loads(out.with_suffix(".json").read_text())["config"]["seed"] == -2
 
+    def test_debug_switch_reraises(self, tmp_path, capsys, monkeypatch):
+        # PARABGMT_DEBUG=1 lets the exception out with its traceback
+        argv = ["generate", "--kind", "user_graph", "--n", "1", "--axes", "0",
+                "--expr", "1/0", "-o", str(tmp_path / "g.csv")]
+        monkeypatch.delenv("PARABGMT_DEBUG", raising=False)
+        assert run(capsys, *argv) == (1, "", "error: ZeroDivisionError: division by zero\n")
+        monkeypatch.setenv("PARABGMT_DEBUG", "1")
+        with pytest.raises(ZeroDivisionError):
+            cli.main(argv)
+        assert capsys.readouterr().err == ""
+
     def test_bad_flag_value(self, line_csv, capsys):
         rc, _, err = run(capsys, "dim", "-i", str(line_csv), "--scales", "xyz")
         assert rc == 1 and "error:" in err

@@ -32,7 +32,7 @@ from parabgmt.geometry import (
     graph_cone_check,
     graph_extract,
     metric_eval,
-    pair_tiles,
+    pair_blocks,
     para_norm,
     para_norm_rows,
     plane_distance,
@@ -216,6 +216,106 @@ class TestSumSquares:
             one = dist_rows(pts[0], pts[1], metric)
             assert np.float64(one).view(np.uint64) == np.float64(
                 einsum_dist_rows(pts[0], pts[1], metric)).view(np.uint64)
+
+
+def reference_projection(basis, x):
+    """The horizontal projection of one row x in plain Python floats:
+    xi_j = sum_c B[j, c] x_c, then px_c = sum_j xi_j B[j, c], each sum
+    in ascending index order from +0.0, the order _project_cols states."""
+    basis = basis.tolist()
+    xi = []
+    for row in basis:
+        acc = 0.0
+        for b, v in zip(row, x):
+            acc += b * v
+        xi.append(acc)
+    px = []
+    for c in range(len(x)):
+        acc = 0.0
+        for row, v in zip(basis, xi):
+            acc += v * row[c]
+        px.append(acc)
+    return px
+
+
+def reference_sum_squares(vals):
+    """_sum_squares of up to 7 floats: even-indexed squares, odd-indexed
+    squares, then even + odd."""
+    even = vals[0] * vals[0]
+    for v in vals[2::2]:
+        even += v * v
+    if len(vals) == 1:
+        return even
+    odd = vals[1] * vals[1]
+    for v in vals[3::2]:
+        odd += v * v
+    return even + odd
+
+
+def reference_parts(V, q):
+    """(P_V q, P_{V perp} q, ||P_{V perp} q||) of one row, in Python floats."""
+    x, t = q[:-1].tolist(), float(q[-1])
+    px = reference_projection(V.horiz_basis, x)
+    perp = [a - b for a, b in zip(x, px)]
+    if V.includes_t_axis:
+        return px + [t], perp + [0.0], math.sqrt(reference_sum_squares(perp))
+    return px + [0.0], perp + [t], math.sqrt(reference_sum_squares(perp) + abs(t))
+
+
+def kernel_planes(rng, n):
+    """Random frames of both families, and axis planes spanned by negated
+    axes, whose bases hold -1.0 and -0.0."""
+    planes = [random_plane(rng, n, f) for f in ("horizontal", "vertical") for _ in range(6)]
+    planes.append(HomPlane(n, -np.eye(n)[: n // 2 + 1], False))
+    if n > 1:
+        planes.append(HomPlane(n, -np.eye(n)[1:], True))
+    return planes
+
+
+class TestProjectCols:
+    """project_rows and dist_to_planes_rows through the column kernel: the
+    bits of the stated adding order, whatever the rows around a row."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_python_reference(self, n):
+        rng = np.random.default_rng(400 + n)
+        planes = kernel_planes(rng, n)
+        X = wide_floats(rng, (60, n + 1))
+        X[:4] = np.where(rng.random((4, n + 1)) < 0.5, -0.0, 0.0)  # signed zeros only
+        with np.errstate(over="ignore", under="ignore"):
+            dist = geometry.dist_to_planes_rows(planes, X)
+            for V, drow in zip(planes, dist):
+                onto, comp = project_rows(V, X), project_rows(V, X, "complement")
+                want = [reference_parts(V, q) for q in X]
+                assert bits_equal(onto, np.array([w[0] for w in want]))
+                assert bits_equal(comp, np.array([w[1] for w in want]))
+                assert bits_equal(drow, np.array([w[2] for w in want]))
+
+    def test_sums_start_from_positive_zero(self):
+        # on (-0.0, -5) both products B[0, c] x_c of the axis (1, 0) are
+        # -0.0: summed from +0.0 they give +0.0, else -0.0 and a
+        # complement of +0.0 in the first column
+        V = HomPlane.horizontal_axes(2, (0,))
+        q = np.array([-0.0, -5.0, 1.0])
+        assert bits_equal(project_rows(V, q), np.zeros((1, 3)))
+        assert bits_equal(project_rows(V, q, "complement"), q[None])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["horizontal", "vertical"])
+    def test_rows_do_not_depend_on_the_row_count(self, n, family):
+        # a one-row product once went to another BLAS kernel than a
+        # batched one, and its distances differed in the last bits
+        rng = np.random.default_rng(500 + n)
+        planes = [random_plane(rng, n, family) for _ in range(50)]
+        X = rng.standard_normal((8, n + 1)) * rng.uniform(1e-3, 1e3, (8, 1))
+        dist = geometry.dist_to_planes_rows(planes, X)
+        for r, q in enumerate(X):
+            assert bits_equal(dist[:, r], geometry.dist_to_planes_rows(planes, q)[:, 0])
+        for V in planes:
+            for part in ("onto", "complement"):
+                full = project_rows(V, X, part)
+                for r, q in enumerate(X):
+                    assert bits_equal(full[r], project_rows(V, q, part)[0])
 
 
 class TestDilation:
@@ -483,14 +583,26 @@ def random_plane(rng, n, family):
 tile_rows = st.sampled_from([1, 3, 10**6])
 
 
-def test_pair_tiles_cover_each_pair_once_in_order():
+def test_pair_blocks_cover_each_pair_once_in_order():
+    rng = np.random.default_rng(3)
     for npts, budget in ((0, 8), (1, 8), (2, 8), (9, 1), (9, 20), (9, 81), (40, 100)):
+        pts = rng.standard_normal((npts, 3))
+        img = rng.standard_normal((npts, 2))
         with mock.patch.object(geometry, "PAIR_TILE", budget):
-            tiles = list(pair_tiles(npts))
+            blocks = list(pair_blocks(pts, img))
         pairs = []
-        for i, j in tiles:
-            assert i.shape == j.shape and i.size
-            assert (i[-1] - i[0] + 1) * npts <= max(budget, npts)
+        for lo, upper, diffs in blocks:
+            assert upper.size and upper.size <= max(budget, npts)
+            assert [len(d) for d in diffs] == [3, 2]
+            a, b = np.nonzero(upper)
+            i, j = a + lo, b + lo + 1
+            assert np.all(j > i)
+            # the masked entries are exactly those with j <= i
+            assert upper.sum() == sum(npts - 1 - k for k in range(lo, lo + upper.shape[0]))
+            for arr, cols in zip((pts, img), diffs):
+                for c, col in enumerate(cols):
+                    assert col.shape == upper.shape
+                    np.testing.assert_array_equal(col[upper], arr[j, c] - arr[i, c])
             pairs += zip(i.tolist(), j.tolist())
         assert pairs == [(i, j) for i in range(npts) for j in range(i + 1, npts)]
 
@@ -641,17 +753,19 @@ def two_pass_graph_extract(points, V, s):
     bound = s / np.sqrt(1.0 - s * s)
     ratio = 0.0
     base = graph.base
-    for i, j in pair_tiles(len(graph)):
-        d = pts.take(j, 0) - pts.take(i, 0)
-        db = para_norm_rows(project_rows(V, d))
-        same = np.flatnonzero(db == 0.0)
-        if same.size:
-            a, b = i[same[0]], j[same[0]]
-            raise ConeViolationError(
-                f"projection to the plane is not injective: points {a} and {b}",
-                pair=(base[a].copy(), base[b].copy()),
-            )
-        ratio = max(ratio, float(np.max(para_norm_rows(project_rows(V, d, "complement")) / db)))
+    # every pair at once, in (i, j) lexicographic order
+    i, j = np.triu_indices(len(graph), 1)
+    d = pts[j] - pts[i]
+    db = para_norm_rows(project_rows(V, d))
+    same = np.flatnonzero(db == 0.0)
+    if same.size:
+        a, b = i[same[0]], j[same[0]]
+        raise ConeViolationError(
+            f"projection to the plane is not injective: points {a} and {b}",
+            pair=(base[a].copy(), base[b].copy()),
+        )
+    if d.size:
+        ratio = float(np.max(para_norm_rows(project_rows(V, d, "complement")) / db))
     return geometry.ExtractResult(graph, float(bound), ratio)
 
 
