@@ -9,6 +9,7 @@ Lipschitz maps into P^n.
 """
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .geometry import (
     dist_rows,
     pair_blocks,
     para_norm_rows,
+    tile_slices,
 )
 
 # finest default scale sits at 4x the cloud resolution, per-octave schedule
@@ -154,9 +156,7 @@ class DiscreteMeasure:
             if self.natoms < 2:
                 self._resolution = 0.0
             else:
-                take = np.unique(
-                    np.round(np.linspace(0, self.natoms - 1, min(self.natoms, 256))).astype(int)
-                )
+                take = _spread_index(self.natoms, min(self.natoms, 256))
                 mins = []
                 for i in take:
                     d = dist_rows(self.points, self.points[i])
@@ -258,11 +258,19 @@ CAND_CAP = 32
 EVAL_CAP = 512
 
 
+@functools.lru_cache(maxsize=128)
+def _spread_index(size, count):
+    """count indices spread evenly over range(size), rounded, without
+    repeats; cached and read-only."""
+    sel = np.unique(np.round(np.linspace(0, size - 1, count)).astype(int))
+    sel.flags.writeable = False
+    return sel
+
+
 def _stride_pick(arr, cap):
     if arr.size <= cap:
         return arr
-    sel = np.unique(np.round(np.linspace(0, arr.size - 1, cap)).astype(int))
-    return arr[sel]
+    return arr[_spread_index(arr.size, cap)]
 
 
 def _next_unset(mask, start):
@@ -474,6 +482,50 @@ def _flat_plane_cloud(n, m, family):
     raise ValueError(f"unknown family {family!r}")
 
 
+# a piece of at most SPREAD rows is measured on every row: its SPREAD
+# evenly spread rows are all of them
+SPREAD = 128
+
+
+def _inflated_diam2(cols, inflate):
+    """Max over pairs of rows of sum_c (|dx_c| + h_c)^2 + |dt| + h_t, per
+    set in cols, a (k+1, ..., L) stack of columns x1..xk, t; its bits do
+    not depend on the stacking."""
+    dx = [np.abs(c[..., :, None] - c[..., None, :]) for c in cols[:-1]]
+    for d, h in zip(dx, inflate):
+        d += h
+    dd = _sum_squares(dx)
+    t = cols[-1]
+    dd += np.abs(t[..., :, None] - t[..., None, :])
+    dd += inflate[-1]
+    return dd.reshape(dd.shape[:-2] + (-1,)).max(axis=-1)
+
+
+def _piece_diameters(pts, rows, sizes, inflate):
+    """_inflated_diam2 of each piece, the runs of the given sizes in
+    rows (ascending indices into pts).  A piece of more than SPREAD rows
+    is measured on its SPREAD spread rows and each coordinate's first
+    extreme rows, a smaller one on every row, stacked by size into
+    (G, L, L) blocks of at most PAIR_TILE entries."""
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty(sizes.size)
+    for size in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == size)
+        if size > SPREAD:
+            for k in group.tolist():
+                piece = pts.take(rows[starts[k] : starts[k] + size], axis=0)
+                mask = np.zeros(size, dtype=bool)
+                mask[_spread_index(size, SPREAD)] = True
+                mask[piece.argmin(axis=0)] = True
+                mask[piece.argmax(axis=0)] = True
+                out[k] = _inflated_diam2(piece.T.take(np.flatnonzero(mask), axis=1), inflate)
+            continue
+        for part in tile_slices(group.size, size * size):
+            block = rows[starts[group[part], None] + np.arange(size)]
+            out[group[part]] = _inflated_diam2(pts.T.take(block, axis=1), inflate)
+    return out
+
+
 def _packing_value(pts, w, r, m, inflate):
     """One scale of the flat-constant estimator: greedy disjoint ball
     packing, interior balls only, piece diameters measured empirically
@@ -483,17 +535,13 @@ def _packing_value(pts, w, r, m, inflate):
     Each centre takes one index query, at 2r, which blocks the later
     centres; an interior centre's piece is the part of that ball within
     r, cut on the distances the query returns, which are the dist_rows
-    values an r-query would compute."""
+    values an r-query would compute.  The pieces are measured after
+    the scan, in batches."""
     index = GridIndex(pts, 2.0 * r)
     npts = pts.shape[0]
     norm2 = _sum_squares([pts[:, j] for j in range(pts.shape[1] - 1)]) + np.abs(pts[:, -1])
-    hx = np.asarray(inflate[:-1], dtype=float)
-    ht = float(inflate[-1])
     blocked = np.zeros(npts, dtype=bool)
-    covered = np.zeros(npts, dtype=bool)
-    # the 128 evenly spread rows of a piece, per piece size
-    spread = {}
-    total = 0.0
+    pieces = []
     i = -1
     while True:
         i = _next_unset(blocked, i + 1)
@@ -501,32 +549,22 @@ def _packing_value(pts, w, r, m, inflate):
             break
         ball, dist = index.ball(pts[i], 2.0 * r)
         blocked[ball] = True
-        inside = np.sort(ball[dist <= r]) if norm2[i] <= (1.0 - r) ** 2 else None
+        if norm2[i] <= (1.0 - r) ** 2:
+            pieces.append(np.sort(ball[dist <= r]))
         # freed here, not at the next query, whose peak they would raise
         del ball, dist
-        if inside is None:
-            continue
-        piece = pts.take(inside, axis=0)
-        # the spread rows and each coordinate's extreme rows, ascending
-        size = piece.shape[0]
-        if size not in spread:
-            spread[size] = np.round(np.linspace(0, size - 1, 128)).astype(int)
-        mask = np.zeros(size, dtype=bool)
-        mask[spread[size]] = True
-        mask[piece.argmin(axis=0)] = True
-        mask[piece.argmax(axis=0)] = True
-        pick = np.flatnonzero(mask)
-        # one (L, L) difference matrix per coordinate of the L picked rows
-        cols = piece[pick].T.copy()
-        dx = [np.abs(c[:, None] - c) for c in cols[:-1]]
-        for d, h in zip(dx, hx):
-            d += h
-        dd = _sum_squares(dx)
-        dd += np.abs(cols[-1][:, None] - cols[-1])
-        dd += ht
-        diam2 = min(float(dd.max()), (2.0 * r) ** 2)
-        total += diam2 ** (m / 2.0)
-        covered[inside] = True
+    if not pieces:
+        return 0.0
+    rows = np.concatenate(pieces)
+    sizes = np.array([piece.size for piece in pieces])
+    # the batches reuse the memory of the index and the scan
+    del index, blocked, norm2, pieces
+    cap = (2.0 * r) ** 2
+    total = 0.0
+    for diam2 in _piece_diameters(pts, rows, sizes, inflate).tolist():
+        total += min(diam2, cap) ** (m / 2.0)
+    covered = np.zeros(npts, dtype=bool)
+    covered[rows] = True
     frac = float(np.sum(w[covered])) / float(np.sum(w))
     if frac == 0.0:
         return 0.0

@@ -18,11 +18,14 @@ from parabgmt.geometry import DimensionMismatchError, HomPlane, ParaPoint
 from parabgmt.measure import (
     CAND_CAP,
     EVAL_CAP,
+    SPREAD,
     DiscreteMeasure,
     _flat_plane_cloud,
     _next_unset,
     _packing_value,
     _pairwise_ratio_max,
+    _piece_diameters,
+    _spread_index,
     _stride_pick,
     GridMap,
     canonical_order,
@@ -336,6 +339,27 @@ class TestNextUnset:
             assert _next_unset(mask, 0) == gap
             assert _next_unset(mask, gap) == gap
             assert _next_unset(mask, gap + 1) == 10000
+
+
+class TestStridePick:
+    """The cached spread indices are the ones the formula gives."""
+
+    @pytest.mark.parametrize("cap", [CAND_CAP, EVAL_CAP, SPREAD, 256])
+    def test_matches_the_formula(self, cap):
+        for size in (cap - 1, cap, cap + 1, cap + 2, 10 * cap):
+            want = np.unique(np.round(np.linspace(0, size - 1, cap)).astype(int))
+            got = _spread_index(size, cap)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and not got.flags.writeable
+            assert _spread_index(size, cap) is got
+            arr = np.arange(size) * 3 + 1
+            picked = _stride_pick(arr, cap)
+            np.testing.assert_array_equal(picked, arr if size <= cap else arr[want])
+
+    def test_small_pieces_spread_over_every_row(self):
+        for size in range(1, SPREAD + 1):
+            np.testing.assert_array_equal(_spread_index(size, SPREAD), np.arange(size))
+        assert _spread_index(SPREAD + 1, SPREAD).size < SPREAD + 1
 
 
 def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
@@ -683,6 +707,92 @@ class TestPlaneCloudInItsOwnCoordinates:
         pts, _, inflate = _flat_plane_cloud(3, 1, "horizontal")
         assert pts[:, 0].any() and not pts[:, 1].any()
         assert inflate == [1e-3, 0.0]
+
+
+def ref_piece_diam2(pts, inside, inflate):
+    """One piece measured alone: its 128 evenly spread rows and each
+    coordinate's first extreme rows, one (L, L) matrix per coordinate."""
+    piece = pts[inside]
+    mask = np.zeros(piece.shape[0], dtype=bool)
+    mask[np.round(np.linspace(0, piece.shape[0] - 1, 128)).astype(int)] = True
+    mask[piece.argmin(axis=0)] = True
+    mask[piece.argmax(axis=0)] = True
+    cols = piece[np.flatnonzero(mask)].T.copy()
+    dx = [np.abs(c[:, None] - c) + h for c, h in zip(cols[:-1], inflate[:-1])]
+    dd = geometry._sum_squares(dx) + np.abs(cols[-1][:, None] - cols[-1]) + inflate[-1]
+    return float(dd.max())
+
+
+def dyadic_disc(h):
+    ax = np.arange(-1.0, 1.0 + h / 2, h)
+    mesh = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    mesh = mesh[np.einsum("ij,ij->i", mesh, mesh) <= 1.0]
+    return np.column_stack([mesh, np.zeros(len(mesh))])
+
+
+class TestPieceDiameters:
+    """The pieces measured in batches have the bits each has alone."""
+
+    def assert_same(self, pts, pieces, inflate):
+        rows = np.concatenate(pieces)
+        sizes = np.array([p.size for p in pieces])
+        want = [ref_piece_diam2(pts, p, inflate) for p in pieces]
+        got = _piece_diameters(pts, rows, sizes, inflate)
+        assert got.shape == (len(pieces),)
+        np.testing.assert_array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64))
+
+    def random_pieces(self, rng, npts, sizes):
+        return [np.sort(rng.choice(npts, size, replace=False)) for size in sizes]
+
+    @pytest.mark.parametrize("cols", [2, 3, 4])
+    def test_random_pieces_of_every_group(self, cols):
+        rng = np.random.default_rng(cols)
+        pts = rng.standard_normal((2000, cols))
+        inflate = rng.random(cols).tolist()
+        sizes = [1, 128, 129, 9, 9, 1, 2, 128, 40, 9, 300, 129, 2, 9, 1, 127]
+        self.assert_same(pts, self.random_pieces(rng, len(pts), sizes), inflate)
+
+    def test_ties_on_a_dyadic_grid(self):
+        # grid rows share their coordinates, so the extreme rows of a
+        # large piece are first occurrences among ties
+        h = 1.0 / 32
+        pts = dyadic_disc(h)
+        index = GridIndex(pts, 0.25)
+        pieces = []
+        for r in (0.25, 0.125, 0.07, 0.03):
+            for c in pts[:: max(1, len(pts) // 12)]:
+                ball, dist = index.ball(c, r)
+                pieces.append(np.sort(ball[dist <= r]))
+        sizes = {p.size for p in pieces}
+        assert min(sizes) <= SPREAD < max(sizes) and len(sizes) > 4
+        self.assert_same(pts, pieces, [h, h, 0.0])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_first_of_tied_extremes(self, sign):
+        # rows a < b tie for the least (sign 1) or greatest x1 and lie
+        # off the spread rows; only a reaches the far row 0, so the
+        # diameter is the first occurrence's
+        size = 200
+        a, b = np.setdiff1d(np.arange(size), _spread_index(size, SPREAD))[:2]
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.random(size) * 0.1, rng.random(size) * 1.8 - 0.9, np.zeros(size)])
+        pts[0, :2] = [0.1, -1.0]
+        pts[-1, 1] = 1.0
+        pts[a, :2] = [-1.0, 0.9]
+        pts[b, :2] = [-1.0, 0.0]
+        pts[:, 0] *= sign
+        want = ref_piece_diam2(pts, np.arange(size), [0.0, 0.0, 0.0])
+        assert want == 1.1**2 + 1.9**2
+        self.assert_same(pts, [np.arange(size), np.arange(size)], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("tile", [1, 81, 2 * 81, 2 * 81 + 1, 3 * 81 - 1, 128 * 128 + 1])
+    def test_chunk_edges(self, tile):
+        rng = np.random.default_rng(tile)
+        pts = rng.random((500, 3))
+        sizes = [9] * 7 + [128] * 3 + [1] * 5 + [129, 9]
+        pieces = self.random_pieces(rng, len(pts), rng.permutation(sizes))
+        with mock.patch.object(geometry, "PAIR_TILE", tile):
+            self.assert_same(pts, pieces, [0.01, 0.02, 0.003])
 
 
 # ---------------------------------------------------------------------------
