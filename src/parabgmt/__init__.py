@@ -47,7 +47,6 @@ from .measure import (
     density_profile,
     flat_constant_estimate,
     greedy_cover,
-    hausdorff_sum,
     lip_image_cover_sum,
     load_cloud_csv,
     save_cloud_csv,

@@ -130,12 +130,17 @@ class DiscreteMeasure:
             f"provenance={self.provenance!r})"
         )
 
+    # The scans of the whole cloud below let a distance overflow
+    # quietly: +inf lies outside every finite radius.
+
     def mass_in_ball(self, a, r, metric="parabolic"):
-        d = dist_rows(self.points, as_point(a, self.n), metric)
+        with np.errstate(over="ignore"):
+            d = dist_rows(self.points, as_point(a, self.n), metric)
         return float(np.sum(self.weights[d <= r]))
 
     def restrict_ball(self, a, r, metric="parabolic"):
-        keep = dist_rows(self.points, as_point(a, self.n), metric) <= r
+        with np.errstate(over="ignore"):
+            keep = dist_rows(self.points, as_point(a, self.n), metric) <= r
         if not np.any(keep):
             raise ValueError("no atoms inside the requested ball")
         return DiscreteMeasure(
@@ -149,21 +154,46 @@ class DiscreteMeasure:
 
     def resolution(self):
         """Parabolic resolution scale of the cloud: the generator hint
-        when present, else a measured median nearest-neighbor distance."""
+        when present, else the median nearest-neighbor distance of 256
+        evenly spread atoms.
+
+        Each atom's neighbour is sought only among the rows whose x1
+        lies within R of its own, where R is its distance h to an
+        adjacent canonical row plus greedy_cover's slack; the atoms are
+        sorted by x1, so two searchsorted calls bound that window.  Every
+        row within h lies in it, so the minimum is the one a scan over
+        the whole cloud takes, bit for bit."""
         if self.resolution_hint is not None:
             return self.resolution_hint
         if self._resolution is None:
             if self.natoms < 2:
                 self._resolution = 0.0
             else:
-                take = _spread_index(self.natoms, min(self.natoms, 256))
-                mins = []
-                for i in take:
-                    d = dist_rows(self.points, self.points[i])
-                    d[i] = np.inf
-                    mins.append(float(d.min()))
-                self._resolution = float(np.median(mins))
+                self._resolution = self._measured_resolution()
         return self._resolution
+
+    def _measured_resolution(self):
+        pts, last = self.points, self.natoms - 1
+        take = _spread_index(self.natoms, min(self.natoms, 256))
+        # a distance that overflows is +inf; an inf h opens the window
+        # to the whole cloud, which is then scanned as before
+        with np.errstate(over="ignore"):
+            adjacent = np.stack([np.where(take > 0, take - 1, 1),
+                                 np.where(take < last, take + 1, last - 1)])
+            h = dist_rows(pts[adjacent], pts[take]).min(axis=0)
+            # the slack argument of greedy_cover's reach: a row q with
+            # dist_rows(q, p) <= h has |x1_q - x1_p| <= R exactly, and
+            # rounding x1_p -/+ R is monotone, so the window holds q
+            reach = h * (1.0 + 2.0**-40) + _dist_pad(pts.shape[1])
+            x1 = pts[:, 0]
+            lo = x1.searchsorted(x1[take] - reach, "left")
+            hi = x1.searchsorted(x1[take] + reach, "right")
+            mins = []
+            for i, a, b in zip(take.tolist(), lo.tolist(), hi.tolist()):
+                d = dist_rows(pts[a:b], pts[i])
+                d[i - a] = np.inf
+                mins.append(float(d.min()))
+        return float(np.median(mins))
 
 
 def save_cloud_csv(mu, path):
@@ -388,17 +418,6 @@ def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
     return CoveringReport(metric, scales, counts, sums, fitted, resid)
 
 
-def hausdorff_sum(points, s, scales, metric="parabolic"):
-    """Premeasure surrogate per scale: N(r) * (2r)^s with N from the
-    greedy cover (ball diameters taken as 2r)."""
-    pts = canonical_sorted(_points_of(points))
-    out = []
-    for r in sorted((float(r) for r in scales), reverse=True):
-        count = greedy_cover(pts, r, metric).shape[0]
-        out.append(count * (2.0 * r) ** s)
-    return out
-
-
 @dataclass(eq=False)
 class DensityEstimate(_Estimate):
     point: ParaPoint
@@ -414,7 +433,8 @@ def density_profile(mu, a, s, scales):
     max/min over the finest third of the scales."""
     a = as_point(a, mu.n)
     scales = sorted((float(r) for r in scales), reverse=True)
-    d = dist_rows(mu.points, a)
+    with np.errstate(over="ignore"):
+        d = dist_rows(mu.points, a)
     values = []
     for r in scales:
         mass = float(np.sum(mu.weights[d <= r]))

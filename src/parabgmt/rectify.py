@@ -310,7 +310,8 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     r = float(r)
     if r <= 0.0:
         raise ValueError("scale must be positive")
-    keep = dist_rows(mu.points, a) <= r
+    with np.errstate(over="ignore"):
+        keep = dist_rows(mu.points, a) <= r
     if normalization == "mass":
         mass = float(np.sum(mu.weights[keep]))
         if mass <= 0.0:

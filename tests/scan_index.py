@@ -1,9 +1,10 @@
-"""A full-scan stand-in for parabgmt._index.GridIndex, for tests that
-check the indexed code paths against a scan over every point."""
+"""Full-scan stand-ins, for tests that check the indexed and windowed
+code paths against a scan over every point."""
 
 import numpy as np
 
 from parabgmt.geometry import dist_rows
+from parabgmt.measure import _spread_index
 
 
 class ScanIndex:
@@ -24,3 +25,19 @@ class ScanIndex:
 
     def query(self, center, radius=None):
         return self.ball(center, radius)[0]
+
+
+def reference_resolution(points):
+    """DiscreteMeasure.resolution() of canonically sorted, merged points
+    by full scans: for each of the 256 evenly spread atoms, dist_rows to
+    every atom, its own entry set to inf, the minimum; then the median."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[0] < 2:
+        return 0.0
+    mins = []
+    with np.errstate(over="ignore"):
+        for i in _spread_index(pts.shape[0], min(pts.shape[0], 256)):
+            d = dist_rows(pts, pts[i])
+            d[i] = np.inf
+            mins.append(float(d.min()))
+    return float(np.median(mins))

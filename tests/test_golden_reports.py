@@ -140,12 +140,6 @@ def _line(resolution=5e-3):
     return gen_flat(HomPlane.horizontal_axes(1, (0,)), extent=1.0, resolution=resolution)[0]
 
 
-def _drop_workers(d):
-    # the one key that left the report layer: TangentConfig.workers
-    d.pop("workers", None)
-    return d
-
-
 def records():
     """{name: JSON text} for the to_dict() of each record on small fixtures."""
     line = _line()
@@ -156,7 +150,6 @@ def records():
     g = np.linspace(-1.0, 1.0, 401)
     graph = GraphSamples.from_points(np.column_stack([g, 0.5 * g, np.zeros_like(g)]), V)
     tangent = classify_points(line, TangentConfig(m=1, sample_size=4)).to_dict()
-    _drop_workers(tangent["config"])
     ex = graph_extract(np.column_stack([g, 0.1 * g, np.zeros_like(g)]), V, 0.2)
     cone = euclid_cone_radius(EuclideanPlane([[0.0, 1.0]]), 0.5, tol=0.05)
     grid = np.linspace(-1.0, 1.0, 1025)
@@ -170,9 +163,8 @@ def records():
         "LipCoverSum": lip_image_cover_sum(identity, 4).to_dict(seed=1),
         "LipCoverSum_constant": lip_image_cover_sum(GridMap(np.zeros((9, 9, 2))), 4).to_dict(),
         "TangentReport": tangent,
-        "TangentConfig": _drop_workers(TangentConfig(m=2).to_dict()),
-        "TangentConfig_r_list": _drop_workers(
-            TangentConfig(m=1, r_list=(0.1, 0.05), seed=3).to_dict()),
+        "TangentConfig": TangentConfig(m=2).to_dict(),
+        "TangentConfig_r_list": TangentConfig(m=1, r_list=(0.1, 0.05), seed=3).to_dict(),
         "UniquenessScan": tangent_uniqueness_scan(line, np.zeros(2), (0.4, 0.2, 0.1),
                                                   1).to_dict(),
         "DifferentialFit": fit_differential(graph, 200, FitConfig(scales=(0.5, 0.1))).to_dict(),

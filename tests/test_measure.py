@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scan_index import ScanIndex
+from scan_index import ScanIndex, reference_resolution
 
 from parabgmt import geometry
 from parabgmt._index import GridIndex
 from parabgmt.geometry import DimensionMismatchError, HomPlane, ParaPoint
+from parabgmt.rectify import blowup_measure
 from parabgmt.measure import (
     CAND_CAP,
     EVAL_CAP,
@@ -35,7 +36,6 @@ from parabgmt.measure import (
     dimension_fit,
     flat_constant_estimate,
     greedy_cover,
-    hausdorff_sum,
     lip_image_cover_sum,
     load_cloud_csv,
     save_cloud_csv,
@@ -98,6 +98,39 @@ class TestDiscreteMeasure:
         assert mu.resolution() == 0.01
         nu = DiscreteMeasure(1, pts, np.ones(101))
         assert nu.resolution() == pytest.approx(0.01, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", ["plain", "constant_x1", "tied_x1", "outlier"])
+    def test_resolution_matches_full_scan(self, shape):
+        # the x1 window must find every nearest neighbour a full scan finds
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 4))
+            size = int(rng.choice([2, 3, 5, 40, 257, 400]))
+            scale = 10.0 ** rng.uniform(-8.0, 8.0)
+            pts = rng.standard_normal((size, n + 1)) * scale
+            pts[:, -1] *= scale ** float(rng.integers(0, 2))
+            if shape == "constant_x1":
+                pts[:, 0] = pts[0, 0]
+            elif shape == "tied_x1":
+                step = scale * 0.5
+                pts[:, 0] = np.round(pts[:, 0] / step) * step
+            elif shape == "outlier":
+                pts[int(rng.integers(size)), 0] = 1e300 * rng.choice([-1.0, 1.0])
+            mu = DiscreteMeasure(n, pts, np.ones(size))
+            assert mu.resolution() == reference_resolution(mu.points), (shape, seed)
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_outlier_scans_are_quiet(self):
+        # distances to an atom at 1e300 overflow to +inf, outside every ball
+        pts = np.column_stack([np.linspace(0.0, 1.0, 101), np.zeros(101)])
+        mu = DiscreteMeasure(1, np.vstack([pts, [1e300, 0.0]]), np.ones(102))
+        assert mu.resolution() == pytest.approx(0.01, rel=1e-9)
+        assert mu.mass_in_ball(np.zeros(2), 0.1) == 11.0
+        assert mu.restrict_ball(np.zeros(2), 0.1).natoms == 11
+        assert density_profile(mu, np.zeros(2), 1.0, [0.2, 0.1]).values == pytest.approx(
+            [21 / 0.4, 11 / 0.2])
+        assert blowup_measure(mu, np.zeros(2), 0.1).natoms == 11
 
     def test_atoms_iterates_in_order(self):
         pts = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -531,7 +564,6 @@ class TestDimensionFit:
         for s in (1.0, 2.0):
             expect = [c * (2.0 * r) ** s for c, r in zip(rep.counts, rep.scales)]
             assert rep.sums[str(s)] == pytest.approx(expect, rel=1e-12)
-        assert hausdorff_sum(pts, 1.0, [0.2, 0.1]) == pytest.approx(rep.sums["1.0"], rel=1e-12)
 
     def test_report_dict(self):
         rep = dimension_fit(np.column_stack([np.linspace(0, 1, 51), np.zeros(51)]), [0.2, 0.1])
