@@ -14,26 +14,21 @@ from .geometry import (
     Cone,
     ConeViolationError,
     DimensionMismatchError,
-    EuclideanPlane,
     GraphSamples,
     HomPlane,
     ParaPoint,
     blowup_map,
     complement_plane,
     cone_membership,
-    dilate,
     dist_rows,
-    euclid_cone_radius,
     graph_cone_check,
     graph_extract,
-    metric_eval,
     para_norm,
     para_norm_rows,
     plane_distance,
     project,
     project_rows,
     sample_planes,
-    verticalize,
 )
 from .measure import (
     CoveringReport,
@@ -53,6 +48,7 @@ from .measure import (
 )
 from .generators import (
     BmoEnergy,
+    ConstructionError,
     DefeaterTree,
     GeneratorSpec,
     PairNotFoundError,
@@ -75,11 +71,9 @@ from .generators import (
     weierstrass_truncation,
 )
 from .rectify import (
-    ConstructionError,
     DifferentialFit,
     FitConfig,
     PointTangent,
-    SplitPiece,
     TangentConfig,
     TangentReport,
     UniquenessScan,
@@ -89,7 +83,6 @@ from .rectify import (
     detect_tangent,
     fit_differential,
     flatness_defect,
-    split_lipschitz,
     tangent_uniqueness_scan,
 )
 

@@ -20,9 +20,12 @@ import numpy as np
 from ._report import Record, jsonable
 from .geometry import HomPlane, complement_plane
 from .measure import DiscreteMeasure
-from .rectify import ConstructionError
 
 _SEQ_KEYS = ("L_seq", "c_seq", "n_seq", "r_seq", "gap_seq")
+
+
+class ConstructionError(RuntimeError):
+    """gen_regular_defeater found no equal-value pair in some window."""
 
 
 class PairNotFoundError(RuntimeError):

@@ -113,12 +113,6 @@ def para_norm_rows(coords):
     return np.sqrt(np.einsum("ij,ij->i", coords[:, :-1], coords[:, :-1]) + np.abs(coords[:, -1]))
 
 
-def metric_eval(p, q, metric="parabolic"):
-    """Distance between p and q, parabolic or euclidean."""
-    _same_dim(p, q)
-    return float(dist_rows(p.coords(), q, metric))
-
-
 def _sum_squares(cols):
     """Elementwise sum of squares of k same-shaped arrays, the k columns
     of a (..., k) block, with the bits np.einsum("...i,...i->...") gives
@@ -189,13 +183,6 @@ def _dist_pad(d):
     pad changes no bit.
     """
     return math.sqrt(d) * 2.0**-535
-
-
-def dilate(r, p):
-    """The parabolic dilation delta_r(x,t) = (r x, r^2 t)."""
-    if r <= 0:
-        raise ValueError("dilation factor must be > 0")
-    return ParaPoint(r * p.x, r * r * p.t)
 
 
 def blowup_map(a, r, p):
@@ -300,17 +287,23 @@ class HomPlane:
 
     @classmethod
     def horizontal_axes(cls, n, axes):
-        basis = np.eye(n)[list(axes)]
-        return cls(n, basis, False)
+        return cls(n, _axis_rows(n, axes), False)
 
     @classmethod
     def vertical_axes(cls, n, axes=()):
-        basis = np.eye(n)[list(axes)] if axes else np.zeros((0, n))
-        return cls(n, basis, True)
+        return cls(n, _axis_rows(n, axes), True)
 
     @classmethod
     def t_axis(cls, n):
         return cls.vertical_axes(n)
+
+
+def _axis_rows(n, axes):
+    """Rows of the n x n identity for the given axes, each in 0..n-1."""
+    for a in axes:
+        if not 0 <= a < n:
+            raise ValueError(f"axis {a} out of range for n={n}")
+    return np.eye(n)[list(axes)]
 
 
 def project(V, p, part="onto"):
@@ -632,9 +625,6 @@ class GraphSamples:
     def __len__(self):
         return self.base.shape[0]
 
-    def reassemble(self):
-        return self.base + self.values
-
     @property
     def base_h(self):
         """Intrinsic horizontal base coordinates, shape (N, k)."""
@@ -732,98 +722,3 @@ def graph_extract(points, V, s):
             pair=(graph.base[a].copy(), graph.base[b].copy()),
         )
     return ExtractResult(graph, float(s / np.sqrt(1.0 - s * s)), ratio)
-
-
-class EuclideanPlane:
-    """A linear subspace of R^{n+1} given by orthonormal basis rows,
-    used only for the euclidean-cone comparison; it need not be
-    homogeneous."""
-
-    def __init__(self, basis):
-        basis = np.atleast_2d(np.asarray(basis, dtype=float))
-        _check_finite(basis, "basis")
-        d, amb = basis.shape
-        if not 1 <= d <= amb:
-            raise ValueError("basis must have 1 <= rows <= columns")
-        if not np.allclose(basis @ basis.T, np.eye(d), atol=ORTHO_TOL, rtol=0.0):
-            raise ValueError("basis rows are not orthonormal within 1e-10")
-        self.basis = basis
-
-    @property
-    def ambient(self):
-        return self.basis.shape[1]
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    @property
-    def inside_h(self):
-        return bool(np.all(np.abs(self.basis[:, -1]) < ORTHO_TOL))
-
-
-@dataclass(eq=False)
-class EuclidConeResult:
-    ok: bool
-    radius: float | None
-    witness: np.ndarray | None
-    checked: int
-
-
-def verticalize(V):
-    """The vertical homogeneous plane W = {(v, t) : v in V cap H}, for a
-    euclidean subspace V of R^{n+1} not contained in H."""
-    if V.inside_h:
-        raise ValueError("V lies inside R^n x {0}; verticalization needs V not in H")
-    n = V.ambient - 1
-    tcol = V.basis[:, -1][None, :]
-    if V.dim == 1:
-        horiz = np.zeros((0, n))
-    else:
-        mix = np.linalg.svd(tcol)[2][1:] @ V.basis
-        horiz = orthonormal_frames(mix[:, :-1].T[None])[0][0]
-    return HomPlane(n, horiz, True)
-
-
-def euclid_cone_radius(V, s, tol=1e-3):
-    """Search for r such that the euclidean cone X_E(0, V, s^2)
-    intersected with B_E(0, r) lies inside the parabolic cone
-    X(0, W, s), W being the verticalized plane of V.
-
-    The check is a deterministic grid sample at relative resolution
-    tol; candidate radii are halved from 1 down to tol.  Returns an
-    EuclidConeResult; ok=False carries a witness point.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0, 1)")
-    if V.inside_h:
-        raise ValueError("V lies inside R^n x {0}")
-    if V.dim > V.ambient - 1:
-        raise ValueError("V must be a proper subspace so that W exists")
-    W = verticalize(V)
-    amb = V.ambient
-    steps = max(int(np.ceil(2.0 / tol)), 8)
-    axes = [np.linspace(-1.0, 1.0, steps + 1) for _ in range(amb)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, amb)
-    grid = grid[np.linalg.norm(grid, axis=1) > 0]
-    witness = None
-    r = 1.0
-    while r >= tol:
-        q = grid * r
-        qn = np.linalg.norm(q, axis=1)
-        keep = (qn <= r) & (qn > 0)
-        q = q[keep]
-        qn = qn[keep]
-        perp = q - (q @ V.basis.T) @ V.basis
-        in_cone = np.linalg.norm(perp, axis=1) < s * s * qn
-        q = q[in_cone]
-        if q.shape[0]:
-            gap = cone_gap_rows(W, s, q)
-            bad = np.nonzero(gap > CONE_BAND)[0]
-            if bad.size == 0:
-                return EuclidConeResult(True, r, None, int(q.shape[0]))
-            witness = q[bad[0]].copy()
-        else:
-            return EuclidConeResult(True, r, None, 0)
-        r *= 0.5
-    return EuclidConeResult(False, None, witness, int(grid.shape[0]))

@@ -433,6 +433,10 @@ def density_profile(mu, a, s, scales):
     max/min over the finest third of the scales."""
     a = as_point(a, mu.n)
     scales = sorted((float(r) for r in scales), reverse=True)
+    if not scales:
+        raise ValueError("need at least one scale")
+    if not all(r > 0.0 for r in scales):
+        raise ValueError("radius must be > 0")
     with np.errstate(over="ignore"):
         d = dist_rows(mu.points, a)
     values = []

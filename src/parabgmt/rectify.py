@@ -2,8 +2,7 @@
 
 Covers the cone-defect functional, per-point tangent detection and
 classification, normalized blow-ups with flatness and cross-scale
-uniqueness diagnostics, differentiability fitting for sampled graphs,
-and the splitting of a fitted graph into cone-certified pieces.
+uniqueness diagnostics, and differentiability fitting for sampled graphs.
 """
 
 from __future__ import annotations
@@ -22,11 +21,8 @@ from .geometry import (
     as_point,
     blowup_rows,
     candidate_planes,
-    complement_plane,
     dist_rows,
     dist_to_planes_rows,
-    graph_cone_check,
-    orthonormal_frames,
     para_norm_rows,
     plane_distance,
     tile_slices,
@@ -37,18 +33,6 @@ from .measure import DiscreteMeasure
 # and each plane axis of the unit ball is cut into GRID_CELLS cells
 TUBE_WIDTH = 0.05
 GRID_CELLS = 6
-
-
-class ConstructionError(RuntimeError):
-    """A split piece failed its cone certification.
-
-    Carries the witness pair so the caller can see which two points
-    broke the bound (usually a sign that the fit tolerance was too
-    loose for the requested constant)."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass
@@ -127,7 +111,8 @@ def _gather_ball(mu, a, r_max, index=None):
     if index is not None:
         cand, d = index.ball(ac, r_max)
     else:
-        d = dist_rows(mu.points, ac)
+        with np.errstate(over="ignore"):
+            d = dist_rows(mu.points, ac)
         cand = np.arange(d.size)
     keep = (d > 0.0) & (d <= r_max)
     cand, d = cand[keep], d[keep]
@@ -550,109 +535,3 @@ def fit_differential(graph, p_index, cfg):
     else:
         verdict = "not_differentiable"
     return DifferentialFit(p, graph.base[p].copy(), lam, curve, verdict, flagged)
-
-
-def _tilted_plane(V, lam):
-    """The homogeneous plane spanned by the graph of lam over V: each
-    horizontal basis vector is tilted by its lam image in the
-    complement, then the frame is re-orthonormalized."""
-    if V.k == 0 or lam.shape[0] == 0:
-        return V
-    rows = V.horiz_basis + lam.T @ complement_plane(V).horiz_basis
-    return HomPlane(V.n, orthonormal_frames(rows.T[None])[0][0], V.includes_t_axis)
-
-
-@dataclass
-class SplitPiece:
-    indices: np.ndarray
-    plane: HomPlane
-    lam: np.ndarray
-    scale_class: int
-    cell: tuple
-
-
-def _validity_radius(fit, eps):
-    """Largest scale r such that every residual at scales <= r stays
-    within eps; 0 when even the finest scale fails."""
-    ok = 0.0
-    for r, resid in sorted(fit.residual_curve):
-        if resid <= eps:
-            ok = r
-        else:
-            break
-    return ok
-
-
-def split_lipschitz(graph, fits, L):
-    """Split a fitted graph into pieces that each satisfy the cone
-    condition over a tilted plane.
-
-    Points are grouped by three indices: the dyadic class of the scale
-    down to which their residuals stay within L/4, a base cell small
-    enough for that class, and the nearest matrix in a greedy L/2 net
-    over the fitted differentials.  Each group is certified by
-    graph_cone_check over the graph plane of its net matrix at the
-    aperture implied by L; failures raise ConstructionError with the
-    witness pair.  Points with no valid scale become singleton pieces.
-    """
-    L = float(L)
-    if not 0.0 < L < 1.0:
-        raise ValueError("L must lie in (0, 1)")
-    fits = list(fits)
-    if len(fits) != len(graph):
-        raise ValueError("need one differential fit per graph row")
-    for f in fits:
-        if f.flagged:
-            raise ValueError(f"point {f.point_index} carries no successful differential fit")
-    eps = L / 4.0
-    lp = L / math.sqrt(1.0 - L * L)
-    s_cert = lp / math.sqrt(1.0 + lp * lp)
-    V = graph.plane
-    k = V.k
-    xi = graph.base_h
-    bt = graph.base_t
-    net = []
-    groups = {}
-    singles = []
-    for p in range(len(graph)):
-        rp = _validity_radius(fits[p], eps)
-        if rp <= 0.0:
-            singles.append(p)
-            continue
-        cls = max(0, int(math.floor(-math.log2(rp))))
-        h = 2.0 ** (-cls - 2) / math.sqrt(max(k, 1))
-        cell = tuple(int(v) for v in np.floor(xi[p] / h)) if k else ()
-        if V.includes_t_axis:
-            ht = (2.0 ** (-cls - 2)) ** 2
-            cell = cell + (int(math.floor(bt[p] / ht)),)
-        lam_p = fits[p].lam
-        net_j = None
-        for j, center in enumerate(net):
-            if np.linalg.norm(lam_p - center) < L / 2.0:
-                net_j = j
-                break
-        if net_j is None:
-            net.append(lam_p.copy())
-            net_j = len(net) - 1
-        groups.setdefault((cls, cell, net_j), []).append(p)
-    pts = graph.reassemble()
-    pieces = []
-    for key in sorted(groups):
-        cls, cell, net_j = key
-        idx = np.asarray(groups[key], dtype=int)
-        W = _tilted_plane(V, net[net_j])
-        bad = graph_cone_check(pts[idx], W, s_cert)
-        if bad:
-            i, j = bad[0]
-            gi, gj = int(idx[i]), int(idx[j])
-            raise ConstructionError(
-                f"piece {key} fails the cone check at points {gi} and {gj}; "
-                "the fit tolerance is too loose for this constant",
-                witness=(gi, gj),
-            )
-        pieces.append(SplitPiece(idx, W, net[net_j].copy(), cls, cell))
-    for p in singles:
-        pieces.append(
-            SplitPiece(np.asarray([p], dtype=int), _tilted_plane(V, fits[p].lam), fits[p].lam.copy(), -1, ())
-        )
-    return pieces

@@ -100,6 +100,11 @@ class TestGenerate:
          "--noise does not apply to kind 'cantor_segments'"),
         (["--kind", "flat_plane", "--n", "1", "--axes", "0", "--depth", "2"],
          "kind 'flat_plane' is not iterated; only --depth 0 is accepted"),
+        (["--kind", "flat_plane", "--n", "2", "--axes=-1"], "axis -1 out of range for n=2"),
+        (["--kind", "flat_plane", "--n", "1", "--axes", "5"], "axis 5 out of range for n=1"),
+        (["--kind", "regular_defeater", "--depth", "1", "--window-samples", "1"],
+         "ConstructionError: equal pair search failed at level 1, interval 0: "
+         "need at least two samples"),
     ])
     def test_kind_parameter_errors(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.csv"
@@ -288,6 +293,14 @@ class TestDensity:
         for v in res["values"]:
             assert v == pytest.approx(1.0, abs=0.06)
         assert res["lower"] <= res["upper"]
+
+    @pytest.mark.parametrize("scales, s", [("-0.1,0.1", "1"), ("-0.1,0.1", "1.5"), ("0,0.1", "1")])
+    def test_radius_not_positive_is_a_one_line_error(self, line_csv, tmp_path, capsys, scales, s):
+        out = tmp_path / "density.json"
+        rc, stdout, err = run(capsys, "density", "-i", str(line_csv), "--point", "0,0",
+                              "--s", s, f"--scales={scales}", "-o", str(out))
+        assert (rc, stdout, err) == (1, "", "error: radius must be > 0\n")
+        assert not out.exists()
 
 
 class TestTangent:

@@ -9,6 +9,7 @@ import pytest
 
 from parabgmt.generators import (
     GENERATOR_KINDS,
+    ConstructionError,
     GeneratorSpec,
     PairNotFoundError,
     bmo_energy,
@@ -225,6 +226,12 @@ class TestRegularDefeater:
             gen_regular_defeater(L_seq=[0.5, 0.5], depth=2, resolution=1e-3)
         with pytest.raises(ValueError):
             gen_regular_defeater(depth=0)
+
+    def test_failed_pair_search_raises_construction_error(self):
+        # one sample per window holds no pair at all
+        with pytest.raises(ConstructionError, match="equal pair search failed at level 1") as exc:
+            gen_regular_defeater(depth=1, window_samples=1)
+        assert isinstance(exc.value.__cause__, PairNotFoundError)
 
 
 class TestBmoEnergy:

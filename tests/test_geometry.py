@@ -16,7 +16,6 @@ from parabgmt.geometry import (
     Cone,
     ConeViolationError,
     DimensionMismatchError,
-    EuclideanPlane,
     GraphSamples,
     HomPlane,
     ParaPoint,
@@ -25,13 +24,10 @@ from parabgmt.geometry import (
     complement_plane,
     cone_gap_rows,
     cone_membership,
-    dilate,
     dist_rows,
     dist_to_plane_rows,
-    euclid_cone_radius,
     graph_cone_check,
     graph_extract,
-    metric_eval,
     pair_blocks,
     para_norm,
     para_norm_rows,
@@ -39,7 +35,6 @@ from parabgmt.geometry import (
     project,
     project_rows,
     sample_planes,
-    verticalize,
 )
 
 coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -86,7 +81,8 @@ class TestNorm:
 
     @given(any_point, scale)
     def test_homogeneity(self, p, r):
-        assert para_norm(dilate(r, p)) == pytest.approx(r * para_norm(p), rel=1e-12, abs=1e-12)
+        dilated = ParaPoint(r * p.x, r * r * p.t)
+        assert para_norm(dilated) == pytest.approx(r * para_norm(p), rel=1e-12, abs=1e-12)
 
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(point_strategy(n), point_strategy(n))))
     def test_triangle_inequality(self, pq):
@@ -95,19 +91,9 @@ class TestNorm:
 
 
 class TestMetric:
-    def test_metric_eval_matches_norm_of_difference(self):
-        p = ParaPoint([1.0, 2.0], 3.0)
-        q = ParaPoint([0.5, -1.0], 1.0)
-        assert metric_eval(p, q) == pytest.approx(para_norm(p - q), rel=1e-15)
-        assert metric_eval(p, q, "euclidean") == pytest.approx(
-            math.sqrt(0.25 + 9.0 + 4.0), rel=1e-15
-        )
-        with pytest.raises(ValueError):
-            metric_eval(p, q, "manhattan")
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            metric_eval(ParaPoint([1.0], 0.0), ParaPoint([1.0, 0.0], 0.0))
+            dist_rows(ParaPoint([1.0], 0.0).coords(), ParaPoint([1.0, 0.0], 0.0))
 
     def test_dist_rows_both_metrics(self):
         coords = np.array([[1.0, 0.0], [0.0, 0.25], [3.0, -4.0]])
@@ -319,13 +305,6 @@ class TestProjectCols:
 
 
 class TestDilation:
-    def test_dilate_oracle(self):
-        p = dilate(3.0, ParaPoint([1.0, -2.0], 5.0))
-        assert p.x == pytest.approx([3.0, -6.0])
-        assert p.t == pytest.approx(45.0)
-        with pytest.raises(ValueError):
-            dilate(0.0, ParaPoint([1.0], 0.0))
-
     def test_blowup_map_oracle(self):
         a = ParaPoint([1.0], 2.0)
         p = ParaPoint([1.5], 2.25)
@@ -375,8 +354,8 @@ class TestDilation:
         p, q = pq
         a = ParaPoint(np.ones(p.n), -0.5)
         u = 2.0**-53
-        lhs = metric_eval(blowup_map(a, r, p), blowup_map(a, r, q))
-        rhs = metric_eval(p, q) / r
+        lhs = float(dist_rows(blowup_map(a, r, p).coords(), blowup_map(a, r, q)))
+        rhs = float(dist_rows(p.coords(), q)) / r
         ex = 3 * u * (np.linalg.norm(p.x - a.x) + np.linalg.norm(q.x - a.x)) / r
         ft = 4 * u * (abs(p.t - a.t) + abs(q.t - a.t)) / r**2
         ft_gap = math.sqrt(ft) if lhs + rhs == 0 else min(math.sqrt(ft), 2 * ft / (lhs + rhs))
@@ -405,6 +384,10 @@ class TestHomPlane:
             HomPlane(2, np.eye(2), True)  # full vertical plane is the whole space
         with pytest.raises(ValueError):
             HomPlane(2, np.zeros((0, 2)), False)  # empty horizontal plane
+        with pytest.raises(ValueError, match="^axis -1 out of range for n=2$"):
+            HomPlane.horizontal_axes(2, (-1,))
+        with pytest.raises(ValueError, match="^axis 5 out of range for n=2$"):
+            HomPlane.vertical_axes(2, (0, 5))
 
     def test_dict_roundtrip(self):
         basis = np.array([[3.0, 4.0]]) / 5.0
@@ -569,7 +552,7 @@ class TestCone:
         label = cone_membership(c, q)
         gap = float(cone_gap_rows(V, 0.4, q.coords()[None, :])[0])
         if abs(gap) > 1e-6:  # keep clear of the boundary band
-            assert cone_membership(c, dilate(r, q)) == label
+            assert cone_membership(c, ParaPoint(r * q.x, r * r * q.t)) == label
 
 
 def random_plane(rng, n, family):
@@ -647,7 +630,7 @@ class TestGraphConeCheck:
         res = graph_extract(pts, V, 0.4)
         assert res.lipschitz_bound == pytest.approx(0.4 / math.sqrt(1 - 0.16), rel=1e-12)
         assert res.empirical_ratio <= res.lipschitz_bound + 1e-9
-        back = res.graph.reassemble()
+        back = res.graph.base + res.graph.values
         assert np.sort(back, axis=0) == pytest.approx(np.sort(pts, axis=0), abs=1e-12)
 
     def test_extract_rejects_violations(self):
@@ -882,21 +865,6 @@ def scipy_complement_basis(V):
     return null_space(V.horiz_basis).T
 
 
-def scipy_verticalize_basis(V):
-    """The horizontal basis of verticalize(V) with scipy.linalg.null_space
-    for the rows of V orthogonal to the t-axis.  null_space returns a
-    strided view, which numpy multiplies in another order than
-    contiguous rows (297 of 2052 random frames then differ in the last
-    bit), so the null space is made contiguous first."""
-    from scipy.linalg import null_space
-
-    if V.dim == 1:
-        return np.zeros((0, V.ambient - 1))
-    mix = np.ascontiguousarray(null_space(V.basis[:, -1][None, :]).T) @ V.basis
-    q, r = np.linalg.qr(mix[:, :-1].T)
-    return (q * np.sign(np.diag(r))).T
-
-
 def ref_orthonormal_frames(cols):
     """One 2-D QR per column set, the sign fix and the rank test as each
     caller once wrote them: the reference for orthonormal_frames."""
@@ -945,30 +913,3 @@ class TestComplementsMatchScipy:
                 W = complement_plane(V)
                 assert W.includes_t_axis != V.includes_t_axis
                 assert bits_equal(W.horiz_basis, scipy_complement_basis(V))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_verticalize(self, n):
-        rng = np.random.default_rng(10 + n)
-        amb = n + 1
-        for dim in range(1, amb):
-            bases = [np.eye(amb)[list(c) + [n]] for c in itertools.combinations(range(n), dim - 1)]
-            bases += [random_frame(rng, dim, amb) for _ in range(40)]
-            for basis in bases:
-                V = EuclideanPlane(basis)
-                W = verticalize(V)
-                assert W.includes_t_axis and W.k == dim - 1
-                assert bits_equal(W.horiz_basis, scipy_verticalize_basis(V))
-
-
-class TestEuclidComparison:
-    def test_verticalize_line(self):
-        V = EuclideanPlane(np.array([[0.6, 0.8]]))  # slanted line in R^2 = P^1 coords
-        W = verticalize(V)
-        assert W.includes_t_axis and W.k == 0 and W.n == 1
-
-    def test_euclid_cone_radius_found(self):
-        V = EuclideanPlane(np.array([[0.0, 1.0]]))  # the t-axis itself
-        res = euclid_cone_radius(V, 0.5, tol=0.05)
-        assert res.ok
-        assert 0.0 < res.radius <= 1.0
-        assert res.checked > 0

@@ -25,10 +25,8 @@ import pytest
 from parabgmt import cli
 from parabgmt.generators import GeneratorSpec, bmo_energy, gen_flat
 from parabgmt.geometry import (
-    EuclideanPlane,
     GraphSamples,
     HomPlane,
-    euclid_cone_radius,
     graph_extract,
 )
 from parabgmt.measure import (
@@ -151,7 +149,6 @@ def records():
     graph = GraphSamples.from_points(np.column_stack([g, 0.5 * g, np.zeros_like(g)]), V)
     tangent = classify_points(line, TangentConfig(m=1, sample_size=4)).to_dict()
     ex = graph_extract(np.column_stack([g, 0.1 * g, np.zeros_like(g)]), V, 0.2)
-    cone = euclid_cone_radius(EuclideanPlane([[0.0, 1.0]]), 0.5, tol=0.05)
     grid = np.linspace(-1.0, 1.0, 1025)
     out = {
         "CoveringReport": dimension_fit(line_pts, [0.2, 0.1], sum_exponents=(1.0, 2)).to_dict(
@@ -180,9 +177,6 @@ def records():
         "HomPlane": HomPlane.vertical_axes(3, (1,)).to_dict(),
         "ExtractResult": {"lipschitz_bound": ex.lipschitz_bound,
                           "empirical_ratio": ex.empirical_ratio, "rows": len(ex.graph)},
-        "EuclidConeResult": {"ok": cone.ok, "radius": cone.radius,
-                             "witness": None if cone.witness is None else cone.witness.tolist(),
-                             "checked": cone.checked},
     }
     return {name: json.dumps(d, sort_keys=True, indent=1) + "\n" for name, d in out.items()}
 

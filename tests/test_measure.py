@@ -15,7 +15,7 @@ from scan_index import ScanIndex, reference_resolution
 from parabgmt import geometry
 from parabgmt._index import GridIndex
 from parabgmt.geometry import DimensionMismatchError, HomPlane, ParaPoint
-from parabgmt.rectify import blowup_measure
+from parabgmt.rectify import TangentConfig, blowup_measure, cone_defect, detect_tangent
 from parabgmt.measure import (
     CAND_CAP,
     EVAL_CAP,
@@ -131,6 +131,10 @@ class TestDiscreteMeasure:
         assert density_profile(mu, np.zeros(2), 1.0, [0.2, 0.1]).values == pytest.approx(
             [21 / 0.4, 11 / 0.2])
         assert blowup_measure(mu, np.zeros(2), 0.1).natoms == 11
+        line = HomPlane.horizontal_axes(1, (0,))
+        assert cone_defect(mu, np.zeros(2), line, 0.5, 0.1, 1) == 0.0
+        cfg = TangentConfig(m=1, r_list=(0.1, 0.05))
+        assert detect_tangent(mu, np.zeros(2), cfg).best_plane == line
 
     def test_atoms_iterates_in_order(self):
         pts = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -604,6 +608,17 @@ class TestDensityProfile:
         est = density_profile(mu, np.zeros(2), 2.0, [0.4, 0.2, 0.1])
         # with exponent 2 the values grow like 1/(2r) as r shrinks
         assert est.values[0] < est.values[-1]
+
+    @pytest.mark.parametrize("scales, message", [
+        ([], "need at least one scale"),
+        ([-0.1, 0.1], "radius must be > 0"),
+        ([0.0, 0.1], "radius must be > 0"),
+        ([math.nan, 0.1], "radius must be > 0"),
+    ])
+    def test_scales_validated(self, scales, message):
+        mu = DiscreteMeasure(1, np.zeros((1, 2)), [1.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            density_profile(mu, np.zeros(2), 1.5, scales)
 
 
 class TestFlatConstants:

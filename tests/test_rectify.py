@@ -16,7 +16,6 @@ from parabgmt.geometry import (
     HomPlane,
     ParaPoint,
     candidate_planes,
-    graph_cone_check,
     para_norm_rows,
     plane_distance,
     project_rows,
@@ -33,7 +32,6 @@ from parabgmt.rectify import (
     detect_tangent,
     fit_differential,
     flatness_defect,
-    split_lipschitz,
     tangent_uniqueness_scan,
 )
 
@@ -492,25 +490,6 @@ class TestSeedIndependence:
         assert missed == []
 
 
-def ref_tilted_plane(V, lam):
-    if V.k == 0 or lam.shape[0] == 0:
-        return V
-    rows = V.horiz_basis + lam.T @ geometry.complement_plane(V).horiz_basis
-    q, rr = np.linalg.qr(rows.T)
-    diag = np.diag(rr)
-    return HomPlane(V.n, (q * np.where(diag >= 0.0, 1.0, -1.0)).T.copy(), V.includes_t_axis)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_tilted_plane_matches_reference(n):
-    rng = np.random.default_rng(n)
-    for m in range(1, n + 2):
-        for V in sample_planes(n, m, 12, n):
-            for scale in (0.0, 0.1, 3.0):
-                lam = scale * rng.standard_normal((n - V.k, V.k))
-                assert same_plane(rectify._tilted_plane(V, lam), ref_tilted_plane(V, lam))
-
-
 class TestClassifyPoints:
     def test_fractions_sum_to_one(self):
         mu = line_cloud()
@@ -731,47 +710,3 @@ class TestFitDifferential:
         assert isinstance(fit, DifferentialFit)
         assert d["verdict"] == "differentiable"
         assert len(d["residual_curve"]) == 2
-
-
-class TestSplitLipschitz:
-    L = 0.5
-
-    @staticmethod
-    def _fitted(f, scales, resolution=0.01):
-        # graph x2 = f(x1), t = 0 over the x1 axis of P^2, one fit per row
-        V = HomPlane.horizontal_axes(2, (0,))
-        mu, _ = gen_graph(lambda C: np.column_stack([f(C[:, 0]), np.zeros(len(C))]), V,
-                          resolution=resolution)
-        graph = GraphSamples.from_points(mu.points, V)
-        return graph, [fit_differential(graph, i, FitConfig(scales=scales))
-                       for i in range(len(graph))]
-
-    @pytest.mark.parametrize("f", [lambda x: 0.1 * x, lambda x: 0.3 * x ** 2],
-                             ids=["tilted", "curved"])
-    @pytest.mark.parametrize("scales", [(0.5, 0.25, 0.125), (0.4, 0.2, 0.1)])
-    def test_pieces_partition_and_certify(self, f, scales):
-        graph, fits = self._fitted(f, scales)
-        assert not any(fit.flagged for fit in fits)
-        pieces = split_lipschitz(graph, fits, self.L)
-        idx = np.concatenate([piece.indices for piece in pieces])
-        assert np.array_equal(np.sort(idx), np.arange(len(graph)))
-        assert len(pieces) < len(graph)
-        lp = self.L / math.sqrt(1.0 - self.L ** 2)
-        s_cert = lp / math.sqrt(1.0 + lp * lp)
-        pts = graph.reassemble()
-        for piece in pieces:
-            assert graph_cone_check(pts[piece.indices], piece.plane, s_cert) == []
-
-    def test_tilted_graph_piece_count(self):
-        graph, fits = self._fitted(lambda x: 0.1 * x, (0.5, 0.25, 0.125))
-        assert len(split_lipschitz(graph, fits, self.L)) == 17
-
-    def test_validation(self):
-        graph, fits = self._fitted(lambda x: 0.1 * x, (0.5, 0.25), resolution=0.1)
-        with pytest.raises(ValueError):
-            split_lipschitz(graph, fits, 1.0)
-        with pytest.raises(ValueError):
-            split_lipschitz(graph, fits[1:], self.L)
-        flagged = fit_differential(graph, 0, FitConfig(scales=(1e-6,)))
-        with pytest.raises(ValueError):
-            split_lipschitz(graph, [flagged] + fits[1:], self.L)
