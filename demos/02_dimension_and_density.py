@@ -50,4 +50,4 @@ for n, m, family in ((1, 1, "horizontal"), (2, 2, "horizontal"), (1, 2, "vertica
                      (2, 3, "vertical")):
     est = flat_constant_estimate(n, m, family)
     print(f"  {family:10s} n={n} m={m}: {est.value:.4f}   "
-          f"(horizontal planes give exactly 2^m; verticals lie in [1, 2^m])")
+          f"(horizontal planes give 2^m, vertical ones 2^(m-1))")

@@ -436,7 +436,7 @@ def _cmd_blowup(values):
 
 
 def _cmd_vconst(values):
-    est = flat_constant_estimate(values["n"], values["m"], values["family"], values["scales"])
+    est = flat_constant_estimate(values["n"], values["m"], values["family"])
     _emit("vconst", values, est.to_dict(), values["output"])
     return 0
 
@@ -542,8 +542,6 @@ _COMMANDS = {
         Opt("n", "int", required=True, help="ambient horizontal dimension"),
         Opt("m", "int", required=True, help="homogeneous dimension of the plane"),
         Opt("family", "str", default="horizontal", choices=("horizontal", "vertical")),
-        _param_opt(flat_constant_estimate, "scales", "floats",
-                   help="packing radii (default schedule when omitted)"),
         Opt("output", "str", help="report path (stdout when omitted)"),
     ]),
     "verify": ("run invariant check batteries", _cmd_verify, [

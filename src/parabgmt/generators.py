@@ -331,6 +331,12 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
     depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    # a window needs a pair of samples, and the resolution hint divides
+    # by the atoms per interval minus one
+    for name, value in (("window_samples", window_samples),
+                        ("atoms_per_interval", atoms_per_interval)):
+        if value < 2:
+            raise ValueError(f"{name} must be >= 2, got {value}")
     if L_seq is None:
         L_seq = [1.0 / math.sqrt(k + 1) for k in range(1, depth + 1)]
     L_seq = [float(v) for v in L_seq]

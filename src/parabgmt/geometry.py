@@ -266,9 +266,6 @@ class HomPlane:
     def __repr__(self):
         return f"HomPlane(n={self.n}, m={self.m}, {self.family})"
 
-    def contains(self, p, tol=1e-9):
-        return para_norm(project(self, p, "complement")) <= tol
-
     def to_dict(self):
         return {
             "n": self.n,

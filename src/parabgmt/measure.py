@@ -3,9 +3,9 @@
 A DiscreteMeasure is a weighted point cloud standing in for a Hausdorff
 measure restricted to a set.  On top of it sit a deterministic greedy
 ball covering, box-counting dimension fits in the parabolic or
-euclidean metric, density profiles, a packing-based estimator for the
-flat-measure constants, and the covering-sum evaluator for images of
-Lipschitz maps into P^n.
+euclidean metric, density profiles, the isodiametric mesh ratio that
+gives the flat-measure constants, and the covering-sum evaluator for
+images of Lipschitz maps into P^n.
 """
 
 import csv
@@ -29,7 +29,6 @@ from .geometry import (
     dist_rows,
     pair_blocks,
     para_norm_rows,
-    tile_slices,
 )
 
 # finest default scale sits at 4x the cloud resolution, per-octave schedule
@@ -453,22 +452,18 @@ class FlatConstantEstimate(_Estimate):
     family: str
     m: int
     value: float
-    raw: float
-    lower: float
-    upper: float
-    scales: list
-    scale_values: list
+    ball_atoms: int
+    extremal_atoms: int
 
 
 def _flat_plane_cloud(n, m, family):
-    """Dense cloud on the canonical plane of P(n,m) inside B(0,1),
-    together with the per-axis grid steps used to build it.
+    """Uniform mesh of the canonical plane of P(n,m) inside B(0,1).
 
     The cloud is written in the plane's own coordinates: the spatial
     axes the plane spans, then t.  The axes of P^n it leaves out would
-    be zero in every atom, with a grid step of 0.0; each would only add
-    +0.0 at the end of the even or the odd partial sum of _sum_squares,
-    so every distance and piece diameter has the bits it has in P^n.  A horizontal plane gives (N, m+1) rows
+    be zero in every atom; each would only add +0.0 at the end of the
+    even or the odd partial sum of _sum_squares, so every norm has the
+    bits it has in P^n.  A horizontal plane gives (N, m+1) rows
     x1..xm, t (t = 0) and a vertical one (N, k+1) rows x1..xk, t with
     k = m - 2; the t-axis (k = 0) spans no spatial axis and keeps one
     zero column, since a sum of no squares has no shape."""
@@ -481,8 +476,7 @@ def _flat_plane_cloud(n, m, family):
         mesh = mesh[np.einsum("ij,ij->i", mesh, mesh) <= 1.0]
         pts = np.zeros((mesh.shape[0], m + 1))
         pts[:, :m] = mesh
-        w = np.full(pts.shape[0], h**m)
-        return pts, w, [h] * m + [0.0]
+        return pts
     if family == "vertical":
         if not 2 <= m <= n + 1:
             raise ValueError(f"vertical family needs 2 <= m <= n+1, got m={m}, n={n}")
@@ -492,138 +486,46 @@ def _flat_plane_cloud(n, m, family):
             t = np.arange(-1.0, 1.0 + ht / 2, ht)
             pts = np.zeros((t.size, 2))
             pts[:, -1] = t
-            w = np.full(t.size, ht)
-            return pts, w, [0.0, ht]
+            return pts
         hx = 8e-3 if k == 1 else 4e-2
         ht = 2e-3 if k == 1 else 1e-2
         axes = [np.arange(-1.0, 1.0 + hx / 2, hx) for _ in range(k)]
         axes.append(np.arange(-1.0, 1.0 + ht / 2, ht))
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k + 1)
         keep = np.einsum("ij,ij->i", mesh[:, :k], mesh[:, :k]) + np.abs(mesh[:, k]) <= 1.0
-        pts = mesh[keep]
-        w = np.full(pts.shape[0], hx**k * ht)
-        return pts, w, [hx] * k + [ht]
+        return mesh[keep]
     raise ValueError(f"unknown family {family!r}")
 
 
-# a piece of at most SPREAD rows is measured on every row: its SPREAD
-# evenly spread rows are all of them
-SPREAD = 128
+def _in_extremal_set(pts):
+    """Mask of the rows of a plane cloud, in the plane's own coordinates,
+    that lie in E*_V = {4|x|^2 + 2|t| <= 1}.  On a horizontal plane
+    t = 0, so there E*_V is the Euclidean ball |x| <= 1/2."""
+    x2 = _sum_squares([pts[:, j] for j in range(pts.shape[1] - 1)])
+    return 4.0 * x2 + 2.0 * np.abs(pts[:, -1]) <= 1.0
 
 
-def _inflated_diam2(cols, inflate):
-    """Max over pairs of rows of sum_c (|dx_c| + h_c)^2 + |dt| + h_t, per
-    set in cols, a (k+1, ..., L) stack of columns x1..xk, t; its bits do
-    not depend on the stacking."""
-    dx = [np.abs(c[..., :, None] - c[..., None, :]) for c in cols[:-1]]
-    for d, h in zip(dx, inflate):
-        d += h
-    dd = _sum_squares(dx)
-    t = cols[-1]
-    dd += np.abs(t[..., :, None] - t[..., None, :])
-    dd += inflate[-1]
-    return dd.reshape(dd.shape[:-2] + (-1,)).max(axis=-1)
+def flat_constant_estimate(n, m, family):
+    """The flat-measure constant of the canonical plane V of P(n,m): the
+    number p(V) with H^m(V cap B(0,r)) = p(V) r^m, where H^m is the
+    Hausdorff measure (covers by sets of any shape, summing diam^m).
 
+    On V, H^m is Lebesgue measure L divided by the largest L of a set of
+    diameter 1 (the isodiametric inequality; S. Rigot, Isodiametric
+    inequality in Carnot groups, Ann. Acad. Sci. Fenn. Math. 36 (2011)).
+    Steiner symmetrisation in each axis does not raise the diameter, and
+    a symmetric set of diameter 1 lies in E*_V = {4|x|^2 + 2|t| <= 1},
+    which has diameter 1.  So p(V) = L(V cap B(0,1)) / L(E*_V): 2^m on a
+    horizontal plane, where E*_V is the ball of radius 1/2, and 2^(m-1)
+    on a vertical one, the t-axis included.
 
-def _piece_diameters(pts, rows, sizes, inflate):
-    """_inflated_diam2 of each piece, the runs of the given sizes in
-    rows (ascending indices into pts).  A piece of more than SPREAD rows
-    is measured on its SPREAD spread rows and each coordinate's first
-    extreme rows, a smaller one on every row, stacked by size into
-    (G, L, L) blocks of at most PAIR_TILE entries."""
-    starts = np.cumsum(sizes) - sizes
-    out = np.empty(sizes.size)
-    for size in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == size)
-        if size > SPREAD:
-            for k in group.tolist():
-                piece = pts.take(rows[starts[k] : starts[k] + size], axis=0)
-                mask = np.zeros(size, dtype=bool)
-                mask[_spread_index(size, SPREAD)] = True
-                mask[piece.argmin(axis=0)] = True
-                mask[piece.argmax(axis=0)] = True
-                out[k] = _inflated_diam2(piece.T.take(np.flatnonzero(mask), axis=1), inflate)
-            continue
-        for part in tile_slices(group.size, size * size):
-            block = rows[starts[group[part], None] + np.arange(size)]
-            out[group[part]] = _inflated_diam2(pts.T.take(block, axis=1), inflate)
-    return out
-
-
-def _packing_value(pts, w, r, m, inflate):
-    """One scale of the flat-constant estimator: greedy disjoint ball
-    packing, interior balls only, piece diameters measured empirically
-    with per-axis cell inflation and capped at the ball diameter 2r,
-    then normalized by the covered mass fraction.
-
-    Each centre takes one index query, at 2r, which blocks the later
-    centres; an interior centre's piece is the part of that ball within
-    r, cut on the distances the query returns, which are the dist_rows
-    values an r-query would compute.  The pieces are measured after
-    the scan, in batches."""
-    index = GridIndex(pts, 2.0 * r)
-    npts = pts.shape[0]
-    norm2 = _sum_squares([pts[:, j] for j in range(pts.shape[1] - 1)]) + np.abs(pts[:, -1])
-    blocked = np.zeros(npts, dtype=bool)
-    pieces = []
-    i = -1
-    while True:
-        i = _next_unset(blocked, i + 1)
-        if i == npts:
-            break
-        ball, dist = index.ball(pts[i], 2.0 * r)
-        blocked[ball] = True
-        if norm2[i] <= (1.0 - r) ** 2:
-            pieces.append(np.sort(ball[dist <= r]))
-        # freed here, not at the next query, whose peak they would raise
-        del ball, dist
-    if not pieces:
-        return 0.0
-    rows = np.concatenate(pieces)
-    sizes = np.array([piece.size for piece in pieces])
-    # the batches reuse the memory of the index and the scan
-    del index, blocked, norm2, pieces
-    cap = (2.0 * r) ** 2
-    total = 0.0
-    for diam2 in _piece_diameters(pts, rows, sizes, inflate).tolist():
-        total += min(diam2, cap) ** (m / 2.0)
-    covered = np.zeros(npts, dtype=bool)
-    covered[rows] = True
-    frac = float(np.sum(w[covered])) / float(np.sum(w))
-    if frac == 0.0:
-        return 0.0
-    return total / frac
-
-
-DEFAULT_FLAT_SCALES = (0.2, 0.15, 0.105, 0.075)
-
-
-def flat_constant_estimate(n, m, family, scales=None):
-    """Estimate the flat-measure constant of the canonical plane of
-    P(n,m): the number p(V) with H^m(V cap B(0,r)) = p(V) r^m.
-
-    Per scale the estimator packs disjoint balls, sums their piece
-    diameters to the power m, and normalizes by the covered mass
-    fraction; the reported value is the linear-in-r intercept over the
-    four finest scales, clamped into [1, 2^m].  `raw` keeps the
-    unclamped intercept.
+    The estimate is the ratio of two atom counts on one uniform mesh of
+    V cap B(0,1): all its atoms (ball_atoms) over those in E*_V
+    (extremal_atoms).
     """
-    scales = sorted(
-        (float(r) for r in (scales if scales is not None else DEFAULT_FLAT_SCALES)), reverse=True
-    )
-    if len(scales) < 2:
-        raise ValueError("need at least two scales")
-    pts, w, inflate = _flat_plane_cloud(int(n), int(m), family)
-    values = [_packing_value(pts, w, r, m, inflate) for r in scales]
-    tail = min(4, len(scales))
-    rs = np.asarray(scales[-tail:])
-    vs = np.asarray(values[-tail:])
-    design = np.stack([rs, np.ones(tail)], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(design, vs, rcond=None)
-    raw = float(coef[1])
-    value = float(np.clip(raw, 1.0, 2.0**m))
-    band = [raw] + vs.tolist()
-    return FlatConstantEstimate(family, int(m), value, raw, min(band), max(band), scales, values)
+    pts = _flat_plane_cloud(int(n), int(m), family)
+    extremal = int(np.count_nonzero(_in_extremal_set(pts)))
+    return FlatConstantEstimate(family, int(m), pts.shape[0] / extremal, pts.shape[0], extremal)
 
 
 class GridMap:
@@ -675,15 +577,6 @@ class GridMap:
 
     def flat_values(self):
         return self.values.reshape(-1, self.d)
-
-    @classmethod
-    def from_function(cls, f, n, m_points, domain=(0.0, 1.0)):
-        d = n + 1
-        lo, hi = float(domain[0]), float(domain[1])
-        axes = [np.linspace(lo, hi, m_points) for _ in range(d)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        out = np.asarray([f(u) for u in mesh], dtype=float)
-        return cls(out.reshape(tuple([m_points] * d) + (d,)), domain)
 
 
 @dataclass(eq=False)

@@ -18,6 +18,7 @@ from ._version import __version__
 from .geometry import (
     HomPlane,
     ParaPoint,
+    _dot_cols,
     as_point,
     blowup_rows,
     candidate_planes,
@@ -341,7 +342,8 @@ def _cell_grid(V):
 
 def _empty_cell_fraction(V, coords):
     """Fraction of valid plane cells left empty by the projections of
-    the given ambient rows."""
+    the given ambient rows.  Their plane coordinates are summed by
+    _dot_cols in ascending order, with no BLAS call."""
     g = GRID_CELLS
     axes, valid = _cell_grid(V)
     total = int(np.sum(valid))
@@ -349,12 +351,11 @@ def _empty_cell_fraction(V, coords):
         return 1.0
     if coords.shape[0] == 0:
         return 1.0
-    cols = []
-    if V.k:
-        cols.append(coords[:, :-1] @ V.horiz_basis.T)
+    xcols = [coords[:, c] for c in range(V.n)]
+    cols = [_dot_cols(b, xcols) for b in V.horiz_basis]
     if V.includes_t_axis:
-        cols.append(coords[:, -1:])
-    plane_xy = np.concatenate(cols, axis=1)
+        cols.append(coords[:, -1])
+    plane_xy = np.stack(cols, axis=1)
     idx = np.clip(np.floor((plane_xy + 1.0) * (g / 2.0)).astype(int), 0, g - 1)
     codes = np.ravel_multi_index(idx.T, (g,) * axes)
     occupied = np.zeros(g**axes, dtype=bool)

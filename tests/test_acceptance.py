@@ -142,6 +142,9 @@ def test_04_flat_plane_constants():
         good = 1.0 <= est.value <= 2.0 ** m
         if m == 2:
             good &= abs(est.value - 2.0) <= 0.1
+        else:
+            # H^m(V cap B(0,1)) = 2^(m-1) on every vertical plane
+            good &= abs(est.value - 2.0 ** (m - 1)) <= 0.05 * 2.0 ** (m - 1)
         ok &= good
         parts.append(f"v({n},{m})={est.value:.4f}")
     _line(4, ok, "flat constants " + ", ".join(parts))

@@ -103,8 +103,9 @@ class TestGenerate:
         (["--kind", "flat_plane", "--n", "2", "--axes=-1"], "axis -1 out of range for n=2"),
         (["--kind", "flat_plane", "--n", "1", "--axes", "5"], "axis 5 out of range for n=1"),
         (["--kind", "regular_defeater", "--depth", "1", "--window-samples", "1"],
-         "ConstructionError: equal pair search failed at level 1, interval 0: "
-         "need at least two samples"),
+         "window_samples must be >= 2, got 1"),
+        (["--kind", "regular_defeater", "--depth", "1", "--atoms-per-interval", "1"],
+         "atoms_per_interval must be >= 2, got 1"),
     ])
     def test_kind_parameter_errors(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.csv"
@@ -376,11 +377,11 @@ class TestBlowup:
 class TestVconst:
     def test_horizontal_line_constant_exact(self, capsys):
         rc, stdout, _ = run(capsys, "vconst", "--n", "1", "--m", "1",
-                            "--family", "horizontal", "--scales", "0.05,0.02")
+                            "--family", "horizontal")
         assert rc == 0
         res = json.loads(stdout)["result"]
         assert res["value"] == pytest.approx(2.0, rel=1e-9)
-        assert res["lower"] <= res["value"] <= res["upper"]
+        assert res["value"] == res["ball_atoms"] / res["extremal_atoms"]
 
 
 class TestVerify:
@@ -425,6 +426,18 @@ class TestDefeaterBmo:
         assert res["all_exceed"] is True and len(res["points"]) == 4
         header = ann.read_text().splitlines()[0]
         assert header == "point_index,annulus_lo,annulus_hi,sum,cumulative"
+
+    @pytest.mark.parametrize("flag, bad", [
+        ("--window-samples", "window_samples must be >= 2, got 1"),
+        ("--atoms-per-interval", "atoms_per_interval must be >= 2, got 1"),
+    ])
+    def test_schedule_too_small(self, tmp_path, capsys, flag, bad):
+        # --atoms-per-interval 1 divided by zero in the resolution hint
+        out = tmp_path / "bmo.json"
+        rc, stdout, err = run(capsys, "defeater-bmo", "--depth", "1", "--resolution", "1e-3",
+                              flag, "1", "-o", str(out))
+        assert (rc, stdout, err) == (1, "", f"error: {bad}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid, refine, bad", [
         ("0", "0", "grid must be >= 2, got 0"),

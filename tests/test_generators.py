@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from parabgmt import generators
 from parabgmt.generators import (
     GENERATOR_KINDS,
     ConstructionError,
@@ -227,10 +228,25 @@ class TestRegularDefeater:
         with pytest.raises(ValueError):
             gen_regular_defeater(depth=0)
 
-    def test_failed_pair_search_raises_construction_error(self):
-        # one sample per window holds no pair at all
-        with pytest.raises(ConstructionError, match="equal pair search failed at level 1") as exc:
-            gen_regular_defeater(depth=1, window_samples=1)
+    @pytest.mark.parametrize("name", ["window_samples", "atoms_per_interval"])
+    def test_schedule_refused_before_level_zero(self, monkeypatch, name):
+        # a window of one sample holds no pair, and one atom per interval
+        # divided by zero in the resolution hint
+        def probe(*args, **kwargs):
+            raise AssertionError("level 0 was built")
+
+        monkeypatch.setattr(generators, "weierstrass_eval", probe)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 2, got 1$"):
+            gen_regular_defeater(depth=1, **{name: 1})
+
+    def test_failed_pair_search_raises_construction_error(self, monkeypatch):
+        def no_pair(*args, **kwargs):
+            raise PairNotFoundError("no pair in this window")
+
+        monkeypatch.setattr(generators, "find_equal_pair", no_pair)
+        with pytest.raises(ConstructionError, match="equal pair search failed at level 1, "
+                                                    "interval 0: no pair in this window") as exc:
+            gen_regular_defeater(depth=1, resolution=1e-3)
         assert isinstance(exc.value.__cause__, PairNotFoundError)
 
 

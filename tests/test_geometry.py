@@ -396,14 +396,6 @@ class TestHomPlane:
         assert W == V
         assert W.m == V.m and W.includes_t_axis
 
-    def test_contains(self):
-        V = HomPlane.horizontal_axes(2, (0,))
-        assert V.contains(ParaPoint([0.3, 0.0], 0.0))
-        assert not V.contains(ParaPoint([0.3, 0.1], 0.0))
-        assert not V.contains(ParaPoint([0.3, 0.0], 0.1))
-        T = HomPlane.t_axis(1)
-        assert T.contains(ParaPoint([0.0], -5.0))
-
 
 class TestProjection:
     def test_projection_fixes_plane_points(self):

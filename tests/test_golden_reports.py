@@ -11,10 +11,12 @@ with
 and name the changed outputs in CHANGES.md.
 """
 
+import ast
 import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -102,8 +104,7 @@ COMMANDS = [
                             "-o", "tangent_tilted_205.json"]),
     ("blowup", ["blowup", "-i", "tilted.csv", "--point", "0,0,0", "--r", "0.5",
                 "-o", "blown.csv"]),
-    ("vconst", ["vconst", "--n", "1", "--m", "1", "--scales", "0.2,0.15,0.1",
-                "-o", "vconst.json"]),
+    ("vconst", ["vconst", "--n", "1", "--m", "1", "-o", "vconst.json"]),
     ("verify", ["verify", "--suite", "all", "--cases", "50", "-o", "verify.json"]),
     ("defeater_bmo", ["defeater-bmo", "--depth", "2", "--annuli-csv", "annuli.csv",
                       "-o", "bmo.json"]),
@@ -111,14 +112,14 @@ COMMANDS = [
 ] + [(f"help_{command}", [command, "--help"]) for command in cli._COMMANDS]
 
 
-def run_commands(workdir):
-    """Run COMMANDS in workdir; returns {golden file name: bytes}.  Help
+def run_commands(workdir, commands=COMMANDS):
+    """Run the commands in workdir; returns {golden file name: bytes}.  Help
     text is wrapped at COLUMNS=80, and its SystemExit code is the exit code."""
     out = {}
     old = os.getcwd()
     os.chdir(workdir)
     try:
-        for name, argv in COMMANDS:
+        for name, argv in commands:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                     mock.patch.dict(os.environ, {"COLUMNS": "80"}):
@@ -155,8 +156,7 @@ def records():
             seed=4),
         "CoveringReport_flat": dimension_fit(np.zeros((3, 2)), [0.2, 0.1]).to_dict(),
         "DensityEstimate": density_profile(line, np.zeros(2), 1, [0.3, 0.2, 0.1]).to_dict(),
-        "FlatConstantEstimate": flat_constant_estimate(1, 1, "horizontal",
-                                                       scales=[0.2, 0.1]).to_dict(seed=2),
+        "FlatConstantEstimate": flat_constant_estimate(1, 1, "horizontal").to_dict(seed=2),
         "LipCoverSum": lip_image_cover_sum(identity, 4).to_dict(seed=1),
         "LipCoverSum_constant": lip_image_cover_sum(GridMap(np.zeros((9, 9, 2))), 4).to_dict(),
         "TangentReport": tangent,
@@ -237,6 +237,41 @@ def test_record_names(record_texts):
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_to_dict(record_texts, name):
     assert record_texts[name] == RECORDS[name]
+
+
+def _dynamic_arch_openblas():
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):  # no "dicts" mode before numpy 1.25
+        return False
+    return any("DYNAMIC_ARCH" in dep.get("openblas configuration", "") for dep in deps.values())
+
+
+# run from tests/, so the child imports this module
+_REPLAY = """
+import sys, tempfile
+import test_golden_reports as g
+
+with tempfile.TemporaryDirectory() as tmp:
+    out = g.run_commands(tmp, [step for step in g.COMMANDS if step[0] == "vconst"])
+out["FlatConstantEstimate"] = g.records()["FlatConstantEstimate"].encode()
+print(repr(out))
+"""
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="OPENBLAS_CORETYPE selects kernels only in a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_flat_constant_replays_under_other_blas_kernels(coretype, child_pythonpath, monkeypatch):
+    # the flat constant is a ratio of two atom counts, which no BLAS
+    # kernel computes, so its goldens replay byte for byte
+    monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+    done = subprocess.run([sys.executable, "-c", _REPLAY], cwd=Path(__file__).parent,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    want = {name: (GOLDEN / "cli" / name).read_bytes() for name in ("vconst.json", "vconst.stdout")}
+    want["FlatConstantEstimate"] = RECORDS["FlatConstantEstimate"].encode()
+    assert ast.literal_eval(done.stdout) == want
 
 
 def main():

@@ -19,13 +19,11 @@ from parabgmt.rectify import TangentConfig, blowup_measure, cone_defect, detect_
 from parabgmt.measure import (
     CAND_CAP,
     EVAL_CAP,
-    SPREAD,
     DiscreteMeasure,
     _flat_plane_cloud,
+    _in_extremal_set,
     _next_unset,
-    _packing_value,
     _pairwise_ratio_max,
-    _piece_diameters,
     _spread_index,
     _stride_pick,
     GridMap,
@@ -381,7 +379,7 @@ class TestNextUnset:
 class TestStridePick:
     """The cached spread indices are the ones the formula gives."""
 
-    @pytest.mark.parametrize("cap", [CAND_CAP, EVAL_CAP, SPREAD, 256])
+    @pytest.mark.parametrize("cap", [CAND_CAP, EVAL_CAP, 256])
     def test_matches_the_formula(self, cap):
         for size in (cap - 1, cap, cap + 1, cap + 2, 10 * cap):
             want = np.unique(np.round(np.linspace(0, size - 1, cap)).astype(int))
@@ -392,11 +390,6 @@ class TestStridePick:
             arr = np.arange(size) * 3 + 1
             picked = _stride_pick(arr, cap)
             np.testing.assert_array_equal(picked, arr if size <= cap else arr[want])
-
-    def test_small_pieces_spread_over_every_row(self):
-        for size in range(1, SPREAD + 1):
-            np.testing.assert_array_equal(_spread_index(size, SPREAD), np.arange(size))
-        assert _spread_index(SPREAD + 1, SPREAD).size < SPREAD + 1
 
 
 def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
@@ -625,7 +618,7 @@ class TestFlatConstants:
     def test_horizontal_line(self):
         est = flat_constant_estimate(1, 1, "horizontal")
         assert est.value == pytest.approx(2.0, rel=0.05)
-        assert est.lower <= est.value <= est.upper and 1.0 <= est.value <= 2.0
+        assert est.value == est.ball_atoms / est.extremal_atoms
 
     def test_t_axis(self):
         est = flat_constant_estimate(1, 2, "vertical")
@@ -638,91 +631,36 @@ class TestFlatConstants:
             flat_constant_estimate(1, 1, "vertical")
         with pytest.raises(ValueError):
             flat_constant_estimate(1, 1, "diagonal")
-        with pytest.raises(ValueError):
-            flat_constant_estimate(1, 1, "horizontal", scales=[0.1])
 
 
-def ref_packing_value(pts, w, r, m, inflate):
-    """_packing_value in two passes: block with one 2r-query per centre,
-    then one r-query per interior centre for its piece.  Also returns
-    the number of centres the interior test skips."""
-    index = GridIndex(pts, 2.0 * r)
-    npts = pts.shape[0]
-    norm2 = np.einsum("ij,ij->i", pts[:, :-1], pts[:, :-1]) + np.abs(pts[:, -1])
-    hx = np.asarray(inflate[:-1], dtype=float)
-    ht = float(inflate[-1])
-    blocked = np.zeros(npts, dtype=bool)
-    centers = []
-    for i in range(npts):
-        if blocked[i]:
-            continue
-        centers.append(i)
-        blocked[index.query(pts[i], 2.0 * r)] = True
-    covered = np.zeros(npts, dtype=bool)
-    total = 0.0
-    skipped = 0
-    for i in centers:
-        if norm2[i] > (1.0 - r) ** 2:
-            skipped += 1
-            continue
-        inside = index.query(pts[i], r)
-        piece = pts[inside]
-        pick = np.unique(np.concatenate([
-            piece.argmin(axis=0),
-            piece.argmax(axis=0),
-            np.round(np.linspace(0, piece.shape[0] - 1, 128)).astype(int),
-        ]))
-        sub = piece[pick]
-        dx = np.abs(sub[:, None, :-1] - sub[None, :, :-1]) + hx
-        dd = np.einsum("...i,...i->...", dx, dx) + np.abs(sub[:, None, -1] - sub[None, :, -1]) + ht
-        diam2 = min(float(dd.max()), (2.0 * r) ** 2)
-        total += diam2 ** (m / 2.0)
-        covered[inside] = True
-    frac = float(np.sum(w[covered])) / float(np.sum(w))
-    return (0.0 if frac == 0.0 else total / frac), skipped
+class TestExtremalSet:
+    """E*_V, built through the estimator's own mask on coarse meshes of
+    the planes, has parabolic diameter at most 1."""
 
-
-class TestPackingMatchesTwoPass:
-    """One 2r-query per centre gives the two-pass value bit for bit."""
-
-    @pytest.mark.parametrize("n, m, family", [
-        (1, 1, "horizontal"),
-        (2, 2, "horizontal"),
-        (1, 2, "vertical"),
-        (2, 3, "vertical"),
-        (3, 4, "vertical"),
+    @pytest.mark.parametrize("family, m, hx, ht", [
+        ("horizontal", 1, 2.0**-9, None),
+        ("horizontal", 2, 2.0**-5, None),
+        ("vertical", 3, 2.0**-4, 2.0**-7),   # k = 1
+        ("vertical", 4, 2.0**-3, 2.0**-5),   # k = 2
     ])
-    def test_same_float(self, n, m, family):
-        pts, w, inflate = _flat_plane_cloud(n, m, family)
-        # every scale skips centres near the unit sphere; at 0.9 no
-        # centre is interior, so the value is 0.0
-        for r in (0.9, 0.3, 0.15):
-            want, skipped = ref_packing_value(pts, w, r, m, inflate)
-            got = _packing_value(pts, w, r, m, inflate)
-            assert skipped > 0 and (want == 0.0) == (r == 0.9)
-            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+    def test_diameter_at_most_one(self, family, m, hx, ht):
+        # dyadic steps put atoms on the boundary: x = +-1/2 on a
+        # horizontal plane, t = +-1/2 at x = 0 on a vertical one, each
+        # pair of them exactly 1 apart
+        k = m if family == "horizontal" else m - 2
+        axes = [np.arange(-1.0, 1.0 + hx / 2, hx)] * k
+        axes.append(np.zeros(1) if ht is None else np.arange(-1.0, 1.0 + ht / 2, ht))
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k + 1)
+        pts = mesh[_in_extremal_set(mesh)]
+        assert 500 <= len(pts) <= 2000
+        d = geometry.dist_rows(pts, pts[:, None, :])
+        assert 1.0 - 1e-12 <= d.max() <= 1.0 + 1e-12
 
-    def test_same_float_with_atoms_on_the_sphere(self):
-        # a dyadic grid puts atoms exactly at distance r from each centre
-        h = 1.0 / 32
-        ax = np.arange(-32, 33) * h
-        mesh = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
-        mesh = mesh[np.einsum("ij,ij->i", mesh, mesh) <= 1.0]
-        pts = np.column_stack([mesh, np.zeros(len(mesh))])
-        w = np.full(len(pts), h * h)
-        for r in (0.25, 0.125):
-            want, _ = ref_packing_value(pts, w, r, 2, [h, h, 0.0])
-            got = _packing_value(pts, w, r, 2, [h, h, 0.0])
-            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
-
-
-def padded_plane_cloud(n, m, family):
-    """_flat_plane_cloud in the coordinates of P^n: zero columns, with
-    grid steps 0.0, for the spatial axes the plane leaves out."""
-    pts, w, inflate = _flat_plane_cloud(n, m, family)
-    live = pts.shape[1] - 1
-    pts = np.insert(pts, [live] * (n - live), 0.0, axis=1)
-    return pts, w, inflate[:-1] + [0.0] * (n - live) + inflate[-1:]
+    def test_counts_of_the_estimator(self):
+        pts = _flat_plane_cloud(3, 4, "vertical")
+        est = flat_constant_estimate(3, 4, "vertical")
+        assert est.ball_atoms == len(pts)
+        assert est.extremal_atoms == np.count_nonzero(_in_extremal_set(pts))
 
 
 class TestPlaneCloudInItsOwnCoordinates:
@@ -734,112 +672,23 @@ class TestPlaneCloudInItsOwnCoordinates:
         (2, 3, "vertical", 1),
         (3, 4, "vertical", 2),
     ])
-    def test_packing_keeps_the_bits_of_the_padded_cloud(self, n, m, family, live):
-        pts, w, inflate = _flat_plane_cloud(n, m, family)
-        assert pts.shape[1] == live + 1 and len(inflate) == live + 1
-        padded, w_padded, inflate_padded = padded_plane_cloud(n, m, family)
-        assert padded.shape[1] == n + 1 and len(inflate_padded) == n + 1
-        np.testing.assert_array_equal(w, w_padded)
-        for r in (0.3, 0.15):
-            got = _packing_value(pts, w, r, m, inflate)
-            want = _packing_value(padded, w_padded, r, m, inflate_padded)
-            assert got > 0.0
-            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+    def test_padded_cloud_has_the_same_extremal_mask(self, n, m, family, live):
+        pts = _flat_plane_cloud(n, m, family)
+        assert pts.shape[1] == live + 1
+        # the cloud in the coordinates of P^n: zero columns for the
+        # spatial axes the plane leaves out
+        padded = np.insert(pts, [live] * (n - live), 0.0, axis=1)
+        assert padded.shape[1] == n + 1
+        np.testing.assert_array_equal(_in_extremal_set(pts), _in_extremal_set(padded))
 
     def test_dropped_columns_are_the_zero_ones(self):
         # the t-axis keeps one spatial column of zeros beside t
-        pts, _, inflate = _flat_plane_cloud(3, 2, "vertical")
+        pts = _flat_plane_cloud(3, 2, "vertical")
+        assert pts.shape[1] == 2
         assert not pts[:, 0].any() and pts[:, 1].any()
-        assert inflate == [0.0, 2e-5]
-        pts, _, inflate = _flat_plane_cloud(3, 1, "horizontal")
+        pts = _flat_plane_cloud(3, 1, "horizontal")
+        assert pts.shape[1] == 2
         assert pts[:, 0].any() and not pts[:, 1].any()
-        assert inflate == [1e-3, 0.0]
-
-
-def ref_piece_diam2(pts, inside, inflate):
-    """One piece measured alone: its 128 evenly spread rows and each
-    coordinate's first extreme rows, one (L, L) matrix per coordinate."""
-    piece = pts[inside]
-    mask = np.zeros(piece.shape[0], dtype=bool)
-    mask[np.round(np.linspace(0, piece.shape[0] - 1, 128)).astype(int)] = True
-    mask[piece.argmin(axis=0)] = True
-    mask[piece.argmax(axis=0)] = True
-    cols = piece[np.flatnonzero(mask)].T.copy()
-    dx = [np.abs(c[:, None] - c) + h for c, h in zip(cols[:-1], inflate[:-1])]
-    dd = geometry._sum_squares(dx) + np.abs(cols[-1][:, None] - cols[-1]) + inflate[-1]
-    return float(dd.max())
-
-
-def dyadic_disc(h):
-    ax = np.arange(-1.0, 1.0 + h / 2, h)
-    mesh = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
-    mesh = mesh[np.einsum("ij,ij->i", mesh, mesh) <= 1.0]
-    return np.column_stack([mesh, np.zeros(len(mesh))])
-
-
-class TestPieceDiameters:
-    """The pieces measured in batches have the bits each has alone."""
-
-    def assert_same(self, pts, pieces, inflate):
-        rows = np.concatenate(pieces)
-        sizes = np.array([p.size for p in pieces])
-        want = [ref_piece_diam2(pts, p, inflate) for p in pieces]
-        got = _piece_diameters(pts, rows, sizes, inflate)
-        assert got.shape == (len(pieces),)
-        np.testing.assert_array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64))
-
-    def random_pieces(self, rng, npts, sizes):
-        return [np.sort(rng.choice(npts, size, replace=False)) for size in sizes]
-
-    @pytest.mark.parametrize("cols", [2, 3, 4])
-    def test_random_pieces_of_every_group(self, cols):
-        rng = np.random.default_rng(cols)
-        pts = rng.standard_normal((2000, cols))
-        inflate = rng.random(cols).tolist()
-        sizes = [1, 128, 129, 9, 9, 1, 2, 128, 40, 9, 300, 129, 2, 9, 1, 127]
-        self.assert_same(pts, self.random_pieces(rng, len(pts), sizes), inflate)
-
-    def test_ties_on_a_dyadic_grid(self):
-        # grid rows share their coordinates, so the extreme rows of a
-        # large piece are first occurrences among ties
-        h = 1.0 / 32
-        pts = dyadic_disc(h)
-        index = GridIndex(pts, 0.25)
-        pieces = []
-        for r in (0.25, 0.125, 0.07, 0.03):
-            for c in pts[:: max(1, len(pts) // 12)]:
-                ball, dist = index.ball(c, r)
-                pieces.append(np.sort(ball[dist <= r]))
-        sizes = {p.size for p in pieces}
-        assert min(sizes) <= SPREAD < max(sizes) and len(sizes) > 4
-        self.assert_same(pts, pieces, [h, h, 0.0])
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_first_of_tied_extremes(self, sign):
-        # rows a < b tie for the least (sign 1) or greatest x1 and lie
-        # off the spread rows; only a reaches the far row 0, so the
-        # diameter is the first occurrence's
-        size = 200
-        a, b = np.setdiff1d(np.arange(size), _spread_index(size, SPREAD))[:2]
-        rng = np.random.default_rng(3)
-        pts = np.column_stack([rng.random(size) * 0.1, rng.random(size) * 1.8 - 0.9, np.zeros(size)])
-        pts[0, :2] = [0.1, -1.0]
-        pts[-1, 1] = 1.0
-        pts[a, :2] = [-1.0, 0.9]
-        pts[b, :2] = [-1.0, 0.0]
-        pts[:, 0] *= sign
-        want = ref_piece_diam2(pts, np.arange(size), [0.0, 0.0, 0.0])
-        assert want == 1.1**2 + 1.9**2
-        self.assert_same(pts, [np.arange(size), np.arange(size)], [0.0, 0.0, 0.0])
-
-    @pytest.mark.parametrize("tile", [1, 81, 2 * 81, 2 * 81 + 1, 3 * 81 - 1, 128 * 128 + 1])
-    def test_chunk_edges(self, tile):
-        rng = np.random.default_rng(tile)
-        pts = rng.random((500, 3))
-        sizes = [9] * 7 + [128] * 3 + [1] * 5 + [129, 9]
-        pieces = self.random_pieces(rng, len(pts), rng.permutation(sizes))
-        with mock.patch.object(geometry, "PAIR_TILE", tile):
-            self.assert_same(pts, pieces, [0.01, 0.02, 0.003])
 
 
 # ---------------------------------------------------------------------------
@@ -859,11 +708,6 @@ class TestGridMap:
             GridMap(np.zeros((4, 4, 3)))
         with pytest.raises(ValueError):
             GridMap(np.zeros((4, 4, 2)), domain=(1.0, 1.0))
-
-    def test_from_function(self):
-        gm = GridMap.from_function(lambda u: np.array([u[0], 0.0]), 1, 5)
-        assert gm.M == 5 and gm.n == 1
-        assert gm.flat_values()[:, 1] == pytest.approx(np.zeros(25))
 
     def test_domain_points_cover_cube(self):
         gm = identity_grid(5)
