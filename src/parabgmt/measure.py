@@ -364,17 +364,18 @@ def greedy_cover(points, r, metric="parabolic"):
         p = pts[scan]
         hits, dist = index.ball(p, reach)
         free = ~covered[hits]
+        # scan is the least free hit within r (its own distance is 0),
+        # and _stride_pick keeps the first index, so cand[0] == scan
         cand = _stride_pick(np.sort(hits[(dist <= r) & free]), CAND_CAP)
-        if scan not in cand:
-            cand = np.sort(np.append(cand, scan))
-        if cand.size == 1:
-            best = int(cand[0])
-        else:
+        best = scan
+        if cand.size > 1:
             ev = _stride_pick(np.sort(hits[(dist <= 2.0 * r) & free]), EVAL_CAP)
             gains = np.sum(dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
             best = int(cand[int(np.argmax(gains))])
         centers.append(best)
-        covered[hits[dist_rows(pts.take(hits, axis=0), pts[best], metric) <= r]] = True
+        if best != scan:
+            dist = dist_rows(pts.take(hits, axis=0), pts[best], metric)
+        covered[hits[dist <= r]] = True
     return pts[np.asarray(centers, dtype=int)]
 
 
@@ -406,15 +407,19 @@ def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
         raise ValueError("need at least two scales")
     counts = [greedy_cover(pts, r, metric).shape[0] for r in scales]
     sums = {str(s): [c * (2.0 * r) ** s for c, r in zip(counts, scales)] for s in sum_exponents}
-    logs = np.log(np.asarray(counts, dtype=float))
-    if np.all(np.asarray(counts) == counts[0]):
+    if all(c == counts[0] for c in counts):
         return CoveringReport(metric, scales, counts, sums, 0.0, None)
-    design = np.stack([np.log(1.0 / np.asarray(scales)), np.ones(len(scales))], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(design, logs, rcond=None)
-    resid = float(np.sqrt(np.mean((design @ coef - logs) ** 2)))
-    upper = n + 2 if metric == "parabolic" else n + 1
-    fitted = float(np.clip(coef[0], 0.0, upper))
-    return CoveringReport(metric, scales, counts, sums, fitted, resid)
+    # the line through (log 1/r, log N) from exactly rounded sums, so no
+    # BLAS kernel decides the last bits
+    xs = [math.log(1.0 / r) for r in scales]
+    ys = [math.log(c) for c in counts]
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - xbar for x in xs]
+    slope = math.fsum(d * (y - ybar) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
+    icpt = ybar - slope * xbar
+    resid = math.sqrt(math.fsum((icpt + slope * x - y) ** 2 for x, y in zip(xs, ys)) / len(xs))
+    upper = float(n + 2 if metric == "parabolic" else n + 1)
+    return CoveringReport(metric, scales, counts, sums, min(max(slope, 0.0), upper), resid)
 
 
 @dataclass(eq=False)
@@ -456,53 +461,41 @@ class FlatConstantEstimate(_Estimate):
     extremal_atoms: int
 
 
-def _flat_plane_cloud(n, m, family):
-    """Uniform mesh of the canonical plane of P(n,m) inside B(0,1).
+def _flat_plane_counts(n, m, family):
+    """(ball_atoms, extremal_atoms) of a uniform mesh of the canonical
+    plane V of P(n,m), in the plane's own coordinates: the atoms in
+    V cap B(0,1), and those of them in E*_V = {4|x|^2 + 2|t| <= 1}.
 
-    The cloud is written in the plane's own coordinates: the spatial
-    axes the plane spans, then t.  The axes of P^n it leaves out would
-    be zero in every atom; each would only add +0.0 at the end of the
-    even or the odd partial sum of _sum_squares, so every norm has the
-    bits it has in P^n.  A horizontal plane gives (N, m+1) rows
-    x1..xm, t (t = 0) and a vertical one (N, k+1) rows x1..xk, t with
-    k = m - 2; the t-axis (k = 0) spans no spatial axis and keeps one
-    zero column, since a sum of no squares has no shape."""
+    The mesh is the product of a grid of the k spatial axes V spans
+    (k = m on a horizontal plane, m - 2 on a vertical one) and a grid
+    of t, which is the one point t = 0 on a horizontal plane.  So both
+    tests are outer sums of |x|^2 over the spatial grid and |t| over
+    the t grid, and no mesh row is stored.  The axes of P^n that V
+    leaves out would be zero in every atom; each would only add +0.0
+    at the end of the even or the odd partial sum of _sum_squares, so
+    every sum has the bits it has in P^n.  The t-axis (k = 0) has the
+    one spatial point x = 0."""
     if family == "horizontal":
         if not 1 <= m <= n:
             raise ValueError(f"horizontal family needs 1 <= m <= n, got m={m}, n={n}")
-        h = {1: 1e-3, 2: 4e-3}.get(m, 2e-2)
-        axes = [np.arange(-1.0, 1.0 + h / 2, h) for _ in range(m)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-        mesh = mesh[np.einsum("ij,ij->i", mesh, mesh) <= 1.0]
-        pts = np.zeros((mesh.shape[0], m + 1))
-        pts[:, :m] = mesh
-        return pts
-    if family == "vertical":
+        k, hx, t = m, {1: 1e-3, 2: 4e-3}.get(m, 2e-2), np.zeros(1)
+    elif family == "vertical":
         if not 2 <= m <= n + 1:
             raise ValueError(f"vertical family needs 2 <= m <= n+1, got m={m}, n={n}")
         k = m - 2
-        if k == 0:
-            ht = 2e-5
-            t = np.arange(-1.0, 1.0 + ht / 2, ht)
-            pts = np.zeros((t.size, 2))
-            pts[:, -1] = t
-            return pts
         hx = 8e-3 if k == 1 else 4e-2
-        ht = 2e-3 if k == 1 else 1e-2
-        axes = [np.arange(-1.0, 1.0 + hx / 2, hx) for _ in range(k)]
-        axes.append(np.arange(-1.0, 1.0 + ht / 2, ht))
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k + 1)
-        keep = np.einsum("ij,ij->i", mesh[:, :k], mesh[:, :k]) + np.abs(mesh[:, k]) <= 1.0
-        return mesh[keep]
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _in_extremal_set(pts):
-    """Mask of the rows of a plane cloud, in the plane's own coordinates,
-    that lie in E*_V = {4|x|^2 + 2|t| <= 1}.  On a horizontal plane
-    t = 0, so there E*_V is the Euclidean ball |x| <= 1/2."""
-    x2 = _sum_squares([pts[:, j] for j in range(pts.shape[1] - 1)])
-    return 4.0 * x2 + 2.0 * np.abs(pts[:, -1]) <= 1.0
+        ht = {0: 2e-5, 1: 2e-3}.get(k, 1e-2)
+        t = np.arange(-1.0, 1.0 + ht / 2, ht)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    axis = np.arange(-1.0, 1.0 + hx / 2, hx)
+    # the spatial grid as broadcast views of one axis, flattened to a column
+    x2 = _sum_squares(np.broadcast_arrays(*np.ix_(*[axis] * k))) if k else np.zeros(1)
+    x2 = x2.reshape(-1, 1)
+    t = np.abs(t)
+    ball = x2 + t <= 1.0
+    extremal = (4.0 * x2 + 2.0 * t <= 1.0) & ball
+    return int(np.count_nonzero(ball)), int(np.count_nonzero(extremal))
 
 
 def flat_constant_estimate(n, m, family):
@@ -523,9 +516,8 @@ def flat_constant_estimate(n, m, family):
     V cap B(0,1): all its atoms (ball_atoms) over those in E*_V
     (extremal_atoms).
     """
-    pts = _flat_plane_cloud(int(n), int(m), family)
-    extremal = int(np.count_nonzero(_in_extremal_set(pts)))
-    return FlatConstantEstimate(family, int(m), pts.shape[0] / extremal, pts.shape[0], extremal)
+    ball, extremal = _flat_plane_counts(int(n), int(m), family)
+    return FlatConstantEstimate(family, int(m), ball / extremal, ball, extremal)
 
 
 class GridMap:

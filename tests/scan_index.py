@@ -1,9 +1,10 @@
 """Full-scan stand-ins, for tests that check the indexed and windowed
-code paths against a scan over every point."""
+code paths against a scan over every point, and the stored flat-plane
+meshes that the flat-constant counts are checked against."""
 
 import numpy as np
 
-from parabgmt.geometry import dist_rows
+from parabgmt.geometry import _sum_squares, dist_rows
 from parabgmt.measure import _spread_index
 
 
@@ -41,3 +42,54 @@ def reference_resolution(points):
             d[i] = np.inf
             mins.append(float(d.min()))
     return float(np.median(mins))
+
+
+def reference_plane_cloud(n, m, family):
+    """Uniform mesh of the canonical plane of P(n,m) inside B(0,1), every
+    row stored; measure._flat_plane_counts counts the same atoms.
+
+    The cloud is written in the plane's own coordinates: the spatial
+    axes the plane spans, then t.  The axes of P^n it leaves out would
+    be zero in every atom; each would only add +0.0 at the end of the
+    even or the odd partial sum of _sum_squares, so every norm has the
+    bits it has in P^n.  A horizontal plane gives (N, m+1) rows
+    x1..xm, t (t = 0) and a vertical one (N, k+1) rows x1..xk, t with
+    k = m - 2; the t-axis (k = 0) spans no spatial axis and keeps one
+    zero column, since a sum of no squares has no shape."""
+    if family == "horizontal":
+        if not 1 <= m <= n:
+            raise ValueError(f"horizontal family needs 1 <= m <= n, got m={m}, n={n}")
+        h = {1: 1e-3, 2: 4e-3}.get(m, 2e-2)
+        axes = [np.arange(-1.0, 1.0 + h / 2, h) for _ in range(m)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+        mesh = mesh[np.einsum("ij,ij->i", mesh, mesh) <= 1.0]
+        pts = np.zeros((mesh.shape[0], m + 1))
+        pts[:, :m] = mesh
+        return pts
+    if family == "vertical":
+        if not 2 <= m <= n + 1:
+            raise ValueError(f"vertical family needs 2 <= m <= n+1, got m={m}, n={n}")
+        k = m - 2
+        if k == 0:
+            ht = 2e-5
+            t = np.arange(-1.0, 1.0 + ht / 2, ht)
+            t = t[np.abs(t) <= 1.0]
+            pts = np.zeros((t.size, 2))
+            pts[:, -1] = t
+            return pts
+        hx = 8e-3 if k == 1 else 4e-2
+        ht = 2e-3 if k == 1 else 1e-2
+        axes = [np.arange(-1.0, 1.0 + hx / 2, hx) for _ in range(k)]
+        axes.append(np.arange(-1.0, 1.0 + ht / 2, ht))
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k + 1)
+        keep = np.einsum("ij,ij->i", mesh[:, :k], mesh[:, :k]) + np.abs(mesh[:, k]) <= 1.0
+        return mesh[keep]
+    raise ValueError(f"unknown family {family!r}")
+
+
+def reference_extremal_mask(pts):
+    """Mask of the rows of a plane cloud, in the plane's own coordinates,
+    that lie in E*_V = {4|x|^2 + 2|t| <= 1}.  On a horizontal plane
+    t = 0, so there E*_V is the Euclidean ball |x| <= 1/2."""
+    x2 = _sum_squares([pts[:, j] for j in range(pts.shape[1] - 1)])
+    return 4.0 * x2 + 2.0 * np.abs(pts[:, -1]) <= 1.0

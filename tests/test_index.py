@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scan_index import ScanIndex
+from scan_index import ScanIndex, reference_plane_cloud
 
 from parabgmt import _index, measure
 from parabgmt._index import GridIndex
@@ -221,7 +221,7 @@ def test_tiny_radii_match_brute_force(pts, metric, scale, r):
 def test_build_peak_stays_within_two_copies_of_the_points():
     # the peak is the float cell quotients beside their int64 cast; the
     # cell-ordered copy is made after both are freed, so it adds nothing
-    pts = measure._flat_plane_cloud(3, 4, "vertical")
+    pts = reference_plane_cloud(3, 4, "vertical")
     # the cloud in the coordinates of P^3: x1, x2, a zero x3, t
     pts = np.insert(pts, 2, 0.0, axis=1)
     assert pts.shape[1] == 4

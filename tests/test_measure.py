@@ -4,13 +4,19 @@ constants and the Lipschitz-image covering sums."""
 import math
 import os
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scan_index import ScanIndex, reference_resolution
+from scan_index import (
+    ScanIndex,
+    reference_extremal_mask,
+    reference_plane_cloud,
+    reference_resolution,
+)
 
 from parabgmt import geometry
 from parabgmt._index import GridIndex
@@ -20,8 +26,7 @@ from parabgmt.measure import (
     CAND_CAP,
     EVAL_CAP,
     DiscreteMeasure,
-    _flat_plane_cloud,
-    _in_extremal_set,
+    _flat_plane_counts,
     _next_unset,
     _pairwise_ratio_max,
     _spread_index,
@@ -621,8 +626,11 @@ class TestFlatConstants:
         assert est.value == est.ball_atoms / est.extremal_atoms
 
     def test_t_axis(self):
+        # the mesh reaches t = 1.0000000000020002, outside B(0,1); the
+        # ball test drops it, so the count is exactly twice E*'s
         est = flat_constant_estimate(1, 2, "vertical")
-        assert est.value == pytest.approx(2.0, rel=0.05)
+        assert est.ball_atoms == 100000
+        assert est.value == 2.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -634,8 +642,9 @@ class TestFlatConstants:
 
 
 class TestExtremalSet:
-    """E*_V, built through the estimator's own mask on coarse meshes of
-    the planes, has parabolic diameter at most 1."""
+    """E*_V, built through the reference mask on coarse meshes of the
+    planes, has parabolic diameter at most 1; the estimator counts the
+    atoms that mask keeps."""
 
     @pytest.mark.parametrize("family, m, hx, ht", [
         ("horizontal", 1, 2.0**-9, None),
@@ -651,16 +660,30 @@ class TestExtremalSet:
         axes = [np.arange(-1.0, 1.0 + hx / 2, hx)] * k
         axes.append(np.zeros(1) if ht is None else np.arange(-1.0, 1.0 + ht / 2, ht))
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k + 1)
-        pts = mesh[_in_extremal_set(mesh)]
+        pts = mesh[reference_extremal_mask(mesh)]
         assert 500 <= len(pts) <= 2000
         d = geometry.dist_rows(pts, pts[:, None, :])
         assert 1.0 - 1e-12 <= d.max() <= 1.0 + 1e-12
 
     def test_counts_of_the_estimator(self):
-        pts = _flat_plane_cloud(3, 4, "vertical")
-        est = flat_constant_estimate(3, 4, "vertical")
-        assert est.ball_atoms == len(pts)
-        assert est.extremal_atoms == np.count_nonzero(_in_extremal_set(pts))
+        # every (n, family, m) with n <= 3, against the stored mesh
+        for n in (1, 2, 3):
+            for family, ms in (("horizontal", range(1, n + 1)), ("vertical", range(2, n + 2))):
+                for m in ms:
+                    pts = reference_plane_cloud(n, m, family)
+                    want = (len(pts), int(np.count_nonzero(reference_extremal_mask(pts))))
+                    assert _flat_plane_counts(n, m, family) == want, (n, family, m)
+
+    def test_peak_memory_of_the_largest_mesh(self):
+        # storing the 522,801 box rows of the (3, 4) mesh peaks at about
+        # 24 MiB; the outer-sum masks take about 5 MiB
+        tracemalloc.start()
+        try:
+            flat_constant_estimate(3, 4, "vertical")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestPlaneCloudInItsOwnCoordinates:
@@ -673,20 +696,21 @@ class TestPlaneCloudInItsOwnCoordinates:
         (3, 4, "vertical", 2),
     ])
     def test_padded_cloud_has_the_same_extremal_mask(self, n, m, family, live):
-        pts = _flat_plane_cloud(n, m, family)
+        pts = reference_plane_cloud(n, m, family)
         assert pts.shape[1] == live + 1
         # the cloud in the coordinates of P^n: zero columns for the
         # spatial axes the plane leaves out
         padded = np.insert(pts, [live] * (n - live), 0.0, axis=1)
         assert padded.shape[1] == n + 1
-        np.testing.assert_array_equal(_in_extremal_set(pts), _in_extremal_set(padded))
+        np.testing.assert_array_equal(reference_extremal_mask(pts),
+                                      reference_extremal_mask(padded))
 
     def test_dropped_columns_are_the_zero_ones(self):
         # the t-axis keeps one spatial column of zeros beside t
-        pts = _flat_plane_cloud(3, 2, "vertical")
+        pts = reference_plane_cloud(3, 2, "vertical")
         assert pts.shape[1] == 2
         assert not pts[:, 0].any() and pts[:, 1].any()
-        pts = _flat_plane_cloud(3, 1, "horizontal")
+        pts = reference_plane_cloud(3, 1, "horizontal")
         assert pts.shape[1] == 2
         assert pts[:, 0].any() and not pts[:, 1].any()
 
