@@ -19,41 +19,22 @@ are rounded to 12 significant digits; config values stay lossless.
 
 Exit codes: 0 success, 1 usage or config errors (diagnostics on
 stderr), 2 verify failures (violation list inside the report).
+
+A command imports the library modules it runs, and only when it runs:
+building the parser, --help and --version import none of them.
 """
 
 import argparse
+import importlib
 import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from ._report import jsonable
 from ._version import __version__
-from .checks import SUITES
-from .generators import (
-    GENERATORS,
-    GeneratorSpec,
-    check_quadrature,
-    defeater_energies,
-    gen_regular_defeater,
-    generate,
-    sidecar_payload,
-)
-from .measure import (
-    SCALE_COUNT,
-    default_scales,
-    density_profile,
-    dimension_fit,
-    flat_constant_estimate,
-    load_cloud_csv,
-    save_cloud_csv,
-)
-from .rectify import TangentConfig, blowup_measure, classify_points
 
 
 class CliError(Exception):
@@ -160,13 +141,35 @@ class Opt:
         return value
 
 
+class _Later:
+    """An option default or choice list read off the object at path
+    ("module.name") of the package.  The module is imported, and the
+    value read, only when the options of the command being run are
+    merged, so building the parser imports no library module."""
+
+    def __init__(self, path, read=lambda obj: obj):
+        self.path = path
+        self.read = read
+
+    def now(self):
+        module, name = self.path.split(".")
+        return self.read(getattr(importlib.import_module(f"{__package__}.{module}"), name))
+
+
+def _now(value):
+    return value.now() if isinstance(value, _Later) else value
+
+
 _SCALES_HELP = "integer = number of default scales, or a comma list of radii"
+_SCALE_COUNT = _Later("measure.SCALE_COUNT")
 
 
-def _param_opt(fn, name, kind, **kw):
-    """The option that feeds parameter `name` of fn, a library function or
-    config class; it takes fn's default, so the two cannot drift apart."""
-    return Opt(name, kind, default=inspect.signature(fn).parameters[name].default, **kw)
+def _param_opt(path, name, kind, **kw):
+    """The option that feeds parameter `name` of the library function or
+    config class at path; it takes that default, so the two cannot drift
+    apart."""
+    default = _Later(path, lambda fn: inspect.signature(fn).parameters[name].default)
+    return Opt(name, kind, default=default, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +196,8 @@ def _kind_params(kind):
     signature of its builder.  The plane flags come first, so a missing
     --n is named before a missing --expr.  A builder that takes no depth
     is not iterated and gets depth 0, the only depth it accepts."""
+    from .generators import GENERATORS
+
     sig = inspect.signature(GENERATORS[kind]).parameters
     out = []
     for param in sorted(sig.values(), key=lambda q: q.name != "V"):
@@ -252,7 +257,8 @@ def _read_config_file(path):
 
 
 def _merge_options(command, args):
-    opts = _COMMANDS[command][2]
+    opts = [replace(o, default=_now(o.default), choices=_now(o.choices))
+            for o in _COMMANDS[command][2]]
     by_name = {o.name: o for o in opts}
     values = {o.name: o.default for o in opts}
     if args.config is not None:
@@ -286,6 +292,8 @@ def _json_text(payload):
 
 def _emit(command, config, result, out):
     """Full report to stdout, or to a file with a config echo on stdout."""
+    from ._report import jsonable
+
     echo = {"command": command, "version": __version__, "config": config}
     text = _json_text({**echo, "result": jsonable(result, digits=12)})
     if out is None:
@@ -305,12 +313,16 @@ def _sidecar_path(out):
 
 def _save_cloud(mu, out):
     """Write mu to the CSV out; returns the report entry describing it."""
+    from .measure import save_cloud_csv
+
     save_cloud_csv(mu, out)
     return {"csv": str(out), "n": mu.n, "natoms": mu.natoms,
             "total_mass": mu.total_mass, "resolution_hint": mu.resolution_hint}
 
 
 def _load_cloud(path):
+    from .measure import load_cloud_csv
+
     try:
         return load_cloud_csv(path)
     except OSError as exc:
@@ -320,6 +332,8 @@ def _load_cloud(path):
 
 
 def _resolve_scales(value, mu):
+    from .measure import default_scales
+
     if isinstance(value, int):
         if value < 2:
             raise CliError("need at least 2 scales")
@@ -336,7 +350,7 @@ def _check_point(values, n):
     point = values["point"]
     if len(point) != n + 1:
         raise CliError(f"--point needs {n + 1} coordinates (x1..x{n},t), got {len(point)}")
-    return np.asarray(point, dtype=float)
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +358,8 @@ def _check_point(values, n):
 
 
 def _cmd_generate(values):
+    from .generators import GENERATORS, GeneratorSpec, generate, sidecar_payload
+
     kind = values["kind"]
     spec_params = _kind_params(kind)
     names = {name for name, _ in spec_params}
@@ -389,6 +405,8 @@ def _cmd_generate(values):
 
 
 def _cmd_dim(values):
+    from .measure import dimension_fit
+
     mu = _load_cloud(values["input"])
     scales = _resolve_scales(values["scales"], mu)
     rep = dimension_fit(
@@ -401,6 +419,8 @@ def _cmd_dim(values):
 
 
 def _cmd_density(values):
+    from .measure import density_profile
+
     mu = _load_cloud(values["input"])
     a = _check_point(values, mu.n)
     scales = _resolve_scales(values["scales"], mu)
@@ -412,6 +432,8 @@ def _cmd_density(values):
 
 
 def _cmd_tangent(values):
+    from .rectify import TangentConfig, classify_points
+
     mu = _load_cloud(values["input"])
     search = {f.name: values[f.name] for f in fields(TangentConfig)}
     cfg = TangentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in search.items()})
@@ -425,6 +447,8 @@ def _cmd_tangent(values):
 
 
 def _cmd_blowup(values):
+    from .rectify import blowup_measure
+
     mu = _load_cloud(values["input"])
     a = _check_point(values, mu.n)
     out = values["output"]
@@ -436,12 +460,16 @@ def _cmd_blowup(values):
 
 
 def _cmd_vconst(values):
+    from .measure import flat_constant_estimate
+
     est = flat_constant_estimate(values["n"], values["m"], values["family"])
     _emit("vconst", values, est.to_dict(), values["output"])
     return 0
 
 
 def _cmd_defeater_bmo(values):
+    from .generators import check_quadrature, defeater_energies, gen_regular_defeater
+
     check_quadrature(values["grid"], values["refine"])  # before the costly construction
     takes = inspect.signature(gen_regular_defeater).parameters
     mu, info = gen_regular_defeater(**{k: v for k, v in values.items() if k in takes})
@@ -470,6 +498,8 @@ def _cmd_defeater_bmo(values):
 
 
 def _cmd_verify(values):
+    from .checks import SUITES
+
     suites = list(SUITES) if values["suite"] == "all" else [values["suite"]]
     cases = values["cases"]
     if cases < 1:
@@ -494,19 +524,23 @@ def _cmd_verify(values):
 # ---------------------------------------------------------------------------
 # Command table: command -> (help, handler, options), in --help order
 
+_DEFEATER = "generators.gen_regular_defeater"
+_ENERGIES = "generators.defeater_energies"
+
 _COMMANDS = {
     "generate": ("build a fixture cloud (CSV + JSON sidecar)", _cmd_generate, [
-        Opt("kind", "str", required=True, choices=sorted(GENERATORS), help="generator family"),
-        _param_opt(GeneratorSpec, "seed", "int", help="generator seed"),
+        Opt("kind", "str", required=True, choices=_Later("generators.GENERATORS", sorted),
+            help="generator family"),
+        _param_opt("generators.GeneratorSpec", "seed", "int", help="generator seed"),
         Opt("output", "str", required=True,
             help="cloud CSV path; report goes to the .json sidecar"),
         *_GEN_PARAM_OPTS,
     ]),
     "dim": ("box-counting dimension of a cloud", _cmd_dim, [
         Opt("input", "str", required=True, help="cloud CSV"),
-        _param_opt(dimension_fit, "metric", "str", choices=("parabolic", "euclidean")),
-        Opt("scales", "scales", default=SCALE_COUNT, help=_SCALES_HELP),
-        _param_opt(dimension_fit, "sum_exponents", "floats",
+        _param_opt("measure.dimension_fit", "metric", "str", choices=("parabolic", "euclidean")),
+        Opt("scales", "scales", default=_SCALE_COUNT, help=_SCALES_HELP),
+        _param_opt("measure.dimension_fit", "sum_exponents", "floats",
                    help="also report N(r)(2r)^s for these exponents"),
         Opt("output", "str", help="report path (stdout when omitted)"),
     ]),
@@ -514,18 +548,18 @@ _COMMANDS = {
         Opt("input", "str", required=True, help="cloud CSV"),
         Opt("point", "floats", required=True, help="comma list x1,..,xn,t"),
         Opt("s", "float", required=True, help="density exponent"),
-        Opt("scales", "scales", default=SCALE_COUNT, help=_SCALES_HELP),
+        Opt("scales", "scales", default=_SCALE_COUNT, help=_SCALES_HELP),
         Opt("output", "str", help="report path (stdout when omitted)"),
     ]),
     "tangent": ("approximate-tangent classification", _cmd_tangent, [
         Opt("input", "str", required=True, help="cloud CSV"),
         Opt("m", "int", required=True, help="homogeneous dimension of candidate planes"),
-        _param_opt(TangentConfig, "s_list", "floats", help="cone apertures"),
-        _param_opt(TangentConfig, "r_list", "floats",
+        _param_opt("rectify.TangentConfig", "s_list", "floats", help="cone apertures"),
+        _param_opt("rectify.TangentConfig", "r_list", "floats",
                    help="cone radii (default: 8,4,2 x cloud resolution)"),
-        _param_opt(TangentConfig, "threshold", "float", help="max tolerated cone defect"),
-        _param_opt(TangentConfig, "sample_size", "int", help="atoms classified"),
-        _param_opt(TangentConfig, "seed", "seed", help="subsample seed"),
+        _param_opt("rectify.TangentConfig", "threshold", "float", help="max tolerated cone defect"),
+        _param_opt("rectify.TangentConfig", "sample_size", "int", help="atoms classified"),
+        _param_opt("rectify.TangentConfig", "seed", "seed", help="subsample seed"),
         Opt("curves_csv", "str", help="write point_index,r,s,defect rows here"),
         Opt("output", "str", help="report path (stdout when omitted)"),
     ]),
@@ -533,8 +567,8 @@ _COMMANDS = {
         Opt("input", "str", required=True, help="cloud CSV"),
         Opt("point", "floats", required=True, help="zoom center x1,..,xn,t"),
         Opt("r", "float", required=True, help="zoom scale"),
-        _param_opt(blowup_measure, "normalization", "str", choices=("mass", "power")),
-        _param_opt(blowup_measure, "m", "float", help="exponent for power normalization"),
+        _param_opt("rectify.blowup_measure", "normalization", "str", choices=("mass", "power")),
+        _param_opt("rectify.blowup_measure", "m", "float", help="exponent for power normalization"),
         Opt("output", "str", required=True,
             help="rescaled cloud CSV; report goes to the .json sidecar"),
     ]),
@@ -545,23 +579,21 @@ _COMMANDS = {
         Opt("output", "str", help="report path (stdout when omitted)"),
     ]),
     "verify": ("run invariant check batteries", _cmd_verify, [
-        Opt("suite", "str", default="all", choices=(*SUITES, "all")),
+        Opt("suite", "str", default="all",
+            choices=_Later("checks.SUITES", lambda suites: (*suites, "all"))),
         Opt("cases", "int", default=1000, help="sample count for randomized checks"),
         Opt("seed", "seed", default=0, help="sampling seed"),
         Opt("output", "str", help="report path (stdout when omitted)"),
     ]),
     "defeater-bmo": ("singular-energy sums for the regular defeater", _cmd_defeater_bmo, [
-        _param_opt(gen_regular_defeater, "depth", "int", help="construction depth"),
-        _param_opt(gen_regular_defeater, "c0", "float", help="base profile amplitude"),
-        _param_opt(gen_regular_defeater, "K", "int", help="base profile truncation"),
-        _param_opt(gen_regular_defeater, "resolution", "float", help="profile probe step"),
-        _param_opt(gen_regular_defeater, "window_samples", "int",
-                   help="samples per pair-search window"),
-        _param_opt(gen_regular_defeater, "atoms_per_interval", "int",
-                   help="atoms per deepest interval"),
-        _param_opt(defeater_energies, "grid", "int", help="coarse quadrature grid size on [0,1]"),
-        _param_opt(defeater_energies, "refine", "int",
-                   help="extra quadrature points per deepest interval"),
+        _param_opt(_DEFEATER, "depth", "int", help="construction depth"),
+        _param_opt(_DEFEATER, "c0", "float", help="base profile amplitude"),
+        _param_opt(_DEFEATER, "K", "int", help="base profile truncation"),
+        _param_opt(_DEFEATER, "resolution", "float", help="profile probe step"),
+        _param_opt(_DEFEATER, "window_samples", "int", help="samples per pair-search window"),
+        _param_opt(_DEFEATER, "atoms_per_interval", "int", help="atoms per deepest interval"),
+        _param_opt(_ENERGIES, "grid", "int", help="coarse quadrature grid size on [0,1]"),
+        _param_opt(_ENERGIES, "refine", "int", help="extra quadrature points per deepest interval"),
         Opt("annuli_csv", "str",
             help="write point_index,annulus_lo,annulus_hi,sum,cumulative rows here"),
         Opt("output", "str", help="report path (stdout when omitted)"),

@@ -185,16 +185,9 @@ def _dist_pad(d):
     return math.sqrt(d) * 2.0**-535
 
 
-def blowup_map(a, r, p):
-    """T_{a,r}(p) = delta_{1/r}(p - a); maps B(a,r) onto B(0,1)."""
-    if r <= 0:
-        raise ValueError("blow-up scale must be > 0")
-    _same_dim(a, p)
-    return ParaPoint((p.x - a.x) / r, (p.t - a.t) / (r * r))
-
-
 def blowup_rows(a, r, coords):
-    """Array version of blowup_map for (N, n+1) coordinates."""
+    """T_{a,r}(p) = delta_{1/r}(p - a), which maps B(a,r) onto B(0,1),
+    for every row p of the (N, n+1) coordinates."""
     if r <= 0:
         raise ValueError("blow-up scale must be > 0")
     ac = a.coords() if isinstance(a, ParaPoint) else np.asarray(a, dtype=float)

@@ -129,13 +129,8 @@ class DiscreteMeasure:
             f"provenance={self.provenance!r})"
         )
 
-    # The scans of the whole cloud below let a distance overflow
+    # The scan of the whole cloud below lets a distance overflow
     # quietly: +inf lies outside every finite radius.
-
-    def mass_in_ball(self, a, r, metric="parabolic"):
-        with np.errstate(over="ignore"):
-            d = dist_rows(self.points, as_point(a, self.n), metric)
-        return float(np.sum(self.weights[d <= r]))
 
     def restrict_ball(self, a, r, metric="parabolic"):
         with np.errstate(over="ignore"):
@@ -335,10 +330,15 @@ def greedy_cover(points, r, metric="parabolic"):
     ball marked covered around the chosen centre are all cut from its
     hits, on the dist_rows values separate r-, 2r- and best-centred
     queries would compute, so they are the same arrays bit for bit.
+
+    A non-finite coordinate or radius is refused, since the scan would
+    never end on it.
     """
-    if r <= 0:
-        raise ValueError("radius must be > 0")
+    if not 0 < r < math.inf:
+        raise ValueError("radius must be > 0" if r <= 0 else "radius must be finite")
     pts = canonical_sorted(_points_of(points))
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     npts = pts.shape[0]
     if npts == 0:
         return pts.copy()

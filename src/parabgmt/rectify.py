@@ -288,9 +288,9 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     """Zoom of mu at a by scale r, restricted to the unit ball.
 
     The atoms of the closed ball dist_rows(p, a) <= r go through
-    p -> delta_{1/r}(p - a), and their weights are scaled by
-    c = 1 / mu.mass_in_ball(a, r) for "mass" normalization or
-    c = r^(-m) for "power".
+    p -> delta_{1/r}(p - a), and their weights are scaled by c = 1 / M,
+    M the mass of that ball, for "mass" normalization or c = r^(-m) for
+    "power".
     """
     a = as_point(a, mu.n)
     r = float(r)

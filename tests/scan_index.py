@@ -1,10 +1,11 @@
 """Full-scan stand-ins, for tests that check the indexed and windowed
-code paths against a scan over every point, and the stored flat-plane
-meshes that the flat-constant counts are checked against."""
+code paths against a scan over every point, the stored flat-plane
+meshes that the flat-constant counts are checked against, and the
+one-point blow-up map that blowup_rows is checked against."""
 
 import numpy as np
 
-from parabgmt.geometry import _sum_squares, dist_rows
+from parabgmt.geometry import ParaPoint, _same_dim, _sum_squares, dist_rows
 from parabgmt.measure import _spread_index
 
 
@@ -93,3 +94,12 @@ def reference_extremal_mask(pts):
     t = 0, so there E*_V is the Euclidean ball |x| <= 1/2."""
     x2 = _sum_squares([pts[:, j] for j in range(pts.shape[1] - 1)])
     return 4.0 * x2 + 2.0 * np.abs(pts[:, -1]) <= 1.0
+
+
+def blowup_map(a, r, p):
+    """T_{a,r}(p) = delta_{1/r}(p - a) of one ParaPoint; geometry.blowup_rows
+    maps every row of an array so."""
+    if r <= 0:
+        raise ValueError("blow-up scale must be > 0")
+    _same_dim(a, p)
+    return ParaPoint((p.x - a.x) / r, (p.t - a.t) / (r * r))

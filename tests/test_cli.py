@@ -1,5 +1,6 @@
 """End-to-end command line coverage: reports, replays, exit codes."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scan_index import ScanIndex
 
-from parabgmt import checks, cli, measure
+from parabgmt import checks, cli, generators, measure
 from parabgmt.generators import GENERATORS
 from parabgmt.measure import load_cloud_csv
 
@@ -244,6 +245,59 @@ def test_runs_leave_scipy_unloaded(name, tmp_path, child_pythonpath):
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
+# A command imports the library modules it runs and no others; each child
+# lists the parabgmt modules it loaded
+_PACKAGE_LOADED = "sorted(m[9:] for m in sys.modules if m.startswith('parabgmt.'))"
+
+
+def test_package_import_loads_only_the_version(child_pythonpath):
+    code = f"import json, sys, parabgmt\nprint(json.dumps({_PACKAGE_LOADED}))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == ["_version"]
+
+
+# command -> (argv, library modules it must leave unloaded); CSV is a
+# cloud of 41 atoms on a horizontal line of P^1
+_LAZY_RUNS = {
+    "vconst": (["vconst", "--n", "3", "--m", "4", "--family", "vertical"],
+               {"generators", "rectify", "checks"}),
+    "dim": (["dim", "-i", "CSV", "--scales", "3"], {"generators", "rectify", "checks"}),
+    "density": (["density", "-i", "CSV", "--point", "0,0", "--s", "1", "--scales", "0.5,0.25"],
+                {"generators", "rectify", "checks"}),
+    "tangent": (["tangent", "-i", "CSV", "--m", "1", "--sample-size", "3"],
+                {"generators", "checks"}),
+    "blowup": (["blowup", "-i", "CSV", "--point", "0,0", "--r", "0.5", "-o", "CSV.zoom.csv"],
+               {"generators", "checks"}),
+}
+
+
+def _modules_loaded_by(argv, tmp_path):
+    """The parabgmt modules, and whether numpy, a child running argv loads."""
+    csv = tmp_path / "line.csv"
+    csv.write_text("x1,t,w\n" + "".join(f"{i / 20},0,1\n" for i in range(-20, 21)))
+    argv = [str(csv) + a[3:] if a.startswith("CSV") else a for a in argv]
+    code = ("import json, sys\nfrom parabgmt import cli\n"
+            f"try:\n    assert cli.main({argv!r}) == 0\n"
+            "except SystemExit as exc:\n    assert exc.code == 0\n"
+            f"print(json.dumps([{_PACKAGE_LOADED}, 'numpy' in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY_RUNS))
+def test_commands_load_only_the_modules_they_run(name, tmp_path, child_pythonpath):
+    argv, unloaded = _LAZY_RUNS[name]
+    loaded, _ = _modules_loaded_by(argv, tmp_path)
+    assert "measure" in loaded and not unloaded & set(loaded)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["vconst", "--help"]])
+def test_version_and_help_load_no_library_module(argv, tmp_path, child_pythonpath):
+    assert _modules_loaded_by(argv, tmp_path) == [["_version", "cli"], False]
+
+
 class TestDim:
     def test_integer_scale_count_uses_schedule(self, line_csv, tmp_path, capsys):
         out = tmp_path / "dim.json"
@@ -455,10 +509,13 @@ class TestDefeaterBmo:
 
     def test_quadrature_refused_before_the_construction(self, tmp_path, capsys, monkeypatch):
         # the default depth 6 took 1.6 s to build before the refusal
+        # the stand-in keeps the builder's signature, which the option
+        # defaults are read from
+        @functools.wraps(generators.gen_regular_defeater)
         def build(*args, **kwargs):
             raise AssertionError("the defeater was built")
 
-        monkeypatch.setattr(cli, "gen_regular_defeater", build)
+        monkeypatch.setattr(generators, "gen_regular_defeater", build)
         rc, stdout, err = run(capsys, "defeater-bmo", "--grid", "0")
         assert (rc, stdout, err) == (1, "", "error: grid must be >= 2, got 0\n")
 

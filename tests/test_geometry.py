@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scan_index import blowup_map
 
 from parabgmt import geometry
 from parabgmt.geometry import (
@@ -19,7 +20,6 @@ from parabgmt.geometry import (
     GraphSamples,
     HomPlane,
     ParaPoint,
-    blowup_map,
     blowup_rows,
     complement_plane,
     cone_gap_rows,

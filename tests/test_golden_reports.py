@@ -249,35 +249,31 @@ def _dynamic_arch_openblas():
 
 # run from tests/, so the child imports this module
 _REPLAY = """
-import sys, tempfile
+import tempfile
 import test_golden_reports as g
 
 with tempfile.TemporaryDirectory() as tmp:
-    out = g.run_commands(tmp, [step for step in g.COMMANDS if step[0] in g.REPLAYED_STEPS])
-texts = g.records()
-out.update((name, texts[name].encode()) for name in g.REPLAYED_RECORDS)
+    out = g.run_commands(tmp)
+out.update((name, text.encode()) for name, text in g.records().items())
 print(repr(out))
 """
-# the outputs no BLAS kernel computes: the flat constant is a ratio of
-# two atom counts, and the dimension fit's line comes from math.fsum sums
-REPLAYED_STEPS = ("gen_cantor", "dim", "vconst")
-REPLAYED_RECORDS = ("CoveringReport", "FlatConstantEstimate")
 
 
+# BLAS still computes some outputs (fitted planes, differential fits, the
+# generators' graph matmuls); under other kernels they must keep their bytes
 @pytest.mark.skipif(not _dynamic_arch_openblas(),
                     reason="OPENBLAS_CORETYPE selects kernels only in a DYNAMIC_ARCH OpenBLAS")
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_flat_constant_and_dimension_fit_replay_under_other_blas_kernels(
-        coretype, child_pythonpath, monkeypatch):
-    # each step's stdout and every file the steps write replay byte for byte
+def test_every_golden_replays_under_other_blas_kernels(coretype, child_pythonpath, monkeypatch):
+    # each step's stdout, every file the steps write and every record
+    # replay byte for byte
     monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
     done = subprocess.run([sys.executable, "-c", _REPLAY], cwd=Path(__file__).parent,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     got = ast.literal_eval(done.stdout)
-    assert {"dim.json", "vconst.json", *REPLAYED_RECORDS} <= set(got)
-    want = {name: RECORDS[name].encode() if name in RECORDS else
-            (GOLDEN / "cli" / name).read_bytes() for name in got}
+    want = {name: (GOLDEN / "cli" / name).read_bytes() for name in CLI_FILES}
+    want.update((name, text.encode()) for name, text in RECORDS.items())
     assert got == want
 
 

@@ -4,6 +4,8 @@ constants and the Lipschitz-image covering sums."""
 import math
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -70,12 +72,12 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure(1, [[np.inf, 0.0]], [1.0])
 
-    def test_mass_in_ball_oracle(self):
+    def test_ball_mass_oracle(self):
         # parabolic ball of radius 0.5 around 0 holds |x|^2 + |t| <= 0.25
         pts = np.array([[0.4, 0.05], [0.4, 0.09], [0.0, 0.25], [0.0, 0.26]])
         mu = DiscreteMeasure(1, pts, np.ones(4))
-        assert mu.mass_in_ball(np.zeros(2), 0.5) == 3.0
-        assert mu.mass_in_ball(np.zeros(2), 0.5, metric="euclidean") == 4.0
+        assert mu.restrict_ball(np.zeros(2), 0.5).total_mass == 3.0
+        assert mu.restrict_ball(np.zeros(2), 0.5, metric="euclidean").total_mass == 4.0
 
     def test_restrict_ball(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -90,7 +92,7 @@ class TestDiscreteMeasure:
     def test_ball_helpers_check_the_point(self, a):
         # a point of P^2 has three coordinates; two would broadcast to a wrong ball
         mu = DiscreteMeasure(2, np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), [1.0, 1.0])
-        for call in (lambda: mu.mass_in_ball(a, 1.5), lambda: mu.restrict_ball(a, 1.5),
+        for call in (lambda: mu.restrict_ball(a, 1.5),
                      lambda: density_profile(mu, a, 1, [2.0, 1.0])):
             with pytest.raises(DimensionMismatchError):
                 call()
@@ -129,7 +131,6 @@ class TestDiscreteMeasure:
         pts = np.column_stack([np.linspace(0.0, 1.0, 101), np.zeros(101)])
         mu = DiscreteMeasure(1, np.vstack([pts, [1e300, 0.0]]), np.ones(102))
         assert mu.resolution() == pytest.approx(0.01, rel=1e-9)
-        assert mu.mass_in_ball(np.zeros(2), 0.1) == 11.0
         assert mu.restrict_ball(np.zeros(2), 0.1).natoms == 11
         assert density_profile(mu, np.zeros(2), 1.0, [0.2, 0.1]).values == pytest.approx(
             [21 / 0.4, 11 / 0.2])
@@ -341,8 +342,30 @@ class TestGreedyCover:
             assert d.min() <= r + 1e-12
 
     def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            greedy_cover(np.zeros((3, 2)), 0.0)
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError, match=r"radius must be > 0"):
+                greedy_cover(np.zeros((3, 2)), r)
+
+    # each call ran without end before the cover refused non-finite input
+    NON_FINITE = {
+        "inf_row": ("greedy_cover(np.array([[0.0, 0.0], [np.inf, 0.0], [1.0, 0.0]]), 0.5)",
+                    "points must be finite"),
+        "nan_radius": ("greedy_cover(PTS, math.nan)", "radius must be finite"),
+        "inf_radius": ("greedy_cover(PTS, math.inf)", "radius must be finite"),
+        "nan_scale": ("dimension_fit(PTS, [0.5, math.nan])", "radius must be finite"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    def test_non_finite_input_refused_within_ten_seconds(self, name, child_pythonpath):
+        call, message = self.NON_FINITE[name]
+        code = ("import math\nimport numpy as np\n"
+                "from parabgmt.measure import dimension_fit, greedy_cover\n"
+                "PTS = np.column_stack([np.linspace(0.0, 1.0, 11), np.zeros(11)])\n"
+                f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n")
+        # the child is killed, and the test fails, if it runs past the bound
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10, check=True)
+        assert done.stdout == message + "\n"
 
 
 def scan_next_unset(mask, start):
