@@ -39,7 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import _dist_pad, dist_rows
+from .geometry import _check_finite, _dist_pad, dist_rows
 
 # float cell coordinates are clipped here before the int64 cast, so an
 # infinite or huge quotient lands in an edge cell instead of overflowing
@@ -67,6 +67,7 @@ class GridIndex:
 
     def __init__(self, pts, r, metric="parabolic"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        _check_finite(pts, "points")
         if r <= 0:
             raise ValueError("cell scale r must be > 0")
         if metric not in ("parabolic", "euclidean"):
@@ -120,7 +121,8 @@ class GridIndex:
         if offsets is None:
             terms = [np.arange(s, dtype=np.uint64) * np.uint64(m)
                      for s, m in zip(shape, self._mult)]
-            offsets = self._blocks[shape] = np.unique(reduce(np.add.outer, terms))
+            offsets = np.sort(reduce(np.add.outer, terms), axis=None)  # np.unique imports numpy.ma
+            offsets = self._blocks[shape] = offsets[np.append(True, offsets[1:] != offsets[:-1])]
         return offsets
 
     def ball(self, center, radius=None):

@@ -478,11 +478,15 @@ def _cmd_defeater_bmo(values):
     L_seq = info["L_seq"]
     threshold = sum(l * l for l in L_seq) / 16.0
     if values["annuli_csv"] is not None:
-        with open(values["annuli_csv"], "w", encoding="utf-8", newline="") as fh:
-            fh.write("point_index,annulus_lo,annulus_hi,sum,cumulative\n")
-            for i, e in enumerate(energies):
-                for (lo, hi), s, c in zip(e.annuli, e.sums, e.cumulative):
-                    fh.write(f"{i},{float(lo)!r},{float(hi)!r},{float(s)!r},{float(c)!r}\n")
+        import numpy as np
+
+        from ._report import write_csv
+
+        sizes = [len(e.annuli) for e in energies]
+        table = np.concatenate([np.column_stack([e.annuli, e.sums, e.cumulative])
+                                for e in energies])
+        header = ["point_index", "annulus_lo", "annulus_hi", "sum", "cumulative"]
+        write_csv(values["annuli_csv"], header, [np.repeat(np.arange(len(sizes)), sizes), *table.T])
     result = {
         "natoms": mu.natoms,
         "L_seq": L_seq,

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._report import Record, jsonable
 from .geometry import HomPlane, complement_plane
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, _median
 
 _SEQ_KEYS = ("L_seq", "c_seq", "n_seq", "r_seq", "gap_seq")
 
@@ -426,7 +426,7 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
         W,
         nominal_dim=2,
         provenance=f"regular_defeater depth={depth} c0={c0} ground_truth=defeater",
-        resolution_hint=math.sqrt(float(np.median(lengths)) / (m - 1)),
+        resolution_hint=math.sqrt(_median(lengths) / (m - 1)),
     )
     info = {
         "kind": "regular_defeater",
@@ -530,7 +530,8 @@ def defeater_energies(tree, grid=20001, refine=400):
     pieces = [np.linspace(0.0, 1.0, grid)]
     pieces.extend(np.linspace(ai, bi, refine) for ai, bi in zip(a, b))
     pieces.append(mids)
-    ts = np.unique(np.concatenate(pieces))
+    ts = np.sort(np.concatenate(pieces))
+    ts = ts[np.append(True, ts[1:] != ts[:-1])]  # np.unique would import numpy.ma
     fs = tree.eval(ts)
     return mids, [bmo_energy(ts, fs, t0) for t0 in mids]
 

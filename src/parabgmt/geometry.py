@@ -530,7 +530,8 @@ def cone_membership(c, q):
 
 
 def as_coord_array(points, n=None):
-    """Normalize list-of-ParaPoint / (N, n+1) array input to an array."""
+    """Normalize list-of-ParaPoint / (N, n+1) array input to an array;
+    a non-finite coordinate is refused."""
     if isinstance(points, np.ndarray):
         arr = np.atleast_2d(np.asarray(points, dtype=float))
     elif len(points) and isinstance(points[0], ParaPoint):
@@ -539,6 +540,7 @@ def as_coord_array(points, n=None):
         arr = np.atleast_2d(np.asarray(points, dtype=float))
     if n is not None and arr.shape[1] != n + 1:
         raise DimensionMismatchError(f"expected {n + 1} coordinates per point")
+    _check_finite(arr, "points")
     return arr
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._index import GridIndex
-from ._report import Record
+from ._report import Record, write_csv
 from ._version import __version__
 from .geometry import (
     ParaPoint,
@@ -187,16 +187,20 @@ class DiscreteMeasure:
                 d = dist_rows(pts[a:b], pts[i])
                 d[i - a] = np.inf
                 mins.append(float(d.min()))
-        return float(np.median(mins))
+        return _median(mins)
+
+
+def _median(values):
+    """float(np.median(values)), the mean of the middle sorted values,
+    without the NaN check of np.median, which imports numpy.ma."""
+    vals = np.sort(values)
+    return float(vals[(vals.size - 1) // 2 : vals.size // 2 + 1].mean())
 
 
 def save_cloud_csv(mu, path):
     """Point-cloud CSV: header x1,...,xn,t,w, shortest round-trip floats."""
     header = [f"x{i + 1}" for i in range(mu.n)] + ["t", "w"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.column_stack([mu.points, mu.weights]).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    write_csv(path, header, [*mu.points.T, mu.weights])
 
 
 def load_cloud_csv(path, nominal_dim=None, provenance=None):
@@ -286,7 +290,8 @@ EVAL_CAP = 512
 def _spread_index(size, count):
     """count indices spread evenly over range(size), rounded, without
     repeats; cached and read-only."""
-    sel = np.unique(np.round(np.linspace(0, size - 1, count)).astype(int))
+    sel = np.round(np.linspace(0, size - 1, count)).astype(int)  # ascending
+    sel = sel[np.append(True, sel[1:] != sel[:-1])]  # np.unique would import numpy.ma
     sel.flags.writeable = False
     return sel
 
@@ -337,8 +342,6 @@ def greedy_cover(points, r, metric="parabolic"):
     if not 0 < r < math.inf:
         raise ValueError("radius must be > 0" if r <= 0 else "radius must be finite")
     pts = canonical_sorted(_points_of(points))
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
     npts = pts.shape[0]
     if npts == 0:
         return pts.copy()

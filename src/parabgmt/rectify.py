@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._index import GridIndex
-from ._report import Record, jsonable
+from ._report import Record, jsonable, write_csv
 from ._version import __version__
 from .geometry import (
     HomPlane,
@@ -256,11 +256,10 @@ class TangentReport:
 
     def defect_curves_csv(self, path):
         """Flat r,s,defect rows (plus the point index) for plotting."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("point_index,r,s,defect\n")
-            for i, res in enumerate(self.results):
-                for r, s, x in res.defect_curve:
-                    fh.write(f"{i},{float(r)!r},{float(s)!r},{float(x)!r}\n")
+        sizes = [len(res.defect_curve) for res in self.results]
+        table = np.reshape([row for res in self.results for row in res.defect_curve], (-1, 3))
+        write_csv(path, ["point_index", "r", "s", "defect"],
+                  [np.repeat(np.arange(len(sizes)), sizes), *table.T])
 
 
 def classify_points(mu, cfg):

@@ -1,7 +1,8 @@
 """Full-scan stand-ins, for tests that check the indexed and windowed
 code paths against a scan over every point, the stored flat-plane
-meshes that the flat-constant counts are checked against, and the
-one-point blow-up map that blowup_rows is checked against."""
+meshes that the flat-constant counts are checked against, the
+one-point blow-up map that blowup_rows is checked against, and the
+per-row CSV writer that write_csv is checked against."""
 
 import numpy as np
 
@@ -103,3 +104,13 @@ def blowup_map(a, r, p):
         raise ValueError("blow-up scale must be > 0")
     _same_dim(a, p)
     return ParaPoint((p.x - a.x) / r, (p.t - a.t) / (r * r))
+
+
+def reference_write_csv(path, header, columns):
+    """The per-row writer that _report.write_csv replaced, as
+    save_cloud_csv had it: the float columns stacked into rows of Python
+    floats, each value written by repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in np.column_stack(columns).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")

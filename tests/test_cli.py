@@ -258,7 +258,8 @@ def test_package_import_loads_only_the_version(child_pythonpath):
 
 
 # command -> (argv, library modules it must leave unloaded); CSV is a
-# cloud of 41 atoms on a horizontal line of P^1
+# cloud of 41 atoms on a horizontal line of P^1.  None of them loads
+# numpy.ma, which a plain np.unique imports
 _LAZY_RUNS = {
     "vconst": (["vconst", "--n", "3", "--m", "4", "--family", "vertical"],
                {"generators", "rectify", "checks"}),
@@ -273,14 +274,16 @@ _LAZY_RUNS = {
 
 
 def _modules_loaded_by(argv, tmp_path):
-    """The parabgmt modules, and whether numpy, a child running argv loads."""
+    """The parabgmt modules, and whether numpy and numpy.ma, a child
+    running argv loads."""
     csv = tmp_path / "line.csv"
     csv.write_text("x1,t,w\n" + "".join(f"{i / 20},0,1\n" for i in range(-20, 21)))
     argv = [str(csv) + a[3:] if a.startswith("CSV") else a for a in argv]
     code = ("import json, sys\nfrom parabgmt import cli\n"
             f"try:\n    assert cli.main({argv!r}) == 0\n"
             "except SystemExit as exc:\n    assert exc.code == 0\n"
-            f"print(json.dumps([{_PACKAGE_LOADED}, 'numpy' in sys.modules]))")
+            f"print(json.dumps([{_PACKAGE_LOADED}, 'numpy' in sys.modules,"
+            " 'numpy.ma' in sys.modules]))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -289,13 +292,13 @@ def _modules_loaded_by(argv, tmp_path):
 @pytest.mark.parametrize("name", sorted(_LAZY_RUNS))
 def test_commands_load_only_the_modules_they_run(name, tmp_path, child_pythonpath):
     argv, unloaded = _LAZY_RUNS[name]
-    loaded, _ = _modules_loaded_by(argv, tmp_path)
-    assert "measure" in loaded and not unloaded & set(loaded)
+    loaded, _, ma_loaded = _modules_loaded_by(argv, tmp_path)
+    assert "measure" in loaded and not unloaded & set(loaded) and not ma_loaded
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["vconst", "--help"]])
 def test_version_and_help_load_no_library_module(argv, tmp_path, child_pythonpath):
-    assert _modules_loaded_by(argv, tmp_path) == [["_version", "cli"], False]
+    assert _modules_loaded_by(argv, tmp_path) == [["_version", "cli"], False, False]
 
 
 class TestDim:

@@ -592,6 +592,17 @@ def test_tile_slices_split_in_order_within_the_budget():
 
 
 class TestGraphConeCheck:
+    def test_non_finite_row_is_refused(self):
+        # no violating pair named the NaN row, so the cloud passed
+        pts = np.array([[0.0, 0.0], [np.nan, 0.5], [1.0, 1.0], [3.0, 0.0]])
+        with pytest.raises(ValueError, match="points must be finite"):
+            graph_cone_check(pts, HomPlane.horizontal_axes(1, (0,)), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coordinate_arrays_are_finite(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            geometry.as_coord_array([[0.0, 0.0], [1.0, bad]], 1)
+
     def _sqrt_cloud(self, L, lo=0.0):
         t = np.linspace(lo, 1.0, 400)
         return np.column_stack([L * np.sqrt(t), t])

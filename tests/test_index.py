@@ -234,6 +234,13 @@ def test_build_peak_stays_within_two_copies_of_the_points():
     assert peak <= 2 * pts.nbytes * 1.01
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_refused(bad):
+    # an inf row was left out of every ball, and made a large query fail
+    with pytest.raises(ValueError, match="points must be finite"):
+        GridIndex(np.array([[0.0, 0.0], [bad, 0.0], [1.0, 1.0]]), 0.5)
+
+
 def test_center_of_wrong_dimension_is_rejected():
     index = GridIndex(np.zeros((3, 3)), 0.1)
     with pytest.raises(ValueError, match="coordinates"):

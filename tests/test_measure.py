@@ -6,7 +6,9 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,9 +20,10 @@ from scan_index import (
     reference_extremal_mask,
     reference_plane_cloud,
     reference_resolution,
+    reference_write_csv,
 )
 
-from parabgmt import geometry
+from parabgmt import _report, geometry
 from parabgmt._index import GridIndex
 from parabgmt.geometry import DimensionMismatchError, HomPlane, ParaPoint
 from parabgmt.rectify import TangentConfig, blowup_measure, cone_defect, detect_tangent
@@ -208,6 +211,75 @@ class TestCsvRoundtrip:
             load_cloud_csv(empty)
 
 
+# values on both sides of repr's switches to exponent notation (at 1e16
+# and below 1e-4), the subnormals' ends and the largest float, each also
+# negated, so a column can hold -0.0 and 0.0
+CSV_EDGES = [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e16,
+             float(np.nextafter(1e16, 0.0)), 1e-4, float(np.nextafter(1e-4, 0.0)), 1e-5,
+             float(np.nextafter(1e-5, 1.0)), 1.7976931348623157e308, 0.1, 1.0]
+CSV_VALUES = st.one_of(st.sampled_from(CSV_EDGES + [-v for v in CSV_EDGES]), st.floats(width=64))
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+GOLDEN_CLOUDS = sorted(p.name for p in GOLDEN_CLI.glob("*.csv")
+                       if p.read_text(encoding="utf-8").startswith("x1,"))
+
+
+class TestWriteCsv:
+    """write_csv against the per-row writer it replaced, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+               st.lists(CSV_VALUES, min_size=n + 2, max_size=n + 2), min_size=1, max_size=12)),
+           st.integers(1, 5))
+    def test_matches_the_per_row_writer(self, rows, block):
+        header = [f"x{i + 1}" for i in range(len(rows[0]) - 2)] + ["t", "w"]
+        columns = list(np.array(rows, dtype=float).T)
+        with tempfile.TemporaryDirectory() as tmp:
+            want, got = os.path.join(tmp, "want.csv"), os.path.join(tmp, "got.csv")
+            reference_write_csv(want, header, columns)
+            # blocks of 1 to 5 rows, so most row counts span several
+            with mock.patch.object(_report, "_CSV_BLOCK", block):
+                _report.write_csv(got, header, columns)
+            with open(want, "rb") as fw, open(got, "rb") as fg:
+                assert fg.read() == fw.read()
+
+    def test_rows_over_several_blocks(self, tmp_path):
+        nrows = 5 * _report._CSV_BLOCK // 2 + 1
+        rng = np.random.default_rng(3)
+        columns = [rng.integers(-40, 40, nrows) / 7.0, rng.standard_normal(nrows),
+                   np.full(nrows, 1.0 / 3.0)]
+        reference_write_csv(tmp_path / "want.csv", ["x1", "t", "w"], columns)
+        _report.write_csv(tmp_path / "got.csv", ["x1", "t", "w"], columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_int_columns_are_written_as_ints(self, tmp_path):
+        path = tmp_path / "c.csv"
+        _report.write_csv(path, ["i", "x"], [np.array([0, 0, 1, -7, 2**63 - 1]),
+                                             np.array([0.5, -0.0, 0.5, 1e16, 1e-5])])
+        assert path.read_text() == ("i,x\n0,0.5\n0,-0.0\n1,0.5\n-7,1e+16\n"
+                                    "9223372036854775807,1e-05\n")
+
+    @pytest.mark.parametrize("name", GOLDEN_CLOUDS)
+    def test_golden_cloud_saves_back_byte_for_byte(self, name, tmp_path):
+        save_cloud_csv(load_cloud_csv(GOLDEN_CLI / name), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (GOLDEN_CLI / name).read_bytes()
+
+    def test_peak_is_no_higher_than_the_per_row_writer(self, vcantor, tmp_path):
+        mu = vcantor[0]
+        columns = [*mu.points.T, mu.weights]
+        peaks = []
+        for write in (lambda: reference_write_csv(tmp_path / "want.csv", ["x1", "t", "w"], columns),
+                      lambda: save_cloud_csv(mu, tmp_path / "got.csv")):
+            tracemalloc.start()
+            try:
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert mu.natoms == 98304 and peaks[1] <= peaks[0]
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def load_outcome(path):
     """The loaded atoms and weights as raw bits, or the error message."""
     try:
@@ -349,6 +421,8 @@ class TestGreedyCover:
     # each call ran without end before the cover refused non-finite input
     NON_FINITE = {
         "inf_row": ("greedy_cover(np.array([[0.0, 0.0], [np.inf, 0.0], [1.0, 0.0]]), 0.5)",
+                    "points must be finite"),
+        "nan_row": ("greedy_cover(np.array([[0.0, 0.0], [0.5, np.nan], [1.0, 0.0]]), 0.5)",
                     "points must be finite"),
         "nan_radius": ("greedy_cover(PTS, math.nan)", "radius must be finite"),
         "inf_radius": ("greedy_cover(PTS, math.inf)", "radius must be finite"),
