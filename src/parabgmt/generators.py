@@ -13,7 +13,6 @@ import dataclasses
 import inspect
 import math
 import operator
-from collections import deque
 
 import numpy as np
 
@@ -213,6 +212,20 @@ def find_equal_pair(ts, fs, ctilde, refine_steps=40):
     the tightest value match, which keeps later rescaling jumps negligible.
     Raises PairNotFoundError when every qualifying pair is narrower than
     ctilde * span (e.g. strictly monotone data).
+
+    The search runs on fs sorted stably, as sf = fs[order].  Each sorted
+    position h closes a window [lo[h], h], lo[h] being the least l with
+    sf[h] - sf[l] <= tol, and the window's pair is the samples of least
+    and greatest index in it, (min, max) of order over the window.
+    searchsorted(sf, sf - tol) places each lo up to the rounding of that
+    difference; lo then steps a whole run of equal sf values at a time,
+    up while the rounded difference exceeds tol and down while the value
+    before lo passes, so lo is the least l of the rounded test itself.
+    The minima and maxima of order come from a sparse table built one
+    power of two at a time, np.minimum and np.maximum of the runs of the
+    width below, each window read from the two runs of the largest width
+    2^j that fits in it.  The pair kept is the first window with the
+    widest gap ts[i1] - ts[i0], the one a scan with a strict > keeps.
     """
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -224,37 +237,37 @@ def find_equal_pair(ts, fs, ctilde, refine_steps=40):
     order = np.argsort(fs, kind="stable")
     sf = fs[order]
 
-    best_gap = -1.0
-    best = None
-    lo = 0
-    minq = deque()
-    maxq = deque()
-    for hi in range(n):
-        while minq and order[minq[-1]] >= order[hi]:
-            minq.pop()
-        minq.append(hi)
-        while maxq and order[maxq[-1]] <= order[hi]:
-            maxq.pop()
-        maxq.append(hi)
-        while sf[hi] - sf[lo] > tol:
-            lo += 1
-        while minq[0] < lo:
-            minq.popleft()
-        while maxq[0] < lo:
-            maxq.popleft()
-        i0 = int(order[minq[0]])
-        i1 = int(order[maxq[0]])
-        gap = ts[i1] - ts[i0]
-        if gap > best_gap:
-            best_gap = gap
-            best = (i0, i1)
+    hi = np.arange(n)
+    lo = np.minimum(np.searchsorted(sf, sf - tol), hi)
+    while (up := np.flatnonzero(sf - sf[lo] > tol)).size:
+        lo[up] = np.searchsorted(sf, sf[lo[up]], side="right")
+    while (down := np.flatnonzero((lo > 0) & ~(sf - sf[lo - 1] > tol))).size:
+        lo[down] = np.searchsorted(sf, sf[lo[down] - 1])
+
+    level = np.frexp(hi - lo + 1)[1] - 1  # the largest j with 2^j <= window length
+    i0 = np.empty_like(order)
+    i1 = np.empty_like(order)
+    run_min = run_max = order  # at level j, entry l covers order[l : l + 2^j]
+    for j in range(int(level.max()) + 1):
+        if j:
+            half = 1 << (j - 1)
+            run_min = np.minimum(run_min[:-half], run_min[half:])
+            run_max = np.maximum(run_max[:-half], run_max[half:])
+        h = np.flatnonzero(level == j)
+        tail = h - (1 << j) + 1
+        i0[h] = np.minimum(run_min[lo[h]], run_min[tail])
+        i1[h] = np.maximum(run_max[lo[h]], run_max[tail])
+    gaps = ts[i1] - ts[i0]
+    k = int(np.argmax(np.where(gaps > -1.0, gaps, -np.inf)))
+    found = gaps[k] > -1.0
+    best_gap = gaps[k] if found else -1.0
 
     need = ctilde * span
-    if best is None or best_gap < need:
+    if not found or best_gap < need:
         raise PairNotFoundError(
             f"no equal pair with gap >= {need!r} (best {best_gap!r}, tol {tol!r})"
         )
-    ia, ib = best
+    ia, ib = int(i0[k]), int(i1[k])
     la = np.arange(max(0, ia - refine_steps), min(n, ia + refine_steps + 1))
     lb = np.arange(max(0, ib - refine_steps), min(n, ib + refine_steps + 1))
     diffs = np.abs(fs[la][:, None] - fs[lb][None, :])

@@ -113,10 +113,11 @@ def para_norm_rows(coords):
     return np.sqrt(np.einsum("ij,ij->i", coords[:, :-1], coords[:, :-1]) + np.abs(coords[:, -1]))
 
 
-def _sum_squares(cols):
+def _sum_squares(cols, out=None):
     """Elementwise sum of squares of k same-shaped arrays, the k columns
     of a (..., k) block, with the bits np.einsum("...i,...i->...") gives
-    on that block.
+    on that block.  With out, an array the columns broadcast to that
+    none of them shares memory with, the sum is written there.
 
     Up to 7 columns einsum adds the even-indexed squares in one running
     sum and the odd-indexed ones in another, then even + odd; a plain
@@ -129,8 +130,12 @@ def _sum_squares(cols):
     """
     if len(cols) >= 8:
         block = np.stack(cols, axis=-1)
-        return np.einsum("...i,...i->...", block, block)
-    even = cols[0] * cols[0]
+        sums = np.einsum("...i,...i->...", block, block)
+        if out is None:
+            return sums
+        out[...] = sums
+        return out
+    even = np.multiply(cols[0], cols[0], out=out)
     for c in cols[2::2]:
         even += c * c
     if len(cols) == 1:
@@ -138,7 +143,7 @@ def _sum_squares(cols):
     odd = cols[1] * cols[1]
     for c in cols[3::2]:
         odd += c * c
-    return even + odd
+    return np.add(even, odd, out=out)
 
 
 def _norm_cols(cols, metric="parabolic"):
@@ -577,6 +582,55 @@ def pair_blocks(*arrays):
         yield lo, upper, [[c[None, lo + 1 :] - c[lo:hi, None] for c in a] for a in cols]
 
 
+def _cone_gap_blocks(pts, V, s, base=False):
+    """The cone test of every pair of rows of pts, one pair block at a
+    time: the one kernel of graph_cone_check and graph_extract.
+
+    For the differences d = q - p of each block of pair_blocks(pts),
+    yields (lo, upper, bad, perp, db).  perp is ||P_{V perp} d||; bad
+    masks the pairs (upper applied) with perp - s ||d|| > CONE_BAND, the
+    pairs cone_membership calls "outside"; db is ||P_V d|| with base,
+    else None.  Each norm is the _sum_squares of its spatial columns,
+    then |t| added where the part keeps t, then the square root, so the
+    values have the bits of _perp_norm and _norm_cols.
+
+    The norms and the mask are written, in place, into buffers of the
+    first (largest) block's size, which every later block reuses: a
+    caller reads a block's arrays before it asks for the next.  The
+    difference columns are fresh per block and are overwritten too: t
+    by |t|, and each spatial column x by x - px once ||d|| has taken
+    its square.  Only the projection and the odd partial sums of
+    _sum_squares still allocate arrays per block.
+    """
+    vertical = V.includes_t_axis
+    flat = None
+    for lo, upper, (d,) in pair_blocks(pts):
+        if flat is None:
+            flat = [np.empty(upper.size, dtype) for dtype in (float, float, float, bool)]
+        perp, gap, db, bad = (b[: upper.size].reshape(upper.shape) for b in flat)
+        x, t = d[:-1], np.abs(d[-1], out=d[-1])
+        px = _project_cols(V.horiz_basis, x)
+        if base:
+            _sum_squares(px, out=db)
+            if vertical:
+                db += t
+            np.sqrt(db, out=db)
+        _sum_squares(x, out=gap)
+        for xc, pc in zip(x, px):
+            np.subtract(xc, pc, out=xc)
+        _sum_squares(x, out=perp)
+        if not vertical:
+            perp += t
+        np.sqrt(perp, out=perp)
+        gap += t
+        np.sqrt(gap, out=gap)
+        gap *= s
+        np.subtract(perp, gap, out=gap)
+        np.greater(gap, CONE_BAND, out=bad)
+        bad &= upper
+        yield lo, upper, bad, perp, db if base else None
+
+
 def graph_cone_check(points, V, s):
     """Check that every pair of distinct points satisfies the cone
     condition over V with aperture s.  Returns the violating pairs (i, j),
@@ -588,10 +642,10 @@ def graph_cone_check(points, V, s):
         raise ValueError("aperture must lie in (0, 1)")
     pts = as_coord_array(points, V.n)
     violations = []
-    for lo, upper, (d,) in pair_blocks(pts):
-        perp = _perp_norm(V.includes_t_axis, d[:-1], d[-1], _project_cols(V.horiz_basis, d[:-1]))
-        a, b = np.nonzero((perp - s * _norm_cols(d) > CONE_BAND) & upper)
-        violations += zip((a + lo).tolist(), (b + lo + 1).tolist())
+    for lo, _, bad, _, _ in _cone_gap_blocks(pts, V, s):
+        if bad.any():
+            a, b = np.nonzero(bad)
+            violations += zip((a + lo).tolist(), (b + lo + 1).tolist())
     return violations
 
 
@@ -659,10 +713,12 @@ def graph_extract(points, V, s):
     """Extract g = P_{V perp} o (P_V|G)^{-1} from a point set satisfying
     the cone condition over V with aperture s.
 
-    Exact duplicate points are collapsed first, by np.unique(points,
-    axis=0), and the point indices in the errors below are rows of that
-    sorted unique array, not of the caller's points.  Raises
-    ConeViolationError naming the first violating pair (i, j) in
+    Exact duplicate points are collapsed first: the rows are sorted
+    lexicographically by a stable lexsort, and of equal rows the first
+    in input order survives, which decides only the sign a zero
+    coordinate keeps (-0.0 == 0.0).  The point indices in the errors
+    below are rows of that sorted array, not of the caller's points.
+    Raises ConeViolationError naming the first violating pair (i, j) in
     lexicographic order, the pair graph_cone_check(...)[0] names, and
     only when no pair violates the cone condition, the first pair whose
     difference projects to 0 in V.
@@ -680,33 +736,32 @@ def graph_extract(points, V, s):
     cone check and still project to 0.  The sweep stops at the first
     block with a cone violation.
     """
-    pts = np.unique(as_coord_array(points, V.n), axis=0)
+    pts = as_coord_array(points, V.n)
+    pts = pts[np.lexsort(pts.T[::-1])]  # np.unique(axis=0) would import numpy.ma
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[first]
     if not 0.0 < s < 1.0:
         raise ValueError("aperture must lie in (0, 1)")
     graph = GraphSamples.from_points(pts, V)
     ratio = 0.0
     same = None
-    for lo, upper, (d,) in pair_blocks(pts):
-        x, t = d[:-1], d[-1]
-        px = _project_cols(V.horiz_basis, x)
-        perp = _perp_norm(V.includes_t_axis, x, t, px)
-        bad = np.argwhere((perp - s * _norm_cols(d) > CONE_BAND) & upper)
-        if bad.size:
-            a, b = bad[0] + (lo, lo + 1)
+    for lo, upper, bad, perp, db in _cone_gap_blocks(pts, V, s, base=True):
+        if bad.any():
+            a, b = np.argwhere(bad)[0] + (lo, lo + 1)
             raise ConeViolationError(
                 f"cone condition fails for pair ({a}, {b}): "
                 f"{pts[a].tolist()} vs {pts[b].tolist()}",
                 pair=(pts[a].copy(), pts[b].copy()),
             )
         if same is None:
-            d2 = _sum_squares(px)
-            db = np.sqrt(d2 + np.abs(t) if V.includes_t_axis else d2)
-            zero = np.argwhere((db == 0.0) & upper)
-            if zero.size:
-                same = zero[0] + (lo, lo + 1)
+            zero = (db == 0.0) & upper
+            if zero.any():
+                same = np.argwhere(zero)[0] + (lo, lo + 1)
             else:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = max(ratio, float(np.max(perp / db, where=upper, initial=0.0)))
+                    ratio = max(ratio, float(np.max(np.divide(perp, db, out=perp),
+                                                    where=upper, initial=0.0)))
     if same is not None:
         a, b = same
         raise ConeViolationError(

@@ -526,12 +526,15 @@ def flat_constant_estimate(n, m, family):
 class GridMap:
     """Samples of a map from a cube in R^{n+1} into P^n on a uniform
     inclusive grid: values has shape (M, ..., M, n+1) with equal grid
-    axes, domain is the (lo, hi) interval shared by every input axis."""
+    axes, domain is the (lo, hi) interval shared by every input axis.
+    values is kept as a read-only copy, so the map cannot change under
+    its cached ratios."""
 
     def __init__(self, values, domain=(0.0, 1.0)):
-        values = np.asarray(values, dtype=float)
-        if values.ndim < 2:
-            raise ValueError("values must have grid axes plus a coordinate axis")
+        values = np.array(values, dtype=float)
+        if values.ndim < 3:
+            # P^0 has no spatial axis, and no norm here takes a sum of no squares
+            raise ValueError("values must have at least two grid axes plus a coordinate axis")
         d = values.ndim - 1
         M = values.shape[0]
         if any(sz != M for sz in values.shape[:d]) or M < 2:
@@ -543,6 +546,7 @@ class GridMap:
         lo, hi = float(domain[0]), float(domain[1])
         if not hi > lo:
             raise ValueError("domain must be a nondegenerate interval")
+        values.flags.writeable = False
         self.values = values
         self.lo = lo
         self.hi = hi
@@ -572,6 +576,28 @@ class GridMap:
 
     def flat_values(self):
         return self.values.reshape(-1, self.d)
+
+    @functools.cached_property
+    def _lip_ratios(self):
+        """(lhat_coarse, far, lhat_fine), the map's Lipschitz ratios, which
+        lip_image_cover_sum reads at every N.  lhat_coarse and far are the
+        largest parabolic-image over domain distance ratios among about
+        1024 strided samples at domain separation >= R/4 and >= 0.75
+        sqrt(n+1) R, nearly the domain diameter; lhat_fine is the largest
+        ratio between neighbours along a grid axis."""
+        R = self.side
+        dom = self.domain_points()
+        stride = max(1, int(np.ceil(dom.shape[0] / 1024)))
+        lhat_coarse, far = _pairwise_ratio_max(
+            dom[::stride], self.flat_values()[::stride], (R / 4.0, 0.75 * math.sqrt(self.d) * R)
+        )
+        spacing = R / (self.M - 1)
+        lhat_fine = 0.0
+        for axis in range(self.d):
+            a = np.moveaxis(self.values, axis, 0)
+            dpar = para_norm_rows((a[1:] - a[:-1]).reshape(-1, self.d))
+            lhat_fine = max(lhat_fine, float(np.max(dpar)) / spacing)
+        return lhat_coarse, far, lhat_fine
 
 
 @dataclass(eq=False)
@@ -630,29 +656,19 @@ def lip_image_cover_sum(gm, N):
     ts = vals[:, -1]
     if np.all(vals == vals[0]):
         return LipCoverSum(0.0, N, delta, 0, 0, 0.0, 0.0, 0.0, False)
-    dom = gm.domain_points()
-    stride = max(1, int(np.ceil(dom.shape[0] / 1024)))
-    dom_s = dom[::stride]
-    img_s = vals[::stride]
+    lhat_coarse, far, lhat_fine = gm._lip_ratios
+    flagged = lhat_fine > 2.0 * lhat_coarse
     # far, the ratio over nearly the domain diameter, is a lower bound
     # for any true Lipschitz constant
-    lhat_coarse, far = _pairwise_ratio_max(dom_s, img_s, (R / 4.0, 0.75 * math.sqrt(gm.d) * R))
-    spacing = R / (gm.M - 1)
-    lhat_fine = 0.0
-    for axis in range(gm.d):
-        a = np.moveaxis(gm.values, axis, 0)
-        dpar = para_norm_rows((a[1:] - a[:-1]).reshape(-1, gm.d))
-        if dpar.size:
-            lhat_fine = max(lhat_fine, float(np.max(dpar)) / spacing)
-    flagged = lhat_fine > 2.0 * lhat_coarse
     lhat = far if far > 0 else (lhat_coarse if lhat_coarse > 0 else lhat_fine)
     cols_idx = np.floor(xs / delta).astype(np.int64)
-    # exact column ids (lexicographic rank), whatever the spread of the image
-    codes = np.unique(cols_idx, axis=0, return_inverse=True)[1].ravel()
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
+    # the exact integer column ids in lexicographic order, whatever the
+    # spread of the image; a stable lexsort keeps each column's atoms in
+    # input order (np.unique(axis=0) would import numpy.ma)
+    order = np.lexsort(cols_idx.T[::-1])
+    sorted_cols = cols_idx[order]
     sorted_ts = ts[order]
-    starts = np.flatnonzero(np.concatenate([[True], sorted_codes[1:] != sorted_codes[:-1]]))
+    starts = np.flatnonzero(np.append(True, np.any(sorted_cols[1:] != sorted_cols[:-1], axis=1)))
     t_max = np.maximum.reduceat(sorted_ts, starts)
     t_min = np.minimum.reduceat(sorted_ts, starts)
     extent = t_max - t_min

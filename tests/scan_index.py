@@ -1,11 +1,15 @@
 """Full-scan stand-ins, for tests that check the indexed and windowed
 code paths against a scan over every point, the stored flat-plane
 meshes that the flat-constant counts are checked against, the
-one-point blow-up map that blowup_rows is checked against, and the
-per-row CSV writer that write_csv is checked against."""
+one-point blow-up map that blowup_rows is checked against, the
+per-row CSV writer that write_csv is checked against, and the deque
+scan that find_equal_pair is checked against."""
+
+from collections import deque
 
 import numpy as np
 
+from parabgmt.generators import PairNotFoundError
 from parabgmt.geometry import ParaPoint, _same_dim, _sum_squares, dist_rows
 from parabgmt.measure import _spread_index
 
@@ -114,3 +118,62 @@ def reference_write_csv(path, header, columns):
         fh.write(",".join(header) + "\n")
         for row in np.column_stack(columns).tolist():
             fh.write(",".join(map(repr, row)) + "\n")
+
+
+def reference_find_equal_pair(ts, fs, ctilde, refine_steps=40):
+    """generators.find_equal_pair as one scan over fs sorted stably: the
+    window start lo advances while sf[hi] - sf[lo] > tol, two monotone
+    deques keep the least and greatest sample index in the window, and
+    a strict > keeps the first widest pair.  The local refinement is
+    find_equal_pair's own."""
+    ts = np.asarray(ts, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    n = len(ts)
+    if n < 2:
+        raise PairNotFoundError("need at least two samples")
+    span = ts[-1] - ts[0]
+    tol = 2.0 * float(np.max(np.abs(np.diff(fs))))
+    order = np.argsort(fs, kind="stable")
+    sf = fs[order]
+
+    best_gap = -1.0
+    best = None
+    lo = 0
+    minq = deque()
+    maxq = deque()
+    for hi in range(n):
+        while minq and order[minq[-1]] >= order[hi]:
+            minq.pop()
+        minq.append(hi)
+        while maxq and order[maxq[-1]] <= order[hi]:
+            maxq.pop()
+        maxq.append(hi)
+        while sf[hi] - sf[lo] > tol:
+            lo += 1
+        while minq[0] < lo:
+            minq.popleft()
+        while maxq[0] < lo:
+            maxq.popleft()
+        i0 = int(order[minq[0]])
+        i1 = int(order[maxq[0]])
+        gap = ts[i1] - ts[i0]
+        if gap > best_gap:
+            best_gap = gap
+            best = (i0, i1)
+
+    need = ctilde * span
+    if best is None or best_gap < need:
+        raise PairNotFoundError(
+            f"no equal pair with gap >= {need!r} (best {best_gap!r}, tol {tol!r})"
+        )
+    ia, ib = best
+    la = np.arange(max(0, ia - refine_steps), min(n, ia + refine_steps + 1))
+    lb = np.arange(max(0, ib - refine_steps), min(n, ib + refine_steps + 1))
+    diffs = np.abs(fs[la][:, None] - fs[lb][None, :])
+    gaps = ts[lb][None, :] - ts[la][:, None]
+    diffs = np.where(gaps >= need, diffs, np.inf)
+    flat = int(np.argmin(diffs))
+    ra, rb = divmod(flat, len(lb))
+    if np.isfinite(diffs[ra, rb]):
+        ia, ib = int(la[ra]), int(lb[rb])
+    return ia, ib

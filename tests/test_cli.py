@@ -245,6 +245,23 @@ def test_runs_leave_scipy_unloaded(name, tmp_path, child_pythonpath):
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
+# the calls of the certify workload: the pair sweeps, the cover sums, the
+# tangent scan and the differential fits, verify, and the regular-graph
+# defeater with its equal-pair searches
+_CERTIFY_PATH = ("certification", "fit_differential", "verify", "defeater_bmo")
+
+
+def test_certify_path_leaves_numpy_ma_unloaded(tmp_path, child_pythonpath):
+    # graph_extract and lip_image_cover_sum dedup and group rows with a
+    # lexsort; np.unique(axis=0) would import numpy.ma
+    code = ("import json, sys\nimport numpy as np\n"
+            + "".join(_RUNS[name] for name in _CERTIFY_PATH)
+            + "print(json.dumps('numpy.ma' in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) is False
+
+
 # A command imports the library modules it runs and no others; each child
 # lists the parabgmt modules it loaded
 _PACKAGE_LOADED = "sorted(m[9:] for m in sys.modules if m.startswith('parabgmt.'))"

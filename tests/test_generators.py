@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scan_index import reference_find_equal_pair
 
 from parabgmt import generators
 from parabgmt.generators import (
@@ -144,6 +147,74 @@ class TestFindEqualPair:
     def test_too_few_samples(self):
         with pytest.raises(PairNotFoundError):
             find_equal_pair(GRID[:1], GRID[:1], 0.1)
+
+
+def pair_outcome(search, ts, fs, ctilde, refine_steps):
+    """What a pair search returns or raises, as comparable values."""
+    try:
+        return search(ts, fs, ctilde, refine_steps)
+    except PairNotFoundError as err:
+        return ("error", str(err))
+
+
+class TestFindEqualPairMatchesScan:
+    """The vectorised search against the deque scan of scan_index: the
+    same pair, or the same PairNotFoundError message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 80), seed=st.integers(0, 2**32 - 1),
+           times=st.sampled_from(["grid", "unsorted", "decreasing"]),
+           values=st.sampled_from(["plateaus", "walk", "sorted", "wide"]),
+           ctilde=st.sampled_from([0.0, 0.01, 0.3, 0.9, 2.0, -5.0]),
+           refine_steps=st.integers(0, 4))
+    def test_random_samples(self, n, seed, times, values, ctilde, refine_steps):
+        rng = np.random.default_rng(seed)
+        ts = {"grid": np.linspace(0.0, 1.0, n),
+              "unsorted": 3.0 * rng.standard_normal(n),
+              "decreasing": np.linspace(2.0, -2.0, n)}[times]
+        if values == "plateaus":  # few distinct values: long runs of ties
+            fs = rng.integers(-3, 4, n) / 4.0
+        elif values == "wide":  # differences across many binades
+            fs = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        else:
+            fs = np.cumsum(rng.standard_normal(n)) * 10.0 ** rng.integers(-6, 6)
+            if values == "sorted":
+                fs = np.sort(fs)
+        want = pair_outcome(reference_find_equal_pair, ts, fs, ctilde, refine_steps)
+        assert pair_outcome(find_equal_pair, ts, fs, ctilde, refine_steps) == want
+
+    @pytest.mark.parametrize("fs", [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 0.0]])
+    @pytest.mark.parametrize("ts", [[0.0, 1.0], [1.0, 0.0]])
+    def test_two_samples(self, ts, fs):
+        for ctilde in (0.0, 0.5, 1.0, 1.5):
+            want = pair_outcome(reference_find_equal_pair, ts, fs, ctilde, 40)
+            assert pair_outcome(find_equal_pair, ts, fs, ctilde, 40) == want
+
+    def test_no_pair_message(self):
+        # on monotone values the widest window pair spans two grid steps
+        ts = np.linspace(0.0, 1.0, 50)
+        want = pair_outcome(reference_find_equal_pair, ts, ts.copy(), 0.5, 40)
+        assert want[0] == "error" and "(best np.float64(0.0408163265306122" in want[1]
+        assert pair_outcome(find_equal_pair, ts, ts.copy(), 0.5, 40) == want
+
+    @pytest.mark.parametrize("fs, late", [
+        ([-0.256, -0.045000000000000005, -0.09300000000000001, 0.065, 0.166,
+          -0.026000000000000002], False),
+        ([-0.05500000000000001, 0.096, -0.032, 0.098, -0.074, -0.246], True),
+    ])
+    def test_rounding_at_the_window_edge(self, fs, late):
+        # searchsorted(sf, sf - tol) starts some window one value late (or
+        # early) against the rounded test sf[h] - sf[l] <= tol
+        fs = np.array(fs)
+        sf = np.sort(fs)
+        tol = 2.0 * float(np.max(np.abs(np.diff(fs))))
+        start = [min(l for l in range(sf.size) if sf[h] - sf[l] <= tol) for h in range(sf.size)]
+        off = np.searchsorted(sf, sf - tol) - start
+        assert np.any(off > 0 if late else off < 0)
+        ts = np.linspace(0.0, 1.0, fs.size)
+        for ctilde in (0.0, 0.2, 0.6, 1.0):
+            want = pair_outcome(reference_find_equal_pair, ts, fs, ctilde, 0)
+            assert pair_outcome(find_equal_pair, ts, fs, ctilde, 0) == want
 
 
 class TestWeierstrassGraph:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -161,6 +162,22 @@ class TestSumSquares:
         with np.errstate(over="ignore", under="ignore"):
             got = geometry._sum_squares([block[..., j] for j in range(k)])
             assert bits_equal(got, einsum_squares(block))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("shape", [(300,), (3, 200)])
+    def test_out_buffer_matches_einsum(self, k, shape):
+        # the sum is written into out, whatever out held before
+        rng = np.random.default_rng(300 + k)
+        block = wide_floats(rng, (*shape, k))
+        out = np.full(shape, np.nan)
+        with np.errstate(over="ignore", under="ignore"):
+            got = geometry._sum_squares([block[..., j] for j in range(k)], out=out)
+            assert got is out
+            assert bits_equal(out, einsum_squares(block))
+            # columns of one row each, broadcast to out, as the k = 0
+            # projection's +0.0 columns are
+            geometry._sum_squares([block[0, ..., j] for j in range(k)], out=out)
+            assert bits_equal(out, np.broadcast_to(einsum_squares(block[0]), shape))
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_matches_einsum_on_broadcast_differences(self, k):
@@ -722,11 +739,19 @@ class TestGraphConeCheck:
         assert g.co_plane.family == "vertical"
 
 
+def reference_unique_rows(pts):
+    """The distinct rows of an (N, d) array in lexicographic order, of
+    equal rows (-0.0 == 0.0) the first in input order: a dict keeps the
+    first of equal keys, and the tuples are sorted."""
+    rows = dict.fromkeys(map(tuple, pts.tolist()))
+    return np.array(sorted(rows), dtype=float).reshape(-1, pts.shape[1])
+
+
 def two_pass_graph_extract(points, V, s):
     """graph_extract as two sweeps over the pairs, the cone check then the
     ratio pass on the projections of each pair's difference: the
     reference for the one-sweep version."""
-    pts = np.unique(geometry.as_coord_array(points, V.n), axis=0)
+    pts = reference_unique_rows(geometry.as_coord_array(points, V.n))
     violations = graph_cone_check(pts, V, s)
     if violations:
         i, j = violations[0]
@@ -845,6 +870,130 @@ class TestExtractMatchesTwoPass:
         assert extract_outcome(graph_extract, pts, V, 0.2) == extract_outcome(
             two_pass_graph_extract, pts, V, 0.2)
         np.testing.assert_array_equal(err.value.pair[0], pts[i])
+
+
+def unfused_graph_cone_check(points, V, s):
+    """graph_cone_check with each pair block's expressions written out,
+    every norm a fresh array: the reference for the cone-gap kernel."""
+    if not 0.0 < s < 1.0:
+        raise ValueError("aperture must lie in (0, 1)")
+    pts = geometry.as_coord_array(points, V.n)
+    violations = []
+    for lo, upper, (d,) in pair_blocks(pts):
+        px = geometry._project_cols(V.horiz_basis, d[:-1])
+        perp = geometry._perp_norm(V.includes_t_axis, d[:-1], d[-1], px)
+        a, b = np.nonzero((perp - s * geometry._norm_cols(d) > CONE_BAND) & upper)
+        violations += zip((a + lo).tolist(), (b + lo + 1).tolist())
+    return violations
+
+
+def unfused_graph_extract(points, V, s):
+    """graph_extract's one sweep with each pair block's expressions
+    written out, every norm a fresh array: the reference for the
+    cone-gap kernel."""
+    pts = reference_unique_rows(geometry.as_coord_array(points, V.n))
+    if not 0.0 < s < 1.0:
+        raise ValueError("aperture must lie in (0, 1)")
+    graph = GraphSamples.from_points(pts, V)
+    ratio = 0.0
+    same = None
+    for lo, upper, (d,) in pair_blocks(pts):
+        x, t = d[:-1], d[-1]
+        px = geometry._project_cols(V.horiz_basis, x)
+        perp = geometry._perp_norm(V.includes_t_axis, x, t, px)
+        bad = np.argwhere((perp - s * geometry._norm_cols(d) > CONE_BAND) & upper)
+        if bad.size:
+            a, b = bad[0] + (lo, lo + 1)
+            raise ConeViolationError(
+                f"cone condition fails for pair ({a}, {b}): "
+                f"{pts[a].tolist()} vs {pts[b].tolist()}",
+                pair=(pts[a].copy(), pts[b].copy()),
+            )
+        if same is None:
+            d2 = geometry._sum_squares(px)
+            db = np.sqrt(d2 + np.abs(t) if V.includes_t_axis else d2)
+            zero = np.argwhere((db == 0.0) & upper)
+            if zero.size:
+                same = zero[0] + (lo, lo + 1)
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = max(ratio, float(np.max(perp / db, where=upper, initial=0.0)))
+    if same is not None:
+        a, b = same
+        raise ConeViolationError(
+            f"projection to the plane is not injective: points {a} and {b}",
+            pair=(graph.base[a].copy(), graph.base[b].copy()),
+        )
+    return geometry.ExtractResult(graph, float(s / np.sqrt(1.0 - s * s)), ratio)
+
+
+def plane_of(rng, n, family, frame):
+    if family == "t-axis":
+        return HomPlane.t_axis(n)
+    return random_plane(rng, n, family) if frame == "random" else axis_plane(rng, n, family)
+
+
+class TestConeKernelMatchesUnfused:
+    """graph_cone_check and graph_extract through the cone-gap kernel
+    against the expressions it replaced: the same violation lists, and
+    the same ExtractResult bits or the same error, message and pair.
+    n = 8 gives 8 spatial columns, which _sum_squares adds by einsum."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 8), family=st.sampled_from(["horizontal", "vertical", "t-axis"]),
+           frame=st.sampled_from(["random", "axes"]), npts=st.integers(0, 30),
+           seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0.1, 0.5, 0.9]),
+           offset=st.sampled_from([0.0, 1e6]), dups=st.integers(0, 4),
+           thin=st.booleans(), rows=tile_rows)
+    def test_random_clouds(self, n, family, frame, npts, seed, s, offset, dups, thin, rows):
+        rng = np.random.default_rng(seed)
+        V = plane_of(rng, n, family, frame)
+        pts = offset + rng.standard_normal((npts, n + 1))
+        if npts:
+            # zero coordinates, then repeated rows, some with the zeros negated
+            pts[rng.random(pts.shape) < 0.2] = 0.0
+            extra = pts[rng.integers(npts, size=dups)]
+            extra[(extra == 0.0) & (rng.random(extra.shape) < 0.5)] = -0.0
+            pts = np.vstack([pts, extra])[rng.permutation(npts + dups)]
+        while thin and (bad := unfused_graph_cone_check(pts, V, s)):
+            pts = np.delete(pts, bad[0][1], axis=0)
+        with mock.patch.object(geometry, "PAIR_TILE", rows * max(len(pts), 1)):
+            assert graph_cone_check(pts, V, s) == unfused_graph_cone_check(pts, V, s)
+            got = extract_outcome(graph_extract, pts, V, s)
+            assert got == extract_outcome(unfused_graph_extract, pts, V, s)
+        if thin:
+            assert got[0] == "ok"
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_graph_with_twins_across_the_plane(self, n):
+        # twins 1e-10 across an axis plane pass the cone check but share
+        # their projection; the first such pair is named
+        rng = np.random.default_rng(n)
+        V = HomPlane.horizontal_axes(n, range(n - 1)) if n > 1 else HomPlane.t_axis(1)
+        pts = rng.standard_normal((30, n + 1))
+        while bad := unfused_graph_cone_check(pts, V, 0.5):
+            pts = np.delete(pts, bad[0][1], axis=0)
+        twins = pts[:2].copy()
+        twins[:, n - 1] += 1e-10  # the last spatial axis, across V
+        pts = np.vstack([pts, twins])
+        got = extract_outcome(graph_extract, pts, V, 0.5)
+        assert got == extract_outcome(unfused_graph_extract, pts, V, 0.5)
+        assert "not injective" in got[1]
+
+    @pytest.mark.parametrize("points, s", [
+        (np.zeros((3, 3)), 1.0),
+        (np.zeros((3, 3)), 0.0),
+        (np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]]), 0.5),
+        (np.zeros((3, 2)), 0.5),
+    ])
+    def test_same_errors(self, points, s):
+        V = HomPlane.horizontal_axes(2, (0,))
+        for fused, unfused in ((graph_cone_check, unfused_graph_cone_check),
+                               (graph_extract, unfused_graph_extract)):
+            with pytest.raises(ValueError) as want:
+                unfused(points, V, s)
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                fused(points, V, s)
 
 
 def bits_equal(a, b):

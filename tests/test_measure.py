@@ -23,7 +23,7 @@ from scan_index import (
     reference_write_csv,
 )
 
-from parabgmt import _report, geometry
+from parabgmt import _report, geometry, measure
 from parabgmt._index import GridIndex
 from parabgmt.geometry import DimensionMismatchError, HomPlane, ParaPoint
 from parabgmt.rectify import TangentConfig, blowup_measure, cone_defect, detect_tangent
@@ -829,6 +829,27 @@ class TestGridMap:
             GridMap(np.zeros((4, 4, 3)))
         with pytest.raises(ValueError):
             GridMap(np.zeros((4, 4, 2)), domain=(1.0, 1.0))
+        # one grid axis would map into P^0, which has no spatial axis
+        with pytest.raises(ValueError, match="at least two grid axes"):
+            GridMap(np.zeros((4, 1)))
+
+    def test_values_are_a_read_only_copy(self):
+        ax = np.linspace(0.0, 1.0, 9)
+        values = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+        gm = GridMap(values)
+        values[4, 4] = (7.0, 7.0)
+        assert gm.values[4, 4].tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError):
+            gm.values[0, 0, 0] = 1.0
+
+    def test_ratios_are_computed_once(self):
+        gm = identity_grid(129)
+        with mock.patch.object(measure, "_pairwise_ratio_max",
+                               wraps=measure._pairwise_ratio_max) as sweep:
+            got = [lip_image_cover_sum(gm, N) for N in (4, 16, 64)]
+        assert sweep.call_count == 1
+        fresh = [lip_image_cover_sum(identity_grid(129), N) for N in (4, 16, 64)]
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in fresh]
 
     def test_domain_points_cover_cube(self):
         gm = identity_grid(5)
