@@ -1,49 +1,78 @@
-"""Sparse hashed bucket grid for ball queries on point clouds.
+"""Sparse hashed bucket grid with a neighbour table, for the balls
+around the rows of a point cloud.
 
-A parabolic ball of radius r has x-extent r and t-extent r^2, so the
-grid uses cells of size r along spatial axes and r^2 along time; a
-query then only has to look at a small block of neighboring cells.
-With metric='euclidean' all axes use cell size r.
+GridIndex(pts, r) answers ball(i, radius) for a row i of pts and a
+radius no larger than the build radius r: the rows q with
+dist_rows(q, pts[i]) <= radius, and those distances.  Every cell
+lookup is made once, at build time, so a query is a fixed number of
+numpy calls.
 
-Only occupied cells are stored, after Teschner et al., "Optimized
-Spatial Hashing for Collision Detection of Deformable Objects" (VMV
-2003): the integer cell coordinates are hashed by a linear map modulo
-2^64 (uint64 multiply-add with fixed odd multipliers, wrap-around
-intended), so the code of a cell never depends on how far apart the
-occupied cells lie.  The points are sorted by code into `order`, and
-the index keeps its own copy of them in that order, so the points of
-one code form one contiguous run of rows.  One table holds the sorted
-distinct codes with the start offset and the length of their run.
+Cells.  Let far = r (1 + 2^-40) + _dist_pad(d).  A row that dist_rows
+puts within r of p lies within far of p in the exact metric: the
+slack covers dist_rows' rounding, the pad the squares it loses to
+underflow (see measure.greedy_cover).  So along axis k the two differ
+by at most the reach e_k: far on a spatial axis, far^2 along t in the
+parabolic metric (where an x-extent of r goes with a t-extent of
+r^2), far on every axis in the euclidean one.  The cell width is
+w_k = max(e_k, tiny) (1 + 2^-7), with tiny the least normal float, so
+e_k / w_k <= 1 - 2^-8 even where e_k underflows.  A row's cell is
+c_k = floor(h), h = clip(fl(fl(p_k - o_k) / w_k), -L, L), L = 2^40,
+with o_k the middle value of the column, so a cloud far from the origin
+keeps quotients the size of its own spread.
 
-The map is linear, so the codes of a query's block of cells are the
-code of its corner plus the distinct codes of the block's cell offsets
-(outer sums of per-axis terms, cached per block shape).  A query looks
-them all up with one searchsorted, gathers the rows of their runs from
-the cell-ordered copy (contiguous reads) and keeps the rows p with
-geometry.dist_rows(p, center) <= radius.  That is a fixed number of
-numpy calls, however many cells the block has.  A hash collision can
-only add candidates from a far cell, and the exact distance filter
-drops them, so the answer is the set of points in the ball.
+Containment.  The ring of a cell is the 3^d cells c + {-1, 0, 1}^d.
+It holds every row q within the reach of any row p in the cell.  Let
+g = (p_k - o_k) / w_k exactly.  For |g| <= 2L the two roundings move
+h by less than 2L 2^-52 (1 + 2^-50) + 2^-1074 < 2^-10 from clip(g),
+and clip is 1-Lipschitz, so |h(q) - h(p)| < e_k / w_k + 2^-9 < 1 and
+the floors differ by at most one.  Where g > 2L the rounded quotient
+still exceeds L, so h = L for p and for every q within the reach of
+it (their g exceeds 2L - 1); likewise below -2L.  That needs a
+difference p_k - o_k which overflows to have |g| > 2L, that is
+2L w_k <= the largest float; an axis whose width fails that (or is
+infinite, as far^2 is past radii of about 1e154) gets one cell.
+Rounding is monotone, so h never decreases along an axis.
 
-`ball` is the one query primitive: it maps the hits back through
-`order` and returns them in cell order, unsorted, together with the
-dist_rows values the filter has just computed for them.  A caller that
-needs the distances of its hits takes them from there instead of
-computing them again.  `query` sorts the indices of `ball` and drops
-the distances.
+Hash.  Only occupied cells are stored, after Teschner et al.,
+"Optimized Spatial Hashing for Collision Detection of Deformable
+Objects" (VMV 2003): the integer cell coordinates are hashed by a
+linear map modulo 2^64 (uint64 multiply-add with fixed odd
+multipliers, wrap-around intended).  The rows are sorted by code into
+`order`, and the index keeps its own copy of them in that order, so
+the rows of one code form one contiguous run.  The map is linear, so
+the codes of a ring are the code of its cell plus the distinct codes
+of the 3^d offsets.  A collision puts the rows of distinct cells in
+one run; their rings then have the same codes, the union of both, so
+a collision only adds candidates, which the distance filter drops.
+
+Table.  For every occupied cell, the build looks up the codes of its
+ring once (one searchsorted over tiles of cells, tile_slices) and
+stores the runs they name, adjacent runs merged, as a CSR table over
+cells: entries ptr[k]:ptr[k + 1] of the run lengths and of the shift
+that puts item j of the cell's gather at row j + shift.  Each row
+keeps the number of its cell.
+
+Query.  ball(i) reads the entries of row i's cell, gathers their rows
+from the cell-ordered copy with one ragged arange, and keeps the rows
+with dist_rows(row, pts[i]) <= radius.  It returns them through
+`order`, in cell order, unsorted, with the dist_rows values the
+filter has just computed; a caller that needs the distances of its
+hits takes them from there.  `query` sorts the indices of `ball` and
+drops the distances.
 """
 
 import math
+import operator
 import sys
 from functools import reduce
 
 import numpy as np
 
-from .geometry import _check_finite, _dist_pad, dist_rows
+from .geometry import _check_finite, _check_radius, _dist_pad, dist_rows, tile_slices
 
-# float cell coordinates are clipped here before the int64 cast, so an
-# infinite or huge quotient lands in an edge cell instead of overflowing
-_CELL_LIMIT = float(2**61)
+# cell coordinates are clipped to [-_CELL_LIMIT, _CELL_LIMIT] before the
+# int64 cast, so an infinite or huge quotient lands in an edge cell
+_CELL_LIMIT = float(2**40)
 
 
 def _multipliers(d):
@@ -59,114 +88,130 @@ def _multipliers(d):
     return out
 
 
+def _ring_offsets(mult):
+    """Distinct codes of the cell offsets {-1, 0, 1}^d; the code of the
+    cell c + delta is the code of c plus that of delta."""
+    terms = [np.array([-m % 2**64, 0, m], dtype=np.uint64) for m in mult]
+    offsets = np.sort(reduce(np.add.outer, terms), axis=None)  # np.unique imports numpy.ma
+    return offsets[np.append(True, offsets[1:] != offsets[:-1])]
+
+
 class GridIndex:
-    """Ball queries on the rows of pts.  ball(center, radius) returns
-    the indices i with dist_rows(pts[i], center) <= radius, the same
-    closed ball a full scan with dist_rows gives, and those distances;
-    query(center, radius) returns the indices alone, sorted."""
+    """Balls around the rows of pts.  ball(i, radius) returns the indices
+    j with dist_rows(pts[j], pts[i]) <= radius, the same closed ball a
+    full scan with dist_rows gives, and those distances; query(i,
+    radius) returns the indices alone, sorted.  The radius defaults to
+    the build radius r and may not exceed it.  The index reads the
+    centres from pts itself, so pts must not change while it is used."""
 
     def __init__(self, pts, r, metric="parabolic"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         _check_finite(pts, "points")
-        if r <= 0:
-            raise ValueError("cell scale r must be > 0")
+        _check_radius(r)
         if metric not in ("parabolic", "euclidean"):
             raise ValueError(f"unknown metric {metric!r}")
         self.r = float(r)
         self.metric = metric
-        d = pts.shape[1]
-        self._pad = _dist_pad(d)
-        # cells of r (r^2 along t), padded so that they stay positive and
-        # finite when r^2 underflows or overflows; a tiny cell sends far
-        # quotients to inf, which the clip below takes in
-        side = self.r + self._pad
-        cell = np.full(d, side)
+        self._pts = pts
+        npts, d = pts.shape
+        far = self.r * (1.0 + 2.0**-40) + _dist_pad(d)
+        reach = [far] * d
         if metric == "parabolic":
-            cell[-1] = min(side * side, sys.float_info.max)
+            reach[-1] = far * far
+        mult = _multipliers(d)
+        codes = np.zeros(npts, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            ci = pts / cell
-        np.floor(ci, out=ci)
-        np.clip(ci, -_CELL_LIMIT, _CELL_LIMIT, out=ci)
-        ci = ci.astype(np.int64)
-        self._cell = cell.tolist()
-        # occupied cell range per axis
-        self._first = ci.min(axis=0).tolist()
-        self._last = ci.max(axis=0).tolist()
-        self._mult = _multipliers(d)
-        # the int64 -> uint64 view is two's complement, so this is the
-        # linear map of the signed cell coordinates modulo 2^64
-        codes = ci.view(np.uint64) @ np.array(self._mult, dtype=np.uint64)
-        # the cell coordinates, codes and run starts are freed before the
-        # cell-ordered copy below is made, so it never coexists with them
-        del ci
-        # ball returns its hits in cell order, and the order of points
-        # within a run is free
-        self.order = np.argsort(codes)
+            for k, (e, m) in enumerate(zip(reach, mult)):
+                width = max(e, sys.float_info.min) * (1.0 + 2.0**-7)
+                if math.isinf(width * 2.0 * _CELL_LIMIT):
+                    continue  # one cell along this axis
+                # the middle order statistic as origin (np.median imports numpy.ma)
+                cell = pts[:, k] - np.partition(pts[:, k], npts // 2)[npts // 2]
+                cell /= width
+                np.floor(cell, out=cell)
+                np.clip(cell, -_CELL_LIMIT, _CELL_LIMIT, out=cell)
+                # the int64 -> uint64 view is two's complement, so this
+                # adds the linear map of the signed coordinates modulo 2^64
+                cell = cell.astype(np.int64).view(np.uint64)
+                cell *= np.uint64(m)
+                codes += cell
+                del cell
+        # ball returns its hits in cell order, and the order of rows
+        # within a run is free; row numbers fit 32 bits below 2^31 rows
+        itype = np.int32 if npts < 2**31 else np.int64
+        self.order = np.argsort(codes).astype(itype)
         ordered = codes[self.order]
         del codes
-        start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        self._keys = ordered[start]
-        # (start, length) of each key's run in order
-        self._ranges = np.column_stack((start, np.diff(np.append(start, ordered.size))))
-        del ordered, start
+        first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        keys = ordered[first]
+        del ordered
+        bounds = np.append(first, npts)  # run k holds rows bounds[k]:bounds[k + 1]
+        del first
+        ncells = keys.size
+        self._cell = np.empty(npts, dtype=itype)
+        self._cell[self.order] = np.arange(ncells, dtype=itype).repeat(np.diff(bounds))
+        offsets = _ring_offsets(mult)
+        counts = np.empty(ncells, dtype=np.int64)
+        self._total = np.empty(ncells, dtype=itype)
+        shifts, lengths = [], []
+        for tile in tile_slices(ncells, offsets.size):
+            # the codes of the ring of each cell, and the runs that hold them
+            ring = keys[tile, None] + offsets
+            pos = keys.searchsorted(ring)
+            pos[keys.take(pos, mode="clip") != ring] = ncells + 1
+            del ring
+            pos.sort(axis=1)
+            # consecutive runs are consecutive rows: merge them
+            step = pos[:, 1:] != pos[:, :-1] + 1
+            closes = pos < ncells
+            opens = closes.copy()
+            opens[:, 1:] &= step
+            closes[:, :-1] &= step
+            nopen = np.count_nonzero(opens, axis=1)
+            lo = bounds[pos[opens]]
+            size = bounds[pos[closes] + 1] - lo
+            del pos, opens, closes, step
+            # every cell finds its own run, so each has an entry; item j
+            # of a cell's gather lies in the entry whose items start at
+            # `before`, at row lo + j - before
+            lead = nopen.cumsum() - nopen
+            before = size.cumsum() - size
+            before -= before[lead].repeat(nopen)
+            counts[tile] = nopen
+            self._total[tile] = np.add.reduceat(size, lead)
+            shifts.append((lo - before).astype(itype))
+            lengths.append(size.astype(itype))
+            del lo, size, before
+        del keys, bounds
+        self._ptr = np.concatenate(([0], counts.cumsum()))
+        self._shift = np.concatenate(shifts)
+        self._len = np.concatenate(lengths)
+        del shifts, lengths
         # row j is pts[order[j]]: each run is a contiguous block of rows
         self._sorted = pts.take(self.order, axis=0)
-        self._blocks = {}
 
-    def _block(self, shape):
-        """Distinct codes of the cells 0 <= c < shape (one per axis),
-        cached per block shape; the code of the block at corner a is
-        this plus the code of a."""
-        offsets = self._blocks.get(shape)
-        if offsets is None:
-            terms = [np.arange(s, dtype=np.uint64) * np.uint64(m)
-                     for s, m in zip(shape, self._mult)]
-            offsets = np.sort(reduce(np.add.outer, terms), axis=None)  # np.unique imports numpy.ma
-            offsets = self._blocks[shape] = offsets[np.append(True, offsets[1:] != offsets[:-1])]
-        return offsets
-
-    def ball(self, center, radius=None):
-        """Points within `radius` of center (default: the build scale
-        r), as (indices, distances): the indices in cell order, not
-        sorted, and each one's dist_rows value from center."""
-        center = np.asarray(center, dtype=float).ravel()
-        if center.size != len(self._cell):
-            raise ValueError(f"center has {center.size} coordinates, the index {len(self._cell)}")
+    def ball(self, i, radius=None):
+        """Rows within `radius` of row i (default: the build radius r),
+        as (indices, distances): the indices in cell order, not sorted,
+        and each one's dist_rows value from pts[i]."""
+        i = operator.index(i)
+        if not 0 <= i < self._cell.size:
+            raise ValueError(f"row {i} out of range for {self._cell.size} points")
         radius = self.r if radius is None else float(radius)
-        # dist_rows rounds, so a point it keeps can lie a few ulps of the
-        # radius outside the exact ball, or, where its squares underflow,
-        # up to the pad outside it; the block reaches past both
-        far = radius * (1.0 + 2.0**-40) + self._pad
-        reach = [far] * (center.size - 1)
-        reach.append(far * far if self.metric == "parabolic" else far)
-        # the block of cells that can hold a point of the ball, clamped
-        # to the occupied range; a few scalars, so plain Python floats
-        lo, hi = [], []
-        axes = zip(center.tolist(), reach, self._cell, self._first, self._last)
-        for c, e, w, first, last in axes:
-            a = min(max((c - e) / w, first), last)
-            b = min(max((c + e) / w, first), last)
-            if not a <= b:
-                return np.empty(0, dtype=np.intp), np.empty(0)
-            lo.append(math.floor(a))
-            hi.append(math.floor(b))
-        corner = sum(a * m for a, m in zip(lo, self._mult)) % 2**64
-        codes = self._block(tuple(b - a + 1 for a, b in zip(lo, hi))) + np.uint64(corner)
-        pos = self._keys.searchsorted(codes)
-        start, size = self._ranges[pos[self._keys.take(pos, mode="clip") == codes]].T
-        if size.size == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0)
-        # ragged gather: item j of range i is row start[i] + j of the
-        # cell-ordered copy
-        end = size.cumsum()
-        rows = np.arange(end[-1]) + (start + size - end).repeat(size)
-        dist = dist_rows(self._sorted.take(rows, axis=0), center, self.metric)
+        if not radius <= self.r:
+            raise ValueError(f"radius {radius!r} exceeds the build radius {self.r!r}")
+        k = self._cell[i]
+        a, b = self._ptr[k], self._ptr[k + 1]
+        # ragged gather: item j of the cell's runs is row j + shift
+        rows = np.arange(self._total[k])
+        rows += self._shift[a:b].repeat(self._len[a:b])
+        dist = dist_rows(self._sorted.take(rows, axis=0), self._pts[i], self.metric)
         keep = dist <= radius
         return self.order.take(rows[keep]), dist[keep]
 
-    def query(self, center, radius=None):
-        """Indices of points within `radius` of center (default: the
-        build scale r), in ascending index order."""
-        hits = self.ball(center, radius)[0]
+    def query(self, i, radius=None):
+        """Indices of the rows within `radius` of row i (default: the
+        build radius r), in ascending index order."""
+        hits = self.ball(i, radius)[0]
         hits.sort()
         return hits

@@ -35,6 +35,15 @@ def _check_finite(arr, name):
         raise ValueError(f"{name} must be finite")
 
 
+def _check_radius(r):
+    """Refuse a ball radius outside (0, inf): "radius must be > 0" for
+    r <= 0, "radius must be finite" for inf or NaN."""
+    if r <= 0:
+        raise ValueError("radius must be > 0")
+    if not math.isfinite(r):
+        raise ValueError("radius must be finite")
+
+
 class ParaPoint:
     """A point (x, t) of P^n with spatial vector x and time t."""
 

@@ -11,6 +11,7 @@ images of Lipschitz maps into P^n.
 import csv
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from ._report import Record, write_csv
 from ._version import __version__
 from .geometry import (
     ParaPoint,
+    _check_radius,
     _dist_pad,
     _norm_cols,
     _sum_squares,
@@ -330,33 +332,37 @@ def greedy_cover(points, r, metric="parabolic"):
     stay mutually more than r apart by dist_rows: candidates are never
     covered.
 
-    Each centre takes one index query, at a reach R just past 2r.  The
-    candidates (within r of p), the evaluation sample (within 2r) and the
-    ball marked covered around the chosen centre are all cut from its
-    hits, on the dist_rows values separate r-, 2r- and best-centred
-    queries would compute, so they are the same arrays bit for bit.
+    Each centre takes one index query, the ball of reach R (just past
+    2r) around the scanned row.  The candidates (within r of p), the
+    evaluation sample (within 2r) and the ball marked covered around the
+    chosen centre are all cut from its hits, on the dist_rows values
+    separate r-, 2r- and best-centred queries would compute, so they are
+    the same arrays bit for bit.
 
     A non-finite coordinate or radius is refused, since the scan would
     never end on it.
     """
-    if not 0 < r < math.inf:
-        raise ValueError("radius must be > 0" if r <= 0 else "radius must be finite")
+    _check_radius(r)
     pts = canonical_sorted(_points_of(points))
     npts = pts.shape[0]
     if npts == 0:
         return pts.copy()
-    index = GridIndex(pts, r, metric)
-    # The reach R catches the whole ball around best.  Let D be dist_rows
-    # and |q - p| the exact distance of the same float rows, which obeys
-    # the triangle inequality in both metrics.  D rounds by a few ulps
-    # and, where the squares of the k coordinate differences underflow,
-    # D^2 by up to k 2^-1075 more (see _dist_pad).  So D(q, best) <= r
-    # and D(best, p) <= r bound |q - p| by the sum of two exact distances
-    # of about r, and D(q, p)^2 <= 4 r^2 (1 + 2^-43) + 3 k 2^-1074.
+    # The index is built at the reach R, so the ball of row p holds the
+    # whole ball around best.  Let D be dist_rows and |q - p| the exact
+    # distance of the same float rows, which obeys the triangle
+    # inequality in both metrics.  D rounds by a few ulps and, where the
+    # squares of the k coordinate differences underflow, D^2 by up to
+    # k 2^-1075 more (see _dist_pad).  So D(q, best) <= r and
+    # D(best, p) <= r bound |q - p| by the sum of two exact distances of
+    # about r, and D(q, p)^2 <= 4 r^2 (1 + 2^-43) + 3 k 2^-1074.
     # R = 2r (1 + 2^-40) + _dist_pad(k) has R^2 >= 4 r^2 (1 + 2^-40)
-    # + k 2^-1071, more than that, so query(p, R) holds every q with
+    # + k 2^-1071, more than that, so ball(p) holds every q with
     # D(q, best) <= r.  Below radii of about 1e-155 only the pad does.
-    reach = 2.0 * r * (1.0 + 2.0**-40) + _dist_pad(pts.shape[1])
+    # The argument needs squares that do not overflow, r below about
+    # 1e154; past r of about 9e307 R itself would, and is capped at the
+    # largest float, which leaves out only rows at D = inf.
+    reach = min(2.0 * r * (1.0 + 2.0**-40) + _dist_pad(pts.shape[1]), sys.float_info.max)
+    index = GridIndex(pts, reach, metric)
     covered = np.zeros(npts, dtype=bool)
     centers = []
     scan = 0
@@ -364,8 +370,7 @@ def greedy_cover(points, r, metric="parabolic"):
         scan = _next_unset(covered, scan)
         if scan == npts:
             break
-        p = pts[scan]
-        hits, dist = index.ball(p, reach)
+        hits, dist = index.ball(scan)
         free = ~covered[hits]
         # scan is the least free hit within r (its own distance is 0),
         # and _stride_pick keeps the first index, so cand[0] == scan
@@ -442,8 +447,10 @@ def density_profile(mu, a, s, scales):
     scales = sorted((float(r) for r in scales), reverse=True)
     if not scales:
         raise ValueError("need at least one scale")
-    if not all(r > 0.0 for r in scales):
-        raise ValueError("radius must be > 0")
+    for r in scales:
+        _check_radius(r)
+    if not math.isfinite(s):
+        raise ValueError("density exponent s must be finite")
     with np.errstate(over="ignore"):
         d = dist_rows(mu.points, a)
     values = []

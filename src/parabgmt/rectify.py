@@ -99,22 +99,25 @@ def cone_defect(mu, a, V, s, r, m):
     return _plane_defect_grids([V], delta, d, w, (float(s),), (r,), m, [d.size])[0][0]
 
 
-def _gather_ball(mu, a, r_max, index=None):
-    """Atoms of mu in the closed ball dist_rows(p, a) <= r_max, minus a
-    itself, sorted by distance.
+def _gather_ball(mu, a, r_max):
+    """_ball_atoms of the closed ball dist_rows(p, a) <= r_max, found by
+    a full scan."""
+    ac = a.coords()
+    with np.errstate(over="ignore"):
+        d = dist_rows(mu.points, ac)
+    return _ball_atoms(mu, ac, np.arange(d.size), d, r_max)
+
+
+def _ball_atoms(mu, ac, cand, d, r_max):
+    """The atoms cand of mu, at dist_rows values d from the point ac,
+    that lie in the punctured closed ball 0 < d <= r_max, sorted by
+    distance.
 
     Returns (delta, dist, weight) with rows ordered by increasing
-    distance; ties keep canonical atom order.  The index answers the
-    same ball as the full scan, so the result does not depend on
-    whether one was used.
+    distance; ties keep canonical atom order.  A GridIndex ball around
+    the atom ac gives the rows and bits of the full scan, so the result
+    does not depend on where the candidates came from.
     """
-    ac = a.coords()
-    if index is not None:
-        cand, d = index.ball(ac, r_max)
-    else:
-        with np.errstate(over="ignore"):
-            d = dist_rows(mu.points, ac)
-        cand = np.arange(d.size)
     keep = (d > 0.0) & (d <= r_max)
     cand, d = cand[keep], d[keep]
     # by distance, ties by atom index: the stable sort of ascending indices
@@ -190,7 +193,7 @@ class PointTangent:
         return f"PointTangent({self.classification}, min_defect={self.min_defect:.4g})"
 
 
-def detect_tangent(mu, a, cfg, planes=None, index=None):
+def detect_tangent(mu, a, cfg, planes=None):
     """Approximate tangent plane of mu at a.
 
     The planes (by default the canonical candidate_planes(n, m)), then
@@ -208,16 +211,22 @@ def detect_tangent(mu, a, cfg, planes=None, index=None):
     """
     a = as_point(a, mu.n)
     r_list = cfg.resolved_r_list(mu)
-    s_list = tuple(float(s) for s in cfg.s_list)
-    m = float(cfg.m)
     if planes is None:
         planes = candidate_planes(mu.n, cfg.m)
-    delta, d, w = _gather_ball(mu, a, max(r_list), index)
+    return _tangent_of_ball(_gather_ball(mu, a, max(r_list)), cfg, planes, r_list)
+
+
+def _tangent_of_ball(ball, cfg, planes, r_list):
+    """detect_tangent's result on a ball from _ball_atoms whose radius
+    is max(r_list)."""
+    delta, d, w = ball
     if d.size == 0:
         return PointTangent(None, [], "none", math.inf, None)
+    n = delta.shape[1] - 1
+    s_list = tuple(float(s) for s in cfg.s_list)
     prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
-    planes = list(planes) + _fitted_planes(mu.n, cfg.m, delta, d, w)
-    worsts, curves = _plane_defect_grids(planes, delta, d, w, s_list, r_list, m, prefix)
+    planes = list(planes) + _fitted_planes(n, cfg.m, delta, d, w)
+    worsts, curves = _plane_defect_grids(planes, delta, d, w, s_list, r_list, float(cfg.m), prefix)
     i = worsts.index(min(worsts))  # the first least score: ties go to the earlier plane
     best_worst, best_plane, best_curve = worsts[i], planes[i], curves[i]
     if best_worst > cfg.threshold:
@@ -272,9 +281,13 @@ def classify_points(mu, cfg):
     sel = np.sort(rng.choice(mu.natoms, size=size, replace=False))
     planes = candidate_planes(mu.n, cfg.m)
     r_list = cfg.resolved_r_list(mu)
-    index = GridIndex(mu.points, max(r_list))
+    # each sampled atom is a row of the index, and its ball there is the
+    # one detect_tangent finds by a full scan, bit for bit
+    r_max = max(r_list)
+    index = GridIndex(mu.points, r_max)
     points = [ParaPoint.from_coords(mu.points[i]) for i in sel]
-    results = [detect_tangent(mu, p, cfg, planes=planes, index=index) for p in points]
+    results = [_tangent_of_ball(_ball_atoms(mu, mu.points[i], *index.ball(i), r_max),
+                                cfg, planes, r_list) for i in sel]
     counts = {"horizontal": 0, "vertical": 0, "none": 0}
     for res in results:
         counts[res.classification] += 1

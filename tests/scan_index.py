@@ -16,22 +16,28 @@ from parabgmt.measure import _spread_index
 
 class ScanIndex:
     """GridIndex's ball queries answered by one dist_rows scan: `ball`
-    returns the hits in ascending index order with their distances,
-    `query` the hits alone."""
+    returns the rows within the radius (at most the build radius) of
+    row i in ascending index order with their distances, `query` the
+    rows alone."""
 
     def __init__(self, pts, r, metric="parabolic"):
         self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
         self.r = float(r)
         self.metric = metric
 
-    def ball(self, center, radius=None):
+    def ball(self, i, radius=None):
+        if not 0 <= i < len(self.pts):
+            raise ValueError(f"row {i} out of range for {len(self.pts)} points")
         radius = self.r if radius is None else float(radius)
-        dist = dist_rows(self.pts, center, self.metric)
+        if not radius <= self.r:
+            raise ValueError(f"radius {radius!r} exceeds the build radius {self.r!r}")
+        with np.errstate(over="ignore"):
+            dist = dist_rows(self.pts, self.pts[i], self.metric)
         hits = np.flatnonzero(dist <= radius)
         return hits, dist[hits]
 
-    def query(self, center, radius=None):
-        return self.ball(center, radius)[0]
+    def query(self, i, radius=None):
+        return self.ball(i, radius)[0]
 
 
 def reference_resolution(points):

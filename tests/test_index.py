@@ -1,7 +1,10 @@
-"""The hashed neighbour index against brute-force distances, and the
-far-outlier clouds that overflowed dense cell codes."""
+"""The hashed neighbour index against brute-force distances, the
+far-outlier clouds that overflowed dense cell codes, and greedy covers
+of the benchmark's clouds against full scans."""
 
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,17 +12,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scan_index import ScanIndex, reference_plane_cloud
 
-from parabgmt import _index, measure
+from parabgmt import _index, cli, measure
 from parabgmt._index import GridIndex
+from parabgmt.generators import gen_cantor_segments, gen_weierstrass_graph
 from parabgmt.geometry import dist_rows
-from parabgmt.measure import DiscreteMeasure, GridMap, greedy_cover, lip_image_cover_sum
+from parabgmt.measure import (
+    DiscreteMeasure,
+    GridMap,
+    default_scales,
+    greedy_cover,
+    lip_image_cover_sum,
+    save_cloud_csv,
+)
 from parabgmt.rectify import TangentConfig, classify_points, detect_tangent
 
 
-def brute_query(pts, center, radius, metric):
-    """Every index in the closed ball dist_rows <= radius, by a full
-    scan."""
-    return ScanIndex(pts, radius, metric).query(center)
+def brute_query(pts, i, radius, metric):
+    """Every index in the closed ball dist_rows <= radius around row i,
+    by a full scan."""
+    return ScanIndex(pts, radius, metric).query(i)
 
 
 coord = st.floats(-2.0, 2.0, allow_nan=False, width=64)
@@ -31,7 +42,7 @@ def clouds(draw):
     rows = draw(st.lists(st.lists(coord, min_size=n + 1, max_size=n + 1), min_size=1, max_size=60))
     pts = np.array(rows, dtype=float)
     if draw(st.booleans()):
-        far = draw(st.sampled_from([1e4, -1e6, 1e12]))
+        far = draw(st.sampled_from([1e4, -1e6, 1e12, 1e20, -1e300]))
         pts = np.vstack([pts, np.full(n + 1, far)])
     if draw(st.booleans()):
         # repeated atoms share a cell, and shuffled rows put the atoms
@@ -61,6 +72,18 @@ def sphere_atoms(center, radius, metric, rng):
     return np.vstack([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)])
 
 
+def with_centers(pts, metric, radii, data):
+    """pts after two centre rows, an atom of pts and an arbitrary point,
+    with the atoms on and one ulp around the spheres of each radius
+    about both; the centres are rows 0 and 1."""
+    d = pts.shape[1]
+    outside = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=d, max_size=d)
+    centers = [pts[data.draw(st.integers(0, len(pts) - 1))], np.array(data.draw(outside))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shells = [sphere_atoms(c, rad, metric, rng) for c in centers for rad in radii]
+    return np.vstack([*centers, pts, *shells])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     pts=clouds(),
@@ -70,30 +93,28 @@ def sphere_atoms(center, radius, metric, rng):
     data=st.data(),
 )
 def test_query_matches_brute_force(pts, metric, r, factor, data):
-    d = pts.shape[1]
-    outside = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=d, max_size=d)
-    centers = [pts[data.draw(st.integers(0, len(pts) - 1))], np.array(data.draw(outside))]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    pts = np.vstack([pts] + [sphere_atoms(c, rad, metric, rng)
-                             for c in centers for rad in (r, factor * r)])
-    index = GridIndex(pts, r, metric)
-    for center in centers:
-        for radius in (None, factor * r):
-            got = index.query(center, radius)
-            want = brute_query(pts, center, r if radius is None else radius, metric)
-            assert got.dtype.kind == "i"
-            np.testing.assert_array_equal(got, want)
+    pts = with_centers(pts, metric, (r, factor * r), data)
+    index = GridIndex(pts, max(r, factor * r), metric)
+    # the atoms one ulp around -1e300 lie at a distance whose square
+    # overflows, so dist_rows warns
+    with np.errstate(over="ignore"):
+        for i in (0, 1):
+            for radius in (None, r, factor * r):
+                got = index.query(i, radius)
+                want = brute_query(pts, i, index.r if radius is None else radius, metric)
+                assert got.dtype.kind == "i"
+                np.testing.assert_array_equal(got, want)
 
 
-def assert_ball_matches_scan(index, pts, center, radius, metric):
+def assert_ball_matches_scan(index, pts, i, radius, metric):
     """ball gives the indices of the full scan, in any order, each with
     the bits of its own dist_rows value."""
-    hits, dist = index.ball(center, radius)
+    hits, dist = index.ball(i, radius)
     assert hits.dtype.kind == "i" and hits.shape == dist.shape
-    want = brute_query(pts, center, index.r if radius is None else radius, metric)
+    want = brute_query(pts, i, index.r if radius is None else radius, metric)
     np.testing.assert_array_equal(np.sort(hits), want)
     np.testing.assert_array_equal(
-        dist.view(np.uint64), dist_rows(pts[hits], center, metric).view(np.uint64))
+        dist.view(np.uint64), dist_rows(pts[hits], pts[i], metric).view(np.uint64))
     return dist
 
 
@@ -108,17 +129,13 @@ def assert_ball_matches_scan(index, pts, center, radius, metric):
 )
 def test_ball_matches_brute_force(pts, metric, r, factor, scale, data):
     # at scale 1e-160 the radii reach 1e-163, whose square underflows
-    d = pts.shape[1]
-    outside = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=d, max_size=d)
-    centers = [pts[data.draw(st.integers(0, len(pts) - 1))], np.array(data.draw(outside))]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    pts = np.vstack([pts] + [sphere_atoms(c, rad, metric, rng)
-                             for c in centers for rad in (r, factor * r)])
-    pts, centers, r = pts * scale, [c * scale for c in centers], r * scale
-    index = GridIndex(pts, r, metric)
-    for center in centers:
-        for radius in (None, factor * r):
-            assert_ball_matches_scan(index, pts, center, radius, metric)
+    pts = with_centers(pts, metric, (r, factor * r), data) * scale
+    r = r * scale
+    index = GridIndex(pts, max(r, factor * r), metric)
+    with np.errstate(over="ignore"):
+        for i in (0, 1):
+            for radius in (None, r, factor * r):
+                assert_ball_matches_scan(index, pts, i, radius, metric)
 
 
 @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
@@ -132,9 +149,9 @@ def test_ball_with_atoms_exactly_on_the_sphere(metric):
     pts = np.column_stack([mesh, np.zeros(len(mesh))])
     for r in (0.25, 0.125):
         index = GridIndex(pts, 2.0 * r, metric)
-        for center in pts[::97]:
+        for i in range(0, len(pts), 97):
             for radius in (r, 2.0 * r):
-                dist = assert_ball_matches_scan(index, pts, center, radius, metric)
+                dist = assert_ball_matches_scan(index, pts, i, radius, metric)
                 assert np.any(dist == radius)
 
 
@@ -144,7 +161,7 @@ def test_block_reaches_atoms_rounded_onto_the_sphere(metric, axis):
     # the centre sits half an ulp of the reach below 0 along `axis`, so
     # centre + reach ends just below the cell edge at reach; the atom on
     # that edge is off by half an ulp more, which rounds away, and
-    # dist_rows puts it on the sphere, one cell past the block
+    # dist_rows puts it on the sphere, inside the ring of the centre
     r = 0.25
     reach = r * r if (metric, axis) == ("parabolic", 1) else r
     center = np.zeros(2)
@@ -152,9 +169,9 @@ def test_block_reaches_atoms_rounded_onto_the_sphere(metric, axis):
     atom = np.zeros(2)
     atom[axis] = reach
     # atoms below the centre open the occupied cell range past it
-    pts = np.vstack([atom, -np.eye(2)])
+    pts = np.vstack([atom, center, -np.eye(2)])
     assert dist_rows(atom, center, metric) == r
-    np.testing.assert_array_equal(GridIndex(pts, r, metric).query(center), [0])
+    np.testing.assert_array_equal(GridIndex(pts, r, metric).query(1), [0, 1])
 
 
 @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
@@ -162,11 +179,11 @@ def test_colliding_hash_only_adds_filtered_candidates(monkeypatch, metric):
     # unit multipliers send every cell with the same coordinate sum to one code
     monkeypatch.setattr(_index, "_multipliers", lambda d: [1] * d)
     pts = np.random.default_rng(3).random((400, 3))
-    index = GridIndex(pts, 0.1, metric)
-    for center in pts[:40]:
+    index = GridIndex(pts, 0.2, metric)
+    for i in range(40):
         for radius in (0.05, 0.1, 0.2):
             np.testing.assert_array_equal(
-                index.query(center, radius), brute_query(pts, center, radius, metric))
+                index.query(i, radius), brute_query(pts, i, radius, metric))
 
 
 @pytest.mark.filterwarnings("error")
@@ -176,12 +193,13 @@ def test_radius_whose_square_underflows(monkeypatch, metric, r):
     # r * r is 0.0, so a cell of r^2 along t divided by zero; and
     # 1e-170 lies at dist_rows 0.0 from the origin, its square lost
     pts = np.array([[0.0, 0.0], [1e-170, 0.0], [1.0, 1.0]])
-    index = GridIndex(pts, r, metric)
-    for center in pts:
-        for radius in (r, 2 * r, 1e-160):
-            np.testing.assert_array_equal(index.query(center, radius),
-                                          brute_query(pts, center, radius, metric))
-            assert_ball_matches_scan(index, pts, center, radius, metric)
+    for build in (2 * r, 1e-160):
+        index = GridIndex(pts, build, metric)
+        for i in range(len(pts)):
+            for radius in (r, 2 * r, build):
+                np.testing.assert_array_equal(index.query(i, radius),
+                                              brute_query(pts, i, radius, metric))
+                assert_ball_matches_scan(index, pts, i, radius, metric)
     got = greedy_cover(pts, r, metric)
     monkeypatch.setattr(measure, "GridIndex", ScanIndex)
     np.testing.assert_array_equal(got, greedy_cover(pts, r, metric))
@@ -196,8 +214,25 @@ def test_radius_whose_square_overflows(metric):
     pts = np.random.default_rng(4).random((50, 3)) * 1e3
     for r in (1e160, 1e200, 1e300):
         index = GridIndex(pts, r, metric)
-        np.testing.assert_array_equal(index.query(pts[0]), np.arange(50))
+        np.testing.assert_array_equal(index.query(0), np.arange(50))
         assert len(greedy_cover(pts, r, metric)) == 1
+
+
+@pytest.mark.filterwarnings("error:invalid value")
+@pytest.mark.parametrize("r", [1e150, 1e160])
+def test_differences_past_the_float_range_at_huge_radii(r):
+    # the t cells are r^2 wide, 1e300 or inf: past the range where a
+    # difference from the middle row that overflows still lands in an
+    # edge cell (or, for an infinite cell, divides inf by inf), so t
+    # gets one cell; p and q are 5e299 apart along t, within r
+    o = -1e308
+    q = sys.float_info.max + o
+    pts = np.array([[0.0, o], [0.0, o], [0.0, o], [0.0, q], [0.0, q + 5e299]])
+    index = GridIndex(pts, r)
+    with np.errstate(over="ignore"):
+        for i in range(5):
+            np.testing.assert_array_equal(index.query(i), brute_query(pts, i, r, "parabolic"))
+        np.testing.assert_array_equal(index.query(4), [3, 4])
 
 
 @settings(max_examples=150, deadline=None)
@@ -211,11 +246,47 @@ def test_tiny_radii_match_brute_force(pts, metric, scale, r):
     # coordinates near `scale` put the squares of dist_rows in the
     # subnormals, where they round by a large relative amount
     pts = pts * scale
-    index = GridIndex(pts, r * scale, metric)
-    for center in pts[:4]:
+    index = GridIndex(pts, 2 * r * scale, metric)
+    for i in range(min(4, len(pts))):
         for radius in (r * scale, 2 * r * scale):
-            np.testing.assert_array_equal(index.query(center, radius),
-                                          brute_query(pts, center, radius, metric))
+            np.testing.assert_array_equal(index.query(i, radius),
+                                          brute_query(pts, i, radius, metric))
+
+
+def cell_count(index):
+    return np.unique(index._cell).size
+
+
+@pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+@pytest.mark.parametrize("far", [1e20, -1e20, 1e300, -1e300])
+def test_far_outliers_neither_lose_atoms_nor_merge_the_cells(metric, far):
+    # the cells are counted from the middle row, so a far outlier only
+    # lands in an edge cell of its own
+    rng = np.random.default_rng(8)
+    pts = rng.random((500, 3))
+    pts = np.vstack([pts, [far, 0.5, 0.5], [0.5, 0.5, far], np.full(3, far), np.full(3, far)])
+    index = GridIndex(pts, 0.1, metric)
+    assert cell_count(index) > 100
+    with np.errstate(over="ignore"):
+        for i in [*range(0, 500, 7), 500, 501, 502, 503]:
+            assert_ball_matches_scan(index, pts, i, None, metric)
+    np.testing.assert_array_equal(np.sort(index.ball(502)[0]), [502, 503])
+
+
+@pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+def test_shifted_cloud_at_tiny_radius(metric):
+    # at 1e6 the floats are 2^-33 apart, so the quotients by cells of
+    # 1e-9 round by about 0.1 of a cell if taken from the origin; taken
+    # from the middle row they stay exact enough, and stay apart
+    rng = np.random.default_rng(6)
+    pts = 1e6 + rng.integers(0, 40, (600, 3)) * 2.0**-33
+    pts[:, -1] = 1e6 + rng.integers(0, 3, 600) * 2.0**-33
+    r = 1e-9
+    index = GridIndex(pts, r, metric)
+    assert cell_count(index) > 4
+    for i in range(0, 600, 5):
+        for radius in (None, r / 2):
+            assert_ball_matches_scan(index, pts, i, radius, metric)
 
 
 def test_build_peak_stays_within_two_copies_of_the_points():
@@ -241,10 +312,73 @@ def test_non_finite_point_is_refused(bad):
         GridIndex(np.array([[0.0, 0.0], [bad, 0.0], [1.0, 1.0]]), 0.5)
 
 
-def test_center_of_wrong_dimension_is_rejected():
+def test_row_out_of_range_is_rejected():
     index = GridIndex(np.zeros((3, 3)), 0.1)
-    with pytest.raises(ValueError, match="coordinates"):
-        index.query([5.0, 5.0])
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            index.ball(i)
+
+
+def test_radius_above_the_build_radius_is_rejected():
+    index = GridIndex(np.zeros((3, 3)), 0.1)
+    for radius in (0.2, np.nextafter(0.1, 1.0), np.nan):
+        with pytest.raises(ValueError, match="exceeds the build radius"):
+            index.ball(0, radius)
+
+
+@pytest.mark.parametrize("r, message", [(np.inf, "radius must be finite"),
+                                        (np.nan, "radius must be finite"),
+                                        (0.0, "radius must be > 0"),
+                                        (-1.0, "radius must be > 0")])
+def test_radius_outside_zero_to_inf_is_refused(r, message):
+    # r = inf built an index whose balls were empty; NaN did too, and
+    # warned of an invalid cast
+    pts = np.random.default_rng(1).random((20, 2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridIndex(pts, r)
+
+
+def reduced_clouds():
+    """The cover workload's Weierstrass graph and Cantor segments, at
+    about 2,000 atoms each."""
+    return [gen_weierstrass_graph(n=1, c0=1.0, K=50, resolution=5e-4)[0],
+            gen_cantor_segments(n_seq=(2, 3, 4, 30), depth=4, points_per_segment=3)[0]]
+
+
+@pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+@pytest.mark.parametrize("cloud", [0, 1])
+def test_workload_covers_match_full_scans(monkeypatch, cloud, metric):
+    mu = reduced_clouds()[cloud]
+    scales = default_scales(mu.resolution(), 5)
+    got = [greedy_cover(mu, r, metric) for r in scales]
+    monkeypatch.setattr(measure, "GridIndex", ScanIndex)
+    for r, centers in zip(scales, got):
+        want = greedy_cover(mu, r, metric)
+        assert centers.shape == want.shape
+        np.testing.assert_array_equal(centers.view(np.uint64), want.view(np.uint64))
+
+
+def test_tracer_counts_the_index_and_the_cover(tmp_path):
+    # perfbench/tracer.py patches GridIndex.__init__ and .query and reads
+    # the points as the first argument of __init__
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    pts = np.random.default_rng(2).random((200, 2))
+    mu = DiscreteMeasure(1, pts, np.full(200, 1.0 / 200))
+    cloud = tmp_path / "c.csv"
+    save_cloud_csv(mu, cloud)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rc = cli.main(["dim", "-i", str(cloud), "--scales", "3", "-o", str(tmp_path / "d.json")])
+    finally:
+        t.uninstall()
+    assert rc == 0
+    assert t.stats.calls["index.build"] == 3 and t.stats.calls["measure.greedy_cover"] == 3
+    assert t.stats.counters["index.points_indexed"] == 3 * 200
 
 
 def outlier_cloud(natoms, side=1.0):
@@ -299,13 +433,16 @@ class TestClosedBall:
 
     def test_detect_tangent_with_and_without_index(self):
         mu = DiscreteMeasure(1, [[0.0, 0.0], self.edge, [0.1, 0.0]], [1.0, 1.0, 1.0])
-        cfg = TangentConfig(m=1, s_list=(0.5,), r_list=(0.25,))
-        a = mu.points[0]
-        plain = detect_tangent(mu, a, cfg)
-        indexed = detect_tangent(mu, a, cfg, index=GridIndex(mu.points, 0.25))
+        # classify_points finds each ball in a GridIndex, detect_tangent
+        # by a full scan; the sample of three is every atom
+        cfg = TangentConfig(m=1, s_list=(0.5,), r_list=(0.25,), sample_size=3)
+        report = classify_points(mu, cfg)
+        np.testing.assert_array_equal([p.coords() for p in report.points], mu.points)
+        plain = [detect_tangent(mu, a, cfg) for a in mu.points]
         # the edge atom is perpendicular to the horizontal line: 1 / 0.25
-        assert plain.defect_curve == [(0.25, 0.5, 4.0)]
-        assert indexed.defect_curve == plain.defect_curve
+        assert plain[0].defect_curve == [(0.25, 0.5, 4.0)]
+        assert [res.defect_curve for res in report.results] == [
+            res.defect_curve for res in plain]
 
     def test_greedy_cover_centres_more_than_r_apart(self):
         centers = greedy_cover(np.array([[0.0, 0.0], self.edge]), 0.25)

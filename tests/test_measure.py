@@ -427,6 +427,7 @@ class TestGreedyCover:
         "nan_radius": ("greedy_cover(PTS, math.nan)", "radius must be finite"),
         "inf_radius": ("greedy_cover(PTS, math.inf)", "radius must be finite"),
         "nan_scale": ("dimension_fit(PTS, [0.5, math.nan])", "radius must be finite"),
+        "inf_scale": ("dimension_fit(PTS, [0.5, math.inf])", "radius must be finite"),
     }
 
     @pytest.mark.parametrize("name", sorted(NON_FINITE))
@@ -497,10 +498,10 @@ class TestStridePick:
 def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
     """The three-query greedy cover: (p, r) for the candidates, (p, 2r)
     for the evaluation sample and (best, r) for the ball marked
-    covered."""
+    covered, each from an index built at the radius it is queried at."""
     pts = canonical_sorted(np.asarray(points, dtype=float))
     npts = pts.shape[0]
-    index = index_type(pts, r, metric)
+    index, index2 = index_type(pts, r, metric), index_type(pts, 2.0 * r, metric)
     covered = np.zeros(npts, dtype=bool)
     centers = []
     scan = 0
@@ -509,8 +510,7 @@ def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
             scan += 1
         if scan == npts:
             break
-        p = pts[scan]
-        cand = index.query(p, r)
+        cand = index.query(scan)
         cand = cand[~covered[cand]]
         cand = _stride_pick(cand, CAND_CAP)
         if scan not in cand:
@@ -518,13 +518,13 @@ def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
         if cand.size == 1:
             best = int(cand[0])
         else:
-            ev = index.query(p, 2.0 * r)
+            ev = index2.query(scan)
             ev = ev[~covered[ev]]
             ev = _stride_pick(ev, EVAL_CAP)
             gains = np.sum(geometry.dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
             best = int(cand[int(np.argmax(gains))])
         centers.append(best)
-        covered[index.query(pts[best], r)] = True
+        covered[index.query(best)] = True
     return pts[np.asarray(centers, dtype=int)]
 
 
@@ -708,12 +708,22 @@ class TestDensityProfile:
         ([], "need at least one scale"),
         ([-0.1, 0.1], "radius must be > 0"),
         ([0.0, 0.1], "radius must be > 0"),
-        ([math.nan, 0.1], "radius must be > 0"),
+        ([math.nan, 0.1], "radius must be finite"),
+        ([0.5, math.inf], "radius must be finite"),
     ])
     def test_scales_validated(self, scales, message):
+        # a NaN scale was reported as "radius must be > 0", and r = inf
+        # gave a value
         mu = DiscreteMeasure(1, np.zeros((1, 2)), [1.0])
         with pytest.raises(ValueError, match=f"^{message}$"):
             density_profile(mu, np.zeros(2), 1.5, scales)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_refused(self, s):
+        # s = nan or inf gave nan or inf values
+        mu = DiscreteMeasure(1, np.zeros((1, 2)), [1.0])
+        with pytest.raises(ValueError, match="^density exponent s must be finite$"):
+            density_profile(mu, np.zeros(2), s, [0.5, 0.25])
 
 
 class TestFlatConstants:

@@ -1,5 +1,6 @@
 """Tangent detection, blow-ups, flatness scores and differentials."""
 
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -147,14 +148,13 @@ class TestDetectTangent:
     @pytest.mark.parametrize("indexed", [False, True])
     def test_curve_is_cone_defect_of_argmin_plane(self, indexed):
         # the curve entry at (r, s) is cone_defect at (r, s) for the
-        # argmin plane, bit for bit, and the min defect is the curve max
+        # argmin plane, bit for bit, and the min defect is the curve max;
+        # indexed, the balls come from classify_points' GridIndex
         rng = np.random.default_rng(4)
         pts = rng.random((3000, 3)) * [1.0, 0.2, 1.0]
         mu = DiscreteMeasure(2, pts, rng.uniform(0.5, 2.0, 3000))
         cfg = TangentConfig(m=2, s_list=(0.5, 0.25, 0.1), r_list=(0.3, 0.2, 0.1))
-        index = GridIndex(mu.points, 0.3) if indexed else None
-        for a in mu.points[::1000]:
-            res = detect_tangent(mu, a, cfg, index=index)
+        for a, res in tangents(mu, cfg, mu.points[::1000], indexed):
             assert len(res.defect_curve) == 9
             for r, s, defect in res.defect_curve:
                 assert cone_defect(mu, a, res.argmin_plane, s, r, cfg.m) == defect
@@ -197,13 +197,23 @@ def ref_plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix):
     return worst, curve
 
 
-def ref_detect_tangent(mu, a, cfg, planes=None, index=None):
+def tangents(mu, cfg, atoms, indexed):
+    """(atom, result) pairs: detect_tangent's full scan at each of the
+    atoms, or, indexed, classify_points on as many atoms of its seeded
+    sample, each ball found in its GridIndex."""
+    if not indexed:
+        return [(a, detect_tangent(mu, a, cfg)) for a in atoms]
+    report = classify_points(mu, dataclasses.replace(cfg, sample_size=len(atoms)))
+    return [(p.coords(), res) for p, res in zip(report.points, report.results)]
+
+
+def ref_detect_tangent(mu, a, cfg, planes=None):
     a = ParaPoint.from_coords(np.asarray(a, dtype=float))
     r_list = cfg.resolved_r_list(mu)
     s_list = tuple(float(s) for s in cfg.s_list)
     if planes is None:
         planes = candidate_planes(mu.n, cfg.m)
-    delta, d, w = rectify._gather_ball(mu, a, max(r_list), index)
+    delta, d, w = ref_gather_ball(mu, a, max(r_list))
     if d.size == 0:
         return None, [], "none", math.inf, None
     prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
@@ -255,12 +265,10 @@ def reference_clouds():
     ]
 
 
-def ref_gather_ball(mu, a, r_max, index=None):
-    """_gather_ball from sorted query indices: distances computed again
-    over the ball, then a stable argsort."""
+def ref_gather_ball(mu, a, r_max):
+    """_gather_ball by a full scan and a stable argsort."""
     ac = a.coords()
-    cand = np.arange(mu.natoms) if index is None else index.query(ac, r_max)
-    pts, w = mu.points[cand], mu.weights[cand]
+    pts, w = mu.points, mu.weights
     d = geometry.dist_rows(pts, ac)
     inside = np.flatnonzero((d > 0.0) & (d <= r_max))
     order = inside[np.argsort(d[inside], kind="stable")]
@@ -271,18 +279,21 @@ class TestGatherBall:
     @pytest.mark.parametrize("r_max", [0.25, 0.125])
     def test_ties_in_atom_order_with_and_without_index(self, r_max):
         # a dyadic grid gives many atoms at exactly equal distances, and
-        # distinct weights show the order the tied atoms come in
+        # distinct weights show the order the tied atoms come in; one
+        # more atom off the grid sees them from elsewhere
         xs, ts = np.meshgrid(np.arange(-8, 9) / 16, np.arange(-32, 33) / 256, indexing="ij")
-        pts = np.column_stack([xs.ravel(), ts.ravel()])
+        pts = np.vstack([np.column_stack([xs.ravel(), ts.ravel()]), [0.01, -0.003]])
         mu = DiscreteMeasure(1, pts, np.random.default_rng(2).uniform(0.5, 2.0, len(pts)))
         index = GridIndex(mu.points, r_max)
+        off = np.flatnonzero(np.all(mu.points == [0.01, -0.003], axis=1))
         ties = 0
-        for a in [*mu.points[::101], np.array([0.01, -0.003])]:
-            a = ParaPoint.from_coords(a)
+        for i in [*range(0, mu.natoms, 101), *off]:
+            ac = mu.points[i]
+            a = ParaPoint.from_coords(ac)
             want = ref_gather_ball(mu, a, r_max)
             ties += np.count_nonzero(np.diff(want[1]) == 0.0)
             for got in (rectify._gather_ball(mu, a, r_max),
-                        rectify._gather_ball(mu, a, r_max, index)):
+                        rectify._ball_atoms(mu, ac, *index.ball(i), r_max)):
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and bits(g) == bits(w)
         assert ties > 10
@@ -292,13 +303,11 @@ class TestBatchedScoringMatchesReference:
     @pytest.mark.parametrize("case", range(5))
     @pytest.mark.parametrize("indexed", [False, True])
     def test_detect_tangent(self, case, indexed):
+        # indexed, the results are classify_points' on its own sample
         mu, cfg = reference_clouds()[case]
-        r_list = cfg.resolved_r_list(mu)
-        index = GridIndex(mu.points, max(r_list)) if indexed else None
         sel = np.random.default_rng(case).choice(mu.natoms, 12, replace=False)
-        for a in mu.points[sel]:
-            assert_matches_reference(detect_tangent(mu, a, cfg, index=index),
-                                     ref_detect_tangent(mu, a, cfg, index=index))
+        for a, res in tangents(mu, cfg, mu.points[sel], indexed):
+            assert_matches_reference(res, ref_detect_tangent(mu, a, cfg))
 
     @pytest.mark.parametrize("budget", [1, 3])
     def test_plane_chunks(self, budget):
