@@ -7,13 +7,12 @@ dist_rows(q, pts[i]) <= radius, and those distances.  Every cell
 lookup is made once, at build time, so a query is a fixed number of
 numpy calls.
 
-Cells.  Let far = r (1 + 2^-40) + _dist_pad(d).  A row that dist_rows
-puts within r of p lies within far of p in the exact metric: the
-slack covers dist_rows' rounding, the pad the squares it loses to
-underflow (see measure.greedy_cover).  So along axis k the two differ
-by at most the reach e_k: far on a spatial axis, far^2 along t in the
-parabolic metric (where an x-extent of r goes with a t-extent of
-r^2), far on every axis in the euclidean one.  The cell width is
+Cells.  A row that dist_rows puts within r of p lies within
+far = geometry._reach(r, d) of p in the exact metric (its docstring
+gives the argument).  So along axis k the two differ by at most the
+reach e_k: far on a spatial axis, far^2 along t in the parabolic
+metric (where an x-extent of r goes with a t-extent of r^2), far on
+every axis in the euclidean one.  The cell width is
 w_k = max(e_k, tiny) (1 + 2^-7), with tiny the least normal float, so
 e_k / w_k <= 1 - 2^-8 even where e_k underflows.  A row's cell is
 c_k = floor(h), h = clip(fl(fl(p_k - o_k) / w_k), -L, L), L = 2^40,
@@ -54,21 +53,23 @@ keeps the number of its cell.
 
 Query.  ball(i) reads the entries of row i's cell, gathers their rows
 from the cell-ordered copy with one ragged arange, and keeps the rows
-with dist_rows(row, pts[i]) <= radius.  It returns them through
-`order`, in cell order, unsorted, with the dist_rows values the
-filter has just computed; a caller that needs the distances of its
-hits takes them from there.  `query` sorts the indices of `ball` and
-drops the distances.
+with dist_rows(row, pts[i]) <= radius; a distance that overflows is
+inf, outside every radius, and is dropped without a warning.  It
+returns them through `order`, in cell order, unsorted, with the
+dist_rows values the filter has just computed; a caller that needs
+the distances of its hits takes them from there.  `query` sorts the
+indices of `ball` and drops the distances.
 """
 
 import math
 import operator
 import sys
-from functools import reduce
+from contextlib import nullcontext
+from functools import partial, reduce
 
 import numpy as np
 
-from .geometry import _check_finite, _check_radius, _dist_pad, dist_rows, tile_slices
+from .geometry import _check_finite, _check_radius, _reach, dist_rows, tile_slices
 
 # cell coordinates are clipped to [-_CELL_LIMIT, _CELL_LIMIT] before the
 # int64 cast, so an infinite or huge quotient lands in an edge cell
@@ -114,7 +115,7 @@ class GridIndex:
         self.metric = metric
         self._pts = pts
         npts, d = pts.shape
-        far = self.r * (1.0 + 2.0**-40) + _dist_pad(d)
+        far = _reach(self.r, d)
         reach = [far] * d
         if metric == "parabolic":
             reach[-1] = far * far
@@ -189,6 +190,14 @@ class GridIndex:
         del shifts, lengths
         # row j is pts[order[j]]: each run is a contiguous block of rows
         self._sorted = pts.take(self.order, axis=0)
+        # every coordinate lies in [lo, hi] and rounding is monotone, so no
+        # distance between two rows overflows while twice the diagonal of
+        # [lo, hi]^d is finite (the factor covers any order of the sums);
+        # only a wider cloud makes ball pay for np.errstate
+        lo, hi = pts.min(), pts.max()
+        with np.errstate(over="ignore"):
+            wide = math.isinf(2.0 * dist_rows(np.full(d, hi), np.full(d, lo), metric))
+        self._quiet = partial(np.errstate, over="ignore") if wide else nullcontext
 
     def ball(self, i, radius=None):
         """Rows within `radius` of row i (default: the build radius r),
@@ -205,7 +214,8 @@ class GridIndex:
         # ragged gather: item j of the cell's runs is row j + shift
         rows = np.arange(self._total[k])
         rows += self._shift[a:b].repeat(self._len[a:b])
-        dist = dist_rows(self._sorted.take(rows, axis=0), self._pts[i], self.metric)
+        with self._quiet():
+            dist = dist_rows(self._sorted.take(rows, axis=0), self._pts[i], self.metric)
         keep = dist <= radius
         return self.order.take(rows[keep]), dist[keep]
 

@@ -705,19 +705,6 @@ def gen_vertical_cantor(r_seq=None, depth=1, n_seq=None, rows=8, cols=2):
     return mu, info
 
 
-@dataclasses.dataclass
-class QuarticStructure:
-    """Interval bookkeeping for the quartically contracted Cantor graph."""
-
-    dom_lengths: list
-    img_lengths: list
-    dom_gaps: list
-    img_gaps: list
-    dom_starts: np.ndarray
-    img_starts: np.ndarray
-    level_ratios: list
-
-
 def gen_quartic_cantor(gap_seq=None, depth=8, kappa=12.0, kappa_growth=0.25):
     """Horizontal graph over a fat Cantor set with quartically shrunk image.
 
@@ -778,15 +765,6 @@ def gen_quartic_cantor(gap_seq=None, depth=8, kappa=12.0, kappa_growth=0.25):
         provenance=f"quartic_cantor depth={depth} ground_truth=horizontal",
         resolution_hint=min(dom_len[depth], dom_gaps[-1]),
     )
-    structure = QuarticStructure(
-        dom_lengths=dom_len,
-        img_lengths=img_len,
-        dom_gaps=dom_gaps,
-        img_gaps=img_gaps,
-        dom_starts=dom_starts,
-        img_starts=img_starts,
-        level_ratios=level_ratios,
-    )
     info = {
         "kind": "quartic_cantor",
         "ground_truth": "horizontally parabolic 1-rectifiable",
@@ -799,7 +777,6 @@ def gen_quartic_cantor(gap_seq=None, depth=8, kappa=12.0, kappa_growth=0.25):
         "img_gaps": img_gaps,
         "level_ratios": level_ratios,
         "truncation_scale": dom_len[depth],
-        "structure": structure,
     }
     return mu, info
 

@@ -185,18 +185,34 @@ def dist_rows(coords, p, metric="parabolic"):
     return _norm_cols([coords[..., j] - pc[..., j] for j in range(coords.shape[-1])], metric)
 
 
-def _dist_pad(d):
-    """Absolute slack that covers the underflow of dist_rows on rows of
-    d coordinates.
+def _reach(r, d):
+    """How far from p, in the exact metric, a row of d coordinates can
+    lie when dist_rows puts it within r of p: r (1 + 2^-40) plus the pad
+    sqrt(d) 2^-535.  GridIndex cells, greedy_cover's index radius and
+    the x1 window of DiscreteMeasure all rest on this one bound.
 
-    Relative slack covers every rounding of dist_rows except one: a
-    squared coordinate difference below 2^-1022 is rounded to a multiple
-    of 2^-1074, up to 2^-1075 away, however small the radius.  The d
-    squares of a row lose at most d 2^-1075 together; the pad squared,
-    d 2^-1070, is 32 times that.  Above radii of about 1e-140 adding the
-    pad changes no bit.
+    The relative slack covers the few ulps dist_rows rounds by, but not
+    underflow: a squared coordinate difference below 2^-1022 is rounded
+    to a multiple of 2^-1074, up to 2^-1075 away, so the d squares of a
+    row lose at most d 2^-1075 together; the pad squared, d 2^-1070, is
+    32 times that.  Above radii of about 1e-140 the pad changes no bit.
+    A row whose squares overflow lies at inf, in no ball.  The exact
+    distance bounds every spatial difference, and in the parabolic
+    metric the square root of the t difference.
+
+    At 2r two steps compose: D(q, c) <= r and D(c, p) <= r for
+    D = dist_rows bound the exact |q - p| by the sum of two exact
+    distances of about r, so D(q, p)^2 <= 4 r^2 (1 + 2^-43) + 3 d 2^-1074,
+    which is less than _reach(2r, d)^2, while r is below about 1e154 and
+    the squares do not overflow.
     """
-    return math.sqrt(d) * 2.0**-535
+    return r * (1.0 + 2.0**-40) + math.sqrt(d) * 2.0**-535
+
+
+def _check_aperture(s):
+    """Refuse a cone aperture outside (0, 1)."""
+    if not 0.0 < s < 1.0:
+        raise ValueError("aperture must lie in (0, 1)")
 
 
 def blowup_rows(a, r, coords):
@@ -513,8 +529,7 @@ class Cone:
 
     def __init__(self, vertex, plane, aperture):
         s = float(aperture)
-        if not 0.0 < s < 1.0:
-            raise ValueError("aperture must lie in (0, 1)")
+        _check_aperture(s)
         if vertex.n != plane.n:
             raise DimensionMismatchError("vertex and plane dimensions differ")
         self.vertex = vertex
@@ -647,8 +662,7 @@ def graph_cone_check(points, V, s):
     violates exactly when cone_membership(Cone(p_i, V, s), p_j) is
     "outside"; the condition is symmetric, so only i < j is examined.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("aperture must lie in (0, 1)")
+    _check_aperture(s)
     pts = as_coord_array(points, V.n)
     violations = []
     for lo, _, bad, _, _ in _cone_gap_blocks(pts, V, s):
@@ -746,12 +760,11 @@ def graph_extract(points, V, s):
     block with a cone violation.
     """
     pts = as_coord_array(points, V.n)
+    _check_aperture(s)
     pts = pts[np.lexsort(pts.T[::-1])]  # np.unique(axis=0) would import numpy.ma
     first = np.ones(len(pts), dtype=bool)
     first[1:] = np.any(pts[1:] != pts[:-1], axis=1)
     pts = pts[first]
-    if not 0.0 < s < 1.0:
-        raise ValueError("aperture must lie in (0, 1)")
     graph = GraphSamples.from_points(pts, V)
     ratio = 0.0
     same = None

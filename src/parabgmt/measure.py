@@ -23,8 +23,8 @@ from ._version import __version__
 from .geometry import (
     ParaPoint,
     _check_radius,
-    _dist_pad,
     _norm_cols,
+    _reach,
     _sum_squares,
     as_coord_array,
     as_point,
@@ -131,18 +131,40 @@ class DiscreteMeasure:
             f"provenance={self.provenance!r})"
         )
 
-    # The scan of the whole cloud below lets a distance overflow
-    # quietly: +inf lies outside every finite radius.
+    def ball(self, a, r, metric="parabolic"):
+        """The closed ball dist_rows(p, a) <= r as (rows, dist): the rows
+        of the atoms in it, ascending, and their dist_rows values.
+
+        Only the x1 window of a (see _x1_window) is scanned, and every
+        atom of the ball lies in it, so rows and distances are those of a
+        scan over the whole cloud, bit for bit.  A distance that
+        overflows is inf, outside the ball, and raises no warning."""
+        ac = as_point(a, self.n).coords()
+        _check_radius(r)
+        with np.errstate(over="ignore"):
+            lo, hi = self._x1_window(ac[0], r)
+            dist = dist_rows(self.points[lo:hi], ac, metric)
+        rows = np.flatnonzero(dist <= r)
+        return rows + lo, dist[rows]
+
+    def _x1_window(self, x1, r):
+        """Bounds lo, hi of the atoms whose x1 lies within _reach(r) of
+        x1, for an array of centres or one.  An atom within r of a centre
+        by dist_rows is that close along x1 exactly, rounding x1 -/+ the
+        reach is monotone, and the atoms are sorted by x1, so [lo, hi)
+        holds it.  Run under np.errstate(over="ignore"): a reach or bound
+        that overflows opens the window to the end of the cloud."""
+        col, reach = self.points[:, 0], _reach(r, self.n + 1)
+        return col.searchsorted(x1 - reach, "left"), col.searchsorted(x1 + reach, "right")
 
     def restrict_ball(self, a, r, metric="parabolic"):
-        with np.errstate(over="ignore"):
-            keep = dist_rows(self.points, as_point(a, self.n), metric) <= r
-        if not np.any(keep):
+        rows = self.ball(a, r, metric)[0]
+        if not rows.size:
             raise ValueError("no atoms inside the requested ball")
         return DiscreteMeasure(
             self.n,
-            self.points[keep],
-            self.weights[keep],
+            self.points[rows],
+            self.weights[rows],
             nominal_dim=self.nominal_dim,
             provenance=self.provenance + " | restricted",
             resolution_hint=self.resolution_hint,
@@ -153,12 +175,11 @@ class DiscreteMeasure:
         when present, else the median nearest-neighbor distance of 256
         evenly spread atoms.
 
-        Each atom's neighbour is sought only among the rows whose x1
-        lies within R of its own, where R is its distance h to an
-        adjacent canonical row plus greedy_cover's slack; the atoms are
-        sorted by x1, so two searchsorted calls bound that window.  Every
-        row within h lies in it, so the minimum is the one a scan over
-        the whole cloud takes, bit for bit."""
+        Each atom's neighbour is sought only in its x1 window
+        (_x1_window) at its distance h to an adjacent canonical row.
+        Every row within h lies in it, so the minimum is the one a scan
+        over the whole cloud takes, bit for bit.  ball cannot serve here:
+        h may be inf, which opens the window to the whole cloud."""
         if self.resolution_hint is not None:
             return self.resolution_hint
         if self._resolution is None:
@@ -171,19 +192,12 @@ class DiscreteMeasure:
     def _measured_resolution(self):
         pts, last = self.points, self.natoms - 1
         take = _spread_index(self.natoms, min(self.natoms, 256))
-        # a distance that overflows is +inf; an inf h opens the window
-        # to the whole cloud, which is then scanned as before
+        adjacent = np.stack([np.where(take > 0, take - 1, 1),
+                             np.where(take < last, take + 1, last - 1)])
+        # a distance that overflows is +inf, the largest a minimum can be
         with np.errstate(over="ignore"):
-            adjacent = np.stack([np.where(take > 0, take - 1, 1),
-                                 np.where(take < last, take + 1, last - 1)])
             h = dist_rows(pts[adjacent], pts[take]).min(axis=0)
-            # the slack argument of greedy_cover's reach: a row q with
-            # dist_rows(q, p) <= h has |x1_q - x1_p| <= R exactly, and
-            # rounding x1_p -/+ R is monotone, so the window holds q
-            reach = h * (1.0 + 2.0**-40) + _dist_pad(pts.shape[1])
-            x1 = pts[:, 0]
-            lo = x1.searchsorted(x1[take] - reach, "left")
-            hi = x1.searchsorted(x1[take] + reach, "right")
+            lo, hi = self._x1_window(pts[take, 0], h)
             mins = []
             for i, a, b in zip(take.tolist(), lo.tolist(), hi.tolist()):
                 d = dist_rows(pts[a:b], pts[i])
@@ -347,21 +361,12 @@ def greedy_cover(points, r, metric="parabolic"):
     npts = pts.shape[0]
     if npts == 0:
         return pts.copy()
-    # The index is built at the reach R, so the ball of row p holds the
-    # whole ball around best.  Let D be dist_rows and |q - p| the exact
-    # distance of the same float rows, which obeys the triangle
-    # inequality in both metrics.  D rounds by a few ulps and, where the
-    # squares of the k coordinate differences underflow, D^2 by up to
-    # k 2^-1075 more (see _dist_pad).  So D(q, best) <= r and
-    # D(best, p) <= r bound |q - p| by the sum of two exact distances of
-    # about r, and D(q, p)^2 <= 4 r^2 (1 + 2^-43) + 3 k 2^-1074.
-    # R = 2r (1 + 2^-40) + _dist_pad(k) has R^2 >= 4 r^2 (1 + 2^-40)
-    # + k 2^-1071, more than that, so ball(p) holds every q with
-    # D(q, best) <= r.  Below radii of about 1e-155 only the pad does.
-    # The argument needs squares that do not overflow, r below about
-    # 1e154; past r of about 9e307 R itself would, and is capped at the
-    # largest float, which leaves out only rows at D = inf.
-    reach = min(2.0 * r * (1.0 + 2.0**-40) + _dist_pad(pts.shape[1]), sys.float_info.max)
+    # The index is built at the reach R = _reach(2r), so the ball of row
+    # p holds every q with dist_rows(q, best) <= r (geometry._reach
+    # gives the argument).  Past r of about 9e307 R would overflow, and
+    # is capped at the largest float, which leaves out only rows at
+    # dist_rows = inf.
+    reach = min(_reach(2.0 * r, pts.shape[1]), sys.float_info.max)
     index = GridIndex(pts, reach, metric)
     covered = np.zeros(npts, dtype=bool)
     centers = []
@@ -451,12 +456,11 @@ def density_profile(mu, a, s, scales):
         _check_radius(r)
     if not math.isfinite(s):
         raise ValueError("density exponent s must be finite")
-    with np.errstate(over="ignore"):
-        d = dist_rows(mu.points, a)
-    values = []
-    for r in scales:
-        mass = float(np.sum(mu.weights[d <= r]))
-        values.append((2.0 * r) ** (-s) * mass)
+    # one ball at the largest scale; each smaller one is cut from it,
+    # the same weights in the same order as a scan of the whole cloud
+    rows, d = mu.ball(a, scales[0])
+    w = mu.weights[rows]
+    values = [(2.0 * r) ** (-s) * float(np.sum(w[d <= r])) for r in scales]
     k = max(1, len(scales) // 3)
     fine = values[-k:]
     return DensityEstimate(a, float(s), scales, values, max(fine), min(fine))

@@ -18,11 +18,11 @@ from ._version import __version__
 from .geometry import (
     HomPlane,
     ParaPoint,
+    _check_aperture,
     _dot_cols,
     as_point,
     blowup_rows,
     candidate_planes,
-    dist_rows,
     dist_to_planes_rows,
     para_norm_rows,
     plane_distance,
@@ -91,34 +91,27 @@ def cone_defect(mu, a, V, s, r, m):
     one-plane, one-(r, s) case of the grid that detect_tangent scores.
     """
     a = as_point(a, mu.n)
-    if not 0.0 < s < 1.0:
-        raise ValueError("aperture must lie in (0, 1)")
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
+    _check_aperture(s)
     delta, d, w = _gather_ball(mu, a, r)
     return _plane_defect_grids([V], delta, d, w, (float(s),), (r,), m, [d.size])[0][0]
 
 
 def _gather_ball(mu, a, r_max):
-    """_ball_atoms of the closed ball dist_rows(p, a) <= r_max, found by
-    a full scan."""
-    ac = a.coords()
-    with np.errstate(over="ignore"):
-        d = dist_rows(mu.points, ac)
-    return _ball_atoms(mu, ac, np.arange(d.size), d, r_max)
+    """_ball_atoms of the closed ball dist_rows(p, a) <= r_max, from
+    DiscreteMeasure.ball."""
+    return _ball_atoms(mu, as_point(a, mu.n).coords(), *mu.ball(a, r_max))
 
 
-def _ball_atoms(mu, ac, cand, d, r_max):
-    """The atoms cand of mu, at dist_rows values d from the point ac,
-    that lie in the punctured closed ball 0 < d <= r_max, sorted by
-    distance.
+def _ball_atoms(mu, ac, cand, d):
+    """The atoms cand of a ball of mu around the point ac, at dist_rows
+    values d from it, without the atoms at distance 0.
 
     Returns (delta, dist, weight) with rows ordered by increasing
     distance; ties keep canonical atom order.  A GridIndex ball around
-    the atom ac gives the rows and bits of the full scan, so the result
-    does not depend on where the candidates came from.
+    the atom ac gives the rows and bits of DiscreteMeasure.ball, so the
+    result does not depend on where the ball came from.
     """
-    keep = (d > 0.0) & (d <= r_max)
+    keep = d > 0.0
     cand, d = cand[keep], d[keep]
     # by distance, ties by atom index: the stable sort of ascending indices
     order = np.lexsort((cand, d))
@@ -282,11 +275,10 @@ def classify_points(mu, cfg):
     planes = candidate_planes(mu.n, cfg.m)
     r_list = cfg.resolved_r_list(mu)
     # each sampled atom is a row of the index, and its ball there is the
-    # one detect_tangent finds by a full scan, bit for bit
-    r_max = max(r_list)
-    index = GridIndex(mu.points, r_max)
+    # one detect_tangent finds by DiscreteMeasure.ball, bit for bit
+    index = GridIndex(mu.points, max(r_list))
     points = [ParaPoint.from_coords(mu.points[i]) for i in sel]
-    results = [_tangent_of_ball(_ball_atoms(mu, mu.points[i], *index.ball(i), r_max),
+    results = [_tangent_of_ball(_ball_atoms(mu, mu.points[i], *index.ball(i)),
                                 cfg, planes, r_list) for i in sel]
     counts = {"horizontal": 0, "vertical": 0, "none": 0}
     for res in results:
@@ -308,10 +300,9 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     r = float(r)
     if r <= 0.0:
         raise ValueError("scale must be positive")
-    with np.errstate(over="ignore"):
-        keep = dist_rows(mu.points, a) <= r
+    rows = mu.ball(a, r)[0]
     if normalization == "mass":
-        mass = float(np.sum(mu.weights[keep]))
+        mass = float(np.sum(mu.weights[rows]))
         if mass <= 0.0:
             raise ValueError(f"B(a, {r}) holds no atoms; mass normalization undefined")
         c = 1.0 / mass
@@ -325,8 +316,8 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     hint = mu.resolution_hint / r if mu.resolution_hint else None
     return DiscreteMeasure(
         mu.n,
-        blowup_rows(a, r, mu.points[keep]),
-        mu.weights[keep] * c,
+        blowup_rows(a, r, mu.points[rows]),
+        mu.weights[rows] * c,
         nominal_dim=mu.nominal_dim,
         provenance=(mu.provenance + " | " if mu.provenance else "") + f"blowup r={r:g}",
         resolution_hint=hint,

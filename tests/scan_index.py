@@ -40,6 +40,15 @@ class ScanIndex:
         return self.ball(i, radius)[0]
 
 
+def reference_ball(points, a, r, metric="parabolic"):
+    """DiscreteMeasure.ball by one dist_rows scan over every atom: the
+    rows within r of a in ascending order, and their distances."""
+    with np.errstate(over="ignore"):
+        dist = dist_rows(points, a, metric)
+    rows = np.flatnonzero(dist <= r)
+    return rows, dist[rows]
+
+
 def reference_resolution(points):
     """DiscreteMeasure.resolution() of canonically sorted, merged points
     by full scans: for each of the 256 evenly spread atoms, dist_rows to

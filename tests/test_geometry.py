@@ -531,11 +531,16 @@ class TestPlaneDistance:
 
 class TestCone:
     def test_aperture_validation(self):
+        # every cone helper refuses an aperture outside (0, 1) alike
         V = HomPlane.t_axis(1)
         vertex = ParaPoint([0.0], 0.0)
-        for bad in (0.0, 1.0, -0.3, 2.0):
-            with pytest.raises(ValueError):
-                Cone(vertex, V, bad)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+        for bad in (0.0, 1.0, -0.3, 2.0, math.nan):
+            for call in (lambda: Cone(vertex, V, bad),
+                         lambda: graph_cone_check(pts, V, bad),
+                         lambda: graph_extract(pts, V, bad)):
+                with pytest.raises(ValueError, match=r"^aperture must lie in \(0, 1\)$"):
+                    call()
 
     def test_membership_oracle(self):
         # around the t-axis of P^1 the perpendicular part of (x, t) is |x|

@@ -96,14 +96,13 @@ def test_query_matches_brute_force(pts, metric, r, factor, data):
     pts = with_centers(pts, metric, (r, factor * r), data)
     index = GridIndex(pts, max(r, factor * r), metric)
     # the atoms one ulp around -1e300 lie at a distance whose square
-    # overflows, so dist_rows warns
-    with np.errstate(over="ignore"):
-        for i in (0, 1):
-            for radius in (None, r, factor * r):
-                got = index.query(i, radius)
-                want = brute_query(pts, i, index.r if radius is None else radius, metric)
-                assert got.dtype.kind == "i"
-                np.testing.assert_array_equal(got, want)
+    # overflows: the query drops them without a warning
+    for i in (0, 1):
+        for radius in (None, r, factor * r):
+            got = index.query(i, radius)
+            want = brute_query(pts, i, index.r if radius is None else radius, metric)
+            assert got.dtype.kind == "i"
+            np.testing.assert_array_equal(got, want)
 
 
 def assert_ball_matches_scan(index, pts, i, radius, metric):
@@ -132,10 +131,9 @@ def test_ball_matches_brute_force(pts, metric, r, factor, scale, data):
     pts = with_centers(pts, metric, (r, factor * r), data) * scale
     r = r * scale
     index = GridIndex(pts, max(r, factor * r), metric)
-    with np.errstate(over="ignore"):
-        for i in (0, 1):
-            for radius in (None, r, factor * r):
-                assert_ball_matches_scan(index, pts, i, radius, metric)
+    for i in (0, 1):
+        for radius in (None, r, factor * r):
+            assert_ball_matches_scan(index, pts, i, radius, metric)
 
 
 @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
@@ -229,10 +227,9 @@ def test_differences_past_the_float_range_at_huge_radii(r):
     q = sys.float_info.max + o
     pts = np.array([[0.0, o], [0.0, o], [0.0, o], [0.0, q], [0.0, q + 5e299]])
     index = GridIndex(pts, r)
-    with np.errstate(over="ignore"):
-        for i in range(5):
-            np.testing.assert_array_equal(index.query(i), brute_query(pts, i, r, "parabolic"))
-        np.testing.assert_array_equal(index.query(4), [3, 4])
+    for i in range(5):
+        np.testing.assert_array_equal(index.query(i), brute_query(pts, i, r, "parabolic"))
+    np.testing.assert_array_equal(index.query(4), [3, 4])
 
 
 @settings(max_examples=150, deadline=None)
@@ -253,6 +250,16 @@ def test_tiny_radii_match_brute_force(pts, metric, scale, r):
                                           brute_query(pts, i, radius, metric))
 
 
+def test_far_outlier_ball_is_quiet():
+    # the two outliers are one ulp apart near -1e300, so their squared
+    # difference overflows: the distance is inf, outside the ball, and
+    # (as the suite turns RuntimeWarnings into errors) raises no warning
+    pts = np.array([[-1e300, 0.0], [np.nextafter(-1e300, 0.0), 0.0]]
+                   + [[float(k), 0.0] for k in range(5)])
+    hits, dist = GridIndex(pts, 1.0).ball(0)
+    assert hits.tolist() == [0] and dist.tolist() == [0.0]
+
+
 def cell_count(index):
     return np.unique(index._cell).size
 
@@ -267,9 +274,8 @@ def test_far_outliers_neither_lose_atoms_nor_merge_the_cells(metric, far):
     pts = np.vstack([pts, [far, 0.5, 0.5], [0.5, 0.5, far], np.full(3, far), np.full(3, far)])
     index = GridIndex(pts, 0.1, metric)
     assert cell_count(index) > 100
-    with np.errstate(over="ignore"):
-        for i in [*range(0, 500, 7), 500, 501, 502, 503]:
-            assert_ball_matches_scan(index, pts, i, None, metric)
+    for i in [*range(0, 500, 7), 500, 501, 502, 503]:
+        assert_ball_matches_scan(index, pts, i, None, metric)
     np.testing.assert_array_equal(np.sort(index.ball(502)[0]), [502, 503])
 
 
@@ -402,7 +408,8 @@ class TestFarOutlier:
         assert len(got) == 1001
 
     def test_classify_points_above_index_threshold(self):
-        # every indexed result must equal the full scan of detect_tangent
+        # every indexed result must equal detect_tangent's, whose ball
+        # comes from DiscreteMeasure.ball
         mu = outlier_cloud(5000, side=0.02)
         cfg = TangentConfig(m=1, r_list=(2e-3, 1e-3), sample_size=6)
         report = classify_points(mu, cfg)
@@ -424,7 +431,7 @@ class TestFarOutlier:
 
 
 class TestClosedBall:
-    """The index, the full scan and the greedy cover share one ball.
+    """The index, DiscreteMeasure.ball and the greedy cover share one ball.
     (0, nextafter(1/16)) is at d2 > 1/16 from the origin, but dist_rows
     rounds its distance to 1/4, so it lies in the closed ball of radius
     1/4."""
@@ -434,7 +441,7 @@ class TestClosedBall:
     def test_detect_tangent_with_and_without_index(self):
         mu = DiscreteMeasure(1, [[0.0, 0.0], self.edge, [0.1, 0.0]], [1.0, 1.0, 1.0])
         # classify_points finds each ball in a GridIndex, detect_tangent
-        # by a full scan; the sample of three is every atom
+        # by DiscreteMeasure.ball; the sample of three is every atom
         cfg = TangentConfig(m=1, s_list=(0.5,), r_list=(0.25,), sample_size=3)
         report = classify_points(mu, cfg)
         np.testing.assert_array_equal([p.coords() for p in report.points], mu.points)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scan_index import (
     ScanIndex,
+    reference_ball,
     reference_extremal_mask,
     reference_plane_cloud,
     reference_resolution,
@@ -143,6 +144,17 @@ class TestDiscreteMeasure:
         cfg = TangentConfig(m=1, r_list=(0.1, 0.05))
         assert detect_tangent(mu, np.zeros(2), cfg).best_plane == line
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_ball_helpers_refuse_a_radius_that_is_not_finite(self, r):
+        mu = DiscreteMeasure(1, np.array([[0.0, 0.0], [0.1, 0.0]]), [1.0, 1.0])
+        line = HomPlane.horizontal_axes(1, (0,))
+        for call in (lambda: mu.ball(np.zeros(2), r),
+                     lambda: mu.restrict_ball(np.zeros(2), r),
+                     lambda: blowup_measure(mu, np.zeros(2), r),
+                     lambda: cone_defect(mu, np.zeros(2), line, 0.5, r, 1)):
+            with pytest.raises(ValueError, match="radius must be finite"):
+                call()
+
     def test_atoms_iterates_in_order(self):
         pts = np.array([[1.0, 0.0], [0.0, 0.0]])
         mu = DiscreteMeasure(1, pts, [1.0, 2.0])
@@ -155,6 +167,52 @@ class TestDiscreteMeasure:
         order = canonical_order(coords)
         assert list(order) == [2, 1, 0]
         assert canonical_sorted(coords)[0] == pytest.approx([0.0, 3.0])
+
+
+@st.composite
+def ball_cases(draw):
+    """(mu, a, r): clouds with tied x1 columns, as in vertical_cantor, and
+    outliers at +-1e300 with their one-ulp neighbours; centres on atoms,
+    between two atoms and beyond both ends of x1; atoms on and one ulp
+    around the ball's x1 extremes; radii whose square underflows up to
+    1e300."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-160]))
+    pts = rng.standard_normal((draw(st.integers(1, 40)), n + 1)) * scale
+    if draw(st.booleans()):
+        pts[:, 0] = np.round(pts[:, 0] / scale * 2.0) * (scale / 2.0)
+    if draw(st.booleans()):
+        far = np.zeros((4, n + 1))
+        far[:, 0] = [1e300, -1e300, np.nextafter(1e300, 0.0), np.nextafter(-1e300, 0.0)]
+        far[:, -1] = draw(st.sampled_from([0.0, 1e300]))
+        pts = np.vstack([pts, far])
+    r = draw(st.sampled_from([1e-163, 1e-3 * scale, 0.3 * scale, scale, 1e300]))
+    j, k = (draw(st.integers(0, len(pts) - 1)) for _ in range(2))
+    where = draw(st.sampled_from(["atom", "between", "below", "above"]))
+    a = pts[j].copy()
+    if where == "between":
+        a = (pts[j] + pts[k]) / 2.0
+    elif where == "below":
+        a[0] = pts[:, 0].min() - r / 2.0
+    elif where == "above":
+        a[0] = pts[:, 0].max() + r / 2.0
+    edge = np.vstack([a, a])
+    edge[:, 0] += [r, -r]
+    pts = np.vstack([pts, edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)])
+    return DiscreteMeasure(n, pts, np.ones(len(pts))), a, r
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=ball_cases(), metric=st.sampled_from(["parabolic", "euclidean"]))
+def test_ball_matches_full_scan(case, metric):
+    # rows and distance bits of a scan over every atom, without a warning
+    mu, a, r = case
+    rows, dist = mu.ball(a, r, metric)
+    want_rows, want_dist = reference_ball(mu.points, a, r, metric)
+    assert rows.dtype.kind == "i"
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(dist.view(np.uint64), want_dist.view(np.uint64))
 
 
 class TestCsvRoundtrip:

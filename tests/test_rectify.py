@@ -79,9 +79,9 @@ class TestConeDefect:
 
     def test_validation(self):
         mu = DiscreteMeasure(1, np.array([[0.1, 0.0]]), [1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"aperture must lie in \(0, 1\)"):
             cone_defect(mu, np.zeros(2), HomPlane.t_axis(1), 1.5, 1.0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radius must be > 0"):
             cone_defect(mu, np.zeros(2), HomPlane.t_axis(1), 0.5, -1.0, 2)
 
 
@@ -198,9 +198,9 @@ def ref_plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix):
 
 
 def tangents(mu, cfg, atoms, indexed):
-    """(atom, result) pairs: detect_tangent's full scan at each of the
-    atoms, or, indexed, classify_points on as many atoms of its seeded
-    sample, each ball found in its GridIndex."""
+    """(atom, result) pairs: detect_tangent at each of the atoms, its
+    ball from DiscreteMeasure.ball, or, indexed, classify_points on as
+    many atoms of its seeded sample, each ball found in its GridIndex."""
     if not indexed:
         return [(a, detect_tangent(mu, a, cfg)) for a in atoms]
     report = classify_points(mu, dataclasses.replace(cfg, sample_size=len(atoms)))
@@ -293,7 +293,7 @@ class TestGatherBall:
             want = ref_gather_ball(mu, a, r_max)
             ties += np.count_nonzero(np.diff(want[1]) == 0.0)
             for got in (rectify._gather_ball(mu, a, r_max),
-                        rectify._ball_atoms(mu, ac, *index.ball(i), r_max)):
+                        rectify._ball_atoms(mu, ac, *index.ball(i))):
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and bits(g) == bits(w)
         assert ties > 10
