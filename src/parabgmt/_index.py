@@ -64,8 +64,7 @@ indices of `ball` and drops the distances.
 import math
 import operator
 import sys
-from contextlib import nullcontext
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -190,14 +189,6 @@ class GridIndex:
         del shifts, lengths
         # row j is pts[order[j]]: each run is a contiguous block of rows
         self._sorted = pts.take(self.order, axis=0)
-        # every coordinate lies in [lo, hi] and rounding is monotone, so no
-        # distance between two rows overflows while twice the diagonal of
-        # [lo, hi]^d is finite (the factor covers any order of the sums);
-        # only a wider cloud makes ball pay for np.errstate
-        lo, hi = pts.min(), pts.max()
-        with np.errstate(over="ignore"):
-            wide = math.isinf(2.0 * dist_rows(np.full(d, hi), np.full(d, lo), metric))
-        self._quiet = partial(np.errstate, over="ignore") if wide else nullcontext
 
     def ball(self, i, radius=None):
         """Rows within `radius` of row i (default: the build radius r),
@@ -214,7 +205,7 @@ class GridIndex:
         # ragged gather: item j of the cell's runs is row j + shift
         rows = np.arange(self._total[k])
         rows += self._shift[a:b].repeat(self._len[a:b])
-        with self._quiet():
+        with np.errstate(over="ignore"):
             dist = dist_rows(self._sorted.take(rows, axis=0), self._pts[i], self.metric)
         keep = dist <= radius
         return self.order.take(rows[keep]), dist[keep]

@@ -383,11 +383,14 @@ def greedy_cover(points, r, metric="parabolic"):
         best = scan
         if cand.size > 1:
             ev = _stride_pick(np.sort(hits[(dist <= 2.0 * r) & free]), EVAL_CAP)
-            gains = np.sum(dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
+            # a distance that overflows is inf, outside r, like the index's
+            with np.errstate(over="ignore"):
+                gains = np.sum(dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
             best = int(cand[int(np.argmax(gains))])
         centers.append(best)
         if best != scan:
-            dist = dist_rows(pts.take(hits, axis=0), pts[best], metric)
+            with np.errstate(over="ignore"):
+                dist = dist_rows(pts.take(hits, axis=0), pts[best], metric)
         covered[hits[dist <= r]] = True
     return pts[np.asarray(centers, dtype=int)]
 

@@ -97,9 +97,9 @@ def cone_defect(mu, a, V, s, r, m):
 
 
 def _gather_ball(mu, a, r_max):
-    """_ball_atoms of the closed ball dist_rows(p, a) <= r_max, from
-    DiscreteMeasure.ball."""
-    return _ball_atoms(mu, as_point(a, mu.n).coords(), *mu.ball(a, r_max))
+    """_ball_atoms of the closed ball dist_rows(p, a) <= r_max around
+    the ParaPoint a, from DiscreteMeasure.ball."""
+    return _ball_atoms(mu, a.coords(), *mu.ball(a, r_max))
 
 
 def _ball_atoms(mu, ac, cand, d):

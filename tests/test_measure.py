@@ -688,6 +688,17 @@ class TestGreedyCoverMatchesThreeQuery:
         got = self.assert_same(pts, r, "parabolic", ScanIndex)
         assert got.tolist() == [[b, 0.0]]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_candidate_distances_are_quiet(self):
+        # the last two rows are candidates of the first, but more than
+        # 1.3e154 apart, so the gains matrix and the distances from the
+        # chosen centre hold squares that overflow to inf
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 6e153, 0.0], [1e-300, -1.1e154, 0.0]])
+        got = greedy_cover(pts, 6e153)
+        with np.errstate(over="ignore"):
+            want = ref_greedy_cover(pts, 6e153, "parabolic", ScanIndex)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestDimensionFit:
     def test_horizontal_segment_band(self):
