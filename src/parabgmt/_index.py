@@ -3,9 +3,10 @@ around the rows of a point cloud.
 
 GridIndex(pts, r) answers ball(i, radius) for a row i of pts and a
 radius no larger than the build radius r: the rows q with
-dist_rows(q, pts[i]) <= radius, and those distances.  Every cell
-lookup is made once, at build time, so a query is a fixed number of
-numpy calls.
+dist_rows(q, pts[i]) <= radius, and those distances.  ring(i) gives
+the rows of row i's cell ring unfiltered, a superset of every such
+ball.  Every cell lookup is made once, at build time, so a query is a
+fixed number of numpy calls.
 
 Cells.  A row that dist_rows puts within r of p lies within
 far = geometry._reach(r, d) of p in the exact metric (its docstring
@@ -37,28 +38,32 @@ Hash.  Only occupied cells are stored, after Teschner et al.,
 Objects" (VMV 2003): the integer cell coordinates are hashed by a
 linear map modulo 2^64 (uint64 multiply-add with fixed odd
 multipliers, wrap-around intended).  The rows are sorted by code into
-`order`, and the index keeps its own copy of them in that order, so
-the rows of one code form one contiguous run.  The map is linear, so
-the codes of a ring are the code of its cell plus the distinct codes
-of the 3^d offsets.  A collision puts the rows of distinct cells in
-one run; their rings then have the same codes, the union of both, so
-a collision only adds candidates, which the distance filter drops.
+`order`, so the rows of one code form one contiguous run of `order`.
+The map is linear, so the codes of a ring are the code of its cell
+plus the distinct codes of the 3^d offsets.  A collision puts the rows
+of distinct cells in one run; their rings then have the same codes,
+the union of both, so a collision only adds candidates, which the
+distance filter drops.
 
 Table.  For every occupied cell, the build looks up the codes of its
 ring once (one searchsorted over tiles of cells, tile_slices) and
 stores the runs they name, adjacent runs merged, as a CSR table over
 cells: entries ptr[k]:ptr[k + 1] of the run lengths and of the shift
-that puts item j of the cell's gather at row j + shift.  Each row
-keeps the number of its cell.
+that puts item j of the cell's gather at position j + shift of
+`order`.  Each row keeps the number of its cell.
 
-Query.  ball(i) reads the entries of row i's cell, gathers their rows
-from the cell-ordered copy with one ragged arange, and keeps the rows
-with dist_rows(row, pts[i]) <= radius; a distance that overflows is
-inf, outside every radius, and is dropped without a warning.  It
-returns them through `order`, in cell order, unsorted, with the
-dist_rows values the filter has just computed; a caller that needs
-the distances of its hits takes them from there.  `query` sorts the
-indices of `ball` and drops the distances.
+Query.  ring(i) reads the entries of row i's cell, expands their runs
+with one ragged arange, and returns the rows they name through
+`order`: in cell order, unsorted, each row once (the codes of a ring
+are distinct, so no run is named twice).  ball(i) gathers those rows
+of pts and keeps the ones with dist_rows(row, pts[i]) <= radius; a
+distance that overflows is inf, outside every radius, and is dropped
+without a warning.  It returns them in ring order with the dist_rows
+values the filter has just computed; a caller that needs the
+distances of its hits takes them from there.  A caller that filters
+the ring first, as greedy_cover drops its covered rows, reads ring
+and computes the distances itself.  `query` sorts the indices of
+`ball` and drops the distances.
 """
 
 import math
@@ -100,9 +105,11 @@ class GridIndex:
     """Balls around the rows of pts.  ball(i, radius) returns the indices
     j with dist_rows(pts[j], pts[i]) <= radius, the same closed ball a
     full scan with dist_rows gives, and those distances; query(i,
-    radius) returns the indices alone, sorted.  The radius defaults to
-    the build radius r and may not exceed it.  The index reads the
-    centres from pts itself, so pts must not change while it is used."""
+    radius) returns the indices alone, sorted; ring(i) returns the
+    indices of the cell ring that holds every such ball.  The radius
+    defaults to the build radius r and may not exceed it.  The index
+    reads the rows from pts itself, so pts must not change while it is
+    used."""
 
     def __init__(self, pts, r, metric="parabolic"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -136,7 +143,7 @@ class GridIndex:
                 cell *= np.uint64(m)
                 codes += cell
                 del cell
-        # ball returns its hits in cell order, and the order of rows
+        # ring returns its rows in cell order, and the order of rows
         # within a run is free; row numbers fit 32 bits below 2^31 rows
         itype = np.int32 if npts < 2**31 else np.int64
         self.order = np.argsort(codes).astype(itype)
@@ -187,28 +194,33 @@ class GridIndex:
         self._shift = np.concatenate(shifts)
         self._len = np.concatenate(lengths)
         del shifts, lengths
-        # row j is pts[order[j]]: each run is a contiguous block of rows
-        self._sorted = pts.take(self.order, axis=0)
+
+    def ring(self, i):
+        """Indices of the rows in the 3^d cell ring of row i's cell, in
+        cell order, not sorted, each once: every row within the build
+        radius r of row i, and others besides."""
+        i = operator.index(i)
+        if not 0 <= i < self._cell.size:
+            raise ValueError(f"row {i} out of range for {self._cell.size} points")
+        k = self._cell[i]
+        a, b = self._ptr[k], self._ptr[k + 1]
+        # ragged gather: item j of the cell's runs is order[j + shift]
+        rows = np.arange(self._total[k])
+        rows += self._shift[a:b].repeat(self._len[a:b])
+        return self.order.take(rows)
 
     def ball(self, i, radius=None):
         """Rows within `radius` of row i (default: the build radius r),
         as (indices, distances): the indices in cell order, not sorted,
         and each one's dist_rows value from pts[i]."""
-        i = operator.index(i)
-        if not 0 <= i < self._cell.size:
-            raise ValueError(f"row {i} out of range for {self._cell.size} points")
+        idx = self.ring(i)
         radius = self.r if radius is None else float(radius)
         if not radius <= self.r:
             raise ValueError(f"radius {radius!r} exceeds the build radius {self.r!r}")
-        k = self._cell[i]
-        a, b = self._ptr[k], self._ptr[k + 1]
-        # ragged gather: item j of the cell's runs is row j + shift
-        rows = np.arange(self._total[k])
-        rows += self._shift[a:b].repeat(self._len[a:b])
         with np.errstate(over="ignore"):
-            dist = dist_rows(self._sorted.take(rows, axis=0), self._pts[i], self.metric)
+            dist = dist_rows(self._pts.take(idx, axis=0), self._pts[i], self.metric)
         keep = dist <= radius
-        return self.order.take(rows[keep]), dist[keep]
+        return idx[keep], dist[keep]
 
     def query(self, i, radius=None):
         """Indices of the rows within `radius` of row i (default: the

@@ -346,12 +346,21 @@ def greedy_cover(points, r, metric="parabolic"):
     stay mutually more than r apart by dist_rows: candidates are never
     covered.
 
-    Each centre takes one index query, the ball of reach R (just past
-    2r) around the scanned row.  The candidates (within r of p), the
-    evaluation sample (within 2r) and the ball marked covered around the
-    chosen centre are all cut from its hits, on the dist_rows values
-    separate r-, 2r- and best-centred queries would compute, so they are
-    the same arrays bit for bit.
+    Each centre reads the cell ring of the scanned row p from an index
+    built at the reach R (just past 2r), drops the covered rows first,
+    and takes one dist_rows pass from p over the free rest.  That pass
+    gives the candidates (within r of p), the evaluation sample (within
+    2r) and the free rows within R, on the values separate r-, 2r- and
+    R-centred queries would compute.  When the sample is every free row
+    within R (no more than EVAL_CAP of them, none in the band past 2r),
+    one (candidates x rows) mask within r gives both the gains, its row
+    sums, and the ball of the chosen centre, its row.  Otherwise the
+    sample is cut to EVAL_CAP rows spread by index, and the ball of the
+    chosen centre takes one more dist_rows pass over the free rows
+    within R.  Either way the centres are those of separate queries,
+    bit for bit, while no squared distance overflows (r below about
+    1e154): a row within r of the chosen centre lies within R of p
+    (geometry._reach), and covered rows would only be marked again.
 
     A non-finite coordinate or radius is refused, since the scan would
     never end on it.
@@ -361,38 +370,62 @@ def greedy_cover(points, r, metric="parabolic"):
     npts = pts.shape[0]
     if npts == 0:
         return pts.copy()
-    # The index is built at the reach R = _reach(2r), so the ball of row
+    # The index is built at the reach R = _reach(2r), so the ring of row
     # p holds every q with dist_rows(q, best) <= r (geometry._reach
     # gives the argument).  Past r of about 9e307 R would overflow, and
     # is capped at the largest float, which leaves out only rows at
-    # dist_rows = inf.
+    # dist_rows = inf; 2r is capped with it, so the sample leaves them
+    # out too.
     reach = min(_reach(2.0 * r, pts.shape[1]), sys.float_info.max)
+    ev_radius = min(2.0 * r, reach)
     index = GridIndex(pts, reach, metric)
     covered = np.zeros(npts, dtype=bool)
     centers = []
     scan = 0
-    while True:
-        scan = _next_unset(covered, scan)
-        if scan == npts:
-            break
-        hits, dist = index.ball(scan)
-        free = ~covered[hits]
-        # scan is the least free hit within r (its own distance is 0),
-        # and _stride_pick keeps the first index, so cand[0] == scan
-        cand = _stride_pick(np.sort(hits[(dist <= r) & free]), CAND_CAP)
-        best = scan
-        if cand.size > 1:
-            ev = _stride_pick(np.sort(hits[(dist <= 2.0 * r) & free]), EVAL_CAP)
-            # a distance that overflows is inf, outside r, like the index's
-            with np.errstate(over="ignore"):
-                gains = np.sum(dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
-            best = int(cand[int(np.argmax(gains))])
-        centers.append(best)
-        if best != scan:
-            with np.errstate(over="ignore"):
-                dist = dist_rows(pts.take(hits, axis=0), pts[best], metric)
-        covered[hits[dist <= r]] = True
+    # a distance that overflows is inf, outside every radius, like the index's
+    with np.errstate(over="ignore"):
+        while True:
+            scan = _next_unset(covered, scan)
+            if scan == npts:
+                break
+            idx = index.ring(scan)
+            idx = idx[~covered[idx]]
+            idx.sort()
+            dist = dist_rows(pts.take(idx, axis=0), pts[scan], metric)
+            # scan is the least free row within r (its own distance is
+            # 0), and _stride_pick keeps the first index, so cand[0] == scan
+            cand = _stride_pick(idx[dist <= r], CAND_CAP)
+            if cand.size == 1:
+                centers.append(scan)
+                covered[scan] = True
+                continue
+            ev = idx[dist <= ev_radius]
+            hits = idx[dist <= reach]
+            if ev.size == hits.size <= EVAL_CAP:
+                near = dist_rows(pts.take(hits, axis=0), pts[cand, None], metric) <= r
+                best = int(near.sum(axis=1).argmax())
+                covered[hits[near[best]]] = True
+            else:
+                ev = _stride_pick(ev, EVAL_CAP)
+                gains = (dist_rows(pts[ev], pts[cand, None], metric) <= r).sum(axis=1)
+                best = int(gains.argmax())
+                dist = dist_rows(pts.take(hits, axis=0), pts[cand[best]], metric)
+                covered[hits[dist <= r]] = True
+            centers.append(int(cand[best]))
     return pts[np.asarray(centers, dtype=int)]
+
+
+def _diameter_power(r, e):
+    """(2r)^e, the factor of a covering sum or a density at scale r.  A
+    factor past the float range is refused, where Python's power would
+    raise OverflowError or give inf."""
+    try:
+        factor = (2.0 * r) ** e
+    except OverflowError:
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise ValueError(f"(2r)^{e!r} at scale r={r!r} is not a finite float")
+    return factor
 
 
 class _Estimate(Record):
@@ -421,8 +454,12 @@ def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
     scales = sorted((float(r) for r in scales), reverse=True)
     if len(scales) < 2:
         raise ValueError("need at least two scales")
+    for r in scales:
+        _check_radius(r)
+    # a factor (2r)^s past the float range is refused before any cover runs
+    factors = {str(s): [_diameter_power(r, s) for r in scales] for s in sum_exponents}
     counts = [greedy_cover(pts, r, metric).shape[0] for r in scales]
-    sums = {str(s): [c * (2.0 * r) ** s for c, r in zip(counts, scales)] for s in sum_exponents}
+    sums = {s: [c * f for c, f in zip(counts, fs)] for s, fs in factors.items()}
     if all(c == counts[0] for c in counts):
         return CoveringReport(metric, scales, counts, sums, 0.0, None)
     # the line through (log 1/r, log N) from exactly rounded sums, so no
@@ -450,7 +487,8 @@ class DensityEstimate(_Estimate):
 
 def density_profile(mu, a, s, scales):
     """Values (2r)^{-s} mu(B(a,r)) per scale; upper/lower are the
-    max/min over the finest third of the scales."""
+    max/min over the finest third of the scales.  A factor (2r)^{-s}
+    past the float range is refused."""
     a = as_point(a, mu.n)
     scales = sorted((float(r) for r in scales), reverse=True)
     if not scales:
@@ -463,7 +501,7 @@ def density_profile(mu, a, s, scales):
     # the same weights in the same order as a scan of the whole cloud
     rows, d = mu.ball(a, scales[0])
     w = mu.weights[rows]
-    values = [(2.0 * r) ** (-s) * float(np.sum(w[d <= r])) for r in scales]
+    values = [_diameter_power(r, -s) * float(np.sum(w[d <= r])) for r in scales]
     k = max(1, len(scales) // 3)
     fine = values[-k:]
     return DensityEstimate(a, float(s), scales, values, max(fine), min(fine))

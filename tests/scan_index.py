@@ -15,19 +15,24 @@ from parabgmt.measure import _spread_index
 
 
 class ScanIndex:
-    """GridIndex's ball queries answered by one dist_rows scan: `ball`
+    """GridIndex's queries answered by full scans: `ring` returns every
+    row, in ascending index order, as the ring of every row; `ball`
     returns the rows within the radius (at most the build radius) of
-    row i in ascending index order with their distances, `query` the
-    rows alone."""
+    row i, found by one dist_rows scan, in ascending index order with
+    their distances; `query` the rows alone."""
 
     def __init__(self, pts, r, metric="parabolic"):
         self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
         self.r = float(r)
         self.metric = metric
 
-    def ball(self, i, radius=None):
+    def ring(self, i):
         if not 0 <= i < len(self.pts):
             raise ValueError(f"row {i} out of range for {len(self.pts)} points")
+        return np.arange(len(self.pts))
+
+    def ball(self, i, radius=None):
+        self.ring(i)
         radius = self.r if radius is None else float(radius)
         if not radius <= self.r:
             raise ValueError(f"radius {radius!r} exceeds the build radius {self.r!r}")

@@ -355,6 +355,18 @@ class TestDim:
         brute = [len(measure.greedy_cover(pts, r)) for r in (1e-165, 1e-166)]
         assert json.loads(stdout)["result"]["counts"] == brute == [2, 2]
 
+    def test_sum_factor_past_the_float_range_is_a_one_line_error(self, tmp_path, capsys):
+        # (2e-160)^-3 overflows: Python's power raised OverflowError, which
+        # reached the catch-all as `error: OverflowError: ...`
+        cloud = tmp_path / "c.csv"
+        cloud.write_text("x1,t,w\n0,0,1\n1e-170,0,1\n1,1,1\n")
+        out = tmp_path / "dim.json"
+        rc, stdout, err = run(capsys, "dim", "-i", str(cloud), "--scales", "1e-160,1e-170",
+                              "--sum-exponents=-3", "-o", str(out))
+        assert (rc, stdout, err) == (
+            1, "", "error: (2r)^-3.0 at scale r=1e-160 is not a finite float\n")
+        assert not out.exists()
+
 
 class TestDensity:
     def test_flat_line_density_near_one(self, line_csv, capsys):
@@ -375,6 +387,18 @@ class TestDensity:
         rc, stdout, err = run(capsys, "density", "-i", str(line_csv), "--point", "0,0",
                               "--s", s, f"--scales={scales}", "-o", str(out))
         assert (rc, stdout, err) == (1, "", "error: radius must be > 0\n")
+        assert not out.exists()
+
+    def test_factor_past_the_float_range_is_a_one_line_error(self, tmp_path, capsys):
+        # (2e-160)^-2 overflows: Python's power raised OverflowError, which
+        # reached the catch-all as `error: OverflowError: ...`
+        cloud = tmp_path / "c.csv"
+        cloud.write_text("x1,t,w\n0,0,1\n1e-170,0,1\n1,1,1\n")
+        out = tmp_path / "density.json"
+        rc, stdout, err = run(capsys, "density", "-i", str(cloud), "--point", "0,0", "--s", "2",
+                              "--scales", "1e-160,1e-170", "-o", str(out))
+        assert (rc, stdout, err) == (
+            1, "", "error: (2r)^-2.0 at scale r=1e-160 is not a finite float\n")
         assert not out.exists()
 
 

@@ -136,6 +136,30 @@ def test_ball_matches_brute_force(pts, metric, r, factor, scale, data):
             assert_ball_matches_scan(index, pts, i, radius, metric)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    pts=clouds(),
+    metric=st.sampled_from(["parabolic", "euclidean"]),
+    r=st.sampled_from([1e-3, 0.3, 1.0]),
+    scale=st.sampled_from([1.0, 1e-160, 1e-300, 1e150, 1e300]),
+    data=st.data(),
+)
+def test_ring_holds_each_row_once_and_the_whole_ball(pts, metric, r, scale, data):
+    # at scale 1e-160 and below the squares of dist_rows underflow, at
+    # 1e150 and above they overflow, and the cells can be infinite
+    pts = with_centers(pts, metric, (r,), data)
+    with np.errstate(over="ignore"):
+        pts = pts * scale
+    pts = pts[np.isfinite(pts).all(axis=1)]
+    r *= scale
+    index = GridIndex(pts, r, metric)
+    for i in range(min(4, len(pts))):
+        ring = index.ring(i)
+        assert ring.dtype.kind == "i" and ring.ndim == 1
+        assert np.unique(ring).size == ring.size
+        assert np.isin(brute_query(pts, i, r, metric), ring).all()
+
+
 @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
 def test_ball_with_atoms_exactly_on_the_sphere(metric):
     # the dyadic grid x = k/32 puts atoms at distance exactly r of each
@@ -296,8 +320,7 @@ def test_shifted_cloud_at_tiny_radius(metric):
 
 
 def test_build_peak_stays_within_two_copies_of_the_points():
-    # the peak is the float cell quotients beside their int64 cast; the
-    # cell-ordered copy is made after both are freed, so it adds nothing
+    # the peak is the float cell quotients beside their int64 cast
     pts = reference_plane_cloud(3, 4, "vertical")
     # the cloud in the coordinates of P^3: x1, x2, a zero x3, t
     pts = np.insert(pts, 2, 0.0, axis=1)

@@ -3,6 +3,7 @@ constants and the Lipschitz-image covering sums."""
 
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -213,6 +214,58 @@ def test_ball_matches_full_scan(case, metric):
     assert rows.dtype.kind == "i"
     np.testing.assert_array_equal(rows, want_rows)
     np.testing.assert_array_equal(dist.view(np.uint64), want_dist.view(np.uint64))
+
+
+def _measure_of(pts):
+    return DiscreteMeasure(pts.shape[1] - 1, pts, np.ones(len(pts)))
+
+
+# the public entry points that take an array, each as (what carries the
+# coordinates, call(pts, a, r)): an array entry point reads them from
+# the cloud, a measure entry point from the centre a, since
+# DiscreteMeasure itself refuses a non-finite atom; None: no radius
+ARRAY_ENTRY_POINTS = {
+    "greedy_cover": ("cloud", lambda pts, a, r: greedy_cover(pts, r)),
+    "GridIndex": ("cloud", lambda pts, a, r: GridIndex(pts, r)),
+    "as_coord_array": ("cloud", None),
+    "DiscreteMeasure": ("cloud", None),
+    "DiscreteMeasure.ball": ("centre", lambda pts, a, r: _measure_of(pts).ball(a, r)),
+    "restrict_ball": ("centre", lambda pts, a, r: _measure_of(pts).restrict_ball(a, r)),
+    "blowup_measure": ("centre", lambda pts, a, r: blowup_measure(_measure_of(pts), a, r)),
+    "cone_defect": ("centre", lambda pts, a, r: cone_defect(
+        _measure_of(pts), a, HomPlane.horizontal_axes(pts.shape[1] - 1, (0,)), 0.5, r, 1)),
+    "density_profile": ("centre", lambda pts, a, r: density_profile(
+        _measure_of(pts), a, 1.0, [2.0 * r, r])),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ARRAY_ENTRY_POINTS)),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    in_radius=st.booleans(),
+    data=st.data(),
+)
+def test_non_finite_coordinate_or_radius_is_refused(name, bad, in_radius, data):
+    # every public array entry point refuses an inf or NaN coordinate
+    # and an inf or NaN radius with a ValueError, and warns of nothing
+    carrier, call = ARRAY_ENTRY_POINTS[name]
+    n = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = rng.random((data.draw(st.integers(1, 30)), n + 1))
+    a = pts[data.draw(st.integers(0, len(pts) - 1))].copy()
+    r = data.draw(st.floats(1e-3, 2.0))
+    if call is None:
+        call = {"as_coord_array": lambda pts, a, r: geometry.as_coord_array(pts),
+                "DiscreteMeasure": lambda pts, a, r: _measure_of(pts)}[name]
+        in_radius = False
+    if in_radius:
+        r = abs(bad)  # -inf is a radius <= 0, refused as such
+    else:
+        target = pts if carrier == "cloud" else a
+        target.flat[data.draw(st.integers(0, target.size - 1))] = bad
+    with pytest.raises(ValueError, match="must be finite$"):
+        call(pts, a, r)
 
 
 class TestCsvRoundtrip:
@@ -603,6 +656,24 @@ def last_float_where(lo, hi, ok):
     return struct.unpack("<d", struct.pack("<q", a))[0]
 
 
+def first_centre_branch(pts, r, metric):
+    """The branch greedy_cover takes at its first centre, row 0 of the
+    canonical order, with nothing covered yet: "single" (no other
+    candidate), "sampled" (more than EVAL_CAP rows within 2r), "band"
+    (rows past 2r within the reach) or "matrix" (one gains matrix over
+    every row within the reach)."""
+    pts = canonical_sorted(pts)
+    d = geometry.dist_rows(pts, pts[0], metric)
+    within = np.count_nonzero(d <= 2.0 * r)
+    if np.count_nonzero(d <= r) == 1:
+        return "single"
+    if within > EVAL_CAP:
+        return "sampled"
+    if np.count_nonzero(d <= geometry._reach(2.0 * r, pts.shape[1])) > within:
+        return "band"
+    return "matrix"
+
+
 class TestGreedyCoverMatchesThreeQuery:
     """One query per centre gives the three-query centres bit for bit."""
 
@@ -687,6 +758,62 @@ class TestGreedyCoverMatchesThreeQuery:
         pts = np.array([[0.0, 0.0], [b, 0.0], [1.5 * r, 0.0], [q, 0.0]])
         got = self.assert_same(pts, r, "parabolic", ScanIndex)
         assert got.tolist() == [[b, 0.0]]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_clouds_reach_every_branch(self, seed):
+        # the first centre of each cloud takes the branch its name says:
+        # one gains matrix over every free row within the reach, a
+        # sample cut to EVAL_CAP rows, or rows in the band past 2r
+        rng = np.random.default_rng(seed)
+        n = (1, 2, 3, 8)[seed % 4]
+        metric = ("parabolic", "euclidean")[seed % 2]
+        r = 0.25
+        # a sparse cloud whose first row has a neighbour within r
+        sparse = rng.random((300, n + 1))
+        sparse[0, 0] = sparse[:, 0].min() - 0.5 * r * rng.random()
+        step = np.append(np.full(n, r / (2.0 * np.sqrt(n))), r * r / 4.0)
+        sparse = np.vstack([sparse, sparse[0] + step * rng.random(n + 1)])
+        # a crowded cloud, every row within 2r of every other
+        side = 2.0 * r / np.sqrt(n + 1)
+        side = np.append(np.full(n, side), side * side if metric == "parabolic" else side)
+        crowded = rng.random((int(rng.integers(EVAL_CAP + 1, 3 * EVAL_CAP)), n + 1)) * side
+        # the chain of test_chain_past_the_relative_reach at a tiny
+        # radius: b is the farthest atom on the x1-axis within rt of the
+        # origin and q, in the band, the farthest within rt of b.  The
+        # gains of b / 2 and b over the sample tie, so b / 2 is chosen;
+        # a gain that counted q would choose b.  Seeded atoms beyond 4 rt
+        # lie outside the first centre's reach.
+        rt = (1e-160, 1e-158)[seed % 2]
+
+        def dist(u, v):
+            row = np.zeros((1, n + 1))
+            row[0, 0] = u
+            return float(geometry.dist_rows(row, np.append(v, np.zeros(n)), metric)[0])
+
+        b = last_float_where(rt, 2 * rt, lambda x: dist(x, 0.0) <= rt)
+        q = last_float_where(b, 3 * rt, lambda x: dist(x, b) <= rt)
+        chain = np.zeros((5, n + 1))
+        chain[:, 0] = [0.0, b / 2, b, 1.2 * rt, q]
+        far = rng.random((60, n + 1)) * rt
+        far[:, 0] = 4 * rt + 20 * rt * far[:, 0]
+        if metric == "parabolic":
+            far[:, -1] *= rt
+        band = np.vstack([chain, far])
+        assert first_centre_branch(band, rt, metric) == "band"
+        self.assert_same(band, rt, metric, ScanIndex)
+        for pts, branch in ((sparse, "matrix"), (crowded, "sampled")):
+            assert first_centre_branch(pts, r, metric) == branch
+            self.assert_same(pts, r, metric, ScanIndex)
+
+    @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
+    def test_sample_leaves_out_rows_at_infinite_distance(self, metric):
+        # at r = 1e308, 2r overflows and the reach is capped at the
+        # largest float; the last row's squared distance from the first
+        # overflows, so it lies in no ball of the first row and not in
+        # its sample.  Counted there, it would give the third row the
+        # largest gain, and the third row would be the first centre.
+        pts = np.array([[0.0, 0.0], [0.5e154, 0.0], [1.2e154, 0.0], [2.4e154, 0.0]])
+        assert greedy_cover(pts, 1e308, metric).tolist() == [[0.0, 0.0], [2.4e154, 0.0]]
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_candidate_distances_are_quiet(self):
@@ -793,6 +920,21 @@ class TestDensityProfile:
         mu = DiscreteMeasure(1, np.zeros((1, 2)), [1.0])
         with pytest.raises(ValueError, match="^density exponent s must be finite$"):
             density_profile(mu, np.zeros(2), s, [0.5, 0.25])
+
+    @pytest.mark.parametrize("s, scales, message", [
+        (2.0, [1e-160, 1e-170], "(2r)^-2.0 at scale r=1e-160 is not a finite float"),
+        (-2.0, [1e300, 1.0], "(2r)^2.0 at scale r=1e+300 is not a finite float"),
+        (-2.0, [1e308, 1.0], "(2r)^2.0 at scale r=1e+308 is not a finite float"),
+    ])
+    def test_factor_past_the_float_range_refused(self, s, scales, message, monkeypatch):
+        # Python's power raised OverflowError, or (2r = inf) gave inf;
+        # dimension_fit refuses the factor before it runs any cover
+        mu = DiscreteMeasure(1, np.zeros((1, 2)), [1.0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            density_profile(mu, np.zeros(2), s, scales)
+        monkeypatch.setattr(measure, "greedy_cover", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dimension_fit(np.zeros((2, 2)), scales, sum_exponents=[-s])
 
 
 class TestFlatConstants:
