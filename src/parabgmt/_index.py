@@ -1,12 +1,11 @@
-"""Sparse hashed bucket grid with a neighbour table, for the balls
+"""Sparse hashed bucket grid with a neighbour table, for the cell rings
 around the rows of a point cloud.
 
-GridIndex(pts, r) answers ball(i, radius) for a row i of pts and a
-radius no larger than the build radius r: the rows q with
-dist_rows(q, pts[i]) <= radius, and those distances.  ring(i) gives
-the rows of row i's cell ring unfiltered, a superset of every such
-ball.  Every cell lookup is made once, at build time, so a query is a
-fixed number of numpy calls.
+GridIndex(pts, r) answers ring(i) for a row i of pts: the rows of row
+i's cell ring, unfiltered, a superset of every row q with
+dist_rows(q, pts[i]) <= r.  query(i, radius) filters the ring to the
+closed ball of a radius no larger than r.  Every cell lookup is made
+once, at build time, so a ring is a fixed number of numpy calls.
 
 Cells.  A row that dist_rows puts within r of p lies within
 far = geometry._reach(r, d) of p in the exact metric (its docstring
@@ -55,15 +54,12 @@ that puts item j of the cell's gather at position j + shift of
 Query.  ring(i) reads the entries of row i's cell, expands their runs
 with one ragged arange, and returns the rows they name through
 `order`: in cell order, unsorted, each row once (the codes of a ring
-are distinct, so no run is named twice).  ball(i) gathers those rows
-of pts and keeps the ones with dist_rows(row, pts[i]) <= radius; a
-distance that overflows is inf, outside every radius, and is dropped
-without a warning.  It returns them in ring order with the dist_rows
-values the filter has just computed; a caller that needs the
-distances of its hits takes them from there.  A caller that filters
-the ring first, as greedy_cover drops its covered rows, reads ring
-and computes the distances itself.  `query` sorts the indices of
-`ball` and drops the distances.
+are distinct, so no run is named twice).  greedy_cover, the one caller
+in the package, filters the ring to its free rows and computes their
+distances itself.  query(i) gathers the ring's rows of pts, keeps the
+ones with dist_rows(row, pts[i]) <= radius and sorts them; a distance
+that overflows is inf, outside every radius, and is dropped without a
+warning.
 """
 
 import math
@@ -102,14 +98,13 @@ def _ring_offsets(mult):
 
 
 class GridIndex:
-    """Balls around the rows of pts.  ball(i, radius) returns the indices
-    j with dist_rows(pts[j], pts[i]) <= radius, the same closed ball a
-    full scan with dist_rows gives, and those distances; query(i,
-    radius) returns the indices alone, sorted; ring(i) returns the
-    indices of the cell ring that holds every such ball.  The radius
-    defaults to the build radius r and may not exceed it.  The index
-    reads the rows from pts itself, so pts must not change while it is
-    used."""
+    """Cell rings around the rows of pts.  ring(i) returns the indices
+    of the cell ring that holds every row within the build radius r of
+    row i; query(i, radius) returns the indices j with
+    dist_rows(pts[j], pts[i]) <= radius, sorted, the same closed ball a
+    full scan with dist_rows gives.  The radius defaults to r and may
+    not exceed it.  The index reads the rows from pts itself, so pts
+    must not change while it is used."""
 
     def __init__(self, pts, r, metric="parabolic"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -209,22 +204,15 @@ class GridIndex:
         rows += self._shift[a:b].repeat(self._len[a:b])
         return self.order.take(rows)
 
-    def ball(self, i, radius=None):
-        """Rows within `radius` of row i (default: the build radius r),
-        as (indices, distances): the indices in cell order, not sorted,
-        and each one's dist_rows value from pts[i]."""
+    def query(self, i, radius=None):
+        """Indices of the rows within `radius` of row i (default: the
+        build radius r), in ascending index order."""
         idx = self.ring(i)
         radius = self.r if radius is None else float(radius)
         if not radius <= self.r:
             raise ValueError(f"radius {radius!r} exceeds the build radius {self.r!r}")
         with np.errstate(over="ignore"):
             dist = dist_rows(self._pts.take(idx, axis=0), self._pts[i], self.metric)
-        keep = dist <= radius
-        return idx[keep], dist[keep]
-
-    def query(self, i, radius=None):
-        """Indices of the rows within `radius` of row i (default: the
-        build radius r), in ascending index order."""
-        hits = self.ball(i, radius)[0]
+        hits = idx[dist <= radius]
         hits.sort()
         return hits

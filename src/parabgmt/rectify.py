@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._index import GridIndex
 from ._report import Record, jsonable, write_csv
 from ._version import __version__
 from .geometry import (
@@ -97,26 +96,20 @@ def cone_defect(mu, a, V, s, r, m):
 
 
 def _gather_ball(mu, a, r_max):
-    """_ball_atoms of the closed ball dist_rows(p, a) <= r_max around
-    the ParaPoint a, from DiscreteMeasure.ball."""
-    return _ball_atoms(mu, a.coords(), *mu.ball(a, r_max))
-
-
-def _ball_atoms(mu, ac, cand, d):
-    """The atoms cand of a ball of mu around the point ac, at dist_rows
-    values d from it, without the atoms at distance 0.
+    """The atoms of the closed ball dist_rows(p, a) <= r_max around the
+    ParaPoint a, from DiscreteMeasure.ball, without the atoms at
+    distance 0.
 
     Returns (delta, dist, weight) with rows ordered by increasing
-    distance; ties keep canonical atom order.  A GridIndex ball around
-    the atom ac gives the rows and bits of DiscreteMeasure.ball, so the
-    result does not depend on where the ball came from.
+    distance; ties keep canonical atom order, since ball returns its
+    rows ascending and the sort is stable.
     """
+    rows, d = mu.ball(a, r_max)
     keep = d > 0.0
-    cand, d = cand[keep], d[keep]
-    # by distance, ties by atom index: the stable sort of ascending indices
-    order = np.lexsort((cand, d))
-    cand = cand[order]
-    return mu.points[cand] - ac, d[order], mu.weights[cand]
+    rows, d = rows[keep], d[keep]
+    order = np.argsort(d, kind="stable")
+    rows = rows[order]
+    return mu.points[rows] - a.coords(), d[order], mu.weights[rows]
 
 
 def _fitted_planes(n, m, delta, d, w):
@@ -195,30 +188,24 @@ def detect_tangent(mu, a, cfg, planes=None):
     list position.  A point whose punctured ball is empty at every
     scale yields class "none" with an empty curve.
 
-    All planes are scored in one pass:
-    _plane_defect_grids groups the planes by (k, includes_t_axis) for
-    one stacked projection (geometry.dist_to_planes_rows), in chunks of
+    All planes are scored in one pass: _plane_defect_grids projects
+    them through geometry.dist_to_planes_rows, which groups them by
+    (k, includes_t_axis) for one stacked projection, in chunks of
     PAIR_TILE // N planes for a ball of N atoms, so temporaries stay
-    within a few PAIR_TILE * (n + 1) floats.  Each plane's scores are bit for bit those it gets alone,
-    so the result does not depend on the batch size.
+    within a few PAIR_TILE * (n + 1) floats.  Each plane's scores are
+    bit for bit those it gets alone, so the result does not depend on
+    the batch size.
     """
     a = as_point(a, mu.n)
     r_list = cfg.resolved_r_list(mu)
     if planes is None:
         planes = candidate_planes(mu.n, cfg.m)
-    return _tangent_of_ball(_gather_ball(mu, a, max(r_list)), cfg, planes, r_list)
-
-
-def _tangent_of_ball(ball, cfg, planes, r_list):
-    """detect_tangent's result on a ball from _ball_atoms whose radius
-    is max(r_list)."""
-    delta, d, w = ball
+    delta, d, w = _gather_ball(mu, a, max(r_list))
     if d.size == 0:
         return PointTangent(None, [], "none", math.inf, None)
-    n = delta.shape[1] - 1
     s_list = tuple(float(s) for s in cfg.s_list)
     prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
-    planes = list(planes) + _fitted_planes(n, cfg.m, delta, d, w)
+    planes = list(planes) + _fitted_planes(mu.n, cfg.m, delta, d, w)
     worsts, curves = _plane_defect_grids(planes, delta, d, w, s_list, r_list, float(cfg.m), prefix)
     i = worsts.index(min(worsts))  # the first least score: ties go to the earlier plane
     best_worst, best_plane, best_curve = worsts[i], planes[i], curves[i]
@@ -274,12 +261,8 @@ def classify_points(mu, cfg):
     sel = np.sort(rng.choice(mu.natoms, size=size, replace=False))
     planes = candidate_planes(mu.n, cfg.m)
     r_list = cfg.resolved_r_list(mu)
-    # each sampled atom is a row of the index, and its ball there is the
-    # one detect_tangent finds by DiscreteMeasure.ball, bit for bit
-    index = GridIndex(mu.points, max(r_list))
     points = [ParaPoint.from_coords(mu.points[i]) for i in sel]
-    results = [_tangent_of_ball(_ball_atoms(mu, mu.points[i], *index.ball(i)),
-                                cfg, planes, r_list) for i in sel]
+    results = [detect_tangent(mu, a, cfg, planes) for a in points]
     counts = {"horizontal": 0, "vertical": 0, "none": 0}
     for res in results:
         counts[res.classification] += 1
@@ -298,8 +281,6 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     """
     a = as_point(a, mu.n)
     r = float(r)
-    if r <= 0.0:
-        raise ValueError("scale must be positive")
     rows = mu.ball(a, r)[0]
     if normalization == "mass":
         mass = float(np.sum(mu.weights[rows]))

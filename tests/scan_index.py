@@ -16,10 +16,9 @@ from parabgmt.measure import _spread_index
 
 class ScanIndex:
     """GridIndex's queries answered by full scans: `ring` returns every
-    row, in ascending index order, as the ring of every row; `ball`
+    row, in ascending index order, as the ring of every row; `query`
     returns the rows within the radius (at most the build radius) of
-    row i, found by one dist_rows scan, in ascending index order with
-    their distances; `query` the rows alone."""
+    row i, found by one dist_rows scan, in ascending index order."""
 
     def __init__(self, pts, r, metric="parabolic"):
         self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -31,18 +30,14 @@ class ScanIndex:
             raise ValueError(f"row {i} out of range for {len(self.pts)} points")
         return np.arange(len(self.pts))
 
-    def ball(self, i, radius=None):
+    def query(self, i, radius=None):
         self.ring(i)
         radius = self.r if radius is None else float(radius)
         if not radius <= self.r:
             raise ValueError(f"radius {radius!r} exceeds the build radius {self.r!r}")
         with np.errstate(over="ignore"):
             dist = dist_rows(self.pts, self.pts[i], self.metric)
-        hits = np.flatnonzero(dist <= radius)
-        return hits, dist[hits]
-
-    def query(self, i, radius=None):
-        return self.ball(i, radius)[0]
+        return np.flatnonzero(dist <= radius)
 
 
 def reference_ball(points, a, r, metric="parabolic"):

@@ -471,6 +471,16 @@ class TestBlowup:
                          "--r", "0.25", "-o", str(tmp_path / "b.csv"))
         assert rc == 1 and "--point needs 2 coordinates" in err
 
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_radius_not_positive_is_a_one_line_error(self, line_csv, tmp_path, capsys, r):
+        # the error density gives: blowup_measure checked the radius
+        # itself, as "scale must be positive", before its ball did
+        out = tmp_path / "b.csv"
+        rc, stdout, err = run(capsys, "blowup", "-i", str(line_csv), "--point", "0,0",
+                              f"--r={r}", "-o", str(out))
+        assert (rc, stdout, err) == (1, "", "error: radius must be > 0\n")
+        assert not out.exists()
+
 
 class TestVconst:
     def test_horizontal_line_constant_exact(self, capsys):

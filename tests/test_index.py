@@ -99,22 +99,16 @@ def test_query_matches_brute_force(pts, metric, r, factor, data):
     # overflows: the query drops them without a warning
     for i in (0, 1):
         for radius in (None, r, factor * r):
-            got = index.query(i, radius)
-            want = brute_query(pts, i, index.r if radius is None else radius, metric)
-            assert got.dtype.kind == "i"
-            np.testing.assert_array_equal(got, want)
+            assert_query_matches_scan(index, pts, i, radius, metric)
 
 
-def assert_ball_matches_scan(index, pts, i, radius, metric):
-    """ball gives the indices of the full scan, in any order, each with
-    the bits of its own dist_rows value."""
-    hits, dist = index.ball(i, radius)
-    assert hits.dtype.kind == "i" and hits.shape == dist.shape
-    want = brute_query(pts, i, index.r if radius is None else radius, metric)
-    np.testing.assert_array_equal(np.sort(hits), want)
+def assert_query_matches_scan(index, pts, i, radius, metric):
+    """query gives the indices of the full scan, in ascending order."""
+    hits = index.query(i, radius)
+    assert hits.dtype.kind == "i"
     np.testing.assert_array_equal(
-        dist.view(np.uint64), dist_rows(pts[hits], pts[i], metric).view(np.uint64))
-    return dist
+        hits, brute_query(pts, i, index.r if radius is None else radius, metric))
+    return hits
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,7 +127,7 @@ def test_ball_matches_brute_force(pts, metric, r, factor, scale, data):
     index = GridIndex(pts, max(r, factor * r), metric)
     for i in (0, 1):
         for radius in (None, r, factor * r):
-            assert_ball_matches_scan(index, pts, i, radius, metric)
+            assert_query_matches_scan(index, pts, i, radius, metric)
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,8 +167,8 @@ def test_ball_with_atoms_exactly_on_the_sphere(metric):
         index = GridIndex(pts, 2.0 * r, metric)
         for i in range(0, len(pts), 97):
             for radius in (r, 2.0 * r):
-                dist = assert_ball_matches_scan(index, pts, i, radius, metric)
-                assert np.any(dist == radius)
+                hits = assert_query_matches_scan(index, pts, i, radius, metric)
+                assert np.any(dist_rows(pts[hits], pts[i], metric) == radius)
 
 
 @pytest.mark.parametrize("metric, axis", [("parabolic", 0), ("parabolic", 1),
@@ -219,9 +213,7 @@ def test_radius_whose_square_underflows(monkeypatch, metric, r):
         index = GridIndex(pts, build, metric)
         for i in range(len(pts)):
             for radius in (r, 2 * r, build):
-                np.testing.assert_array_equal(index.query(i, radius),
-                                              brute_query(pts, i, radius, metric))
-                assert_ball_matches_scan(index, pts, i, radius, metric)
+                assert_query_matches_scan(index, pts, i, radius, metric)
     got = greedy_cover(pts, r, metric)
     monkeypatch.setattr(measure, "GridIndex", ScanIndex)
     np.testing.assert_array_equal(got, greedy_cover(pts, r, metric))
@@ -280,8 +272,7 @@ def test_far_outlier_ball_is_quiet():
     # (as the suite turns RuntimeWarnings into errors) raises no warning
     pts = np.array([[-1e300, 0.0], [np.nextafter(-1e300, 0.0), 0.0]]
                    + [[float(k), 0.0] for k in range(5)])
-    hits, dist = GridIndex(pts, 1.0).ball(0)
-    assert hits.tolist() == [0] and dist.tolist() == [0.0]
+    assert GridIndex(pts, 1.0).query(0).tolist() == [0]
 
 
 def cell_count(index):
@@ -299,8 +290,8 @@ def test_far_outliers_neither_lose_atoms_nor_merge_the_cells(metric, far):
     index = GridIndex(pts, 0.1, metric)
     assert cell_count(index) > 100
     for i in [*range(0, 500, 7), 500, 501, 502, 503]:
-        assert_ball_matches_scan(index, pts, i, None, metric)
-    np.testing.assert_array_equal(np.sort(index.ball(502)[0]), [502, 503])
+        assert_query_matches_scan(index, pts, i, None, metric)
+    np.testing.assert_array_equal(index.query(502), [502, 503])
 
 
 @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
@@ -316,7 +307,7 @@ def test_shifted_cloud_at_tiny_radius(metric):
     assert cell_count(index) > 4
     for i in range(0, 600, 5):
         for radius in (None, r / 2):
-            assert_ball_matches_scan(index, pts, i, radius, metric)
+            assert_query_matches_scan(index, pts, i, radius, metric)
 
 
 def test_build_peak_stays_within_two_copies_of_the_points():
@@ -343,16 +334,17 @@ def test_non_finite_point_is_refused(bad):
 
 def test_row_out_of_range_is_rejected():
     index = GridIndex(np.zeros((3, 3)), 0.1)
-    for i in (-1, 3):
-        with pytest.raises(ValueError, match="out of range"):
-            index.ball(i)
+    for call in (index.ring, index.query):
+        for i in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                call(i)
 
 
 def test_radius_above_the_build_radius_is_rejected():
     index = GridIndex(np.zeros((3, 3)), 0.1)
     for radius in (0.2, np.nextafter(0.1, 1.0), np.nan):
         with pytest.raises(ValueError, match="exceeds the build radius"):
-            index.ball(0, radius)
+            index.query(0, radius)
 
 
 @pytest.mark.parametrize("r, message", [(np.inf, "radius must be finite"),
@@ -387,27 +379,43 @@ def test_workload_covers_match_full_scans(monkeypatch, cloud, metric):
         np.testing.assert_array_equal(centers.view(np.uint64), want.view(np.uint64))
 
 
-def test_tracer_counts_the_index_and_the_cover(tmp_path):
-    # perfbench/tracer.py patches GridIndex.__init__ and .query and reads
-    # the points as the first argument of __init__
+def traced_main(tmp_path, argv):
+    """The Tracer of perfbench/tracer.py after cli.main runs argv, with
+    "CSV" in argv standing for a cloud of 200 random atoms of P^1."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import tracer
     finally:
         sys.path.pop(0)
     pts = np.random.default_rng(2).random((200, 2))
-    mu = DiscreteMeasure(1, pts, np.full(200, 1.0 / 200))
     cloud = tmp_path / "c.csv"
-    save_cloud_csv(mu, cloud)
+    save_cloud_csv(DiscreteMeasure(1, pts, np.full(200, 1.0 / 200)), cloud)
     t = tracer.Tracer()
     t.install()
     try:
-        rc = cli.main(["dim", "-i", str(cloud), "--scales", "3", "-o", str(tmp_path / "d.json")])
+        rc = cli.main([str(cloud) if a == "CSV" else a for a in argv])
     finally:
         t.uninstall()
     assert rc == 0
+    return t
+
+
+def test_tracer_counts_the_index_and_the_cover(tmp_path):
+    # perfbench/tracer.py patches GridIndex.__init__ and .query and reads
+    # the points as the first argument of __init__
+    t = traced_main(tmp_path, ["dim", "-i", "CSV", "--scales", "3",
+                               "-o", str(tmp_path / "d.json")])
     assert t.stats.calls["index.build"] == 3 and t.stats.calls["measure.greedy_cover"] == 3
     assert t.stats.counters["index.points_indexed"] == 3 * 200
+
+
+def test_tracer_counts_one_detect_tangent_per_sampled_atom(tmp_path):
+    # classify_points scores each sampled atom through detect_tangent,
+    # whose ball comes from DiscreteMeasure.ball, and builds no index
+    t = traced_main(tmp_path, ["tangent", "-i", "CSV", "--m", "1", "--sample-size", "7",
+                               "-o", str(tmp_path / "t.json")])
+    assert t.stats.calls["rectify.detect_tangent"] == 7
+    assert t.stats.calls["index.build"] == 0
 
 
 def outlier_cloud(natoms, side=1.0):
@@ -431,8 +439,7 @@ class TestFarOutlier:
         assert len(got) == 1001
 
     def test_classify_points_above_index_threshold(self):
-        # every indexed result must equal detect_tangent's, whose ball
-        # comes from DiscreteMeasure.ball
+        # every sampled result must equal detect_tangent's at that atom
         mu = outlier_cloud(5000, side=0.02)
         cfg = TangentConfig(m=1, r_list=(2e-3, 1e-3), sample_size=6)
         report = classify_points(mu, cfg)
@@ -454,17 +461,16 @@ class TestFarOutlier:
 
 
 class TestClosedBall:
-    """The index, DiscreteMeasure.ball and the greedy cover share one ball.
+    """DiscreteMeasure.ball and the greedy cover share one ball.
     (0, nextafter(1/16)) is at d2 > 1/16 from the origin, but dist_rows
     rounds its distance to 1/4, so it lies in the closed ball of radius
     1/4."""
 
     edge = [0.0, np.nextafter(0.0625, 1.0)]
 
-    def test_detect_tangent_with_and_without_index(self):
+    def test_classify_points_matches_detect_tangent(self):
         mu = DiscreteMeasure(1, [[0.0, 0.0], self.edge, [0.1, 0.0]], [1.0, 1.0, 1.0])
-        # classify_points finds each ball in a GridIndex, detect_tangent
-        # by DiscreteMeasure.ball; the sample of three is every atom
+        # the sample of three is every atom
         cfg = TangentConfig(m=1, s_list=(0.5,), r_list=(0.25,), sample_size=3)
         report = classify_points(mu, cfg)
         np.testing.assert_array_equal([p.coords() for p in report.points], mu.points)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from parabgmt import geometry, rectify
-from parabgmt._index import GridIndex
 from parabgmt.generators import GeneratorSpec, gen_flat, gen_graph, generate
 from parabgmt.geometry import (
     GraphSamples,
@@ -145,16 +144,16 @@ class TestDetectTangent:
         assert res.classification == "none"
         assert res.best_plane is None and res.defect_curve == []
 
-    @pytest.mark.parametrize("indexed", [False, True])
-    def test_curve_is_cone_defect_of_argmin_plane(self, indexed):
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_curve_is_cone_defect_of_argmin_plane(self, sampled):
         # the curve entry at (r, s) is cone_defect at (r, s) for the
         # argmin plane, bit for bit, and the min defect is the curve max;
-        # indexed, the balls come from classify_points' GridIndex
+        # sampled, the results are classify_points' on its own sample
         rng = np.random.default_rng(4)
         pts = rng.random((3000, 3)) * [1.0, 0.2, 1.0]
         mu = DiscreteMeasure(2, pts, rng.uniform(0.5, 2.0, 3000))
         cfg = TangentConfig(m=2, s_list=(0.5, 0.25, 0.1), r_list=(0.3, 0.2, 0.1))
-        for a, res in tangents(mu, cfg, mu.points[::1000], indexed):
+        for a, res in tangents(mu, cfg, mu.points[::1000], sampled):
             assert len(res.defect_curve) == 9
             for r, s, defect in res.defect_curve:
                 assert cone_defect(mu, a, res.argmin_plane, s, r, cfg.m) == defect
@@ -197,11 +196,10 @@ def ref_plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix):
     return worst, curve
 
 
-def tangents(mu, cfg, atoms, indexed):
-    """(atom, result) pairs: detect_tangent at each of the atoms, its
-    ball from DiscreteMeasure.ball, or, indexed, classify_points on as
-    many atoms of its seeded sample, each ball found in its GridIndex."""
-    if not indexed:
+def tangents(mu, cfg, atoms, sampled):
+    """(atom, result) pairs: detect_tangent at each of the atoms, or,
+    sampled, classify_points on as many atoms of its seeded sample."""
+    if not sampled:
         return [(a, detect_tangent(mu, a, cfg)) for a in atoms]
     report = classify_points(mu, dataclasses.replace(cfg, sample_size=len(atoms)))
     return [(p.coords(), res) for p, res in zip(report.points, report.results)]
@@ -277,36 +275,32 @@ def ref_gather_ball(mu, a, r_max):
 
 class TestGatherBall:
     @pytest.mark.parametrize("r_max", [0.25, 0.125])
-    def test_ties_in_atom_order_with_and_without_index(self, r_max):
+    def test_ties_in_atom_order(self, r_max):
         # a dyadic grid gives many atoms at exactly equal distances, and
         # distinct weights show the order the tied atoms come in; one
         # more atom off the grid sees them from elsewhere
         xs, ts = np.meshgrid(np.arange(-8, 9) / 16, np.arange(-32, 33) / 256, indexing="ij")
         pts = np.vstack([np.column_stack([xs.ravel(), ts.ravel()]), [0.01, -0.003]])
         mu = DiscreteMeasure(1, pts, np.random.default_rng(2).uniform(0.5, 2.0, len(pts)))
-        index = GridIndex(mu.points, r_max)
         off = np.flatnonzero(np.all(mu.points == [0.01, -0.003], axis=1))
         ties = 0
         for i in [*range(0, mu.natoms, 101), *off]:
-            ac = mu.points[i]
-            a = ParaPoint.from_coords(ac)
+            a = ParaPoint.from_coords(mu.points[i])
             want = ref_gather_ball(mu, a, r_max)
             ties += np.count_nonzero(np.diff(want[1]) == 0.0)
-            for got in (rectify._gather_ball(mu, a, r_max),
-                        rectify._ball_atoms(mu, ac, *index.ball(i))):
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape and bits(g) == bits(w)
+            for g, w in zip(rectify._gather_ball(mu, a, r_max), want):
+                assert g.shape == w.shape and bits(g) == bits(w)
         assert ties > 10
 
 
 class TestBatchedScoringMatchesReference:
     @pytest.mark.parametrize("case", range(5))
-    @pytest.mark.parametrize("indexed", [False, True])
-    def test_detect_tangent(self, case, indexed):
-        # indexed, the results are classify_points' on its own sample
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_detect_tangent(self, case, sampled):
+        # sampled, the results are classify_points' on its own sample
         mu, cfg = reference_clouds()[case]
         sel = np.random.default_rng(case).choice(mu.natoms, 12, replace=False)
-        for a, res in tangents(mu, cfg, mu.points[sel], indexed):
+        for a, res in tangents(mu, cfg, mu.points[sel], sampled):
             assert_matches_reference(res, ref_detect_tangent(mu, a, cfg))
 
     @pytest.mark.parametrize("budget", [1, 3])
