@@ -363,9 +363,18 @@ def _project_cols(basis, cols):
     columns.  A basis with k = 0 gives the scalar +0.0 per column.
     """
     k, n = basis.shape[-2:]
-    w = basis.reshape(basis.shape[:-2] + (1,) * np.ndim(cols[0]) + (k, n))
-    xi = [_dot_cols(w[..., j, :], cols) for j in range(k)]
-    return [_dot_cols(w[..., :, c], xi) for c in range(n)]
+    return _project_paired(basis.reshape(basis.shape[:-2] + (1,) * np.ndim(cols[0]) + (k, n)),
+                           cols)
+
+
+def _project_paired(basis, cols):
+    """_project_cols with the leading axes of the (..., k, n) basis
+    broadcast against the columns' axes, not ahead of them: an (N, k, n)
+    stack and (N,) columns project each row on its own basis, by the
+    same multiplies and adds in the same order."""
+    k, n = basis.shape[-2:]
+    xi = [_dot_cols(basis[..., j, :], cols) for j in range(k)]
+    return [_dot_cols(basis[..., :, c], xi) for c in range(n)]
 
 
 def _perp_norm(vertical, xcols, t, pxcols):
@@ -576,11 +585,16 @@ def as_coord_array(points, n=None):
 PAIR_TILE = 1 << 16
 
 
+def tile_count(width):
+    """How many items of the given width fit in PAIR_TILE, at least one."""
+    return max(1, PAIR_TILE // max(width, 1))
+
+
 def tile_slices(count, width):
     """Consecutive slices of range(count), each as long as fits in
     PAIR_TILE items of the given width (at least one item), so arrays
     of slice length times width stay bounded."""
-    step = max(1, PAIR_TILE // max(width, 1))
+    step = tile_count(width)
     for lo in range(0, count, step):
         yield slice(lo, min(lo + step, count))
 

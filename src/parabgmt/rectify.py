@@ -19,12 +19,15 @@ from .geometry import (
     ParaPoint,
     _check_aperture,
     _dot_cols,
+    _perp_norm,
+    _project_paired,
     as_point,
     blowup_rows,
     candidate_planes,
     dist_to_planes_rows,
     para_norm_rows,
     plane_distance,
+    tile_count,
     tile_slices,
 )
 from .measure import DiscreteMeasure
@@ -87,78 +90,190 @@ def cone_defect(mu, a, V, s, r, m):
     Returns r^(-m) times the total weight of atoms within distance r of
     a whose perpendicular part is at least s times their distance from
     a.  The atom at a itself (distance zero) never counts.  This is the
-    one-plane, one-(r, s) case of the grid that detect_tangent scores.
+    one-ball, one-plane, one-(r, s) case of _ball_scores, the kernel
+    that detect_tangent and classify_points score through.
     """
     a = as_point(a, mu.n)
     _check_aperture(s)
-    delta, d, w = _gather_ball(mu, a, r)
-    return _plane_defect_grids([V], delta, d, w, (float(s),), (r,), m, [d.size])[0][0]
+    score = next(_ball_scores(mu, [a], [V], (float(s),), (r,), m))
+    return 0.0 if score is None else score[0][0]
 
 
-def _gather_ball(mu, a, r_max):
-    """The atoms of the closed ball dist_rows(p, a) <= r_max around the
-    ParaPoint a, from DiscreteMeasure.ball, without the atoms at
-    distance 0.
-
-    Returns (delta, dist, weight) with rows ordered by increasing
-    distance; ties keep canonical atom order, since ball returns its
-    rows ascending and the sort is stable.
-    """
-    rows, d = mu.ball(a, r_max)
-    keep = d > 0.0
-    rows, d = rows[keep], d[keep]
-    order = np.argsort(d, kind="stable")
-    rows = rows[order]
-    return mu.points[rows] - a.coords(), d[order], mu.weights[rows]
+def _fit_families(n, m):
+    """(k, includes_t_axis) of each plane _fitted_planes fits in P^n:
+    the horizontal k = m and the vertical k = m - 2, when 1 <= k <= n - 1."""
+    return [(k, vertical) for k, vertical in ((m, False), (m - 2, True)) if 1 <= k <= n - 1]
 
 
 def _fitted_planes(n, m, delta, d, w):
-    """The m-planes of P^n fitted to a ball from _gather_ball.
+    """The m-planes of P^n fitted to the atoms p - a = delta of a
+    punctured ball at distances d > 0, with weights w: _fit_bases of
+    its _moment, as HomPlanes."""
+    bases = _fit_bases(n, m, _moment(delta, d, w)[None])
+    return [HomPlane(n, b[0], vertical) for b, (_, vertical) in zip(bases, _fit_families(n, m))]
 
-    With u = x / d (finite however close the atoms) for the horizontal
-    parts x of delta, the eigenvectors of sum w u u^T, largest first,
+
+def _moment(delta, d, w):
+    """sum w u u^T over a ball's rows, with u = x / d (finite however
+    close the atoms) for the horizontal parts x of delta."""
+    u = delta[:, :-1] / d[:, None]
+    return (u * w[:, None]).T @ u
+
+
+def _fit_bases(n, m, moments):
+    """The horizontal bases of the planes fitted to each of a (B, n, n)
+    stack of _moment matrices, one (B, k, n) stack per family of
+    _fit_families(n, m).  The eigenvectors of a moment, largest first,
     span the fits: the top m a horizontal plane, the top m - 2 and the
     t-axis a vertical one.  A family with k = 0 or n is a single plane,
-    already a canonical candidate, and gets no fit."""
-    u = delta[:, :-1] / d[:, None]
-    top = np.linalg.eigh((u * w[:, None]).T @ u)[1][:, ::-1].T
-    return [HomPlane(n, top[:k], vertical)
-            for k, vertical in ((m, False), (m - 2, True)) if 1 <= k <= n - 1]
+    already a canonical candidate, and gets no fit.  One stacked eigh
+    gives each matrix the bits it gets alone."""
+    top = np.linalg.eigh(moments)[1][..., ::-1].swapaxes(-1, -2)
+    return [top[:, :k] for k, _ in _fit_families(n, m)]
 
 
-def _plane_defect_grids(planes, delta, d, w, s_list, r_list, m, prefix):
-    """Defect at every (r, s) pair for each plane on a ball from
-    _gather_ball, whose first prefix[i] rows lie within r_list[i].
+def _ball_blocks(mu, centres, r_max, width):
+    """The punctured balls 0 < dist_rows(p, a) <= r_max around the
+    ParaPoints a of centres, in blocks of consecutive centres.
 
-    Returns (worst, curves), one entry per plane in list order: the
-    grid max (0.0 at least) and the flat curve [(r, s, defect), ...].
-    The defect at (r, s) is float(sum of w over the rows within r with
-    perp >= s * d) * r^-m, summed by np.sum over the masked weights in
-    row order, so it does not depend on which planes are scored
-    together.  Planes go through dist_to_planes_rows in tile_slices
-    chunks, one (chunk, |s_list|, count) mask per r.
+    Each ball comes from DiscreteMeasure.ball.  Its rows are ordered by
+    increasing distance, ties in canonical atom order: ball returns them
+    ascending, and one stable lexsort by (ball, distance) orders the
+    block.  A block is (delta, d, w, sizes): the differences p - a, the
+    distances and the weights of its balls' rows, ball after ball, and
+    each ball's row count.  It holds at most tile_count(width) rows, an
+    empty ball counting as one, unless a single ball is larger.
     """
+    bound = tile_count(width)
+    block, used = [], 0
+    for a in centres:
+        rows, d = mu.ball(a, r_max)
+        if block and used + max(rows.size, 1) > bound:
+            yield _gathered(mu, block)
+            block, used = [], 0
+        block.append((a.coords(), rows, d))
+        used += max(rows.size, 1)
+    if block:
+        yield _gathered(mu, block)
+
+
+def _gathered(mu, block):
+    """One block of _ball_blocks from its (centre, rows, dist) balls."""
+    coords, rows, d = zip(*block)
+    ids = np.repeat(np.arange(len(block)), [r.size for r in rows])
+    rows, d = np.concatenate(rows), np.concatenate(d)
+    keep = d > 0.0
+    order = np.lexsort((d[keep], ids[keep]))
+    ids, rows, d = ids[keep][order], rows[keep][order], d[keep][order]
+    delta = mu.points[rows] - np.array(coords)[ids]
+    return delta, d, mu.weights[rows], np.bincount(ids, minlength=len(block))
+
+
+def _segment_counts(mask, lo, hi):
+    """The number of True entries of mask[..., lo[i]:hi[i]] for each i,
+    as integers, from one np.add.reduceat over the last axis.  The
+    mask's last column must be False and lie past every hi; an empty
+    segment counts 0."""
+    counts = np.add.reduceat(mask, np.column_stack([lo, hi]).ravel(), axis=-1,
+                             dtype=np.intp)[..., ::2]
+    return np.where(lo < hi, counts, 0)
+
+
+def _ball_scores(mu, centres, planes, s_list, r_list, m, fit=False):
+    """Cone defects of planes on the punctured ball B(a, max(r_list))
+    of each centre a, at every (r, s).  The planes are those listed,
+    then, with fit, one per family of _fit_families(n, m), fitted to
+    the ball.  Yields, per centre, None for an empty ball, else (worst,
+    grid, fitted): each plane's grid max (0.0 at least), the (planes,
+    r, s) grid of defects, and the (basis, includes_t_axis) of each
+    fitted plane.
+
+    The defect at (r, s) is float(sum of w over the rows within r with
+    perp >= s * d) * r^-m.  The centres' balls are scored together, in
+    blocks of _ball_blocks, and the planes of a block in tile_slices
+    chunks, so a (planes, s, rows) mask holds about PAIR_TILE entries.
+    Each defect keeps the bits a ball scored alone gets:
+    - a (plane, row) distance has the same bits whichever planes and
+      rows go with it: dist_to_planes_rows for the listed planes, and
+      geometry._project_paired, which projects each row on its own
+      ball's fitted basis in _dot_cols' order, for the fits;
+    - each ball's moment is built from its own rows, and one stacked
+      eigh fits every ball of a block (_fit_bases);
+    - the hits of a ball within r are exact integer counts
+      (_segment_counts);
+    - a full cell, every row within r outside the cone, sums the
+      ball's contiguous prefix of weights by np.sum;
+    - a partial cell sums the compressed masked weights by np.sum, in
+      row order: one vectorised sum would add them in another order,
+      and change the bits.
+    So no result depends on which centres or planes are scored together.
+    """
+    families = _fit_families(mu.n, m) if fit else []
+    width = (len(planes) + len(families)) * len(s_list)
+    for delta, d, w, sizes in _ball_blocks(mu, centres, max(r_list), width):
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        fitted = []
+        if families:
+            moments = np.zeros((sizes.size, mu.n, mu.n))
+            for b in np.flatnonzero(sizes).tolist():
+                lo, hi = starts[b], ends[b]
+                moments[b] = _moment(delta[lo:hi], d[lo:hi], w[lo:hi])
+            fitted = list(zip(_fit_bases(mu.n, m, moments), (v for _, v in families)))
+        grid = _defect_grid(delta, d, w, starts, ends, planes, fitted, s_list, r_list, m)
+        worst = np.where(grid > 0.0, grid, 0.0).max(axis=(2, 3))
+        for b, size in enumerate(sizes.tolist()):
+            if size == 0:
+                yield None
+            else:
+                yield worst[:, b].tolist(), grid[:, b], [(f[b], v) for f, v in fitted]
+
+
+def _defect_grid(delta, d, w, starts, ends, planes, fitted, s_list, r_list, m):
+    """The (planes, balls, r, s) grid of defects of one block of
+    _ball_blocks, whose ball b holds rows starts[b]:ends[b]: the listed
+    planes, then one plane per (bases, includes_t_axis) of fitted, its
+    (balls, k, n) bases holding each ball's fit."""
+    nrows, nball = d.size, starts.size
+    grid = np.zeros((len(planes) + len(fitted), len(s_list), nball, len(r_list)))
+    if nrows == 0:
+        return grid.transpose(0, 2, 3, 1)
+    # the rows of ball b within r_list[j] are starts[b]:starts[b] + cnt[b, j];
+    # a row at inf past the end is within no r, as _segment_counts needs
+    tail = np.append(d, math.inf)
+    cnt = _segment_counts(tail <= np.asarray(r_list, dtype=float)[:, None], starts, ends).T
+    # r^-m as Python computes it, and only at an r some ball reaches: a
+    # power past the float range raises OverflowError there alone, so a
+    # scale is finite, and a cell with no hit is 0.0 * scale = 0.0
+    scale = [float(r) ** (-float(m)) if reached else 0.0
+             for r, reached in zip(r_list, cnt.any(axis=0).tolist())]
     s_col = np.asarray(s_list, dtype=float)[:, None]
-    keys = [(r, s) for r in r_list for s in s_list]
-    worst = []
-    curves = []
-    for chunk in tile_slices(len(planes), d.size):
-        perp = dist_to_planes_rows(planes[chunk], delta)
-        grid = np.zeros((perp.shape[0], len(r_list), len(s_list)))
-        for j, (r, cnt) in enumerate(zip(r_list, prefix)):
-            if cnt == 0:
-                continue
-            scale = float(r) ** (-float(m))
-            ww = w[:cnt]
-            outside = perp[:, None, :cnt] >= s_col * d[:cnt]
-            hits = np.count_nonzero(outside, axis=2)
-            grid[:, j] = np.where(hits == cnt, float(ww.sum()) * scale, 0.0 * scale)
-            for p, i in zip(*np.nonzero((hits > 0) & (hits < cnt))):
-                grid[p, j, i] = float(ww[outside[p, i]].sum()) * scale
-        worst.extend(np.where(grid > 0.0, grid, 0.0).max(axis=(1, 2)).tolist())
-        cells = grid.reshape(grid.shape[0], -1).tolist()
-        curves.extend([(r, s, x) for (r, s), x in zip(keys, row)] for row in cells)
-    return worst, curves
+    lo = np.repeat(starts, len(r_list))
+    hi = lo + cnt.ravel()
+    xcols, t = list(delta.T[:-1]), delta[:, -1]
+    bases = [(np.repeat(f, ends - starts, axis=0), vertical) for f, vertical in fitted]
+    sd = s_col * d
+    for chunk in tile_slices(grid.shape[0], len(s_list) * nrows):
+        listed = planes[chunk]
+        perp = np.empty((chunk.stop - chunk.start, nrows))
+        if listed:
+            perp[:len(listed)] = dist_to_planes_rows(listed, delta)
+        for p in range(max(chunk.start, len(planes)), chunk.stop):
+            basis, vertical = bases[p - len(planes)]
+            perp[p - chunk.start] = _perp_norm(vertical, xcols, t, _project_paired(basis, xcols))
+        mask = np.zeros((perp.shape[0], len(s_list), nrows + 1), dtype=bool)
+        np.greater_equal(perp[:, None, :], sd, out=mask[..., :nrows])
+        hits = _segment_counts(mask, lo, hi).reshape(mask.shape[:2] + cnt.shape)
+        full = hits == cnt
+        sums = np.zeros(cnt.shape)
+        for b, j in zip(*np.nonzero(full.any(axis=(0, 1)) & (cnt > 0))):
+            sums[b, j] = float(w[starts[b]:starts[b] + cnt[b, j]].sum()) * scale[j]
+        part = grid[chunk]
+        part[...] = np.where(full, sums, 0.0)
+        for p, i, b, j in zip(*(x.tolist() for x in np.nonzero((hits > 0) & ~full))):
+            a, z = starts[b], starts[b] + cnt[b, j]
+            part[p, i, b, j] = float(w[a:z][mask[p, i, a:z]].sum()) * scale[j]
+    return grid.transpose(0, 2, 3, 1)
 
 
 @dataclass(eq=False)
@@ -188,30 +303,40 @@ def detect_tangent(mu, a, cfg, planes=None):
     list position.  A point whose punctured ball is empty at every
     scale yields class "none" with an empty curve.
 
-    All planes are scored in one pass: _plane_defect_grids projects
-    them through geometry.dist_to_planes_rows, which groups them by
-    (k, includes_t_axis) for one stacked projection, in chunks of
-    PAIR_TILE // N planes for a ball of N atoms, so temporaries stay
-    within a few PAIR_TILE * (n + 1) floats.  Each plane's scores are
-    bit for bit those it gets alone, so the result does not depend on
-    the batch size.
+    This is the one-centre case of _tangents, which classify_points
+    runs on all its sampled atoms at once.  Every score has the bits
+    the point gets alone (see _ball_scores), so the result does not
+    depend on which points, or how many planes, are scored with it.
     """
     a = as_point(a, mu.n)
     r_list = cfg.resolved_r_list(mu)
     if planes is None:
         planes = candidate_planes(mu.n, cfg.m)
-    delta, d, w = _gather_ball(mu, a, max(r_list))
-    if d.size == 0:
-        return PointTangent(None, [], "none", math.inf, None)
+    return _tangents(mu, [a], cfg, planes, r_list)[0]
+
+
+def _tangents(mu, centres, cfg, planes, r_list):
+    """detect_tangent at each ParaPoint of centres, with r_list resolved
+    by the caller, from one _ball_scores pass over them all."""
+    planes = list(planes)
     s_list = tuple(float(s) for s in cfg.s_list)
-    prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
-    planes = list(planes) + _fitted_planes(mu.n, cfg.m, delta, d, w)
-    worsts, curves = _plane_defect_grids(planes, delta, d, w, s_list, r_list, float(cfg.m), prefix)
-    i = worsts.index(min(worsts))  # the first least score: ties go to the earlier plane
-    best_worst, best_plane, best_curve = worsts[i], planes[i], curves[i]
-    if best_worst > cfg.threshold:
-        return PointTangent(None, best_curve, "none", best_worst, best_plane)
-    return PointTangent(best_plane, best_curve, best_plane.family, best_worst, best_plane)
+    keys = [(r, s) for r in r_list for s in s_list]
+    results = []
+    for score in _ball_scores(mu, centres, planes, s_list, r_list, cfg.m, fit=True):
+        if score is None:
+            results.append(PointTangent(None, [], "none", math.inf, None))
+            continue
+        worsts, grid, fitted = score
+        i = worsts.index(min(worsts))  # the first least score: ties go to the earlier plane
+        best_worst = worsts[i]
+        best_plane = planes[i] if i < len(planes) else HomPlane(mu.n, *fitted[i - len(planes)])
+        best_curve = [(r, s, x) for (r, s), x in zip(keys, grid[i].ravel().tolist())]
+        if best_worst > cfg.threshold:
+            results.append(PointTangent(None, best_curve, "none", best_worst, best_plane))
+        else:
+            results.append(PointTangent(best_plane, best_curve, best_plane.family, best_worst,
+                                        best_plane))
+    return results
 
 
 @dataclass(eq=False)
@@ -253,16 +378,23 @@ class TangentReport:
 
 def classify_points(mu, cfg):
     """Run detect_tangent on a seeded subsample of atoms and tally the
-    horizontal / vertical / none fractions (they sum to 1)."""
+    horizontal / vertical / none fractions (they sum to 1).
+
+    r_list is resolved once, and the sampled atoms are scored in one
+    _ball_scores pass, their balls in blocks of about PAIR_TILE mask
+    entries.  Each result keeps the bits detect_tangent gives at its
+    atom alone: a (plane, row) distance does not depend on the rows
+    scored with it, hit counts are exact integers, and every defect is
+    np.sum over its own ball's weights in row order.
+    """
     if mu.natoms == 0:
         raise ValueError("measure has no atoms")
     rng = np.random.default_rng(cfg.seed)
     size = min(int(cfg.sample_size), mu.natoms)
     sel = np.sort(rng.choice(mu.natoms, size=size, replace=False))
-    planes = candidate_planes(mu.n, cfg.m)
     r_list = cfg.resolved_r_list(mu)
     points = [ParaPoint.from_coords(mu.points[i]) for i in sel]
-    results = [detect_tangent(mu, a, cfg, planes) for a in points]
+    results = _tangents(mu, points, cfg, candidate_planes(mu.n, cfg.m), r_list)
     counts = {"horizontal": 0, "vertical": 0, "none": 0}
     for res in results:
         counts[res.classification] += 1

@@ -24,7 +24,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from parabgmt import cli
+from parabgmt import cli, geometry
 from parabgmt.generators import GeneratorSpec, bmo_energy, gen_flat
 from parabgmt.geometry import (
     GraphSamples,
@@ -139,6 +139,10 @@ def _line(resolution=5e-3):
     return gen_flat(HomPlane.horizontal_axes(1, (0,)), extent=1.0, resolution=resolution)[0]
 
 
+def _tangent_record(line):
+    return classify_points(line, TangentConfig(m=1, sample_size=4)).to_dict()
+
+
 def records():
     """{name: JSON text} for the to_dict() of each record on small fixtures."""
     line = _line()
@@ -148,7 +152,7 @@ def records():
     V = HomPlane.horizontal_axes(2, (0,))
     g = np.linspace(-1.0, 1.0, 401)
     graph = GraphSamples.from_points(np.column_stack([g, 0.5 * g, np.zeros_like(g)]), V)
-    tangent = classify_points(line, TangentConfig(m=1, sample_size=4)).to_dict()
+    tangent = _tangent_record(line)
     ex = graph_extract(np.column_stack([g, 0.1 * g, np.zeros_like(g)]), V, 0.2)
     grid = np.linspace(-1.0, 1.0, 1025)
     out = {
@@ -207,6 +211,23 @@ def test_cli_writes_exactly_the_golden_files(cli_outputs):
 @pytest.mark.parametrize("name", CLI_FILES)
 def test_cli_bytes(cli_outputs, name):
     assert cli_outputs.get(name) == (GOLDEN / "cli" / name).read_bytes()
+
+
+# the tangent commands and the clouds they read
+TANGENT_COMMANDS = [(name, argv) for name, argv in COMMANDS if name.startswith("tangent")
+                    or name in ("gen_cantor", "gen_tilted", "gen_vertical", "gen_vflat", "gen_hflat")]
+
+
+@pytest.mark.parametrize("tile", [1, 200])
+def test_tangent_goldens_do_not_depend_on_the_chunk_bound(tile, tmp_path):
+    # PAIR_TILE 1 scores one ball and one plane at a time, 200 a few
+    # small balls together; every tangent output keeps its bytes
+    with mock.patch.object(geometry, "PAIR_TILE", tile):
+        out = run_commands(tmp_path, TANGENT_COMMANDS)
+        record = json.dumps(_tangent_record(_line()), sort_keys=True, indent=1) + "\n"
+    assert {f"{name}.json" for name, _ in TANGENT_COMMANDS if name.startswith("tangent")} <= set(out)
+    assert out == {name: (GOLDEN / "cli" / name).read_bytes() for name in out}
+    assert record == RECORDS["TangentReport"]
 
 
 def _refuse_constant(name):

@@ -409,13 +409,16 @@ def test_tracer_counts_the_index_and_the_cover(tmp_path):
     assert t.stats.counters["index.points_indexed"] == 3 * 200
 
 
-def test_tracer_counts_one_detect_tangent_per_sampled_atom(tmp_path):
-    # classify_points scores each sampled atom through detect_tangent,
-    # whose ball comes from DiscreteMeasure.ball, and builds no index
+def test_tracer_counts_one_classify_points_pass(tmp_path):
+    # classify_points scores all its sampled atoms in one pass, whose
+    # balls come from DiscreteMeasure.ball, resolves r_list once and
+    # builds no index
     t = traced_main(tmp_path, ["tangent", "-i", "CSV", "--m", "1", "--sample-size", "7",
                                "-o", str(tmp_path / "t.json")])
-    assert t.stats.calls["rectify.detect_tangent"] == 7
+    assert t.stats.calls["rectify.classify_points"] == 1
+    assert t.stats.counters["rectify.points_classified"] == 7
     assert t.stats.calls["index.build"] == 0
+    assert t.stats.calls["measure.resolution"] == 1
 
 
 def outlier_cloud(natoms, side=1.0):

@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parabgmt import geometry, rectify
 from parabgmt.generators import GeneratorSpec, gen_flat, gen_graph, generate
@@ -171,8 +174,10 @@ class TestDetectTangent:
 
 
 # ---------------------------------------------------------------------------
-# Reference: plane scoring one plane at a time, with the projection-based
-# distance; the batched scoring must match it bit for bit
+# Reference: the per-ball scorer, one ball and one plane at a time: the ball
+# by a full scan (ref_gather_ball), each plane's distances from its
+# projection, every cell summed by np.sum over its masked weights, and one
+# eigh per ball for the fits; the batched scoring must match it bit for bit
 
 
 def ref_plane_defect_grid(V, delta, d, w, s_list, r_list, m, prefix):
@@ -205,8 +210,21 @@ def tangents(mu, cfg, atoms, sampled):
     return [(p.coords(), res) for p, res in zip(report.points, report.results)]
 
 
+def ref_ball_fits(n, m, delta, d, w):
+    """The planes fitted to one ball: one moment matrix and one eigh."""
+    u = delta[:, :-1] / d[:, None]
+    top = np.linalg.eigh((u * w[:, None]).T @ u)[1][:, ::-1].T
+    return [HomPlane(n, top[:k], vertical)
+            for k, vertical in ((m, False), (m - 2, True)) if 1 <= k <= n - 1]
+
+
+def ref_cone_defect(mu, a, V, s, r, m):
+    delta, d, w = ref_gather_ball(mu, geometry.as_point(a, mu.n), r)
+    return ref_plane_defect_grid(V, delta, d, w, (float(s),), (r,), m, [d.size])[0]
+
+
 def ref_detect_tangent(mu, a, cfg, planes=None):
-    a = ParaPoint.from_coords(np.asarray(a, dtype=float))
+    a = geometry.as_point(a, mu.n)
     r_list = cfg.resolved_r_list(mu)
     s_list = tuple(float(s) for s in cfg.s_list)
     if planes is None:
@@ -216,7 +234,7 @@ def ref_detect_tangent(mu, a, cfg, planes=None):
         return None, [], "none", math.inf, None
     prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
     best_worst, best_plane, best_curve = math.inf, None, []
-    for V in list(planes) + rectify._fitted_planes(mu.n, cfg.m, delta, d, w):
+    for V in list(planes) + ref_ball_fits(mu.n, cfg.m, delta, d, w):
         worst, curve = ref_plane_defect_grid(V, delta, d, w, s_list, r_list, float(cfg.m), prefix)
         if worst < best_worst:
             best_worst, best_plane, best_curve = worst, V, curve
@@ -244,6 +262,31 @@ def assert_matches_reference(res, ref):
     assert same_plane(res.argmin_plane, argmin) and same_plane(res.best_plane, best)
 
 
+def assert_scores_match_reference(mu, centres, planes, cfg):
+    """Every plane's worst and cells from one _ball_scores pass over the
+    centres, the fits included, bit for bit against the per-ball,
+    per-plane reference."""
+    centres = [geometry.as_point(a, mu.n) for a in centres]
+    r_list = cfg.resolved_r_list(mu)
+    s_list = tuple(float(s) for s in cfg.s_list)
+    scores = list(rectify._ball_scores(mu, centres, planes, s_list, r_list, cfg.m, fit=True))
+    assert len(scores) == len(centres)
+    for a, score in zip(centres, scores):
+        delta, d, w = ref_gather_ball(mu, a, max(r_list))
+        if d.size == 0:
+            assert score is None
+            continue
+        worst, grid, fitted = score
+        fits = ref_ball_fits(mu.n, cfg.m, delta, d, w)
+        assert len(fitted) == len(fits) and len(worst) == len(planes) + len(fits)
+        assert all(same_plane(HomPlane(mu.n, *f), V) for f, V in zip(fitted, fits))
+        prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
+        for V, x, cells in zip(list(planes) + fits, worst, grid):
+            want = ref_plane_defect_grid(V, delta, d, w, s_list, r_list, float(cfg.m), prefix)
+            assert bits(x) == bits(want[0])
+            assert bits(cells.ravel()) == bits([c[2] for c in want[1]])
+
+
 def reference_clouds():
     """(measure, config) pairs over both families and several m."""
     rng = np.random.default_rng(9)
@@ -264,7 +307,8 @@ def reference_clouds():
 
 
 def ref_gather_ball(mu, a, r_max):
-    """_gather_ball by a full scan and a stable argsort."""
+    """The punctured ball 0 < d <= r_max around a as (delta, d, w), by a
+    full scan and a stable argsort."""
     ac = a.coords()
     pts, w = mu.points, mu.weights
     d = geometry.dist_rows(pts, ac)
@@ -283,14 +327,22 @@ class TestGatherBall:
         pts = np.vstack([np.column_stack([xs.ravel(), ts.ravel()]), [0.01, -0.003]])
         mu = DiscreteMeasure(1, pts, np.random.default_rng(2).uniform(0.5, 2.0, len(pts)))
         off = np.flatnonzero(np.all(mu.points == [0.01, -0.003], axis=1))
-        ties = 0
-        for i in [*range(0, mu.natoms, 101), *off]:
-            a = ParaPoint.from_coords(mu.points[i])
-            want = ref_gather_ball(mu, a, r_max)
-            ties += np.count_nonzero(np.diff(want[1]) == 0.0)
-            for g, w in zip(rectify._gather_ball(mu, a, r_max), want):
-                assert g.shape == w.shape and bits(g) == bits(w)
-        assert ties > 10
+        centres = [ParaPoint.from_coords(mu.points[i]) for i in [*range(0, mu.natoms, 101), *off]]
+        # width 1 fills each block up to PAIR_TILE rows; 2^14 leaves 4 rows
+        # a block, so each of these balls, all larger, has one of its own
+        for width in (1, 1 << 14):
+            balls = []
+            for delta, d, w, sizes in rectify._ball_blocks(mu, centres, r_max, width):
+                cut = np.cumsum(sizes)[:-1]
+                balls += zip(*(np.split(x, cut) for x in (delta, d, w)))
+            assert len(balls) == len(centres)
+            ties = 0
+            for a, got in zip(centres, balls):
+                want = ref_gather_ball(mu, a, r_max)
+                ties += np.count_nonzero(np.diff(want[1]) == 0.0)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and bits(g) == bits(w)
+            assert ties > 10
 
 
 class TestBatchedScoringMatchesReference:
@@ -309,21 +361,14 @@ class TestBatchedScoringMatchesReference:
         mu, cfg = reference_clouds()[0]
         planes = sample_planes(mu.n, cfg.m, 16, cfg.seed)
         r_list = cfg.resolved_r_list(mu)
-        s_list = tuple(cfg.s_list)
         for a in mu.points[::300]:
-            delta, d, w = rectify._gather_ball(mu, ParaPoint.from_coords(a), max(r_list))
-            prefix = [int(np.searchsorted(d, r, side="right")) for r in r_list]
-            args = (delta, d, w, s_list, r_list, 2.0, prefix)
-            with mock.patch.object(geometry, "PAIR_TILE", budget * d.size):
-                chunks = list(geometry.tile_slices(len(planes), d.size))
-                assert len(chunks) == -(-len(planes) // budget)
-                worst, curves = rectify._plane_defect_grids(planes, *args)
+            ball = ref_gather_ball(mu, ParaPoint.from_coords(a), max(r_list))
+            count = len(planes) + len(ref_ball_fits(mu.n, cfg.m, *ball))
+            width = len(cfg.s_list) * ball[1].size
+            with mock.patch.object(geometry, "PAIR_TILE", budget * width):
+                assert len(list(geometry.tile_slices(count, width))) == -(-count // budget)
+                assert_scores_match_reference(mu, [a], planes, cfg)
                 res = detect_tangent(mu, a, cfg, planes=planes)
-            for V, x, curve in zip(planes, worst, curves):
-                want = ref_plane_defect_grid(V, *args)
-                assert bits(x) == bits(want[0])
-                assert curve == want[1] and bits([c[2] for c in curve]) == bits(
-                    [c[2] for c in want[1]])
             assert_matches_reference(res, ref_detect_tangent(mu, a, cfg, planes=planes))
 
     def test_empty_ball_and_zero_prefix(self):
@@ -365,6 +410,68 @@ class TestBatchedScoringMatchesReference:
             assert res.argmin_plane is listed[0] and res.min_defect == 5.0
 
 
+dyadic = st.integers(-8, 8).map(lambda k: k / 8)
+
+
+@st.composite
+def scoring_cases(draw):
+    """(measure, config, planes, tile) over P^1 to P^3 and every valid m.
+
+    The atoms lie on a dyadic grid, so many sit at equal distances from
+    a centre and on the sphere of a dyadic radius, and carry unequal
+    weights.  One atom far from the rest has an empty ball, and a far
+    pair one-atom balls.  Optionally an atom 1e-170 from the origin,
+    whose distance from it underflows to 0, sits at its centre.  planes
+    is None (the canonical ones) or 1 to 5 sampled planes, and tile a
+    PAIR_TILE that splits the centres and planes into small chunks."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, n + 1))
+    rows = draw(st.lists(st.lists(dyadic, min_size=n + 1, max_size=n + 1),
+                         min_size=1, max_size=30))
+    far = np.full(n + 1, 40.0)
+    pts = np.vstack([rows, far, -far, -far + np.eye(n + 1)[0] / 32])
+    if draw(st.booleans()):
+        pts = np.vstack([pts, np.zeros(n + 1), np.eye(n + 1)[0] * 1e-170])
+    weights = draw(st.lists(st.floats(0.125, 8.0), min_size=len(pts), max_size=len(pts)))
+    radius = st.sampled_from([0.125, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.5)
+    cfg = TangentConfig(
+        m=m,
+        s_list=tuple(draw(st.lists(st.sampled_from([0.9, 0.5, 0.25]) | st.floats(0.01, 0.99),
+                                   min_size=1, max_size=3))),
+        r_list=tuple(draw(st.lists(radius, min_size=1, max_size=3))),
+        threshold=draw(st.sampled_from([0.05, 1.0, math.inf])),
+        sample_size=len(pts),
+    )
+    count = draw(st.integers(0, 5))
+    planes = sample_planes(n, m, count, draw(st.integers(0, 9))) if count else None
+    return DiscreteMeasure(n, pts, weights), cfg, planes, draw(st.sampled_from([1, 40, None]))
+
+
+class TestScoringMatchesBruteForce:
+    @settings(max_examples=80, deadline=None)
+    @given(scoring_cases())
+    def test_every_field_matches(self, case):
+        mu, cfg, planes, tile = case
+        off = mu.points[0] + 1 / 16
+        with mock.patch.object(geometry, "PAIR_TILE", tile or geometry.PAIR_TILE):
+            report = classify_points(mu, cfg)
+            tangents = [detect_tangent(mu, a, cfg, planes=planes) for a in [*mu.points, off]]
+            listed = planes or candidate_planes(mu.n, cfg.m)
+            defects = [(cone_defect(mu, off, V, s, r, cfg.m), ref_cone_defect(mu, off, V, s, r, cfg.m))
+                       for V in listed[:2] for s in cfg.s_list for r in cfg.r_list]
+            assert_scores_match_reference(mu, [*mu.points, off], listed, cfg)
+        np.testing.assert_array_equal([p.coords() for p in report.points], mu.points)
+        for a, res in zip(mu.points, report.results):
+            assert_matches_reference(res, ref_detect_tangent(mu, a, cfg))
+        for a, res in zip([*mu.points, off], tangents):
+            assert_matches_reference(res, ref_detect_tangent(mu, a, cfg, planes=planes))
+        assert [bits(got) for got, _ in defects] == [bits(want) for _, want in defects]
+        # the far pair, first in canonical order, has one-atom balls, and
+        # the far atom, last, an empty one
+        assert all(res.defect_curve for res in report.results[:2])
+        assert report.results[-1].defect_curve == []
+
+
 def ref_fitted_planes(n, m, delta, d, w):
     """_fitted_planes from one np.outer per atom."""
     C = np.zeros((n, n))
@@ -387,7 +494,7 @@ class TestFittedPlanes:
     @staticmethod
     def ball(pts, r_max=10.0):
         mu = DiscreteMeasure(pts.shape[1] - 1, pts, np.linspace(0.5, 2.0, len(pts)))
-        return rectify._gather_ball(mu, ParaPoint.from_coords(pts[0]), r_max)
+        return ref_gather_ball(mu, ParaPoint.from_coords(pts[0]), r_max)
 
     def assert_fits(self, n, m, ball, truth):
         got = rectify._fitted_planes(n, m, *ball)
@@ -512,6 +619,22 @@ class TestClassifyPoints:
         lines = out.read_text().splitlines()
         assert lines[0] == "point_index,r,s,defect"
         assert len(lines) > 5
+
+
+    def test_scoring_memory_does_not_grow_with_the_sample(self):
+        # the balls are scored in blocks of about PAIR_TILE mask entries:
+        # beyond the report it returns, classify_points peaks at about
+        # 1.5 MiB here, where one block of all 20,001 balls took 26 MiB
+        mu = line_cloud(1e-4)
+        assert mu.natoms == 20001
+        tracemalloc.start()
+        try:
+            rep = classify_points(mu, TangentConfig(m=1, sample_size=mu.natoms))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rep) == mu.natoms and rep.fractions["horizontal"] == 1.0
+        assert peak - kept < 8 * 2**20
 
 
 class TestBlowup:
