@@ -8,6 +8,7 @@ function algebra on immutable values; the heavier estimators live in
 the measure and rectify modules.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -340,13 +341,35 @@ def project(V, p, part="onto"):
 
 
 def _dot_cols(weights, cols):
-    """sum_c weights[..., c] * cols[c], added in ascending c from +0.0."""
+    """sum_c weights[..., c] * cols[c], added in ascending c from +0.0.
+
+    Weights that are one number per c for every row (a single basis)
+    skip trivial terms: +-0.0 drops a term, +-1.0 adds or subtracts its
+    column unmultiplied.  On finite columns the bits hold, since the sum
+    never holds -0.0 and x * 1.0 = x.  No term left gives a read-only
+    +0.0 array of the broadcast shape."""
     if not cols:
         return 0.0
-    acc = weights[..., 0] * cols[0]
-    acc += 0.0  # the sum starts from +0.0, so a lone -0.0 product gives +0.0
-    for c in range(1, len(cols)):
-        acc += weights[..., c] * cols[c]
+    if weights.size != weights.shape[-1]:  # stacked or paired: every term multiplied
+        acc = weights[..., 0] * cols[0]
+        acc += 0.0  # the sum starts from +0.0, so a lone -0.0 product gives +0.0
+        for c in range(1, len(cols)):
+            acc += weights[..., c] * cols[c]
+        return acc
+    acc = None
+    for c, w in enumerate(weights.reshape(-1).tolist()):
+        if w == 0.0:
+            continue
+        col = cols[c] if w in (1.0, -1.0) else weights[..., c] * cols[c]
+        if acc is None:
+            zero = np.zeros(weights.shape[:-1])
+            acc = np.subtract(zero, col) if w == -1.0 else np.add(zero, col)
+        elif w == -1.0:
+            acc -= col
+        else:
+            acc += col
+    if acc is None:
+        return np.broadcast_to(0.0, np.broadcast_shapes(weights.shape[:-1], np.shape(cols[0])))
     return acc
 
 
@@ -690,6 +713,11 @@ class GraphSamples:
     """A sampled graph over a homogeneous plane: base points P_V(p) and
     complement values P_{V perp}(p), kept as ambient (N, n+1) coordinate
     arrays.  base + values reassembles the original points exactly.
+
+    The derived arrays (base_h, value_h and the sorted key of _window)
+    are computed once, on first use, over all rows; base_h and value_h
+    are read-only.  Like GridIndex with its pts, they are not
+    recomputed, so base and values must not change after construction.
     """
 
     def __init__(self, plane, base, values):
@@ -708,32 +736,57 @@ class GraphSamples:
     def __len__(self):
         return self.base.shape[0]
 
-    @property
+    @functools.cached_property
     def base_h(self):
         """Intrinsic horizontal base coordinates, shape (N, k)."""
-        return self.base[:, :-1] @ self.plane.horiz_basis.T
+        return _read_only(self.base[:, :-1] @ self.plane.horiz_basis.T)
 
     @property
     def base_t(self):
         """Time coordinate of the base, or None for horizontal planes."""
         return self.base[:, -1] if self.plane.includes_t_axis else None
 
-    @property
+    @functools.cached_property
     def co_plane(self):
         return complement_plane(self.plane)
 
-    @property
+    @functools.cached_property
     def value_h(self):
         """Horizontal complement coordinates, shape (N, n - k)."""
         co = self.co_plane
         if co.k == 0:
-            return np.zeros((len(self), 0))
-        return self.values[:, :-1] @ co.horiz_basis.T
+            return _read_only(np.zeros((len(self), 0)))
+        return _read_only(self.values[:, :-1] @ co.horiz_basis.T)
 
     @property
     def value_t(self):
         """Time coordinate of the values, or None when V is vertical."""
         return None if self.plane.includes_t_axis else self.values[:, -1]
+
+    @functools.cached_property
+    def _keys(self):
+        """The key (base_h[:, 0], or base t when k = 0), its stable
+        argsort and the sorted key."""
+        key = self.base_h[:, 0] if self.plane.k else self.base[:, -1]
+        order = np.argsort(key, kind="stable")
+        return key, order, key[order]
+
+    def _window(self, p, r):
+        """The rows, ascending, whose key is within _reach(r, 1) of row
+        p's key (its square for the t key); rounding is monotone, so no
+        row that close is missed.  A bound that overflows is inf."""
+        key, order, sorted_key = self._keys
+        reach = _reach(r, 1)
+        if not self.plane.k:
+            reach = reach * reach
+        lo = sorted_key.searchsorted(float(key[p]) - reach, "left")
+        hi = sorted_key.searchsorted(float(key[p]) + reach, "right")
+        return np.sort(order[lo:hi])
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(eq=False)

@@ -8,6 +8,7 @@ uniqueness diagnostics, and differentiability fitting for sampled graphs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .geometry import (
     HomPlane,
     ParaPoint,
     _check_aperture,
+    _check_radius,
     _dot_cols,
     _perp_norm,
     _project_paired,
@@ -601,28 +603,42 @@ def fit_differential(graph, p_index, cfg):
     is "differentiable" when the finest residual is at or below the
     threshold, "not_differentiable" otherwise; neighborhoods with fewer
     than max(k, 1) points or a rank-deficient regressor flag the fit
-    and leave no verdict.
+    and leave no verdict.  p_index is taken through operator.index, and
+    every scale must lie in (0, inf).
+
+    A call costs its window, not N: it reads only the rows of
+    graph._window at the largest scale, in ascending row order.  Every
+    row within that scale is among them.  Its key (see GraphSamples) is
+    one of the coordinates whose differences make the base distance:
+    the rounded square of the key difference is one nonnegative term of
+    the squared distance, or |dt| is the whole of it when k = 0, and
+    rounding is monotone, so the key difference is as close as
+    dist_rows would put a one-coordinate row, which _reach bounds.  The
+    rows and their order are those of a scan over the whole graph, so
+    lstsq, einsum and max get the same inputs, and the fit its bits.
     """
     V = graph.plane
     k = V.k
-    p = int(p_index)
+    p = operator.index(p_index)
     if not 0 <= p < len(graph):
         raise IndexError(f"point index {p} out of range")
-    xi = graph.base_h
-    eta = graph.value_h
-    co_k = eta.shape[1]
-    dxi = xi - xi[p]
-    deta = eta - eta[p]
+    scales = [float(r) for r in cfg.scales]
+    if not scales:
+        raise ValueError("cfg.scales must be nonempty")
+    for r in scales:
+        _check_radius(r)
+    scales.sort(reverse=True)
+    rows = graph._window(p, scales[0])
+    dxi = graph.base_h[rows] - graph.base_h[p]
+    deta = graph.value_h[rows] - graph.value_h[p]
+    co_k = deta.shape[1]
     sq = np.einsum("ij,ij->i", dxi, dxi)
     if V.includes_t_axis:
-        dbase = np.sqrt(sq + np.abs(graph.base_t - graph.base_t[p]))
+        dbase = np.sqrt(sq + np.abs(graph.base_t[rows] - graph.base_t[p]))
         dtau = None
     else:
         dbase = np.sqrt(sq)
-        dtau = graph.value_t - graph.value_t[p]
-    scales = tuple(sorted((float(r) for r in cfg.scales), reverse=True))
-    if not scales:
-        raise ValueError("cfg.scales must be nonempty")
+        dtau = graph.value_t[rows] - graph.value_t[p]
     lam = np.zeros((co_k, k))
     curve = []
     flagged = False

@@ -2,8 +2,9 @@
 code paths against a scan over every point, the stored flat-plane
 meshes that the flat-constant counts are checked against, the
 one-point blow-up map that blowup_rows is checked against, the
-per-row CSV writer that write_csv is checked against, and the deque
-scan that find_equal_pair is checked against."""
+per-row CSV writer that write_csv is checked against, the deque
+scan that find_equal_pair is checked against, and the full-scan
+differential fit that fit_differential is checked against."""
 
 from collections import deque
 
@@ -12,6 +13,7 @@ import numpy as np
 from parabgmt.generators import PairNotFoundError
 from parabgmt.geometry import ParaPoint, _same_dim, _sum_squares, dist_rows
 from parabgmt.measure import _spread_index
+from parabgmt.rectify import DifferentialFit
 
 
 class ScanIndex:
@@ -192,3 +194,57 @@ def reference_find_equal_pair(ts, fs, ctilde, refine_steps=40):
     if np.isfinite(diffs[ra, rb]):
         ia, ib = int(la[ra]), int(lb[rb])
     return ia, ib
+
+
+def reference_fit_differential(graph, p_index, cfg):
+    """fit_differential by one scan over every sample: the base distances
+    from row p to all N rows, then each scale's selection among them."""
+    V = graph.plane
+    k = V.k
+    p = int(p_index)
+    if not 0 <= p < len(graph):
+        raise IndexError(f"point index {p} out of range")
+    xi = graph.base_h
+    eta = graph.value_h
+    co_k = eta.shape[1]
+    dxi = xi - xi[p]
+    deta = eta - eta[p]
+    sq = np.einsum("ij,ij->i", dxi, dxi)
+    if V.includes_t_axis:
+        dbase = np.sqrt(sq + np.abs(graph.base_t - graph.base_t[p]))
+        dtau = None
+    else:
+        dbase = np.sqrt(sq)
+        dtau = graph.value_t - graph.value_t[p]
+    scales = tuple(sorted((float(r) for r in cfg.scales), reverse=True))
+    if not scales:
+        raise ValueError("cfg.scales must be nonempty")
+    lam = np.zeros((co_k, k))
+    curve = []
+    flagged = False
+    for r in scales:
+        sel = (dbase > 0.0) & (dbase <= r)
+        cnt = int(np.sum(sel))
+        if cnt < max(k, 1):
+            flagged = True
+            break
+        if k and co_k:
+            A = dxi[sel] / dbase[sel, None]
+            B = deta[sel] / dbase[sel, None]
+            sol, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+            if rank < k:
+                flagged = True
+                break
+            lam = sol.T
+        mis = deta[sel] - dxi[sel] @ lam.T
+        num2 = np.einsum("ij,ij->i", mis, mis)
+        if dtau is not None:
+            num2 = num2 + np.abs(dtau[sel])
+        curve.append((r, float(np.max(np.sqrt(num2) / dbase[sel]))))
+    if flagged:
+        verdict = None
+    elif curve[-1][1] <= cfg.threshold:
+        verdict = "differentiable"
+    else:
+        verdict = "not_differentiable"
+    return DifferentialFit(p, graph.base[p].copy(), lam, curve, verdict, flagged)

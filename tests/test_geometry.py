@@ -320,6 +320,64 @@ class TestProjectCols:
                 for r, q in enumerate(X):
                     assert bits_equal(full[r], project_rows(V, q, part)[0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9])
+    @pytest.mark.parametrize("shape", [(40,), (5, 8)])
+    def test_coordinate_bases_match_the_dense_multiply_add(self, n, shape):
+        # the kernel skips zero weights and adds or subtracts unit-weight
+        # columns; with 8 or more columns _sum_squares stacks them, so an
+        # all-zero column must come back as an array of the row shape
+        rng = np.random.default_rng(700 + n)
+        planes = [V for m in range(1, n + 2) for V in geometry.candidate_planes(n, m)]
+        for V in planes[:: max(1, len(planes) // 40)]:
+            signs = rng.choice([-1.0, 1.0], (V.k, 1))
+            planes.append(HomPlane(n, signs * V.horiz_basis, V.includes_t_axis))
+        cols = list(kernel_floats(rng, (n, *shape)))
+        for V in planes:
+            got = geometry._project_cols(V.horiz_basis, cols)
+            want = dense_project_cols(V.horiz_basis, cols)
+            assert len(got) == n
+            for g, w in zip(got, want):
+                assert bits_equal(np.asarray(g), np.asarray(w))
+            if V.k:
+                out = np.empty(shape)
+                with np.errstate(over="ignore", under="ignore"):
+                    assert geometry._sum_squares(got, out=out) is out
+                    want2 = einsum_squares(np.stack(want, -1))
+                    assert bits_equal(geometry._sum_squares(got), want2)
+                assert bits_equal(out, want2)
+
+
+def kernel_floats(rng, shape):
+    """Floats of every kind the projection kernel must keep: signed
+    zeros, subnormals, values near 1e300 and plain normal floats."""
+    kinds = [
+        np.zeros(shape),
+        np.full(shape, -0.0),
+        rng.choice([-1.0, 1.0], shape) * 5e-324 * rng.integers(1, 2**20, shape),
+        rng.uniform(-1.0, 1.0, shape) * 2.2250738585072014e-308,
+        rng.uniform(-1.7, 1.7, shape) * 1e300,
+        rng.standard_normal(shape),
+    ]
+    return np.choose(rng.integers(0, len(kinds), shape), kinds)
+
+
+def dense_project_cols(basis, cols):
+    """_project_cols with every term multiplied and added, from +0.0:
+    the kernel before it skipped zero and unit weights."""
+    def dot(weights, terms):
+        if not terms:
+            return 0.0
+        acc = weights[..., 0] * terms[0]
+        acc += 0.0
+        for c in range(1, len(terms)):
+            acc += weights[..., c] * terms[c]
+        return acc
+
+    k, n = basis.shape
+    basis = basis.reshape((1,) * np.ndim(cols[0]) + (k, n))
+    xi = [dot(basis[..., j, :], cols) for j in range(k)]
+    return [dot(basis[..., :, c], xi) for c in range(n)]
+
 
 class TestDilation:
     def test_blowup_map_oracle(self):

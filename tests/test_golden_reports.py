@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from parabgmt import cli, geometry
-from parabgmt.generators import GeneratorSpec, bmo_energy, gen_flat
+from parabgmt.generators import GeneratorSpec, bmo_energy, gen_flat, gen_quartic_cantor
 from parabgmt.geometry import (
     GraphSamples,
     HomPlane,
@@ -143,6 +143,17 @@ def _tangent_record(line):
     return classify_points(line, TangentConfig(m=1, sample_size=4)).to_dict()
 
 
+def _quartic_fits():
+    """Differential fits of the 4096-atom quartic Cantor graph over the
+    x1-axis at 40 spread atoms, at the fine scales its clustered atoms
+    need: each fit reads a narrow neighbourhood of a clustered cloud."""
+    mu = gen_quartic_cantor(depth=11)[0]
+    graph = GraphSamples.from_points(mu.points, HomPlane.horizontal_axes(1, (0,)))
+    cfg = FitConfig(scales=(2e-4, 2e-5, 5e-6))
+    picks = np.round(np.linspace(0, len(graph) - 1, 40)).astype(int).tolist()
+    return [fit_differential(graph, i, cfg).to_dict() for i in picks]
+
+
 def records():
     """{name: JSON text} for the to_dict() of each record on small fixtures."""
     line = _line()
@@ -171,6 +182,7 @@ def records():
         "DifferentialFit": fit_differential(graph, 200, FitConfig(scales=(0.5, 0.1))).to_dict(),
         "DifferentialFit_flagged": fit_differential(graph, 0,
                                                     FitConfig(scales=(1e-4,))).to_dict(),
+        "DifferentialFit_quartic": _quartic_fits(),
         "FitConfig": FitConfig(scales=(0.5, 0.1)).to_dict(),
         "BmoEnergy": bmo_energy(grid, grid ** 2, 0.0).to_dict(),
         "BmoEnergy_empty": bmo_energy(np.array([0.0, 1.0]), np.zeros(2), 0.0,

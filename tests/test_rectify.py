@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scan_index import reference_fit_differential
 
 from parabgmt import geometry, rectify
 from parabgmt.generators import GeneratorSpec, gen_flat, gen_graph, generate
@@ -829,6 +830,35 @@ class TestFitDifferential:
         with pytest.raises(ValueError):
             fit_differential(g, 0, FitConfig(scales=()))
 
+    @pytest.mark.parametrize("index", [3.7, 3.0, "3", None])
+    def test_point_index_must_be_an_integer(self, index):
+        # int(3.7) once fitted row 3
+        with pytest.raises(TypeError):
+            fit_differential(self._graph(lambda x: 0.5 * x), index, FitConfig(scales=(0.5,)))
+
+    def test_numpy_integer_index(self):
+        g = self._graph(lambda x: 0.5 * x)
+        fit = fit_differential(g, np.int64(1000), FitConfig(scales=(0.5,)))
+        assert type(fit.point_index) is int and fit.point_index == 1000
+
+    @pytest.mark.parametrize("bad, why", [
+        (0.0, "> 0"), (-0.1, "> 0"), (-math.inf, "> 0"),
+        (math.nan, "finite"), (math.inf, "finite")])
+    def test_every_scale_is_a_radius(self, bad, why):
+        # NaN and r <= 0 once flagged the fit, and inf fitted the whole graph
+        g = self._graph(lambda x: 0.5 * x)
+        for scales in ((bad,), (0.5, bad), (bad, 0.1, 0.02)):
+            with pytest.raises(ValueError, match=f"radius must be {why}"):
+                fit_differential(g, 1000, FitConfig(scales=scales))
+
+    def test_graph_arrays_are_read_only(self):
+        # fits read the arrays computed at construction
+        g = self._graph(lambda x: 0.5 * x)
+        with pytest.raises(ValueError):
+            g.base_h[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            g.value_h[0, 0] = 1.0
+
     def test_to_dict(self):
         g = self._graph(lambda x: 0.5 * x)
         fit = fit_differential(g, 1000, FitConfig(scales=(0.5, 0.1)))
@@ -836,3 +866,92 @@ class TestFitDifferential:
         assert isinstance(fit, DifferentialFit)
         assert d["verdict"] == "differentiable"
         assert len(d["residual_curve"]) == 2
+
+
+def fit_planes(n):
+    """The planes of P^n grouped by family and k: the axis planes (the
+    t-axis among them) and two tilted frames where the group has them."""
+    groups = {}
+    for m in range(1, n + 2):
+        canon = candidate_planes(n, m)
+        for V in canon + sample_planes(n, m, len(canon) + 2, seed=40 + m)[len(canon):]:
+            groups.setdefault((V.includes_t_axis, V.k), []).append(V)
+    return list(groups.values())
+
+
+def base_distances(graph, p):
+    """The base distances from row p to every row, as fit_differential
+    computes them."""
+    dxi = graph.base_h - graph.base_h[p]
+    sq = np.einsum("ij,ij->i", dxi, dxi)
+    if graph.plane.includes_t_axis:
+        return np.sqrt(sq + np.abs(graph.base_t - graph.base_t[p]))
+    return np.sqrt(sq)
+
+
+@st.composite
+def fit_cases(draw):
+    """A graph of 1-400 samples over a plane of P^1-P^3, its base points
+    and values drawn apart: each an offset up to 1e6 plus a spread from
+    1e-9 to 1e2 times normal noise, the rows' sizes optionally spread
+    over six decades, with some base points repeated."""
+    n = draw(st.integers(1, 3))
+    V = draw(st.sampled_from(draw(st.sampled_from(fit_planes(n)))))
+    N = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cloud():
+        offset = draw(st.sampled_from([0.0, 1.0, -3.5, 1e3, 1e6]))
+        spread = 10.0 ** draw(st.integers(-9, 2))
+        sizes = 10.0 ** rng.uniform(-draw(st.sampled_from([0, 6])), 0.0, (N, 1))
+        return offset + spread * sizes * rng.standard_normal((N, n + 1))
+
+    base = project_rows(V, cloud())
+    dups = draw(st.integers(0, N - 1))
+    base[rng.integers(0, N, dups)] = base[rng.integers(0, N, dups)]
+    values = project_rows(V, cloud(), "complement")
+    return GraphSamples(V, base, values), rng
+
+
+class TestFitWindowMatchesFullScan:
+    """fit_differential reads only the window of its largest scale; every
+    report equals the full scan's, field for field."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=fit_cases(), exps=st.lists(st.integers(-300, 3), max_size=2),
+           threshold=st.sampled_from([0.05, 1.0, math.inf]))
+    def test_reports_match_the_full_scan(self, case, exps, threshold):
+        graph, rng = case
+        N = len(graph)
+        least = max(graph.plane.k, 1)
+        for p in rng.choice(N, size=min(N, 40), replace=False).tolist():
+            # the largest scale sits on a row's base distance, which puts
+            # that row on the window's edge: every other time on the
+            # least-th nearest, so that without it the fit is flagged
+            d = np.sort(base_distances(graph, p))
+            d = d[d > 0.0]
+            scales = [float(10.0 ** e) * rng.uniform(1.0, 10.0) for e in exps]
+            if d.size:
+                scales.append(float(d[min(least, d.size) - 1 if p % 2 else rng.integers(d.size)]))
+            cfg = FitConfig(scales=tuple(scales) or (1e-3,), threshold=threshold)
+            got = fit_differential(graph, p, cfg).to_dict()
+            assert got == reference_fit_differential(graph, p, cfg).to_dict()
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_a_row_on_the_edge_of_a_rounded_key(self, k):
+        # the one row within r lies past the key bound without slack:
+        # t = 1 + 2^-52 beyond r^2 = 1, though sqrt(t) rounds to r = 1,
+        # and x = 1.25 + 2^-52 beyond -0.75 + 2, though x + 0.75 rounds to 2
+        if k:
+            pts = np.array([[-0.75, 0.0], [1.25 + 2.0**-52, 0.0], [5.0, 0.0]])
+            V = HomPlane.horizontal_axes(1, (0,))
+        else:
+            pts = np.array([[0.0, 0.0], [0.0, 1.0 + 2.0**-52], [0.0, 4.0]])
+            V = HomPlane.t_axis(1)
+        graph = GraphSamples.from_points(pts, V)
+        cfg = FitConfig(scales=(1.0 + k,))
+        d = base_distances(graph, 0)
+        assert d[1] == 1.0 + k < d[2]
+        fit = fit_differential(graph, 0, cfg)
+        assert fit.to_dict() == reference_fit_differential(graph, 0, cfg).to_dict()
+        assert not fit.flagged
