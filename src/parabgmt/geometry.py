@@ -137,23 +137,43 @@ def _sum_squares(cols, out=None):
     einsum's inner loop per row of k elements.  The order is numpy's
     choice, not a promise: TestSumSquares holds this kernel against
     einsum for k = 1..12, so a numpy that adds otherwise fails there.
+
+    A column given as None is an exact +0.0.  Up to 7 columns its term
+    is skipped in its even or odd sum: +0.0 + y = y for every square y,
+    and a sum with no term left is +0.0.  From 8 columns on a zero
+    column takes its place in the stack, since einsum's order depends on
+    the column count.  With every column None and no out the sum is the
+    scalar +0.0.
     """
     if len(cols) >= 8:
+        if any(c is None for c in cols):
+            zero = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols if c is not None)))
+            cols = [zero if c is None else c for c in cols]
         block = np.stack(cols, axis=-1)
         sums = np.einsum("...i,...i->...", block, block)
         if out is None:
             return sums
         out[...] = sums
         return out
-    even = np.multiply(cols[0], cols[0], out=out)
-    for c in cols[2::2]:
-        even += c * c
-    if len(cols) == 1:
-        return even
-    odd = cols[1] * cols[1]
-    for c in cols[3::2]:
-        odd += c * c
-    return np.add(even, odd, out=out)
+    even = None
+    for c in cols[::2]:
+        if c is None:
+            continue
+        if even is None:
+            even = np.multiply(c, c, out=out)
+        else:
+            even += c * c
+    odd = None
+    for c in cols[1::2]:
+        if c is None:
+            continue
+        if odd is None:  # into out when the odd sum is the whole sum
+            odd = np.multiply(c, c, out=out if even is None else None)
+        else:
+            odd += c * c
+    if even is None:
+        return np.multiply(0.0, 0.0, out=out) if odd is None else odd
+    return even if odd is None else np.add(even, odd, out=out)
 
 
 def _norm_cols(cols, metric="parabolic"):
@@ -233,9 +253,16 @@ class HomPlane:
     (rows of shape (k, n)) plus a flag saying whether the t-axis is
     included.  Parabolic Hausdorff dimension m = k + 2 if the t-axis is
     in, else m = k.
+
+    axes is the tuple of spatial axes of the basis rows, in row order,
+    when every row is a unit coordinate vector (one 1.0, every other
+    entry +-0.0), as horizontal_axes, vertical_axes, t_axis and
+    candidate_planes build them; () for the t-axis.  For any other
+    basis, a -1.0 row included, it is None.  It is derived from the
+    basis, so to_dict leaves it out.
     """
 
-    __slots__ = ("n", "horiz_basis", "includes_t_axis")
+    __slots__ = ("n", "horiz_basis", "includes_t_axis", "axes")
 
     def __init__(self, n, horiz_basis, includes_t_axis):
         n = int(n)
@@ -261,6 +288,7 @@ class HomPlane:
         self.n = n
         self.horiz_basis = basis
         self.includes_t_axis = bool(includes_t_axis)
+        self.axes = _coordinate_axes(basis)
 
     @property
     def k(self):
@@ -317,6 +345,18 @@ class HomPlane:
     @classmethod
     def t_axis(cls, n):
         return cls.vertical_axes(n)
+
+
+def _coordinate_axes(basis):
+    """The axis of each row of an orthonormal basis when every row is a
+    unit coordinate vector, in row order, else None."""
+    axes = []
+    for row in basis.tolist():
+        nonzero = [c for c, v in enumerate(row) if v != 0.0]
+        if len(nonzero) != 1 or row[nonzero[0]] != 1.0:
+            return None
+        axes.append(nonzero[0])
+    return tuple(axes)
 
 
 def _axis_rows(n, axes):
@@ -634,13 +674,26 @@ def pair_blocks(*arrays):
     broadcasting with no gather.  Only the entries with j > i are
     pairs; upper masks them, and its nonzero entries run in (i, j)
     lexicographic order.
+
+    Every block reuses the same memory: the difference columns are
+    written into buffers of the first (largest) block's size, and upper,
+    which depends only on the offsets (a, b), is a view of the first
+    block's mask.  A caller reads a block before it asks for the next,
+    and may overwrite the difference columns, not upper.
     """
     npts = arrays[0].shape[0]
     cols = [list(np.asarray(a, dtype=float).T.copy()) for a in arrays]
+    mask = bufs = None
     for rows in tile_slices(npts - 1, npts):
         lo, hi = rows.start, rows.stop
-        upper = np.arange(npts - lo - 1) >= np.arange(hi - lo)[:, None]
-        yield lo, upper, [[c[None, lo + 1 :] - c[lo:hi, None] for c in a] for a in cols]
+        if mask is None:
+            mask = _read_only(np.arange(npts - lo - 1) >= np.arange(hi - lo)[:, None])
+            bufs = [[np.empty(mask.size) for _ in a] for a in cols]
+        upper = mask[: hi - lo, : npts - lo - 1]
+        yield lo, upper, [
+            [np.subtract(c[None, lo + 1 :], c[lo:hi, None], out=b[: upper.size].reshape(upper.shape))
+             for c, b in zip(a, ab)]
+            for a, ab in zip(cols, bufs)]
 
 
 def _cone_gap_blocks(pts, V, s, base=False):
@@ -655,31 +708,56 @@ def _cone_gap_blocks(pts, V, s, base=False):
     then |t| added where the part keeps t, then the square root, so the
     values have the bits of _perp_norm and _norm_cols.
 
+    A coordinate plane (V.axes not None) is not projected: ||P_V d||^2
+    is _sum_squares of d's columns with those off the axes passed as
+    None, and ||P_{V perp} d||^2 the same with the axis columns passed as
+    None.  The bits hold on finite columns: the projection kernel gives
+    px_c = +0.0 + x_c on an axis and +0.0 off it, so x_c - px_c is +0.0
+    or x_c, and a square erases the sign of a zero.  Every other plane
+    projects d by _project_cols.
+
+    A cloud is refused before the first block when the bound
+    sum_c spread_c^2 + spread_t is not finite, spread being fl(max - min)
+    per column and the squares summed by _sum_squares.  Rounding is
+    monotone, so below a finite bound every pair difference, square and
+    norm is finite, where the bits above hold.
+
     The norms and the mask are written, in place, into buffers of the
     first (largest) block's size, which every later block reuses: a
     caller reads a block's arrays before it asks for the next.  The
-    difference columns are fresh per block and are overwritten too: t
-    by |t|, and each spatial column x by x - px once ||d|| has taken
-    its square.  Only the projection and the odd partial sums of
-    _sum_squares still allocate arrays per block.
+    difference columns, pair_blocks' own reused buffers, are overwritten
+    too: t by |t|, and on the projected path each spatial column x by
+    x - px once ||d|| has taken its square.
     """
+    if len(pts):
+        with np.errstate(over="ignore"):
+            spread = pts.max(axis=0) - pts.min(axis=0)
+            bound = _sum_squares(list(spread[:-1])) + spread[-1]
+        if not math.isfinite(bound):
+            raise ValueError("points lie too far apart: their pair distances overflow")
     vertical = V.includes_t_axis
+    on = None if V.axes is None else [c in V.axes for c in range(V.n)]
     flat = None
     for lo, upper, (d,) in pair_blocks(pts):
         if flat is None:
             flat = [np.empty(upper.size, dtype) for dtype in (float, float, float, bool)]
         perp, gap, db, bad = (b[: upper.size].reshape(upper.shape) for b in flat)
         x, t = d[:-1], np.abs(d[-1], out=d[-1])
-        px = _project_cols(V.horiz_basis, x)
+        if on is None:
+            onto, off = _project_cols(V.horiz_basis, x), x
+        else:
+            onto = [xc if a else None for xc, a in zip(x, on)]
+            off = [None if a else xc for xc, a in zip(x, on)]
         if base:
-            _sum_squares(px, out=db)
+            _sum_squares(onto, out=db)
             if vertical:
                 db += t
             np.sqrt(db, out=db)
         _sum_squares(x, out=gap)
-        for xc, pc in zip(x, px):
-            np.subtract(xc, pc, out=xc)
-        _sum_squares(x, out=perp)
+        if on is None:
+            for xc, pc in zip(x, onto):
+                np.subtract(xc, pc, out=xc)
+        _sum_squares(off, out=perp)
         if not vertical:
             perp += t
         np.sqrt(perp, out=perp)
@@ -698,6 +776,8 @@ def graph_cone_check(points, V, s):
     i < j, in lexicographic order; an empty list means pass.  A pair
     violates exactly when cone_membership(Cone(p_i, V, s), p_j) is
     "outside"; the condition is symmetric, so only i < j is examined.
+    Points so far apart that their squared distances overflow are
+    refused with ValueError.
     """
     _check_aperture(s)
     pts = as_coord_array(points, V.n)
@@ -811,7 +891,8 @@ def graph_extract(points, V, s):
     Raises ConeViolationError naming the first violating pair (i, j) in
     lexicographic order, the pair graph_cone_check(...)[0] names, and
     only when no pair violates the cone condition, the first pair whose
-    difference projects to 0 in V.
+    difference projects to 0 in V.  Like graph_cone_check, it refuses
+    points whose squared distances overflow with ValueError.
 
     One sweep over the pair blocks does all of it.  Each block takes
     the differences d = q - p of its pairs (p, q) and projects them

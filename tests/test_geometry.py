@@ -180,6 +180,28 @@ class TestSumSquares:
             assert bits_equal(out, np.broadcast_to(einsum_squares(block[0]), shape))
 
     @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("none", ["even", "odd", "all", "random"])
+    def test_none_columns_are_positive_zeros(self, k, none):
+        # a None column has the bits of a +0.0 column in einsum's block,
+        # with and without out
+        rng = np.random.default_rng(600 + k)
+        block = wide_floats(rng, (3, 200, k))
+        skip = {"even": np.arange(k) % 2 == 0, "odd": np.arange(k) % 2 == 1,
+                "all": np.ones(k, bool), "random": rng.random(k) < 0.5}[none]
+        cols = [None if skip[j] else block[..., j] for j in range(k)]
+        block[..., skip] = 0.0
+        want = einsum_squares(block)
+        out = np.full(want.shape, np.nan)
+        with np.errstate(over="ignore", under="ignore"):
+            got = geometry._sum_squares(cols)
+            assert geometry._sum_squares(cols, out=out) is out
+        assert bits_equal(out, want)
+        if skip.all():  # no column to take a shape from
+            assert np.shape(got) == () and bits_equal(np.broadcast_to(got, want.shape), want)
+        else:
+            assert bits_equal(got, want)
+
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_matches_einsum_on_broadcast_differences(self, k):
         # a (K, 1, k) stack against (N, k) rows, as dist_rows takes them
         rng = np.random.default_rng(100 + k)
@@ -471,6 +493,28 @@ class TestHomPlane:
         assert W == V
         assert W.m == V.m and W.includes_t_axis
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_coordinate_planes_report_their_axes(self, n):
+        for m in range(1, n + 2):
+            want = list(itertools.combinations(range(n), m))
+            want += list(itertools.combinations(range(n), m - 2)) if m >= 2 else []
+            planes = geometry.candidate_planes(n, m)
+            assert [V.axes for V in planes] == want
+            for V in planes:
+                d = V.to_dict()
+                assert "axes" not in d and HomPlane.from_dict(d).axes == V.axes
+        assert HomPlane.horizontal_axes(3, (2, 0)).axes == (2, 0)
+        assert HomPlane.t_axis(n).axes == ()
+
+    def test_other_bases_report_no_axes(self):
+        c, s = math.cos(0.3), math.sin(0.3)
+        assert HomPlane(2, [[c, s]], False).axes is None
+        assert HomPlane(3, [[1.0, 0.0, 0.0], [0.0, c, s]], True).axes is None
+        assert HomPlane(2, [[-1.0, 0.0]], False).axes is None
+        assert HomPlane(3, [[0.0, 1.0, 0.0], [-0.0, -0.0, -1.0]], False).axes is None
+        # a row of +1.0 and -0.0 entries is still a coordinate row
+        assert HomPlane(3, [[-0.0, 1.0, -0.0]], False).axes == (1,)
+
 
 class TestProjection:
     def test_projection_fixes_plane_points(self):
@@ -643,22 +687,22 @@ def test_pair_blocks_cover_each_pair_once_in_order():
     for npts, budget in ((0, 8), (1, 8), (2, 8), (9, 1), (9, 20), (9, 81), (40, 100)):
         pts = rng.standard_normal((npts, 3))
         img = rng.standard_normal((npts, 2))
-        with mock.patch.object(geometry, "PAIR_TILE", budget):
-            blocks = list(pair_blocks(pts, img))
         pairs = []
-        for lo, upper, diffs in blocks:
-            assert upper.size and upper.size <= max(budget, npts)
-            assert [len(d) for d in diffs] == [3, 2]
-            a, b = np.nonzero(upper)
-            i, j = a + lo, b + lo + 1
-            assert np.all(j > i)
-            # the masked entries are exactly those with j <= i
-            assert upper.sum() == sum(npts - 1 - k for k in range(lo, lo + upper.shape[0]))
-            for arr, cols in zip((pts, img), diffs):
-                for c, col in enumerate(cols):
-                    assert col.shape == upper.shape
-                    np.testing.assert_array_equal(col[upper], arr[j, c] - arr[i, c])
-            pairs += zip(i.tolist(), j.tolist())
+        # the blocks share their buffers, so each is read before the next
+        with mock.patch.object(geometry, "PAIR_TILE", budget):
+            for lo, upper, diffs in pair_blocks(pts, img):
+                assert upper.size and upper.size <= max(budget, npts)
+                assert [len(d) for d in diffs] == [3, 2]
+                a, b = np.nonzero(upper)
+                i, j = a + lo, b + lo + 1
+                assert np.all(j > i)
+                # the masked entries are exactly those with j <= i
+                assert upper.sum() == sum(npts - 1 - k for k in range(lo, lo + upper.shape[0]))
+                for arr, cols in zip((pts, img), diffs):
+                    for c, col in enumerate(cols):
+                        assert col.shape == upper.shape
+                        np.testing.assert_array_equal(col[upper], arr[j, c] - arr[i, c])
+                pairs += zip(i.tolist(), j.tolist())
         assert pairs == [(i, j) for i in range(npts) for j in range(i + 1, npts)]
 
 
@@ -677,6 +721,22 @@ class TestGraphConeCheck:
         pts = np.array([[0.0, 0.0], [np.nan, 0.5], [1.0, 1.0], [3.0, 0.0]])
         with pytest.raises(ValueError, match="points must be finite"):
             graph_cone_check(pts, HomPlane.horizontal_axes(1, (0,)), 0.5)
+
+    @pytest.mark.parametrize("pts", [
+        # the pair difference overflows to inf, and perp - s ||d|| was
+        # inf - inf = NaN, which read as inside the cone
+        [(1e308, 1.0, 0.0), (-1e308, 1.0, 0.0), (0.0, 0.0, 0.0)],
+        # a 1e200 spread off the plane: the difference is finite, its square not
+        [(1e200, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+        # the time difference overflows
+        [(0.0, 0.0, 1e308), (0.0, 0.0, -1e308), (1.0, 0.0, 0.0)],
+    ])
+    @pytest.mark.parametrize("check", [graph_cone_check, graph_extract])
+    def test_overflowing_pair_distances_are_refused(self, pts, check):
+        # refused before any overflow warns, over the x2-axis and the x1-axis
+        for V in (HomPlane.horizontal_axes(2, (1,)), HomPlane.horizontal_axes(2, (0,))):
+            with pytest.raises(ValueError, match="^points lie too far apart: their pair distances overflow$"):
+                check(pts, V, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_coordinate_arrays_are_finite(self, bad):
@@ -991,20 +1051,31 @@ def unfused_graph_extract(points, V, s):
 
 
 def plane_of(rng, n, family, frame):
+    """A plane of the family with a random frame, spanned by coordinate
+    axes drawn in any order ("axes"), or the same coordinate plane with
+    basis rows -e_a ("negated-axes"), which the cone kernel projects by
+    arithmetic."""
     if family == "t-axis":
         return HomPlane.t_axis(n)
-    return random_plane(rng, n, family) if frame == "random" else axis_plane(rng, n, family)
+    if frame == "random":
+        return random_plane(rng, n, family)
+    k = int(rng.integers(1, n + 1)) if family == "horizontal" else int(rng.integers(0, n))
+    basis = np.eye(n)[rng.choice(n, size=k, replace=False)]
+    return HomPlane(n, -basis if frame == "negated-axes" else basis, family == "vertical")
 
 
 class TestConeKernelMatchesUnfused:
     """graph_cone_check and graph_extract through the cone-gap kernel
     against the expressions it replaced: the same violation lists, and
     the same ExtractResult bits or the same error, message and pair.
-    n = 8 gives 8 spatial columns, which _sum_squares adds by einsum."""
+    n = 8 gives 8 spatial columns, which _sum_squares adds by einsum.
+    A coordinate plane takes the kernel's column path, and the same
+    plane spanned by negated axes its projecting path, with equal
+    results."""
 
     @settings(max_examples=120, deadline=None)
     @given(n=st.integers(1, 8), family=st.sampled_from(["horizontal", "vertical", "t-axis"]),
-           frame=st.sampled_from(["random", "axes"]), npts=st.integers(0, 30),
+           frame=st.sampled_from(["random", "axes", "negated-axes"]), npts=st.integers(0, 30),
            seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0.1, 0.5, 0.9]),
            offset=st.sampled_from([0.0, 1e6]), dups=st.integers(0, 4),
            thin=st.booleans(), rows=tile_rows)
@@ -1021,9 +1092,15 @@ class TestConeKernelMatchesUnfused:
         while thin and (bad := unfused_graph_cone_check(pts, V, s)):
             pts = np.delete(pts, bad[0][1], axis=0)
         with mock.patch.object(geometry, "PAIR_TILE", rows * max(len(pts), 1)):
-            assert graph_cone_check(pts, V, s) == unfused_graph_cone_check(pts, V, s)
+            violations = graph_cone_check(pts, V, s)
+            assert violations == unfused_graph_cone_check(pts, V, s)
             got = extract_outcome(graph_extract, pts, V, s)
             assert got == extract_outcome(unfused_graph_extract, pts, V, s)
+            if frame == "negated-axes" and V.k:
+                W = HomPlane(n, -V.horiz_basis, V.includes_t_axis)
+                assert V.axes is None and W.axes is not None
+                assert graph_cone_check(pts, W, s) == violations
+                assert extract_outcome(graph_extract, pts, W, s) == got
         if thin:
             assert got[0] == "ok"
 
