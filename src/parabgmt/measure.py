@@ -131,31 +131,21 @@ class DiscreteMeasure:
             f"provenance={self.provenance!r})"
         )
 
+    @functools.cached_property
+    def _index(self):
+        """The GridIndex of the atoms, built on first use: every ball,
+        resolution() and greedy_cover of the measure read it."""
+        return GridIndex(self.points)
+
     def ball(self, a, r, metric="parabolic"):
         """The closed ball dist_rows(p, a) <= r as (rows, dist): the rows
         of the atoms in it, ascending, and their dist_rows values.
 
-        Only the x1 window of a (see _x1_window) is scanned, and every
-        atom of the ball lies in it, so rows and distances are those of a
-        scan over the whole cloud, bit for bit.  A distance that
+        Only one of a's x1 and t windows is scanned (see _index), and
+        every atom of the ball lies in it, so rows and distances are those
+        of a scan over the whole cloud, bit for bit.  A distance that
         overflows is inf, outside the ball, and raises no warning."""
-        ac = as_point(a, self.n).coords()
-        _check_radius(r)
-        with np.errstate(over="ignore"):
-            lo, hi = self._x1_window(ac[0], r)
-            dist = dist_rows(self.points[lo:hi], ac, metric)
-        rows = np.flatnonzero(dist <= r)
-        return rows + lo, dist[rows]
-
-    def _x1_window(self, x1, r):
-        """Bounds lo, hi of the atoms whose x1 lies within _reach(r) of
-        x1, for an array of centres or one.  An atom within r of a centre
-        by dist_rows is that close along x1 exactly, rounding x1 -/+ the
-        reach is monotone, and the atoms are sorted by x1, so [lo, hi)
-        holds it.  Run under np.errstate(over="ignore"): a reach or bound
-        that overflows opens the window to the end of the cloud."""
-        col, reach = self.points[:, 0], _reach(r, self.n + 1)
-        return col.searchsorted(x1 - reach, "left"), col.searchsorted(x1 + reach, "right")
+        return self._index.ball(as_point(a, self.n).coords(), r, metric)
 
     def restrict_ball(self, a, r, metric="parabolic"):
         rows = self.ball(a, r, metric)[0]
@@ -175,11 +165,12 @@ class DiscreteMeasure:
         when present, else the median nearest-neighbor distance of 256
         evenly spread atoms.
 
-        Each atom's neighbour is sought only in its x1 window
-        (_x1_window) at its distance h to an adjacent canonical row.
-        Every row within h lies in it, so the minimum is the one a scan
-        over the whole cloud takes, bit for bit.  ball cannot serve here:
-        h may be inf, which opens the window to the whole cloud."""
+        Each atom's neighbour is sought only in its window (see _index)
+        at its distance h to an adjacent canonical row; the windows of
+        all 256 atoms come from one call.  Every row within h lies in
+        its window, so the minimum is the one a scan over the whole
+        cloud takes, bit for bit.  ball cannot serve here: h may be inf,
+        which opens the window to the whole cloud."""
         if self.resolution_hint is not None:
             return self.resolution_hint
         if self._resolution is None:
@@ -197,11 +188,12 @@ class DiscreteMeasure:
         # a distance that overflows is +inf, the largest a minimum can be
         with np.errstate(over="ignore"):
             h = dist_rows(pts[adjacent], pts[take]).min(axis=0)
-            lo, hi = self._x1_window(pts[take, 0], h)
+            index = self._index
             mins = []
-            for i, a, b in zip(take.tolist(), lo.tolist(), hi.tolist()):
-                d = dist_rows(pts[a:b], pts[i])
-                d[i - a] = np.inf
+            for i, *window in zip(take.tolist(), *index.windows(pts[take], h)):
+                rows = index.rows(*window)
+                d = dist_rows(pts.take(rows, axis=0), pts[i])
+                d[rows.searchsorted(i)] = np.inf
                 mins.append(float(d.min()))
         return _median(mins)
 
@@ -334,6 +326,15 @@ def _next_unset(mask, start):
     return mask.size
 
 
+def _indexed(points):
+    """The canonically sorted rows of points and their GridIndex: a
+    DiscreteMeasure's own, or one built for the rows of an array."""
+    if isinstance(points, DiscreteMeasure):
+        return points.points, points._index
+    pts = canonical_sorted(as_coord_array(points))
+    return pts, GridIndex(pts)
+
+
 def greedy_cover(points, r, metric="parabolic"):
     """Deterministic greedy ball cover; returns the (K, n+1) array of
     chosen centers, which are always input points.
@@ -346,11 +347,13 @@ def greedy_cover(points, r, metric="parabolic"):
     stay mutually more than r apart by dist_rows: candidates are never
     covered.
 
-    Each centre reads the cell ring of the scanned row p from an index
-    built at the reach R (just past 2r), drops the covered rows first,
-    and takes one dist_rows pass from p over the free rest.  That pass
-    gives the candidates (within r of p), the evaluation sample (within
-    2r) and the free rows within R, on the values separate r-, 2r- and
+    Each centre reads the window (see _index) of the scanned row p at
+    the reach R, just past 2r; the windows of p and the 63 rows after it
+    come from one call, and serve the next scans in that range.  The
+    centre drops the covered rows first, and takes one dist_rows pass
+    from p over the free rest.  That pass gives the candidates (within
+    r of p), the evaluation sample (within 2r) and the free rows within
+    R, on the values separate r-, 2r- and
     R-centred queries would compute.  When the sample is every free row
     within R (no more than EVAL_CAP of them, none in the band past 2r),
     one (candidates x rows) mask within r gives both the gains, its row
@@ -362,23 +365,25 @@ def greedy_cover(points, r, metric="parabolic"):
     1e154): a row within r of the chosen centre lies within R of p
     (geometry._reach), and covered rows would only be marked again.
 
-    A non-finite coordinate or radius is refused, since the scan would
+    A DiscreteMeasure's cover reads the measure's own index; the rows of
+    an array are sorted canonically and indexed for the one call.  A
+    non-finite coordinate or radius is refused, since the scan would
     never end on it.
     """
     _check_radius(r)
-    pts = canonical_sorted(_points_of(points))
+    pts, index = _indexed(points)
     npts = pts.shape[0]
     if npts == 0:
         return pts.copy()
-    # The index is built at the reach R = _reach(2r), so the ring of row
-    # p holds every q with dist_rows(q, best) <= r (geometry._reach
+    # The windows are taken at the radius R = _reach(2r), so the window
+    # of row p holds every q with dist_rows(q, best) <= r (geometry._reach
     # gives the argument).  Past r of about 9e307 R would overflow, and
     # is capped at the largest float, which leaves out only rows at
     # dist_rows = inf; 2r is capped with it, so the sample leaves them
     # out too.
     reach = min(_reach(2.0 * r, pts.shape[1]), sys.float_info.max)
     ev_radius = min(2.0 * r, reach)
-    index = GridIndex(pts, reach, metric)
+    block = range(0)
     covered = np.zeros(npts, dtype=bool)
     centers = []
     scan = 0
@@ -388,9 +393,12 @@ def greedy_cover(points, r, metric="parabolic"):
             scan = _next_unset(covered, scan)
             if scan == npts:
                 break
-            idx = index.ring(scan)
+            if scan not in block:
+                block = range(scan, min(scan + 64, npts))  # one call per 64 rows
+                key, lo, hi = index.windows(pts[scan : block.stop], reach, metric)
+            j = scan - block.start
+            idx = index.rows(key[j], lo[j], hi[j])
             idx = idx[~covered[idx]]
-            idx.sort()
             dist = dist_rows(pts.take(idx, axis=0), pts[scan], metric)
             # scan is the least free row within r (its own distance is
             # 0), and _stride_pick keeps the first index, so cand[0] == scan
@@ -448,9 +456,11 @@ class CoveringReport(_Estimate):
 def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
     """Box-counting dimension: least squares slope of log N(r) against
     log(1/r) over the greedy covering counts; equal counts give 0.0, None."""
-    # sorted once: every cover then finds its rows in canonical order
-    pts = canonical_sorted(_points_of(points))
-    n = pts.shape[1] - 1
+    # sorted once: every cover then finds its rows in canonical order, and
+    # the covers of a DiscreteMeasure share its index
+    if not isinstance(points, DiscreteMeasure):
+        points = canonical_sorted(as_coord_array(points))
+    n = _points_of(points).shape[1] - 1
     scales = sorted((float(r) for r in scales), reverse=True)
     if len(scales) < 2:
         raise ValueError("need at least two scales")
@@ -458,7 +468,7 @@ def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
         _check_radius(r)
     # a factor (2r)^s past the float range is refused before any cover runs
     factors = {str(s): [_diameter_power(r, s) for r in scales] for s in sum_exponents}
-    counts = [greedy_cover(pts, r, metric).shape[0] for r in scales]
+    counts = [greedy_cover(points, r, metric).shape[0] for r in scales]
     sums = {s: [c * f for c, f in zip(counts, fs)] for s, fs in factors.items()}
     if all(c == counts[0] for c in counts):
         return CoveringReport(metric, scales, counts, sums, 0.0, None)

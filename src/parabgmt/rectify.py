@@ -608,11 +608,11 @@ def fit_differential(graph, p_index, cfg):
 
     A call costs its window, not N: it reads only the rows of
     graph._window at the largest scale, in ascending row order.  Every
-    row within that scale is among them.  Its key (see GraphSamples) is
-    one of the coordinates whose differences make the base distance:
-    the rounded square of the key difference is one nonnegative term of
-    the squared distance, or |dt| is the whole of it when k = 0, and
-    rounding is monotone, so the key difference is as close as
+    row within that scale is among them.  Each of its keys (see
+    GraphSamples) is a coordinate whose differences make the base
+    distance: the rounded square of the base_h[:, 0] difference, or the
+    |dt| of the base t, is one nonnegative term of the squared distance,
+    and rounding is monotone, so the key difference is as close as
     dist_rows would put a one-coordinate row, which _reach bounds.  The
     rows and their order are those of a scan over the whole graph, so
     lstsq, einsum and max get the same inputs, and the fit its bits.

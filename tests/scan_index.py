@@ -17,29 +17,31 @@ from parabgmt.rectify import DifferentialFit
 
 
 class ScanIndex:
-    """GridIndex's queries answered by full scans: `ring` returns every
-    row, in ascending index order, as the ring of every row; `query`
-    returns the rows within the radius (at most the build radius) of
-    row i, found by one dist_rows scan, in ascending index order."""
+    """GridIndex's queries answered by full scans: the window of every
+    centre is every row, in ascending index order, and `ball` and
+    `query` return the rows within the radius, found by one dist_rows
+    scan, in ascending index order."""
 
-    def __init__(self, pts, r, metric="parabolic"):
+    def __init__(self, pts):
         self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        self.r = float(r)
-        self.metric = metric
 
-    def ring(self, i):
+    def windows(self, centres, r, metric="parabolic"):
+        every = np.broadcast_to(len(self.pts), np.shape(centres)[:-1])
+        return np.zeros_like(every), np.zeros_like(every), every
+
+    def rows(self, key, lo, hi):
+        return np.arange(lo, hi)
+
+    def ball(self, c, radius, metric="parabolic"):
+        with np.errstate(over="ignore"):
+            dist = dist_rows(self.pts, c, metric)
+        rows = np.flatnonzero(dist <= radius)
+        return rows, dist[rows]
+
+    def query(self, i, radius, metric="parabolic"):
         if not 0 <= i < len(self.pts):
             raise ValueError(f"row {i} out of range for {len(self.pts)} points")
-        return np.arange(len(self.pts))
-
-    def query(self, i, radius=None):
-        self.ring(i)
-        radius = self.r if radius is None else float(radius)
-        if not radius <= self.r:
-            raise ValueError(f"radius {radius!r} exceeds the build radius {self.r!r}")
-        with np.errstate(over="ignore"):
-            dist = dist_rows(self.pts, self.pts[i], self.metric)
-        return np.flatnonzero(dist <= radius)
+        return self.ball(self.pts[i], radius, metric)[0]
 
 
 def reference_ball(points, a, r, metric="parabolic"):

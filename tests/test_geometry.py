@@ -738,6 +738,13 @@ class TestGraphConeCheck:
             with pytest.raises(ValueError, match="^points lie too far apart: their pair distances overflow$"):
                 check(pts, V, 0.5)
 
+    def test_extract_refuses_the_spread_before_it_projects(self):
+        # the spread overflows, and so did the projection onto (0.6, 0.8),
+        # which graph_extract took before the cone sweep checked the spread
+        pts = [(1.5e308, 1.5e308, 0.0), (1.5e308, 1.5e308, 0.5), (1.5e308, 1.4999999999e308, 0.0)]
+        with pytest.raises(ValueError, match="^points lie too far apart: their pair distances overflow$"):
+            graph_extract(pts, HomPlane(2, [[0.6, 0.8]], False), 0.9)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_coordinate_arrays_are_finite(self, bad):
         with pytest.raises(ValueError, match="points must be finite"):

@@ -226,7 +226,7 @@ def _measure_of(pts):
 # DiscreteMeasure itself refuses a non-finite atom; None: no radius
 ARRAY_ENTRY_POINTS = {
     "greedy_cover": ("cloud", lambda pts, a, r: greedy_cover(pts, r)),
-    "GridIndex": ("cloud", lambda pts, a, r: GridIndex(pts, r)),
+    "GridIndex": ("cloud", lambda pts, a, r: GridIndex(pts).query(0, r)),
     "as_coord_array": ("cloud", None),
     "DiscreteMeasure": ("cloud", None),
     "DiscreteMeasure.ball": ("centre", lambda pts, a, r: _measure_of(pts).ball(a, r)),
@@ -609,10 +609,10 @@ class TestStridePick:
 def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
     """The three-query greedy cover: (p, r) for the candidates, (p, 2r)
     for the evaluation sample and (best, r) for the ball marked
-    covered, each from an index built at the radius it is queried at."""
+    covered, each a query of its own."""
     pts = canonical_sorted(np.asarray(points, dtype=float))
     npts = pts.shape[0]
-    index, index2 = index_type(pts, r, metric), index_type(pts, 2.0 * r, metric)
+    index = index_type(pts)
     covered = np.zeros(npts, dtype=bool)
     centers = []
     scan = 0
@@ -621,7 +621,7 @@ def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
             scan += 1
         if scan == npts:
             break
-        cand = index.query(scan)
+        cand = index.query(scan, r, metric)
         cand = cand[~covered[cand]]
         cand = _stride_pick(cand, CAND_CAP)
         if scan not in cand:
@@ -629,13 +629,13 @@ def ref_greedy_cover(points, r, metric="parabolic", index_type=GridIndex):
         if cand.size == 1:
             best = int(cand[0])
         else:
-            ev = index2.query(scan)
+            ev = index.query(scan, 2.0 * r, metric)
             ev = ev[~covered[ev]]
             ev = _stride_pick(ev, EVAL_CAP)
             gains = np.sum(geometry.dist_rows(pts[ev], pts[cand, None], metric) <= r, axis=1)
             best = int(cand[int(np.argmax(gains))])
         centers.append(best)
-        covered[index.query(best)] = True
+        covered[index.query(best, r, metric)] = True
     return pts[np.asarray(centers, dtype=int)]
 
 
@@ -725,8 +725,14 @@ class TestGreedyCoverMatchesThreeQuery:
                 x = u / np.linalg.norm(u, axis=1, keepdims=True) * rad * rng.random((8, 1))
                 t = rng.choice([-1.0, 1.0], 8) * (rad * rad - np.einsum("ij,ij->i", x, x))
                 on = c + np.column_stack([x, t])
+                # the ends of the t window: the centre's x at t -/+ rad^2,
+                # with a column of that x along t to make it the narrower
+                ends = c + np.outer(np.arange(-20, 21) / 2.0, [0.0, 0.0, rad * rad])
+                on = np.vstack([on, ends])
                 shell += [on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)]
-        self.assert_same(np.vstack([base, *shell]), r, "parabolic")
+        pts = np.vstack([base, *shell])
+        self.assert_same(pts, r, "parabolic")
+        self.assert_same(pts, r, "parabolic", ScanIndex)
 
     @pytest.mark.parametrize("metric", ["parabolic", "euclidean"])
     def test_subnormal_squares(self, metric):
