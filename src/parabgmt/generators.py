@@ -417,26 +417,16 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
                 ))
         levels.append(node_arrays(rows))
 
+    # m atoms per deepest interval, each of the interval's length / m,
+    # valued by the tree on that interval
     deepest = levels[depth]
     m = int(atoms_per_interval)
-    tcols = []
-    fcols = []
-    wcols = []
-    for j in range(len(deepest["a"])):
-        a, b = deepest["a"][j], deepest["b"][j]
-        tt = np.linspace(a, b, m)
-        ff = deepest["alpha"][j] * tree.f0(tt) + deepest["beta"][j] + deepest["gamma"][j] * tt
-        tcols.append(tt)
-        fcols.append(ff)
-        wcols.append(np.full(m, (b - a) / m))
-    T = np.concatenate(tcols)
-    F = np.concatenate(fcols)
-    W = np.concatenate(wcols)
+    T = np.concatenate([np.linspace(a, b, m) for a, b in zip(deepest["a"], deepest["b"])])
     lengths = deepest["b"] - deepest["a"]
     mu = DiscreteMeasure(
         1,
-        np.column_stack([F, T]),
-        W,
+        np.column_stack([tree.eval(T), T]),
+        np.repeat(lengths / m, m),
         nominal_dim=2,
         provenance=f"regular_defeater depth={depth} c0={c0} ground_truth=defeater",
         resolution_hint=math.sqrt(_median(lengths) / (m - 1)),

@@ -301,6 +301,21 @@ def _window_rows(key, lo, hi):
     return np.arange(lo, hi) if order is None else np.sort(order[lo:hi])
 
 
+def _scale_power(r, e, doubled=False):
+    """r^e, or (2r)^e with doubled, as Python's float power gives it:
+    the scale factor of a cone defect or a blow-up (r^-m), and of a
+    covering sum or a density ((2r)^s).  A power past the float range,
+    where Python's power raises OverflowError or gives inf, is refused
+    with a one-line ValueError naming the power and the scale."""
+    try:
+        power = (2.0 * r if doubled else r) ** e
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(power):
+        raise ValueError(f"{'(2r)' if doubled else 'r'}^{e!r} at scale r={r!r} is not a finite float")
+    return power
+
+
 def _check_aperture(s):
     """Refuse a cone aperture outside (0, 1)."""
     if not 0.0 < s < 1.0:
@@ -309,9 +324,14 @@ def _check_aperture(s):
 
 def blowup_rows(a, r, coords):
     """T_{a,r}(p) = delta_{1/r}(p - a), which maps B(a,r) onto B(0,1),
-    for every row p of the (N, n+1) coordinates."""
+    for every row p of the (N, n+1) coordinates: the spatial differences
+    divided by r, the time difference by r * r.  A scale r <= 0 is
+    refused, and so is one whose square underflows to 0.0, below about
+    1.6e-162, where the time column would be divided by zero."""
     if r <= 0:
         raise ValueError("blow-up scale must be > 0")
+    if r * r == 0.0:
+        raise ValueError(f"blow-up scale r={r!r} is too small: r * r underflows to 0.0")
     ac = a.coords() if isinstance(a, ParaPoint) else np.asarray(a, dtype=float)
     out = np.empty_like(np.asarray(coords, dtype=float))
     out[:, :-1] = (coords[:, :-1] - ac[:-1]) / r
@@ -443,7 +463,8 @@ def project(V, p, part="onto"):
 
     Horizontal V: P_V(x,t) = (Px, 0) and the complement keeps
     (x - Px, t).  Vertical V: P_V(x,t) = (Px, t), complement (x - Px, 0).
-    The two parts always sum back to p.
+    The two parts always sum back to p.  A non-finite coordinate is
+    refused with ValueError("points must be finite").
     """
     if isinstance(p, ParaPoint):
         out = project_rows(V, p.coords()[None, :], part)[0]
@@ -452,35 +473,17 @@ def project(V, p, part="onto"):
 
 
 def _dot_cols(weights, cols):
-    """sum_c weights[..., c] * cols[c], added in ascending c from +0.0.
-
-    Weights that are one number per c for every row (a single basis)
-    skip trivial terms: +-0.0 drops a term, +-1.0 adds or subtracts its
-    column unmultiplied.  On finite columns the bits hold, since the sum
-    never holds -0.0 and x * 1.0 = x.  No term left gives a read-only
-    +0.0 array of the broadcast shape."""
+    """sum_c weights[..., c] * cols[c], every term multiplied and added
+    in ascending c from +0.0, as a new array; no column gives the scalar
+    +0.0.  On finite columns a 0.0 weight adds a +-0.0 product, which
+    leaves a sum from +0.0 as it is, and a 1.0 weight adds its column's
+    own bits, x * 1.0 = x."""
     if not cols:
         return 0.0
-    if weights.size != weights.shape[-1]:  # stacked or paired: every term multiplied
-        acc = weights[..., 0] * cols[0]
-        acc += 0.0  # the sum starts from +0.0, so a lone -0.0 product gives +0.0
-        for c in range(1, len(cols)):
-            acc += weights[..., c] * cols[c]
-        return acc
-    acc = None
-    for c, w in enumerate(weights.reshape(-1).tolist()):
-        if w == 0.0:
-            continue
-        col = cols[c] if w in (1.0, -1.0) else weights[..., c] * cols[c]
-        if acc is None:
-            zero = np.zeros(weights.shape[:-1])
-            acc = np.subtract(zero, col) if w == -1.0 else np.add(zero, col)
-        elif w == -1.0:
-            acc -= col
-        else:
-            acc += col
-    if acc is None:
-        return np.broadcast_to(0.0, np.broadcast_shapes(weights.shape[:-1], np.shape(cols[0])))
+    acc = weights[..., 0] * cols[0]
+    acc += 0.0  # the sum starts from +0.0, so a lone -0.0 product gives +0.0
+    for c in range(1, len(cols)):
+        acc += weights[..., c] * cols[c]
     return acc
 
 
@@ -489,12 +492,15 @@ def _project_cols(basis, cols):
     horizontal projection px of points x given by their n spatial
     columns, for an orthonormal basis B of shape (..., k, n).
 
-    px_c = sum_j xi_j B[j, c] with xi_j = sum_c B[j, c] x_c, each sum
-    in ascending index order from +0.0, from numpy multiplies and adds
-    alone.  No BLAS call is made, so a row's bits do not depend on how
-    many rows go with it.  The leading axes of B broadcast ahead of the
-    columns' axes: a (G, k, n) stack and (N,) columns give (G, N)
-    columns.  A basis with k = 0 gives the scalar +0.0 per column.
+    px_c = sum_j xi_j B[j, c] with xi_j = sum_c B[j, c] x_c, both sums
+    by _dot_cols: every term multiplied, in ascending index order from
+    +0.0, by numpy multiplies and adds alone.  No BLAS call is made, and
+    no weight is treated apart, so a row's bits depend neither on how
+    many rows go with it nor on which basis, a coordinate one or not.
+    The leading axes of B broadcast ahead of the columns' axes: a
+    (G, k, n) stack and (N,) columns give (G, N) columns.  A basis with
+    k = 0 gives the scalar +0.0 per column.  A non-finite column is the
+    caller's to refuse: inf * 0.0 is NaN.
     """
     k, n = basis.shape[-2:]
     return _project_paired(basis.reshape(basis.shape[:-2] + (1,) * np.ndim(cols[0]) + (k, n)),
@@ -521,10 +527,12 @@ def _perp_norm(vertical, xcols, t, pxcols):
 
 def _project_parts(V, coords):
     """The projections P_V q and P_{V perp} q of each row q of an
-    (N, n+1) array, from one call of the column kernel."""
+    (N, n+1) array of finite coordinates, from one call of the column
+    kernel."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[1] != V.n + 1:
         raise DimensionMismatchError(f"expected {V.n + 1} coordinates, got {coords.shape[1]}")
+    _check_finite(coords, "points")
     xcols = list(coords.T[:-1])
     onto = np.empty_like(coords)
     comp = np.empty_like(coords)
@@ -555,6 +563,10 @@ def dist_to_planes_rows(planes, coords):
     list nor on the other rows.  The temporaries take about
     (k + 2n) G N floats; callers bound them by passing at most
     PAIR_TILE // N planes at a time (see tile_slices).
+
+    The rows are not checked for finiteness, unlike project_rows: the
+    package passes the differences of a ball's rows from its centre,
+    finite by construction, and a non-finite row gives NaN.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     out = np.empty((len(planes), coords.shape[0]))
@@ -796,10 +808,13 @@ def _cone_gap_blocks(pts, V, s, base=False):
     A coordinate plane (V.axes not None) is not projected: ||P_V d||^2
     is _sum_squares of d's columns with those off the axes passed as
     None, and ||P_{V perp} d||^2 the same with the axis columns passed as
-    None.  The bits hold on finite columns: the projection kernel gives
-    px_c = +0.0 + x_c on an axis and +0.0 off it, so x_c - px_c is +0.0
-    or x_c, and a square erases the sign of a zero.  Every other plane
-    projects d by _project_cols.
+    None.  The bits hold on finite columns.  _project_cols would take
+    both of its sums by _dot_cols, from +0.0 with every term multiplied:
+    a 0.0 weight adds a +-0.0 product, which changes no sum, and a 1.0
+    weight adds x * 1.0 = x.  So it would give px_c = +0.0 + x_c on an
+    axis and +0.0 off it, x_c - px_c would be +0.0 or x_c, and a square
+    erases the sign of a zero.  Every other plane projects d by
+    _project_cols.
 
     A cloud is refused before the first block by _check_spread, so
     every pair difference, square and norm is finite, where the bits

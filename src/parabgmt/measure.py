@@ -25,6 +25,7 @@ from .geometry import (
     _check_radius,
     _norm_cols,
     _reach,
+    _scale_power,
     _sum_squares,
     as_coord_array,
     as_point,
@@ -163,14 +164,7 @@ class DiscreteMeasure:
     def resolution(self):
         """Parabolic resolution scale of the cloud: the generator hint
         when present, else the median nearest-neighbor distance of 256
-        evenly spread atoms.
-
-        Each atom's neighbour is sought only in its window (see _index)
-        at its distance h to an adjacent canonical row; the windows of
-        all 256 atoms come from one call.  Every row within h lies in
-        its window, so the minimum is the one a scan over the whole
-        cloud takes, bit for bit.  ball cannot serve here: h may be inf,
-        which opens the window to the whole cloud."""
+        evenly spread atoms (_measured_resolution)."""
         if self.resolution_hint is not None:
             return self.resolution_hint
         if self._resolution is None:
@@ -181,14 +175,28 @@ class DiscreteMeasure:
         return self._resolution
 
     def _measured_resolution(self):
+        """Each of the 256 atoms' nearest neighbour is sought only in its
+        window (see _index) at h, its least distance to the rows next to
+        it in canonical (x1) order and in the index's t order; the
+        windows of all 256 atoms come from one call.  h is the distance
+        to another atom, so the nearest lies within h, and every row
+        within h lies in the window: the minimum is the one a scan over
+        the whole cloud takes, bit for bit.  With the t neighbours a
+        graph over t, whose x1 neighbours may lie far apart, gets a
+        short h too.  ball cannot serve here: h may be inf, which opens
+        the window to the whole cloud."""
         pts, last = self.points, self.natoms - 1
         take = _spread_index(self.natoms, min(self.natoms, 256))
-        adjacent = np.stack([np.where(take > 0, take - 1, 1),
-                             np.where(take < last, take + 1, last - 1)])
+        index = self._index
+        adjacent = _adjacent(take, last)
+        order = index._keys[1][1]  # the t argsort, None where t ascends already
+        if order is not None:
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            adjacent = np.vstack([adjacent, order[_adjacent(rank[take], last)]])
         # a distance that overflows is +inf, the largest a minimum can be
         with np.errstate(over="ignore"):
             h = dist_rows(pts[adjacent], pts[take]).min(axis=0)
-            index = self._index
             mins = []
             for i, *window in zip(take.tolist(), *index.windows(pts[take], h)):
                 rows = index.rows(*window)
@@ -196,6 +204,13 @@ class DiscreteMeasure:
                 d[rows.searchsorted(i)] = np.inf
                 mins.append(float(d.min()))
         return _median(mins)
+
+
+def _adjacent(ranks, last):
+    """The two ranks next to each of ranks in a sorted order of last + 1
+    rows: the one before and the one after, the two nearest at the
+    ends."""
+    return np.stack([np.where(ranks > 0, ranks - 1, 1), np.where(ranks < last, ranks + 1, last - 1)])
 
 
 def _median(values):
@@ -423,19 +438,6 @@ def greedy_cover(points, r, metric="parabolic"):
     return pts[np.asarray(centers, dtype=int)]
 
 
-def _diameter_power(r, e):
-    """(2r)^e, the factor of a covering sum or a density at scale r.  A
-    factor past the float range is refused, where Python's power would
-    raise OverflowError or give inf."""
-    try:
-        factor = (2.0 * r) ** e
-    except OverflowError:
-        factor = math.inf
-    if not math.isfinite(factor):
-        raise ValueError(f"(2r)^{e!r} at scale r={r!r} is not a finite float")
-    return factor
-
-
 class _Estimate(Record):
     """Record whose dict also carries the package version and a seed."""
 
@@ -467,7 +469,7 @@ def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
     for r in scales:
         _check_radius(r)
     # a factor (2r)^s past the float range is refused before any cover runs
-    factors = {str(s): [_diameter_power(r, s) for r in scales] for s in sum_exponents}
+    factors = {str(s): [_scale_power(r, s, doubled=True) for r in scales] for s in sum_exponents}
     counts = [greedy_cover(points, r, metric).shape[0] for r in scales]
     sums = {s: [c * f for c, f in zip(counts, fs)] for s, fs in factors.items()}
     if all(c == counts[0] for c in counts):
@@ -511,7 +513,7 @@ def density_profile(mu, a, s, scales):
     # the same weights in the same order as a scan of the whole cloud
     rows, d = mu.ball(a, scales[0])
     w = mu.weights[rows]
-    values = [_diameter_power(r, -s) * float(np.sum(w[d <= r])) for r in scales]
+    values = [_scale_power(r, -s, doubled=True) * float(np.sum(w[d <= r])) for r in scales]
     k = max(1, len(scales) // 3)
     fine = values[-k:]
     return DensityEstimate(a, float(s), scales, values, max(fine), min(fine))

@@ -23,6 +23,7 @@ from .geometry import (
     _dot_cols,
     _perp_norm,
     _project_paired,
+    _scale_power,
     as_point,
     blowup_rows,
     candidate_planes,
@@ -244,10 +245,10 @@ def _defect_grid(delta, d, w, starts, ends, planes, fitted, s_list, r_list, m):
     # a row at inf past the end is within no r, as _segment_counts needs
     tail = np.append(d, math.inf)
     cnt = _segment_counts(tail <= np.asarray(r_list, dtype=float)[:, None], starts, ends).T
-    # r^-m as Python computes it, and only at an r some ball reaches: a
-    # power past the float range raises OverflowError there alone, so a
-    # scale is finite, and a cell with no hit is 0.0 * scale = 0.0
-    scale = [float(r) ** (-float(m)) if reached else 0.0
+    # r^-m only at an r some ball reaches: a power past the float range
+    # is refused there (_scale_power), not at a scale no atom lies
+    # within, so every scale is finite and a cell with no hit is 0.0
+    scale = [_scale_power(float(r), -float(m)) if reached else 0.0
              for r, reached in zip(r_list, cnt.any(axis=0).tolist())]
     s_col = np.asarray(s_list, dtype=float)[:, None]
     lo = np.repeat(starts, len(r_list))
@@ -409,9 +410,11 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     """Zoom of mu at a by scale r, restricted to the unit ball.
 
     The atoms of the closed ball dist_rows(p, a) <= r go through
-    p -> delta_{1/r}(p - a), and their weights are scaled by c = 1 / M,
-    M the mass of that ball, for "mass" normalization or c = r^(-m) for
-    "power".
+    p -> delta_{1/r}(p - a) (blowup_rows), and their weights are scaled
+    by c = 1 / M, M the mass of that ball, for "mass" normalization or
+    c = r^(-m) for "power".  Refused with a one-line ValueError: a power
+    r^(-m) past the float range (_scale_power), and a scale whose square
+    underflows to 0.0 (blowup_rows).
     """
     a = as_point(a, mu.n)
     r = float(r)
@@ -425,7 +428,7 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
         mm = mu.nominal_dim if m is None else float(m)
         if mm is None:
             raise ValueError("power normalization needs m (or a nominal_dim on mu)")
-        c = r ** (-float(mm))
+        c = _scale_power(r, -mm)
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
     hint = mu.resolution_hint / r if mu.resolution_hint else None

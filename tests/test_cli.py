@@ -403,6 +403,17 @@ class TestDensity:
 
 
 class TestTangent:
+    def test_scale_power_past_the_float_range_is_a_one_line_error(self, tmp_path, capsys):
+        # 1e-110 ** -3 overflows: Python's power raised OverflowError,
+        # which reached the catch-all as `error: OverflowError: ...`
+        cloud = tmp_path / "c.csv"
+        cloud.write_text("x1,x2,t,w\n0,0,0,1\n1e-111,0,0,1\n0,1e-111,0,1\n1,1,1,1\n")
+        out = tmp_path / "tan.json"
+        rc, stdout, err = run(capsys, "tangent", "-i", str(cloud), "--m", "3", "--r-list", "1e-110",
+                              "--sample-size", "4", "-o", str(out))
+        assert (rc, stdout, err) == (1, "", "error: r^-3.0 at scale r=1e-110 is not a finite float\n")
+        assert not out.exists()
+
     def test_report_and_curves(self, line_csv, tmp_path, capsys):
         out = tmp_path / "tan.json"
         curves = tmp_path / "curves.csv"
@@ -479,6 +490,24 @@ class TestBlowup:
         rc, stdout, err = run(capsys, "blowup", "-i", str(line_csv), "--point", "0,0",
                               f"--r={r}", "-o", str(out))
         assert (rc, stdout, err) == (1, "", "error: radius must be > 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # r * r underflows to 0.0: 0 / 0 in the time column warned, then
+        # the NaN was refused as `error: points must be finite`
+        (["--r", "1e-320"], "blow-up scale r=1e-320 is too small: r * r underflows to 0.0"),
+        # 1e-200 ** -2 overflows: Python's power raised OverflowError,
+        # which reached the catch-all as `error: OverflowError: ...`
+        (["--r", "1e-200", "--normalization", "power", "--m", "2"],
+         "r^-2.0 at scale r=1e-200 is not a finite float"),
+    ])
+    def test_scale_past_the_float_range_is_a_one_line_error(self, tmp_path, capsys, argv, message):
+        cloud = tmp_path / "tilted.csv"
+        cloud.write_text("x1,x2,t,w\n0,0,0,1\n0.5,0.05,0,1\n1,0.1,0,1\n")
+        out = tmp_path / "b.csv"
+        rc, stdout, err = run(capsys, "blowup", "-i", str(cloud), "--point", "0,0,0", *argv,
+                              "-o", str(out))
+        assert (rc, stdout, err) == (1, "", f"error: {message}\n")
         assert not out.exists()
 
 

@@ -325,6 +325,23 @@ class TestProjectCols:
         assert bits_equal(project_rows(V, q), np.zeros((1, 3)))
         assert bits_equal(project_rows(V, q, "complement"), q[None])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("plane", [
+        HomPlane.horizontal_axes(2, (0,)),
+        HomPlane.vertical_axes(2, (1,)),
+        HomPlane(2, [[0.6, 0.8]], False),
+    ])
+    def test_non_finite_points_are_refused(self, bad, plane):
+        # over the x1-axis, [inf, 0, 0] warned in the subtraction and gave
+        # a NaN complement; over a rotated basis the projection itself was
+        # NaN, as inf * 0.0 is
+        for q in ([[bad, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, bad]]):
+            for part in ("onto", "complement"):
+                with pytest.raises(ValueError, match="^points must be finite$"):
+                    project_rows(plane, q, part)
+                with pytest.raises(ValueError, match="^points must be finite$"):
+                    geometry.project(plane, np.asarray(q[-1]), part)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("family", ["horizontal", "vertical"])
     def test_rows_do_not_depend_on_the_row_count(self, n, family):
@@ -345,9 +362,10 @@ class TestProjectCols:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9])
     @pytest.mark.parametrize("shape", [(40,), (5, 8)])
     def test_coordinate_bases_match_the_dense_multiply_add(self, n, shape):
-        # the kernel skips zero weights and adds or subtracts unit-weight
-        # columns; with 8 or more columns _sum_squares stacks them, so an
-        # all-zero column must come back as an array of the row shape
+        # coordinate and negated-axis bases hold only 0.0 and +-1.0
+        # weights, which the kernel multiplies like any other; with 8 or
+        # more columns _sum_squares stacks them, so a column the basis
+        # leaves out must come back as an array of the row shape
         rng = np.random.default_rng(700 + n)
         planes = [V for m in range(1, n + 2) for V in geometry.candidate_planes(n, m)]
         for V in planes[:: max(1, len(planes) // 40)]:
@@ -384,8 +402,8 @@ def kernel_floats(rng, shape):
 
 
 def dense_project_cols(basis, cols):
-    """_project_cols with every term multiplied and added, from +0.0:
-    the kernel before it skipped zero and unit weights."""
+    """_project_cols restated in the test: every term multiplied and
+    added, from +0.0, in ascending index order."""
     def dot(weights, terms):
         if not terms:
             return 0.0
@@ -408,6 +426,18 @@ class TestDilation:
         q = blowup_map(a, 0.5, p)
         assert q.x == pytest.approx([1.0])
         assert q.t == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("r", [1e-320, 5e-324, 1e-163])
+    def test_blowup_scale_whose_square_underflows_is_refused(self, r):
+        # r * r is 0.0: the time column was divided by zero, and 0 / 0
+        # warned and gave NaN
+        with pytest.raises(ValueError, match=rf"^blow-up scale r={r!r} is too small: r \* r underflows to 0.0$"):
+            blowup_rows(np.zeros(3), r, np.zeros((2, 3)))
+        # the smallest scale whose square is a float still blows up
+        r = 2.0**-537
+        assert r * r > 0.0
+        out = blowup_rows(np.zeros(3), r, np.array([[0.0, 0.0, 0.0], [r, 0.0, r * r]]))
+        assert out.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
 
     def test_blowup_rows_matches_map(self):
         rng = np.random.default_rng(1)

@@ -192,6 +192,16 @@ def test_balls_and_covers_of_tied_clouds_match_full_scans(pts, metric, r, data):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@settings(max_examples=300, deadline=None)
+@given(pts=clouds())
+def test_resolution_matches_full_scans(pts):
+    # each atom's search radius is bounded by its x1 and its t
+    # neighbours; ties, repeated atoms and outliers whose distances
+    # overflow must still give the full scans' minima
+    mu = DiscreteMeasure(pts.shape[1] - 1, pts, np.ones(len(pts)))
+    assert mu.resolution() == reference_resolution(mu.points)
+
+
 def test_resolution_of_a_t_axis_cloud_reads_t_windows():
     # every atom shares x1, so each x1 window is the whole cloud; the t
     # windows hold a few atoms each, and the minima are the full scan's

@@ -942,6 +942,21 @@ class TestDensityProfile:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dimension_fit(np.zeros((2, 2)), scales, sum_exponents=[-s])
 
+    def test_power_of_r_past_the_float_range_refused(self):
+        # r^-m, the scale of a cone defect and of a power blow-up, was a
+        # bare Python power whose OverflowError reached the caller
+        pts = np.array([[0.0, 0.0, 0.0], [1e-111, 0.0, 0.0], [0.0, 1e-111, 0.0], [1.0, 1.0, 1.0]])
+        mu = DiscreteMeasure(2, pts, np.ones(4))
+        message = r"^r\^-3\.0 at scale r=1e-110 is not a finite float$"
+        with pytest.raises(ValueError, match=message):
+            detect_tangent(mu, np.zeros(3), TangentConfig(m=3, r_list=(1e-110,)))
+        with pytest.raises(ValueError, match=message):
+            cone_defect(mu, np.zeros(3), HomPlane.horizontal_axes(2, (0,)), 0.5, 1e-110, 3)
+        with pytest.raises(ValueError, match=r"^r\^-2\.0 at scale r=1e-200 is not a finite float$"):
+            blowup_measure(mu, np.zeros(3), 1e-200, normalization="power", m=2)
+        # a scale no ball reaches scores 0.0 and takes no power
+        assert cone_defect(mu, np.ones(3), HomPlane.horizontal_axes(2, (0,)), 0.5, 1e-110, 3) == 0.0
+
 
 class TestFlatConstants:
     def test_horizontal_line(self):

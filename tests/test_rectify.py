@@ -658,6 +658,13 @@ class TestBlowup:
         with pytest.raises(ValueError):
             blowup_measure(mu, np.zeros(2), 0.5, normalization="power")
 
+    def test_scale_whose_square_underflows_is_refused(self):
+        # r * r is 0.0: the time column of the ball's one atom was 0 / 0,
+        # which warned, and the NaN was refused as "points must be finite"
+        mu = DiscreteMeasure(1, np.array([[0.0, 0.0], [1.0, 0.0]]), [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^blow-up scale r=1e-320 is too small: r \* r underflows to 0\.0$"):
+            blowup_measure(mu, np.zeros(2), 1e-320)
+
     def test_empty_ball_rejected(self):
         mu = DiscreteMeasure(1, np.array([[5.0, 0.0]]), [1.0])
         with pytest.raises(ValueError):
