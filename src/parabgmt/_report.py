@@ -59,6 +59,15 @@ def write_csv(path, header, columns):
             fh.write(rows[rows != 0])
 
 
+def write_point_csv(path, header, tables):
+    """Write the table of each point, rows of len(header) floats, one
+    after the other under the header point_index + header, each row led
+    by its point's index; a point with an empty table writes no row."""
+    tables = [np.reshape(t, (-1, len(header))) for t in tables]
+    index = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+    write_csv(path, ["point_index", *header], [index, *np.vstack([np.empty((0, len(header))), *tables]).T])
+
+
 class Record:
     """Base of the dataclass records: to_dict() maps each field name to
     the JSON form of its value."""

@@ -480,13 +480,10 @@ def _cmd_defeater_bmo(values):
     if values["annuli_csv"] is not None:
         import numpy as np
 
-        from ._report import write_csv
+        from ._report import write_point_csv
 
-        sizes = [len(e.annuli) for e in energies]
-        table = np.concatenate([np.column_stack([e.annuli, e.sums, e.cumulative])
-                                for e in energies])
-        header = ["point_index", "annulus_lo", "annulus_hi", "sum", "cumulative"]
-        write_csv(values["annuli_csv"], header, [np.repeat(np.arange(len(sizes)), sizes), *table.T])
+        write_point_csv(values["annuli_csv"], ["annulus_lo", "annulus_hi", "sum", "cumulative"],
+                        [np.column_stack([e.annuli, e.sums, e.cumulative]) for e in energies])
     result = {
         "natoms": mu.natoms,
         "L_seq": L_seq,

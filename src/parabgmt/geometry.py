@@ -110,11 +110,8 @@ def as_point(a, n):
 
 
 def para_norm(p):
-    """||(x,t)|| = sqrt(|x|^2 + |t|)."""
-    if isinstance(p, ParaPoint):
-        return float(np.sqrt(p.x @ p.x + abs(p.t)))
-    arr = np.asarray(p, dtype=float)
-    return float(np.sqrt(arr[:-1] @ arr[:-1] + abs(arr[-1])))
+    """||(x,t)|| = sqrt(|x|^2 + |t|), the one-row case of para_norm_rows."""
+    return float(para_norm_rows([p.coords() if isinstance(p, ParaPoint) else p])[0])
 
 
 def para_norm_rows(coords):
@@ -209,8 +206,9 @@ def dist_rows(coords, p, metric="parabolic"):
 def _reach(r, d):
     """How far from p, in the exact metric, a row of d coordinates can
     lie when dist_rows puts it within r of p: r (1 + 2^-40) plus the pad
-    sqrt(d) 2^-535.  Every window of the neighbour index (_windows) and
-    greedy_cover's window radius rest on this one bound.
+    sqrt(d) 2^-535.  Every window of the neighbour index (_index
+    module: GridIndex.windows) and greedy_cover's window radius rest on
+    this one bound.
 
     The relative slack covers the few ulps dist_rows rounds by, but not
     underflow: a squared coordinate difference below 2^-1022 is rounded
@@ -228,77 +226,6 @@ def _reach(r, d):
     the squares do not overflow.
     """
     return r * (1.0 + 2.0**-40) + math.sqrt(d) * 2.0**-535
-
-
-def _t_reach(R, metric):
-    """How far along t a row lies from p when it lies within R of p in
-    the exact metric, R a _reach: R itself in the euclidean metric, and
-    a float no less than R^2 in the parabolic one, where |dt| <= R^2.
-
-    R is padded to fl(R (1 + 2^-50)) >= R (1 + 2^-51) before squaring,
-    since fl(R R) may lie half an ulp below R^2.  Where the square is
-    normal, fl of the padded square is at least
-    R^2 (1 + 2^-51)^2 (1 - 2^-53) > R^2.  Where it is subnormal, below
-    2^-1022, it may round down by up to 2^-1075, but there it bounds
-    only differences that are floats themselves: two floats are
-    multiples of 2^-1074, so is their exact difference, and below
-    2^-1022 every such multiple is a float.  Rounding is monotone, so a
-    float |dt| <= R^2 stays at most the rounded square.  R >= 2^-535
-    (the pad of _reach), so the square is never 0.  Past R of about
-    1e154 it overflows to inf, which opens a t window to the whole
-    cloud.  Run under np.errstate(over="ignore") for array R."""
-    if metric == "euclidean":
-        return R
-    if metric == "parabolic":
-        R = R * (1.0 + 2.0**-50)
-        return R * R
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def _window_key(col):
-    """One key of a sorted window (_windows): the column and its
-    argsort, or None for the argsort where the column is ascending
-    already.  The column is kept as given, a view if it is one: a window
-    reads it through searchsorted(..., sorter=order), which takes the
-    intp argsort as it is and a strided column without a copy.  The
-    argsort need not be stable: a window holds every row of a value or
-    none, and _window_rows sorts its rows."""
-    if not np.any(col[1:] < col[:-1]):
-        return col, None
-    return col, np.argsort(col)
-
-
-def _windows(keys, centres, reaches):
-    """(key, lo, hi): the narrow window of each centre.
-
-    keys are _window_key pairs (col, order) over one cloud's rows;
-    centres[k] and reaches[k] are the centres' values along key k and
-    the reach there, scalars or arrays of one length.  The window along
-    key k of a centre c at reach e is entries lo:hi of the key's sorted
-    order, the rows whose key lies in [fl(c - e), fl(c + e)].  Rounding
-    is monotone and each column holds floats, so a row whose key lies
-    within e of c exactly is in it.  A later key's window is taken only
-    when it holds fewer than a quarter of the rows of the one taken so
-    far: the first key is x1 in canonical order, whose windows are
-    ranges, while the rows of any other window are gathered and sorted,
-    which costs a few times as much per row.  An end that
-    overflows is inf, and opens the window to that end of the cloud.
-    _window_rows names the rows."""
-    with np.errstate(over="ignore"):
-        spans = [(col.searchsorted(c - e, "left", sorter=order),
-                  col.searchsorted(c + e, "right", sorter=order))
-                 for (col, order), c, e in zip(keys, centres, reaches)]
-    key, (lo, hi) = 0, spans[0]
-    for k, (a, b) in enumerate(spans[1:], 1):
-        narrower = 4 * (b - a) < hi - lo
-        key, lo, hi = np.where(narrower, k, key), np.where(narrower, a, lo), np.where(narrower, b, hi)
-    return key, lo, hi
-
-
-def _window_rows(key, lo, hi):
-    """The rows of entries lo:hi of a _window_key, ascending."""
-    order = key[1]
-    return np.arange(lo, hi) if order is None else np.sort(order[lo:hi])
 
 
 def _scale_power(r, e, doubled=False):
@@ -887,11 +814,11 @@ class GraphSamples:
     complement values P_{V perp}(p), kept as ambient (N, n+1) coordinate
     arrays.  base + values reassembles the original points exactly.
 
-    The derived arrays (base_h, value_h and the window keys of
-    _window, the argsorts of base_h[:, 0] and of the base t) are
-    computed once, on first use, over all rows; base_h and value_h are
-    read-only.  Like GridIndex with its pts, they are not recomputed, so
-    base and values must not change after construction.
+    The derived arrays (base_h, value_h and the GridIndex of
+    fit_differential's windows, _index) are computed once, on first use,
+    over all rows; base_h and value_h are read-only.  Like GridIndex with
+    its pts, they are not recomputed, so base and values must not change
+    after construction.
     """
 
     def __init__(self, plane, base, values):
@@ -938,24 +865,16 @@ class GraphSamples:
         return None if self.plane.includes_t_axis else self.values[:, -1]
 
     @functools.cached_property
-    def _keys(self):
-        """The _window_key of base_h[:, 0] when k > 0, then that of the
-        base t when V is vertical."""
-        cols = [self.base_h[:, 0]] if self.plane.k else []
-        if self.plane.includes_t_axis:
-            cols.append(self.base[:, -1])
-        return [_window_key(col) for col in cols]
+    def _index(self):
+        """The GridIndex over two key columns, base_h[:, 0] (zeros when
+        k = 0) and the base t (zeros for a horizontal plane), whose
+        window is then the whole graph.  Like every GridIndex it refuses
+        non-finite keys."""
+        from ._index import GridIndex  # here, since _index imports this module
 
-    def _window(self, p, r):
-        """The rows, ascending, of row p's narrowest window (_windows)
-        at _reach(r, 1) along base_h[:, 0] and the parabolic _t_reach of
-        it along base t: every row whose keys lie that close."""
-        keys, reach = self._keys, _reach(r, 1)
-        reaches = [reach] * len(keys)
-        if self.plane.includes_t_axis:
-            reaches[-1] = _t_reach(reach, "parabolic")
-        key, lo, hi = _windows(keys, [col[p] for col, _ in keys], reaches)
-        return _window_rows(keys[key], lo, hi)
+        zeros = np.zeros(len(self))
+        return GridIndex(np.column_stack([self.base_h[:, 0] if self.plane.k else zeros,
+                                          zeros if self.base_t is None else self.base_t]))
 
 
 def _read_only(arr):

@@ -134,7 +134,8 @@ class DiscreteMeasure:
 
     @functools.cached_property
     def _index(self):
-        """The GridIndex of the atoms, built on first use: every ball,
+        """The GridIndex of the atoms (the _index module), built on first
+        use: every ball and every batch of the tangent search's balls,
         resolution() and greedy_cover of the measure read it."""
         return GridIndex(self.points)
 
@@ -142,9 +143,9 @@ class DiscreteMeasure:
         """The closed ball dist_rows(p, a) <= r as (rows, dist): the rows
         of the atoms in it, ascending, and their dist_rows values.
 
-        Only one of a's x1 and t windows is scanned (see _index), and
-        every atom of the ball lies in it, so rows and distances are those
-        of a scan over the whole cloud, bit for bit.  A distance that
+        GridIndex.ball scans only one of a's x1 and t windows, and every
+        atom of the ball lies in it, so rows and distances are those of a
+        scan over the whole cloud, bit for bit.  A distance that
         overflows is inf, outside the ball, and raises no warning."""
         return self._index.ball(as_point(a, self.n).coords(), r, metric)
 
@@ -175,42 +176,12 @@ class DiscreteMeasure:
         return self._resolution
 
     def _measured_resolution(self):
-        """Each of the 256 atoms' nearest neighbour is sought only in its
-        window (see _index) at h, its least distance to the rows next to
-        it in canonical (x1) order and in the index's t order; the
-        windows of all 256 atoms come from one call.  h is the distance
-        to another atom, so the nearest lies within h, and every row
-        within h lies in the window: the minimum is the one a scan over
-        the whole cloud takes, bit for bit.  With the t neighbours a
-        graph over t, whose x1 neighbours may lie far apart, gets a
-        short h too.  ball cannot serve here: h may be inf, which opens
-        the window to the whole cloud."""
-        pts, last = self.points, self.natoms - 1
-        take = _spread_index(self.natoms, min(self.natoms, 256))
-        index = self._index
-        adjacent = _adjacent(take, last)
-        order = index._keys[1][1]  # the t argsort, None where t ascends already
-        if order is not None:
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            adjacent = np.vstack([adjacent, order[_adjacent(rank[take], last)]])
-        # a distance that overflows is +inf, the largest a minimum can be
-        with np.errstate(over="ignore"):
-            h = dist_rows(pts[adjacent], pts[take]).min(axis=0)
-            mins = []
-            for i, *window in zip(take.tolist(), *index.windows(pts[take], h)):
-                rows = index.rows(*window)
-                d = dist_rows(pts.take(rows, axis=0), pts[i])
-                d[rows.searchsorted(i)] = np.inf
-                mins.append(float(d.min()))
-        return _median(mins)
-
-
-def _adjacent(ranks, last):
-    """The two ranks next to each of ranks in a sorted order of last + 1
-    rows: the one before and the one after, the two nearest at the
-    ends."""
-    return np.stack([np.where(ranks > 0, ranks - 1, 1), np.where(ranks < last, ranks + 1, last - 1)])
+        """The median of GridIndex.nearest over 256 evenly spread atoms:
+        each atom's nearest neighbour is sought only in the ball at its
+        least distance to its x1 and t neighbours, whose windows come
+        from one call, and each minimum is the one a scan over the whole
+        cloud takes, bit for bit."""
+        return _median(self._index.nearest(_spread_index(self.natoms, min(self.natoms, 256))))
 
 
 def _median(values):
@@ -362,9 +333,9 @@ def greedy_cover(points, r, metric="parabolic"):
     stay mutually more than r apart by dist_rows: candidates are never
     covered.
 
-    Each centre reads the window (see _index) of the scanned row p at
-    the reach R, just past 2r; the windows of p and the 63 rows after it
-    come from one call, and serve the next scans in that range.  The
+    Each centre reads the window (GridIndex.windows) of the scanned row
+    p at the reach R, just past 2r; the windows of p and the 63 rows
+    after it come from one call, and serve the next scans in that range.  The
     centre drops the covered rows first, and takes one dist_rows pass
     from p over the free rest.  That pass gives the candidates (within
     r of p), the evaluation sample (within 2r) and the free rows within

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._report import Record, jsonable, write_csv
+from ._report import Record, jsonable, write_point_csv
 from ._version import __version__
 from .geometry import (
     HomPlane,
@@ -139,22 +139,25 @@ def _ball_blocks(mu, centres, r_max, width):
     """The punctured balls 0 < dist_rows(p, a) <= r_max around the
     ParaPoints a of centres, in blocks of consecutive centres.
 
-    Each ball comes from DiscreteMeasure.ball.  Its rows are ordered by
-    increasing distance, ties in canonical atom order: ball returns them
+    Every ball comes from one GridIndex.balls call on the measure's
+    index, so the windows of all centres are found together, and each
+    ball is DiscreteMeasure.ball's.  Its rows are ordered by increasing
+    distance, ties in canonical atom order: balls returns them
     ascending, and one stable lexsort by (ball, distance) orders the
     block.  A block is (delta, d, w, sizes): the differences p - a, the
     distances and the weights of its balls' rows, ball after ball, and
     each ball's row count.  It holds at most tile_count(width) rows, an
     empty ball counting as one, unless a single ball is larger.
     """
+    _check_radius(r_max)
+    coords = np.reshape([a.coords() for a in centres], (-1, mu.n + 1))
     bound = tile_count(width)
     block, used = [], 0
-    for a in centres:
-        rows, d = mu.ball(a, r_max)
+    for c, (rows, d) in zip(coords, mu._index.balls(coords, r_max)):
         if block and used + max(rows.size, 1) > bound:
             yield _gathered(mu, block)
             block, used = [], 0
-        block.append((a.coords(), rows, d))
+        block.append((c, rows, d))
         used += max(rows.size, 1)
     if block:
         yield _gathered(mu, block)
@@ -373,10 +376,7 @@ class TangentReport:
 
     def defect_curves_csv(self, path):
         """Flat r,s,defect rows (plus the point index) for plotting."""
-        sizes = [len(res.defect_curve) for res in self.results]
-        table = np.reshape([row for res in self.results for row in res.defect_curve], (-1, 3))
-        write_csv(path, ["point_index", "r", "s", "defect"],
-                  [np.repeat(np.arange(len(sizes)), sizes), *table.T])
+        write_point_csv(path, ["r", "s", "defect"], [res.defect_curve for res in self.results])
 
 
 def classify_points(mu, cfg):
@@ -609,16 +609,17 @@ def fit_differential(graph, p_index, cfg):
     and leave no verdict.  p_index is taken through operator.index, and
     every scale must lie in (0, inf).
 
-    A call costs its window, not N: it reads only the rows of
-    graph._window at the largest scale, in ascending row order.  Every
-    row within that scale is among them.  Each of its keys (see
-    GraphSamples) is a coordinate whose differences make the base
-    distance: the rounded square of the base_h[:, 0] difference, or the
-    |dt| of the base t, is one nonnegative term of the squared distance,
-    and rounding is monotone, so the key difference is as close as
-    dist_rows would put a one-coordinate row, which _reach bounds.  The
-    rows and their order are those of a scan over the whole graph, so
-    lstsq, einsum and max get the same inputs, and the fit its bits.
+    A call costs its window, not N: it reads only the rows of row p's
+    window (GridIndex.windows) in graph._index at the largest scale, in
+    ascending row order.  Every row within that scale is among them.
+    Each key of the index (see GraphSamples._index) is a coordinate whose
+    differences make the base distance: the rounded square of the
+    base_h[:, 0] difference, or the |dt| of the base t, is one
+    nonnegative term of the squared distance, and rounding is monotone,
+    so the key difference is as close as dist_rows would put a
+    one-coordinate row, which _reach bounds.  The rows and their order
+    are those of a scan over the whole graph, so lstsq, einsum and max
+    get the same inputs, and the fit its bits.
     """
     V = graph.plane
     k = V.k
@@ -631,7 +632,8 @@ def fit_differential(graph, p_index, cfg):
     for r in scales:
         _check_radius(r)
     scales.sort(reverse=True)
-    rows = graph._window(p, scales[0])
+    index = graph._index
+    rows = index.rows(*index.windows(index._pts[p], scales[0]))
     dxi = graph.base_h[rows] - graph.base_h[p]
     deta = graph.value_h[rows] - graph.value_h[p]
     co_k = deta.shape[1]

@@ -18,9 +18,10 @@ from parabgmt.rectify import DifferentialFit
 
 class ScanIndex:
     """GridIndex's queries answered by full scans: the window of every
-    centre is every row, in ascending index order, and `ball` and
+    centre is every row, in ascending index order; `balls`, `ball` and
     `query` return the rows within the radius, found by one dist_rows
-    scan, in ascending index order."""
+    scan per centre, in ascending index order; and `nearest` takes each
+    row's least distance to every other row."""
 
     def __init__(self, pts):
         self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -32,16 +33,27 @@ class ScanIndex:
     def rows(self, key, lo, hi):
         return np.arange(lo, hi)
 
+    def balls(self, centres, radii, metric="parabolic"):
+        centres = np.asarray(centres, dtype=float)
+        for c, radius in zip(centres, np.broadcast_to(radii, centres.shape[:1])):
+            yield reference_ball(self.pts, c, radius, metric)
+
     def ball(self, c, radius, metric="parabolic"):
-        with np.errstate(over="ignore"):
-            dist = dist_rows(self.pts, c, metric)
-        rows = np.flatnonzero(dist <= radius)
-        return rows, dist[rows]
+        return next(self.balls([c], radius, metric))
 
     def query(self, i, radius, metric="parabolic"):
         if not 0 <= i < len(self.pts):
             raise ValueError(f"row {i} out of range for {len(self.pts)} points")
         return self.ball(self.pts[i], radius, metric)[0]
+
+    def nearest(self, rows):
+        mins = []
+        with np.errstate(over="ignore"):
+            for i in rows:
+                d = dist_rows(self.pts, self.pts[i])
+                d[i] = np.inf
+                mins.append(float(d.min()))
+        return mins
 
 
 def reference_ball(points, a, r, metric="parabolic"):
@@ -57,16 +69,10 @@ def reference_resolution(points):
     """DiscreteMeasure.resolution() of canonically sorted, merged points
     by full scans: for each of the 256 evenly spread atoms, dist_rows to
     every atom, its own entry set to inf, the minimum; then the median."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 2:
+    index = ScanIndex(points)
+    if len(index.pts) < 2:
         return 0.0
-    mins = []
-    with np.errstate(over="ignore"):
-        for i in _spread_index(pts.shape[0], min(pts.shape[0], 256)):
-            d = dist_rows(pts, pts[i])
-            d[i] = np.inf
-            mins.append(float(d.min()))
-    return float(np.median(mins))
+    return float(np.median(index.nearest(_spread_index(len(index.pts), min(len(index.pts), 256)))))
 
 
 def reference_plane_cloud(n, m, family):

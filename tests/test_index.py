@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from scan_index import ScanIndex, reference_ball, reference_plane_cloud, reference_resolution
 
 from parabgmt import cli, measure
-from parabgmt._index import GridIndex
+from parabgmt._index import GridIndex, _t_reach
 from parabgmt.generators import gen_cantor_segments, gen_weierstrass_graph
-from parabgmt.geometry import _reach, _t_reach, dist_rows
+from parabgmt.geometry import _reach, dist_rows
 from parabgmt.measure import (
     DiscreteMeasure,
     GridMap,
@@ -200,6 +200,44 @@ def test_resolution_matches_full_scans(pts):
     # overflow must still give the full scans' minima
     mu = DiscreteMeasure(pts.shape[1] - 1, pts, np.ones(len(pts)))
     assert mu.resolution() == reference_resolution(mu.points)
+
+
+ball_radius = st.sampled_from([1e-170, 1e-3, 0.3, 1.0, 1e160, np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pts=clouds(),
+    metric=st.sampled_from(["parabolic", "euclidean"]),
+    radii=st.one_of(ball_radius, st.lists(ball_radius, min_size=1, max_size=8)),
+    data=st.data(),
+)
+def test_balls_match_reference_balls_centre_by_centre(pts, metric, radii, data):
+    # K centres, atoms and arbitrary points, from one windows call: each
+    # ball has the rows and distance bits of its own full scan, at one
+    # radius or one per centre; an inf radius holds every atom
+    K = len(radii) if isinstance(radii, list) else data.draw(st.integers(1, 8))
+    outside = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=pts.shape[1],
+                       max_size=pts.shape[1])
+    centres = np.array([pts[data.draw(st.integers(0, len(pts) - 1))] if data.draw(st.booleans())
+                        else data.draw(outside) for _ in range(K)])
+    got = list(GridIndex(pts).balls(centres, radii, metric))
+    assert len(got) == K
+    for c, r, (rows, dist) in zip(centres, np.broadcast_to(radii, K), got):
+        want_rows, want_dist = reference_ball(pts, c, r, metric)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(dist.view(np.uint64), want_dist.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=clouds())
+def test_nearest_matches_full_scans(pts):
+    # the rows of clouds() come in any order, so both keys may need
+    # their argsorts to find a row's x1 and t neighbours
+    if len(pts) < 2:
+        return
+    rows = np.arange(len(pts))
+    assert GridIndex(pts).nearest(rows) == ScanIndex(pts).nearest(rows)
 
 
 def test_resolution_of_a_t_axis_cloud_reads_t_windows():
@@ -443,6 +481,21 @@ def test_workload_covers_match_full_scans(monkeypatch, cloud, metric):
         np.testing.assert_array_equal(centers.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("cloud", [0, 1])
+def test_workload_tangent_search_matches_full_scans(monkeypatch, cloud):
+    # without a resolution hint, resolution() reads GridIndex.nearest,
+    # and classify_points takes every ball from one GridIndex.balls call
+    mu = reduced_clouds()[cloud]
+
+    def search():
+        nu = DiscreteMeasure(mu.n, mu.points, mu.weights)
+        return nu.resolution(), classify_points(nu, TangentConfig(m=1, sample_size=40)).to_dict()
+
+    got = search()
+    monkeypatch.setattr(measure, "GridIndex", ScanIndex)
+    assert search() == got
+
+
 def traced_main(tmp_path, argv):
     """The Tracer of perfbench/tracer.py after cli.main runs argv, with
     "CSV" in argv standing for a cloud of 200 random atoms of P^1."""
@@ -476,7 +529,7 @@ def test_tracer_counts_the_index_and_the_cover(tmp_path):
 
 def test_tracer_counts_one_classify_points_pass(tmp_path):
     # classify_points scores all its sampled atoms in one pass, whose
-    # balls come from DiscreteMeasure.ball, resolves r_list once and
+    # balls come from one GridIndex.balls call, resolves r_list once and
     # builds the cloud's one index, which resolution() reads too
     t = traced_main(tmp_path, ["tangent", "-i", "CSV", "--m", "1", "--sample-size", "7",
                                "-o", str(tmp_path / "t.json")])

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -29,7 +31,9 @@ from parabgmt.measure import DiscreteMeasure, load_cloud_csv
 from parabgmt.rectify import (
     DifferentialFit,
     FitConfig,
+    PointTangent,
     TangentConfig,
+    TangentReport,
     blowup_measure,
     classify_points,
     cone_defect,
@@ -621,6 +625,17 @@ class TestClassifyPoints:
         assert lines[0] == "point_index,r,s,defect"
         assert len(lines) > 5
 
+    def test_empty_curves_write_no_rows(self, tmp_path):
+        # a point whose ball is empty at every scale has an empty curve:
+        # it writes no row, and a report of only such points the header
+        empty = PointTangent(None, [], "none", math.inf, None)
+        curve = PointTangent(None, [(0.5, 0.25, 0.0), (0.25, 0.25, 1.5)], "none", 1.5, None)
+        out = tmp_path / "curves.csv"
+        TangentReport({}, [], [empty, empty], {}).defect_curves_csv(out)
+        assert out.read_bytes() == b"point_index,r,s,defect\n"
+        TangentReport({}, [], [empty, curve, empty], {}).defect_curves_csv(out)
+        assert out.read_bytes() == b"point_index,r,s,defect\n1,0.5,0.25,0.0\n1,0.25,0.25,1.5\n"
+
 
     def test_scoring_memory_does_not_grow_with_the_sample(self):
         # the balls are scored in blocks of about PAIR_TILE mask entries:
@@ -901,7 +916,8 @@ def fit_cases(draw):
     """A graph of 1-400 samples over a plane of P^1-P^3, its base points
     and values drawn apart: each an offset up to 1e6 plus a spread from
     1e-9 to 1e2 times normal noise, the rows' sizes optionally spread
-    over six decades, with some base points repeated."""
+    over six decades, with some base points repeated, and sometimes a
+    first intrinsic base coordinate that is constant."""
     n = draw(st.integers(1, 3))
     V = draw(st.sampled_from(draw(st.sampled_from(fit_planes(n)))))
     N = draw(st.integers(1, 400))
@@ -914,6 +930,11 @@ def fit_cases(draw):
         return offset + spread * sizes * rng.standard_normal((N, n + 1))
 
     base = project_rows(V, cloud())
+    if V.k and draw(st.booleans()):
+        # base_h[:, 0] all 0 (to a few ulps on a tilted frame): its windows
+        # are the whole graph, and a vertical plane takes its t windows
+        e = V.horiz_basis[0]
+        base[:, :-1] -= np.outer(base[:, :-1] @ e, e)
     dups = draw(st.integers(0, N - 1))
     base[rng.integers(0, N, dups)] = base[rng.integers(0, N, dups)]
     values = project_rows(V, cloud(), "complement")
@@ -943,6 +964,43 @@ class TestFitWindowMatchesFullScan:
             cfg = FitConfig(scales=tuple(scales) or (1e-3,), threshold=threshold)
             got = fit_differential(graph, p, cfg).to_dict()
             assert got == reference_fit_differential(graph, p, cfg).to_dict()
+
+    def test_constant_first_coordinate_takes_the_t_window(self):
+        # on the (x1, t) plane of P^2 with x1 = 0 throughout, every x1
+        # window is the whole graph and the t windows are the narrow ones
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([np.zeros(500), rng.random(500), rng.random(500)])
+        V = HomPlane(2, np.eye(2)[:1], True)
+        graph = GraphSamples.from_points(pts, V)
+        index = graph._index
+        key, lo, hi = index.windows(index._pts, 1e-2)
+        assert np.all(key == 1) and (hi - lo).max() < 100
+        cfg = FitConfig(scales=(0.1, 0.03))
+        for p in range(0, 500, 25):
+            assert (fit_differential(graph, p, cfg).to_dict()
+                    == reference_fit_differential(graph, p, cfg).to_dict())
+
+    @pytest.mark.parametrize("V, bad", [(HomPlane.t_axis(1), [0.0, np.nan]),
+                                        (HomPlane.horizontal_axes(1, (0,)), [np.inf, 0.0])])
+    def test_non_finite_base_is_refused_at_the_first_fit(self, V, bad):
+        # a GraphSamples built directly skips from_points' check; its
+        # window index refuses the key column that holds the bad value
+        base = np.array([[0.0, 0.0], bad, [1.0 if V.k else 0.0, 0.0 if V.k else 1.0]])
+        graph = GraphSamples(V, base, np.zeros_like(base))
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            fit_differential(graph, 0, FitConfig(scales=(1.0,)))
+
+    def test_fit_in_a_fresh_interpreter_that_imports_geometry_first(self, child_pythonpath):
+        # GraphSamples imports the _index module when it first fits, and
+        # _index imports geometry: the order must not make an import cycle
+        code = ("import parabgmt.geometry as g\n"
+                "from parabgmt.rectify import FitConfig, fit_differential\n"
+                "graph = g.GraphSamples.from_points([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],"
+                " g.HomPlane.horizontal_axes(1, (0,)))\n"
+                "print(fit_differential(graph, 0, FitConfig(scales=(1.0,))).verdict)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout.split() == ["differentiable"]
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_a_row_on_the_edge_of_a_rounded_key(self, k):
