@@ -30,13 +30,13 @@ print(f"fine-scale Lipschitz estimate flagged: {res.flagged} "
 print()
 print("== the same toolkit from the command line ==")
 cmds = [
-    ["generate", "--kind", "quartic_cantor", "--depth", "10", "-o", "/tmp/demo_cloud.csv"],
-    ["dim", "-i", "/tmp/demo_cloud.csv", "--scales", "4"],
+    ["generate", "--kind", "quartic_cantor", "--depth", "10", "-o", "demo_cloud.csv"],
+    ["dim", "-i", "demo_cloud.csv", "--scales", "4"],
     ["verify", "--suite", "geometry", "--cases", "500"],
 ]
 for cmd in cmds:
     print(f"\n$ parabgmt {' '.join(cmd)}")
     out = subprocess.run([sys.executable, "-m", "parabgmt.cli"] + cmd,
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, check=True)
     head = out.stdout.strip().splitlines()
     print("\n".join(head[:12] + (["  ..."] if len(head) > 12 else [])))

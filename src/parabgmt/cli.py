@@ -532,7 +532,7 @@ _COMMANDS = {
     "generate": ("build a fixture cloud (CSV + JSON sidecar)", _cmd_generate, [
         Opt("kind", "str", required=True, choices=_Later("generators.GENERATORS", sorted),
             help="generator family"),
-        _param_opt("generators.GeneratorSpec", "seed", "int", help="generator seed"),
+        _param_opt("generators.GeneratorSpec", "seed", "seed", help="generator seed"),
         Opt("output", "str", required=True,
             help="cloud CSV path; report goes to the .json sidecar"),
         *_GEN_PARAM_OPTS,

@@ -44,6 +44,7 @@ class GeneratorSpec(Record):
             raise ValueError(f"unknown generator kind {self.kind!r}")
         self.params = dict(self.params)
         self.seed = int(self.seed)
+        _require("seed", self.seed, 0)
         depth = self.params.get("depth")
         if depth is not None and int(depth) < 1:
             raise ValueError("depth must be >= 1")
@@ -54,6 +55,12 @@ class GeneratorSpec(Record):
             seq = self.params.get(key)
             if seq is not None and any(v <= 0 for v in seq):
                 raise ValueError(f"{key} entries must be positive")
+
+
+def _require(name, value, low):
+    """Refuse a value below low with a one-line ValueError."""
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def sidecar_payload(info):
@@ -93,17 +100,17 @@ def weierstrass_truncation(c0, K):
     return abs(c0) * 2.0 ** (-0.5 * (K - 1)) * (2.0 + math.sqrt(2.0))
 
 
-def holder_upper(ts, fs, dense_strides=64):
+def holder_upper(ts, fs):
     """Largest |f(t)-f(s)| / sqrt(|t-s|) over strided sample pairs.
 
-    Strides are contiguous up to dense_strides and dyadic beyond, so every
+    Strides are contiguous up to 64 and dyadic beyond, so every
     log2 phase of the separation is sampled; a coarse dyadic sweep alone
     misses the worst phase of lacunary series.
     """
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)
     n = len(ts)
-    strides = list(range(1, min(dense_strides, n - 1) + 1))
+    strides = list(range(1, min(64, n - 1) + 1))
     s = strides[-1] * 2 if strides else 1
     while s < n:
         strides.append(s)
@@ -180,8 +187,6 @@ def gen_weierstrass_graph(n=1, c0=0.05, K=30, resolution=1e-3):
         n,
         pts,
         w,
-        nominal_dim=n + 1,
-        provenance=f"weierstrass_graph n={n} c0={c0} K={K} res={resolution} ground_truth=none",
         resolution_hint=math.sqrt(resolution) if n == 1 else resolution,
     )
     info = {
@@ -288,13 +293,11 @@ class DefeaterTree:
     profile; gamma carries the tiny continuity ramps.
     """
 
-    def __init__(self, c0, K, prescale, L_full, c, c_seq, ctilde_seq, levels):
+    def __init__(self, c0, K, prescale, L_full, ctilde_seq, levels):
         self.c0 = c0
         self.K = K
         self.prescale = prescale
         self.L_full = list(L_full)
-        self.c = c
-        self.c_seq = list(c_seq)
         self.ctilde_seq = list(ctilde_seq)
         self.levels = levels
 
@@ -346,10 +349,8 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
         raise ValueError("depth must be >= 1")
     # a window needs a pair of samples, and the resolution hint divides
     # by the atoms per interval minus one
-    for name, value in (("window_samples", window_samples),
-                        ("atoms_per_interval", atoms_per_interval)):
-        if value < 2:
-            raise ValueError(f"{name} must be >= 2, got {value}")
+    _require("window_samples", window_samples, 2)
+    _require("atoms_per_interval", atoms_per_interval, 2)
     if L_seq is None:
         L_seq = [1.0 / math.sqrt(k + 1) for k in range(1, depth + 1)]
     L_seq = [float(v) for v in L_seq]
@@ -375,12 +376,12 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
     L_full = [1.0] + L_seq[:depth]
 
     def node_arrays(rows):
-        keys = ("a", "b", "parent", "alpha", "beta", "gamma", "pair_gap", "pair_mismatch")
+        keys = ("a", "b", "parent", "alpha", "beta", "gamma", "pair_gap")
         return {k: np.array([r[i] for r in rows]) for i, k in enumerate(keys)}
 
     # alpha is taken relative to the prescaled profile, so the root is 1
-    root = node_arrays([(0.0, 1.0, -1, 1.0, 0.0, 0.0, 1.0, 0.0)])
-    tree = DefeaterTree(c0, K, prescale, L_full, c, c_seq, ctilde_seq, [root])
+    root = node_arrays([(0.0, 1.0, -1, 1.0, 0.0, 0.0, 1.0)])
+    tree = DefeaterTree(c0, K, prescale, L_full, ctilde_seq, [root])
     levels = tree.levels
 
     for k in range(1, depth + 1):
@@ -413,7 +414,6 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
                     rho * be + (1.0 - rho) * fa - slope * ta,
                     rho * ga + slope,
                     tb - ta,
-                    abs(fb - fa),
                 ))
         levels.append(node_arrays(rows))
 
@@ -427,8 +427,6 @@ def gen_regular_defeater(L_seq=None, c_seq=None, depth=6, resolution=1e-4,
         1,
         np.column_stack([tree.eval(T), T]),
         np.repeat(lengths / m, m),
-        nominal_dim=2,
-        provenance=f"regular_defeater depth={depth} c0={c0} ground_truth=defeater",
         resolution_hint=math.sqrt(_median(lengths) / (m - 1)),
     )
     info = {
@@ -562,6 +560,8 @@ def gen_cantor_segments(n_seq=None, depth=1, points_per_segment=64):
         raise ValueError("n_seq shorter than depth")
     if any(v < 1 for v in n_seq) or any(b <= a for a, b in zip(n_seq, n_seq[1:])):
         raise ValueError("n_seq must be strictly increasing positive integers")
+    pps = int(points_per_segment)
+    _require("points_per_segment", pps, 1)
 
     xs = np.array([0.0])
     tls = np.array([0.0])
@@ -583,7 +583,6 @@ def gen_cantor_segments(n_seq=None, depth=1, points_per_segment=64):
         r_levels.append(r)
 
     r = r_levels[-1]
-    pps = int(points_per_segment)
     u = (np.arange(pps) + 0.5) / pps * r
     X = (xs[:, None] + u[None, :]).ravel()
     T = (tls[:, None] + r * u[None, :]).ravel()
@@ -592,8 +591,6 @@ def gen_cantor_segments(n_seq=None, depth=1, points_per_segment=64):
         1,
         np.column_stack([X, T]),
         w,
-        nominal_dim=1,
-        provenance=f"cantor_segments n_seq={tuple(n_seq[:depth])} depth={depth} ground_truth=none",
         resolution_hint=r / math.sqrt(pps),
     )
     info = {
@@ -625,6 +622,10 @@ def gen_vertical_cantor(r_seq=None, depth=1, n_seq=None, rows=8, cols=2):
     depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    rows = int(rows)
+    cols = int(cols)
+    _require("rows", rows, 1)
+    _require("cols", cols, 1)
     if r_seq is None:
         if n_seq is None:
             n_seq = tuple(2 * k + 2 for k in range(1, depth + 1))
@@ -658,8 +659,6 @@ def gen_vertical_cantor(r_seq=None, depth=1, n_seq=None, rows=8, cols=2):
             half = int(nvals[k - 1]) // 2
             squares = [(a, b + j * width) for a, b in rects for j in range(half)]
 
-    rows = int(rows)
-    cols = int(cols)
     W = float(r[depth])
     H = float(r[depth - 1]) / 2.0
     ra = np.asarray(rects)
@@ -674,8 +673,6 @@ def gen_vertical_cantor(r_seq=None, depth=1, n_seq=None, rows=8, cols=2):
         1,
         np.column_stack([X, T]),
         w,
-        nominal_dim=2,
-        provenance=f"vertical_cantor depth={depth} n={tuple(int(v) for v in used)} ground_truth=vertical",
         resolution_hint=min(math.sqrt(H / rows), W / cols),
     )
     info = {
@@ -751,8 +748,6 @@ def gen_quartic_cantor(gap_seq=None, depth=8, kappa=12.0, kappa_growth=0.25):
         1,
         np.column_stack([xs, fv]),
         w,
-        nominal_dim=1,
-        provenance=f"quartic_cantor depth={depth} ground_truth=horizontal",
         resolution_hint=min(dom_len[depth], dom_gaps[-1]),
     )
     info = {
@@ -832,6 +827,7 @@ def gen_flat(V, extent=1.0, resolution=1e-3):
     Lebesgue measure on the plane, which is the parabolic Hausdorff measure
     in the plane's homogeneous dimension.
     """
+    _require("extent", extent, 0)
     C, w = _base_grid(V, extent, resolution, box=False)
     pts = _assemble(V, C)
     fam = "vertical" if V.includes_t_axis else "horizontal"
@@ -839,8 +835,6 @@ def gen_flat(V, extent=1.0, resolution=1e-3):
         V.n,
         pts,
         w,
-        nominal_dim=V.m,
-        provenance=f"flat_plane m={V.m} k={V.k} {fam} ground_truth={fam}",
         resolution_hint=resolution if V.k else math.sqrt(resolution),
     )
     info = {
@@ -863,6 +857,7 @@ def gen_graph(g, V, domain=1.0, resolution=1e-3, noise=0.0, seed=0):
     horizontal columns first, then t when V is horizontal).  Weights are the
     base cell measures.
     """
+    _require("domain", domain, 0)
     C, w = _base_grid(V, domain, resolution, box=True)
     pts = _assemble(V, C)
     co = complement_plane(V)
@@ -884,8 +879,6 @@ def gen_graph(g, V, domain=1.0, resolution=1e-3, noise=0.0, seed=0):
         V.n,
         pts,
         w,
-        nominal_dim=V.m,
-        provenance=f"user_graph over {fam} m={V.m} ground_truth=graph",
         resolution_hint=resolution if V.k else math.sqrt(resolution),
     )
     info = {
@@ -981,7 +974,9 @@ def _expr_graph(exprs, dims_in, has_t):
         ns = {"t": C[:, -1]} if has_t else {}
         for i in range(dims_in):
             ns[f"x{i + 1}"] = C[:, i]
-        cols = [np.broadcast_to(np.asarray(f(ns), dtype=float), (C.shape[0],)) for f in funcs]
+        # a non-finite value is refused as a point, not warned about
+        with np.errstate(all="ignore"):
+            cols = [np.broadcast_to(np.asarray(f(ns), dtype=float), (C.shape[0],)) for f in funcs]
         return np.column_stack(cols)
 
     return g

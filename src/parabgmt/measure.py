@@ -70,7 +70,7 @@ class DiscreteMeasure:
     the matching (N,) array of positive masses.
     """
 
-    def __init__(self, n, points, weights, nominal_dim=None, provenance="", resolution_hint=None):
+    def __init__(self, n, points, weights, resolution_hint=None):
         n = int(n)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != n + 1:
@@ -96,8 +96,6 @@ class DiscreteMeasure:
         self.n = n
         self.points = pts
         self.weights = w
-        self.nominal_dim = None if nominal_dim is None else float(nominal_dim)
-        self.provenance = str(provenance)
         self.resolution_hint = None if resolution_hint is None else float(resolution_hint)
         self._resolution = None
 
@@ -127,10 +125,7 @@ class DiscreteMeasure:
         )
 
     def __repr__(self):
-        return (
-            f"DiscreteMeasure(n={self.n}, atoms={self.natoms}, mass={self.total_mass:.6g}, "
-            f"provenance={self.provenance!r})"
-        )
+        return f"DiscreteMeasure(n={self.n}, atoms={self.natoms}, mass={self.total_mass:.6g})"
 
     @functools.cached_property
     def _index(self):
@@ -154,12 +149,7 @@ class DiscreteMeasure:
         if not rows.size:
             raise ValueError("no atoms inside the requested ball")
         return DiscreteMeasure(
-            self.n,
-            self.points[rows],
-            self.weights[rows],
-            nominal_dim=self.nominal_dim,
-            provenance=self.provenance + " | restricted",
-            resolution_hint=self.resolution_hint,
+            self.n, self.points[rows], self.weights[rows], resolution_hint=self.resolution_hint
         )
 
     def resolution(self):
@@ -197,7 +187,7 @@ def save_cloud_csv(mu, path):
     write_csv(path, header, [*mu.points.T, mu.weights])
 
 
-def load_cloud_csv(path, nominal_dim=None, provenance=None):
+def load_cloud_csv(path):
     """Read a point-cloud CSV, the format save_cloud_csv writes.
 
     The first line is the header x1,...,xn,t,w with n >= 1.  Every other
@@ -253,27 +243,16 @@ def load_cloud_csv(path, nominal_dim=None, provenance=None):
             if not rows:
                 raise ValueError(f"{path}: no data rows")
             arr = np.asarray(rows, dtype=float)
-    return DiscreteMeasure(
-        n,
-        arr[:, :-1],
-        arr[:, -1],
-        nominal_dim=nominal_dim,
-        provenance=provenance if provenance is not None else f"csv:{path}",
-    )
+    return DiscreteMeasure(n, arr[:, :-1], arr[:, -1])
 
 
-def _points_of(points):
-    if isinstance(points, DiscreteMeasure):
-        return points.points
-    return as_coord_array(points)
-
-
-def default_scales(resolution, count=SCALE_COUNT, ratio=SCALE_RATIO, anchor=SCALE_ANCHOR):
-    """Decreasing geometric scale schedule anchored at anchor*resolution."""
+def default_scales(resolution, count=SCALE_COUNT):
+    """Decreasing geometric scale schedule anchored at
+    SCALE_ANCHOR*resolution, each scale 1/SCALE_RATIO times the next."""
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
-    finest = anchor * resolution
-    return [finest * (1.0 / ratio) ** i for i in range(count - 1, -1, -1)]
+    finest = SCALE_ANCHOR * resolution
+    return [finest * (1.0 / SCALE_RATIO) ** i for i in range(count - 1, -1, -1)]
 
 
 CAND_CAP = 32
@@ -431,9 +410,11 @@ def dimension_fit(points, scales, metric="parabolic", sum_exponents=()):
     log(1/r) over the greedy covering counts; equal counts give 0.0, None."""
     # sorted once: every cover then finds its rows in canonical order, and
     # the covers of a DiscreteMeasure share its index
-    if not isinstance(points, DiscreteMeasure):
+    if isinstance(points, DiscreteMeasure):
+        n = points.n
+    else:
         points = canonical_sorted(as_coord_array(points))
-    n = _points_of(points).shape[1] - 1
+        n = points.shape[1] - 1
     scales = sorted((float(r) for r in scales), reverse=True)
     if len(scales) < 2:
         raise ValueError("need at least two scales")

@@ -412,9 +412,9 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
     The atoms of the closed ball dist_rows(p, a) <= r go through
     p -> delta_{1/r}(p - a) (blowup_rows), and their weights are scaled
     by c = 1 / M, M the mass of that ball, for "mass" normalization or
-    c = r^(-m) for "power".  Refused with a one-line ValueError: a power
-    r^(-m) past the float range (_scale_power), and a scale whose square
-    underflows to 0.0 (blowup_rows).
+    c = r^(-m) for "power".  Refused with a one-line ValueError: "power"
+    without m, a power r^(-m) past the float range (_scale_power), and a
+    scale whose square underflows to 0.0 (blowup_rows).
     """
     a = as_point(a, mu.n)
     r = float(r)
@@ -425,20 +425,14 @@ def blowup_measure(mu, a, r, normalization="mass", m=None):
             raise ValueError(f"B(a, {r}) holds no atoms; mass normalization undefined")
         c = 1.0 / mass
     elif normalization == "power":
-        mm = mu.nominal_dim if m is None else float(m)
-        if mm is None:
-            raise ValueError("power normalization needs m (or a nominal_dim on mu)")
-        c = _scale_power(r, -mm)
+        if m is None:
+            raise ValueError("power normalization needs m")
+        c = _scale_power(r, -float(m))
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
     hint = mu.resolution_hint / r if mu.resolution_hint else None
     return DiscreteMeasure(
-        mu.n,
-        blowup_rows(a, r, mu.points[rows]),
-        mu.weights[rows] * c,
-        nominal_dim=mu.nominal_dim,
-        provenance=(mu.provenance + " | " if mu.provenance else "") + f"blowup r={r:g}",
-        resolution_hint=hint,
+        mu.n, blowup_rows(a, r, mu.points[rows]), mu.weights[rows] * c, resolution_hint=hint
     )
 
 
@@ -468,8 +462,6 @@ def _empty_cell_fraction(V, coords):
     g = GRID_CELLS
     axes, valid = _cell_grid(V)
     total = int(np.sum(valid))
-    if total == 0:
-        return 1.0
     if coords.shape[0] == 0:
         return 1.0
     xcols = [coords[:, c] for c in range(V.n)]

@@ -107,6 +107,19 @@ class TestGenerate:
          "window_samples must be >= 2, got 1"),
         (["--kind", "regular_defeater", "--depth", "1", "--atoms-per-interval", "1"],
          "atoms_per_interval must be >= 2, got 1"),
+        (["--kind", "cantor_segments", "--points-per-segment", "0"],
+         "points_per_segment must be >= 1, got 0"),
+        (["--kind", "cantor_segments", "--points-per-segment", "-3"],
+         "points_per_segment must be >= 1, got -3"),
+        (["--kind", "vertical_cantor", "--rows", "0"], "rows must be >= 1, got 0"),
+        (["--kind", "vertical_cantor", "--cols", "0"], "cols must be >= 1, got 0"),
+        (["--kind", "vertical_cantor", "--rows", "-2"], "rows must be >= 1, got -2"),
+        (["--kind", "flat_plane", "--n", "1", "--axes", "0", "--extent", "-1"],
+         "extent must be >= 0, got -1.0"),
+        (["--kind", "user_graph", "--n", "1", "--axes", "0", "--expr", "x1", "--domain", "-1"],
+         "domain must be >= 0, got -1.0"),
+        (["--kind", "user_graph", "--n", "1", "--axes", "0", "--expr", "x1", "--noise", "0.1",
+          "--seed", "-1"], "--seed: invalid seed -1 (must be >= 0)"),
     ])
     def test_kind_parameter_errors(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.csv"
@@ -158,6 +171,16 @@ class TestGenerateExpr:
         pts = load_cloud_csv(out).points
         assert len(pts) > 1 and np.ptp(pts[:, 1]) > 0
         np.testing.assert_array_equal(pts[:, 0], 0.5 * pts[:, 1])
+
+    def test_non_finite_values_are_refused_in_one_line(self, tmp_path, child_pythonpath):
+        # a fresh process: numpy's warnings reach its stderr, not pytest's
+        out = tmp_path / "g.csv"
+        done = subprocess.run([sys.executable, "-m", "parabgmt.cli", "generate", "--kind",
+                               "user_graph", "--n", "1", "--axes", "0", "--expr", "1/x1",
+                               "-o", str(out)], capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: points must be finite\n")
+        assert not out.exists()
 
 
 # The package runs on numpy alone.  After `import parabgmt.cli`, importing
@@ -510,6 +533,13 @@ class TestBlowup:
         assert (rc, stdout, err) == (1, "", f"error: {message}\n")
         assert not out.exists()
 
+    def test_power_without_m_is_a_one_line_error(self, line_csv, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        rc, stdout, err = run(capsys, "blowup", "-i", str(line_csv), "--point", "0,0",
+                              "--r", "0.25", "--normalization", "power", "-o", str(out))
+        assert (rc, stdout, err) == (1, "", "error: power normalization needs m\n")
+        assert not out.exists()
+
 
 class TestVconst:
     def test_horizontal_line_constant_exact(self, capsys):
@@ -649,29 +679,31 @@ class TestTopLevel:
         rc, _, err = run(capsys, "frobnicate")
         assert rc == 1 and "error:" in err
 
-    @pytest.mark.parametrize("command", ["tangent", "verify"])
+    @staticmethod
+    def _seed_args(command, line_csv):
+        return {
+            "generate": ["--kind", "flat_plane", "--n", "1", "--axes", "0",
+                         "-o", str(line_csv.with_name("seeded.csv"))],
+            "tangent": ["-i", str(line_csv), "--m", "1"],
+            "verify": [],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["tangent", "verify", "generate"])
     def test_negative_seed_flag_names_the_option(self, line_csv, capsys, command):
-        extra = ["-i", str(line_csv), "--m", "1"] if command == "tangent" else []
+        extra = self._seed_args(command, line_csv)
         rc, out, err = run(capsys, command, *extra, "--seed", "-1")
         assert rc == 1 and out == ""
         assert err == "error: --seed: invalid seed -1 (must be >= 0)\n"
 
-    @pytest.mark.parametrize("command", ["tangent", "verify"])
+    @pytest.mark.parametrize("command", ["tangent", "verify", "generate"])
     def test_negative_seed_in_config_carries_location(self, line_csv, tmp_path, capsys,
                                                       command):
         cfg = tmp_path / "seed.cfg"
         cfg.write_text("# replay\nseed = -4\n")
-        extra = ["-i", str(line_csv), "--m", "1"] if command == "tangent" else []
+        extra = self._seed_args(command, line_csv)
         rc, out, err = run(capsys, command, *extra, "--config", str(cfg))
         assert rc == 1 and out == ""
         assert err == f"error: {cfg}:2: invalid seed -4 (must be >= 0)\n"
-
-    def test_generate_still_takes_a_negative_seed(self, tmp_path, capsys):
-        out = tmp_path / "line.csv"
-        rc, _, _ = run(capsys, "generate", "--kind", "flat_plane", "--n", "1",
-                       "--axes", "0", "--seed", "-2", "-o", str(out))
-        assert rc == 0
-        assert json.loads(out.with_suffix(".json").read_text())["config"]["seed"] == -2
 
     def test_debug_switch_reraises(self, tmp_path, capsys, monkeypatch):
         # PARABGMT_DEBUG=1 lets the exception out with its traceback

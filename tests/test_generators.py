@@ -3,6 +3,7 @@ recursive rescaling, Cantor constructions and the dispatcher."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -514,6 +515,24 @@ class TestDispatcher:
             GeneratorSpec("weierstrass_graph", {"resolution": -1.0})
         with pytest.raises(ValueError):
             GeneratorSpec("cantor_segments", {"n_seq": [2, -3]})
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            GeneratorSpec("flat_plane", seed=-1)
+
+    @pytest.mark.parametrize("build, kwargs, message", [
+        (gen_cantor_segments, {"points_per_segment": 0}, "points_per_segment must be >= 1, got 0"),
+        (gen_cantor_segments, {"points_per_segment": -3},
+         "points_per_segment must be >= 1, got -3"),
+        (gen_vertical_cantor, {"rows": 0}, "rows must be >= 1, got 0"),
+        (gen_vertical_cantor, {"cols": 0}, "cols must be >= 1, got 0"),
+        (gen_vertical_cantor, {"rows": -2}, "rows must be >= 1, got -2"),
+        (gen_flat, {"V": HomPlane.horizontal_axes(1, (0,)), "extent": -1.0},
+         "extent must be >= 0, got -1.0"),
+        (gen_graph, {"g": lambda C: C[:, 0], "V": HomPlane.horizontal_axes(1, (0,)),
+                     "domain": -1.0}, "domain must be >= 0, got -1.0"),
+    ])
+    def test_builders_refuse_counts_and_sizes_out_of_range(self, build, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(**kwargs)
 
     def test_all_kinds_registered(self):
         assert sorted(k for k, _ in QUICK_SPECS) == sorted(GENERATOR_KINDS)

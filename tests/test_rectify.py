@@ -669,9 +669,10 @@ class TestBlowup:
         assert nu.total_mass == pytest.approx(2.0 * 0.5 ** -2)
 
     def test_power_needs_m(self):
-        mu = DiscreteMeasure(1, np.array([[0.1, 0.0]]), [1.0])
-        with pytest.raises(ValueError):
-            blowup_measure(mu, np.zeros(2), 0.5, normalization="power")
+        # a generated cloud too, though its generator knows its dimension
+        for mu in (DiscreteMeasure(1, np.array([[0.1, 0.0]]), [1.0]), line_cloud(1e-2)):
+            with pytest.raises(ValueError, match=r"^power normalization needs m$"):
+                blowup_measure(mu, np.zeros(2), 0.5, normalization="power")
 
     def test_scale_whose_square_underflows_is_refused(self):
         # r * r is 0.0: the time column of the ball's one atom was 0 / 0,
